@@ -223,6 +223,8 @@ def _apply_fixed(cfg, key, value, where):
         cfg.output_dir = str(value)
     elif key == "output.stride":
         cfg.stride = _as_int(value, key)
+        if cfg.stride < 1:
+            raise ConfigurationError(f"{where}: {key} must be at least 1, got {value}")
     elif key == "lyapunov.reference":
         cfg.lyapunov_reference = _as_vector(value, key)
     elif key == "compare.steps":

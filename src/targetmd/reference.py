@@ -79,11 +79,3 @@ def fbf_field(problem: VIProblem, eta: float, x: Vector) -> Vector:
     y = problem.feasible_set.project(x - eta * problem.F(x))
     return y + eta * (problem.F(x) - problem.F(y)) - x
 
-
-def md2_field(problem: VIProblem, eta: float, x: Vector, xi: Vector):
-    """Second-order mirror descent right-hand sides (dual rate, xi rate)
-    with unit damping gains; the alpha = 0 degenerate case of the
-    higher-order stepper."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    return -eta * problem.F(x) - (x - xi), x - xi

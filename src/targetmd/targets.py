@@ -41,11 +41,15 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class ResolventSolve:
-    """Evaluate the target by solving its strongly monotone subproblem
-    with projected forward iterations.
+    """Evaluate the target by solving its strongly monotone subproblem.
 
-    modulus / lipschitz, when known, fix the inner step at modulus / L^2;
-    otherwise the solver starts at 1e-2 and halves on divergence.
+    grad_h_conj, when set, is the mirror map of a design with S = grad_h
+    and monotone Phi: the solver then runs the mirror-map fixed point first
+    and stops once the target error is certified below tol.  Otherwise, or
+    when that iteration does not contract, it runs projected forward
+    iterations, which stop on step length.  modulus / lipschitz, when
+    known, fix their step at modulus / L^2; otherwise it starts at 1e-2
+    and halves on divergence.
     """
 
     tol: float = 1e-10
@@ -53,6 +57,7 @@ class ResolventSolve:
     step: Optional[float] = None
     modulus: Optional[float] = None
     lipschitz: Optional[float] = None
+    grad_h_conj: Optional[Callable[[Vector], Vector]] = None
 
 
 TargetStrategy = Union[ClosedForm, ResolventSolve]
@@ -80,7 +85,6 @@ class TargetSpec:
     name: str = "custom"
     phi_implicit: bool = False
     shadow: Optional[Callable[[Vector], Vector]] = None
-    dmd_case: Optional[int] = None
     # optional closed form for S(T(x)) - S(x); some designs admit a direct
     # expression that stays evaluable where the literal difference would
     # leave the representable range (targets exponentially close to a
@@ -127,8 +131,11 @@ def resolve_target(spec: TargetSpec, feasible_set: FeasibleSet, x: Vector) -> Ve
     """Evaluate the target point T(x).
 
     Closed-form strategies apply their stored formula.  Solver strategies
-    run y <- P(y - tau * (S(y) + Phi(y) - S(x))) from y0 = x until the
-    step shrinks below tol; strong monotonicity of S + Phi makes this a
+    with a mirror map run y <- grad_h_conj(S(x) - Phi(y)) from y0 = x (see
+    _mirror_fixed_point), falling back to the projected iteration when it
+    does not contract.  The projected iteration runs
+    y <- P(y - tau * (S(y) + Phi(y) - S(x))) from y0 = x until the step
+    shrinks below tol; strong monotonicity of S + Phi makes this a
     contraction for small enough tau, and divergence (including domain
     violations of S or Phi) triggers geometric backoff of tau, at most 6
     halvings.
@@ -141,6 +148,10 @@ def resolve_target(spec: TargetSpec, feasible_set: FeasibleSet, x: Vector) -> Ve
         raise ConfigurationError("solver strategy needs an explicit Phi")
 
     anchor = spec.S(x)
+    if strategy.grad_h_conj is not None:
+        y = _mirror_fixed_point(spec, strategy, x, anchor)
+        if y is not None:
+            return y
     tau = strategy.step
     if tau is None:
         if strategy.modulus and strategy.lipschitz:
@@ -178,6 +189,37 @@ def resolve_target(spec: TargetSpec, feasible_set: FeasibleSet, x: Vector) -> Ve
         "target subproblem diverged despite 6 step halvings", last_residual=last)
 
 
+def _mirror_fixed_point(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
+                        anchor: Vector) -> Optional[Vector]:
+    """Run y_{k+1} = grad_h_conj(S(x) - Phi(y_k)) from y_0 = x.
+
+    y_{k+1} solves the target subproblem exactly up to the residual
+    r = Phi(y_{k+1}) - Phi(y_k), because the mirror map absorbs the normal
+    cone; S + Phi is sigma-strongly monotone, so ||y_{k+1} - T(x)|| <=
+    ||r|| / sigma and stopping at ||r|| <= sigma * tol bounds the target
+    error by tol.  Each step costs one Phi call, which the stop reuses.
+    Returns None when a step fails to shrink ||y_{k+1} - y_k|| (the map
+    does not contract here), on a domain violation, or after max_iter.
+    """
+    bound = spec.sigma * strategy.tol
+    y = x
+    last = np.inf
+    try:
+        phi = spec.Phi(y)
+        for _ in range(strategy.max_iter):
+            y_next = strategy.grad_h_conj(anchor - phi)
+            phi_next = spec.Phi(y_next)
+            if float(np.linalg.norm(phi_next - phi)) <= bound:
+                return y_next
+            step = float(np.linalg.norm(y_next - y))
+            if not step < last:
+                return None
+            y, phi, last = y_next, phi_next, step
+    except DomainError:
+        return None
+    return None
+
+
 def _min_monotonicity_ratio(op, feasible_set, n_pairs=64, seed=0):
     """Sampled lower bound on <op(x)-op(y), x-y> / ||x-y||^2; refutation
     helper for preset preconditions."""
@@ -203,6 +245,19 @@ def _require_strongly_monotone(op, feasible_set, label, seed=0):
     return ratio
 
 
+def _step_size(value, name: str) -> float:
+    """value as a float, or ConfigurationError unless it is a finite
+    positive number."""
+    try:
+        step = float(value)
+    except (TypeError, ValueError):
+        step = np.nan
+    if not (np.isfinite(step) and step > 0.0):
+        raise ConfigurationError(
+            f"{name} must be a finite positive number, got {value!r}")
+    return step
+
+
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------
@@ -213,10 +268,10 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
 
     The target solves the proximal subproblem implicitly.  For linear F
     under the Euclidean potential the inner contraction constants are
-    computed exactly; otherwise the solver falls back to its default step.
+    computed exactly and the projected solver uses them; otherwise the
+    solver runs the certified mirror-map fixed point of grad_h.
     """
-    if eta <= 0.0:
-        raise ConfigurationError("eta must be positive")
+    eta = _step_size(eta, "eta")
 
     def combined(x):
         return geometry.grad_h(x) + eta * problem.F(x)
@@ -241,7 +296,9 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
         sigma=geometry.strong_convexity_modulus,
         Phi=lambda x: eta * problem.F(x),
         target=ResolventSolve(tol=inner_tol, max_iter=inner_max_iter,
-                              modulus=modulus, lipschitz=lipschitz),
+                              modulus=modulus, lipschitz=lipschitz,
+                              grad_h_conj=(geometry.grad_h_conj
+                                           if modulus is None else None)),
         feasible_set=problem.feasible_set,
         name="ppa",
     )
@@ -257,11 +314,8 @@ def preset_eg(geometry: MirrorGeometry, problem: VIProblem, eta1: float,
     two-step-size variant.  sigma is the conservative analytic bound
     modulus(h) - eta1 * L, backed by a sampled refutation check.
     """
-    if eta1 <= 0.0:
-        raise ConfigurationError("eta1 must be positive")
-    eta2 = eta1 if eta2 is None else float(eta2)
-    if eta2 <= 0.0:
-        raise ConfigurationError("eta2 must be positive")
+    eta1 = _step_size(eta1, "eta1")
+    eta2 = eta1 if eta2 is None else _step_size(eta2, "eta2")
 
     lip = estimate_lipschitz(problem)
     sigma = geometry.strong_convexity_modulus - eta1 * lip
@@ -298,8 +352,7 @@ def preset_dr(pair: SplitPair, feasible_set: FeasibleSet, eta: float) -> TargetS
     Solution residuals are meaningful at the shadow point (the B-resolvent
     of the governing iterate), which is exposed via `shadow`.
     """
-    if eta <= 0.0:
-        raise ConfigurationError("eta must be positive")
+    eta = _step_size(eta, "eta")
     if feasible_set.kind != WHOLE_SPACE:
         raise ConfigurationError(
             "DR absorbs constraints into the split operators; use a whole-space set")
@@ -334,8 +387,7 @@ def preset_fb(pair: SplitPair, feasible_set: FeasibleSet, eta: float,
     Requires eta < 4 * modulus(A + B) / lipschitz(B)^2; the constants come
     from the split pair unless overridden.
     """
-    if eta <= 0.0:
-        raise ConfigurationError("eta must be positive")
+    eta = _step_size(eta, "eta")
     if feasible_set.kind != WHOLE_SPACE:
         raise ConfigurationError(
             "FB absorbs constraints into the split operators; use a whole-space set")
@@ -457,8 +509,7 @@ def preset_bnn(problem: VIProblem, eta: float = 1.0) -> TargetSpec:
     S = entropy grad_h, and the multiplicative closed-form target
     T(x) = x (+) exp(eta * normalized excess payoff), where (+) is
     Aitchison addition.  Runs must use the entropy geometry."""
-    if eta <= 0.0:
-        raise ConfigurationError("eta must be positive")
+    eta = _step_size(eta, "eta")
     if problem.feasible_set.kind != SIMPLEX:
         raise ConfigurationError("this design lives on the simplex")
     geometry = entropy_geometry(problem.feasible_set.dim)
@@ -499,8 +550,7 @@ def preset_fbf(problem: VIProblem, eta: float) -> TargetSpec:
     Euclidean geometry: the trajectory itself need not stay in X, only
     the target points do.
     """
-    if eta <= 0.0:
-        raise ConfigurationError("eta must be positive")
+    eta = _step_size(eta, "eta")
     lip = estimate_lipschitz(problem)
     sigma = 1.0 - eta * lip
     if sigma <= 0.0:
@@ -536,8 +586,7 @@ def preset_vanilla_md(geometry: MirrorGeometry, problem: VIProblem,
     No target correction; ships so that cycling/divergence on merely
     monotone problems is a testable artifact rather than folklore.
     """
-    if eta <= 0.0:
-        raise ConfigurationError("eta must be positive")
+    eta = _step_size(eta, "eta")
     return TargetSpec(
         alpha=0.0,
         beta=1.0,
@@ -568,11 +617,11 @@ def preset_dmd_calibrated(geometry: MirrorGeometry, problem: VIProblem,
         return TargetSpec(
             alpha=1.0, beta=0.0, S=spec.S, sigma=spec.sigma, Phi=spec.Phi,
             target=spec.target, feasible_set=spec.feasible_set,
-            name="dmd_calibrated", dmd_case=1)
+            name="dmd_calibrated")
     if case == 2:
         spec = preset_eg(geometry, problem, eta)
         return TargetSpec(
             alpha=1.0, beta=1.0, S=spec.S, sigma=spec.sigma, Phi=spec.Phi,
             target=spec.target, feasible_set=spec.feasible_set,
-            name="dmd_calibrated", dmd_case=2)
+            name="dmd_calibrated")
     raise ConfigurationError("case must be 1 or 2")

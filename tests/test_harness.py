@@ -5,12 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from targetmd import (echo_config, library_problem, parse_config,
+from targetmd import (echo_config, library_problem, load_config, parse_config,
                       run_condition_checks, euclidean_geometry, whole_space,
                       TargetSpec, ClosedForm)
 from targetmd.cli import main
 from targetmd.errors import ConfigurationError
-from targetmd.harness import OUTPUT_DIR_ENV
+from targetmd.harness import OUTPUT_DIR_ENV, run_solve
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,6 +100,20 @@ def test_echo_round_trip_is_a_fixed_point():
         echoed = echo_config(cfg)
         reparsed = parse_config("\n".join(echoed))
         assert echo_config(reparsed) == echoed
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+def test_stride_below_one_is_rejected(tmp_path, capsys, stride):
+    out = tmp_path / "o"
+    text = BASE_SOLVE.format(steps=10, out=out) + f"output.stride = {stride}\n"
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="output.stride must be at least 1"):
+        load_config(path)
+    assert run_cli("solve", text, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # --- solve ------------------------------------------------------------------------
@@ -231,6 +245,57 @@ output.dir = {out}
     assert summary["final_natural_residual"] <= 1e-6
     assert abs(summary["final_point"][0]) <= 1e-6
     assert abs(summary["final_shadow_point"][0] - 1.0) <= 1e-6
+
+
+STEP_CASES = [
+    # (preset, problem, geometry, step key, extra lines)
+    ("ppa", "skew_bilinear", "euclidean", "eta", ""),
+    ("eg", "skew_bilinear", "euclidean", "eta", ""),
+    ("eg", "skew_bilinear", "euclidean", "eta1", ""),
+    ("eg_plus", "skew_bilinear", "euclidean", "eta2", "preset.eta1 = 0.1\n"),
+    ("dr", "box_affine_split", "euclidean", "eta", ""),
+    ("fb", "box_affine_split", "euclidean", "eta", ""),
+    ("bnn", "rps_game", "entropy", "eta", ""),
+    ("fbf", "skew_bilinear", "euclidean", "eta", ""),
+    ("vanilla_md", "skew_bilinear", "euclidean", "eta", ""),
+    ("dmd_calibrated", "scalar_shift", "euclidean", "eta", ""),
+    ("higher_order", "skew_bilinear", "euclidean", "eta", ""),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "fast"])
+@pytest.mark.parametrize("preset,problem,geometry,key,extra", STEP_CASES)
+def test_preset_rejects_step_that_is_not_a_finite_positive_number(
+        tmp_path, capsys, preset, problem, geometry, key, extra, value):
+    out = tmp_path / "o"
+    text = (f"problem.name = {problem}\ngeometry.name = {geometry}\n"
+            f"preset.name = {preset}\npreset.{key} = {value}\n{extra}"
+            f"output.dir = {out}\n")
+    assert run_cli("solve", text, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be a finite positive number" in err and key in err
+    with pytest.raises(ConfigurationError):
+        run_solve(parse_config(text))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,exit_code,violations", [
+    # KL to the solution rises along the exact excess-payoff trajectory,
+    # so bnn reports no violation count; its CSV column stays
+    ("bnn_rps_flow", 2, None),
+    ("eg_skew_solve", 0, 0),
+])
+def test_solve_lyapunov_violation_count(tmp_path, name, exit_code, violations):
+    text = (CONFIG_DIR / f"{name}.cfg").read_text().replace(
+        "budget.t_end = 200.0", "budget.t_end = 5.0")
+    out = tmp_path / "out"
+    assert run_cli("solve", text, tmp_path, env_dir=out) == exit_code
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["lyapunov_violations"] == violations
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()
+    lyapunov = rows[0].split(",").index("lyapunov")
+    assert all(row.split(",")[lyapunov] != "" for row in rows[1:])
 
 
 def test_solve_unknown_problem_exits_one(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from targetmd import (ClosedForm, ResolventSolve, TargetSpec,
                       affine_box_split, aitchison_add, bnn_dual_shift_target,
                       entropy_geometry, euclidean_geometry, excess_payoff,
                       library_problem, natural_residual, preset_bnn,
-                      preset_dr, preset_eg, preset_fb, preset_fbf, preset_ppa,
-                      preset_vanilla_md, resolve_target, simplex, whole_space)
+                      preset_dmd_calibrated, preset_dr, preset_eg, preset_fb,
+                      preset_fbf, preset_ppa, preset_vanilla_md,
+                      resolve_target, simplex, weighted_quadratic_geometry,
+                      whole_space)
 from targetmd.errors import (ConfigurationError, DomainError,
                              TargetResolutionError)
 
@@ -455,3 +459,121 @@ def test_vanilla_md_spec_shape():
     assert spec.alpha == 0.0 and spec.beta == 1.0
     x = np.array([1.0, 0.0])
     assert np.allclose(resolve_target(spec, spec.feasible_set, x), x)
+
+
+# --- mirror-map route of implicit targets ------------------------------------
+
+def _rps_oracle(problem, eta, x, digits=50):
+    """PPA target on rps_game under entropy: the fixed point of
+    y <- softmax(log x - eta * M y), iterated in mpmath at `digits` digits."""
+    import mpmath
+
+    m, _ = problem.linear_terms
+    n = len(x)
+    with mpmath.workdps(digits):
+        eta = mpmath.mpf(eta)
+        mm = [[mpmath.mpf(float(v)) for v in row] for row in m]
+        log_x = [mpmath.log(mpmath.mpf(float(v))) for v in x]
+        y = [mpmath.mpf(float(v)) for v in x]
+        for _ in range(5000):
+            z = [log_x[i] - eta * mpmath.fsum(mm[i][j] * y[j] for j in range(n))
+                 for i in range(n)]
+            peak = max(z)
+            e = [mpmath.exp(v - peak) for v in z]
+            total = mpmath.fsum(e)
+            y_next = [v / total for v in e]
+            if max(abs(a - b) for a, b in zip(y_next, y)) < mpmath.mpf(10) ** (5 - digits):
+                return np.array([float(v) for v in y_next])
+            y = y_next
+    raise AssertionError("oracle iteration did not converge")
+
+
+@pytest.mark.parametrize("eta", [0.2, 1.0])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_mirror_route_target_within_tol_of_oracle(eta, tol):
+    rps = library_problem("rps_game")
+    spec = preset_ppa(entropy_geometry(3), rps, eta, inner_tol=tol)
+    assert spec.target.grad_h_conj is not None
+    rng = np.random.default_rng(SEED + 20)
+    for x in rps.feasible_set.sample_interior(rng, 10, margin=0.02):
+        y = resolve_target(spec, spec.feasible_set, x)
+        assert np.linalg.norm(y - _rps_oracle(rps, eta, x)) <= tol
+
+
+def test_mirror_route_f_calls_per_target():
+    # eta = 1 from points 0.2 from uniform; the projected route spends
+    # about 300 F calls on each of these targets
+    rps = library_problem("rps_game")
+    plain_f = rps.F
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return plain_f(x)
+
+    rps.F = counted
+    spec = preset_ppa(entropy_geometry(3), rps, 1.0)
+    rng = np.random.default_rng(SEED + 21)
+    uniform = np.full(3, 1.0 / 3.0)
+    for _ in range(20):
+        d = rng.standard_normal(3)
+        d -= d.mean()
+        calls[0] = 0
+        resolve_target(spec, spec.feasible_set, uniform + 0.2 * d / np.linalg.norm(d))
+        assert calls[0] <= 60
+
+
+def test_mirror_route_falls_back_to_projected_solve():
+    # at eta = 3 the mirror map of rps_game does not contract near uniform
+    rps = library_problem("rps_game")
+    spec = preset_ppa(entropy_geometry(3), rps, 3.0)
+    conj = spec.target.grad_h_conj
+    tried = [0]
+
+    def spy(z):
+        tried[0] += 1
+        return conj(z)
+
+    mirror = dataclasses.replace(
+        spec, target=dataclasses.replace(spec.target, grad_h_conj=spy))
+    projected = dataclasses.replace(
+        spec, target=dataclasses.replace(spec.target, grad_h_conj=None))
+    rng = np.random.default_rng(SEED + 22)
+    for x in rps.feasible_set.sample_interior(rng, 3, margin=0.05):
+        tried[0] = 0
+        y = resolve_target(mirror, mirror.feasible_set, x)
+        assert 0 < tried[0] < 20
+        assert np.array_equal(y, resolve_target(projected, projected.feasible_set, x))
+
+
+def test_mirror_route_weighted_quadratic_matches_linear_solve():
+    # h = 0.5 * sum w x^2: the target solves (W + eta*M) y = W x - eta*q
+    problem = library_problem("skew_bilinear")
+    g = weighted_quadratic_geometry([1.0, 2.0])
+    spec = preset_ppa(g, problem, 0.5, inner_tol=1e-12)
+    assert spec.target.grad_h_conj is not None
+    m, q = problem.linear_terms
+    w = np.diag([1.0, 2.0])
+    rng = np.random.default_rng(SEED + 23)
+    for x in rng.normal(size=(10, 2)):
+        y = resolve_target(spec, spec.feasible_set, x)
+        exact = np.linalg.solve(w + 0.5 * m, w @ x - 0.5 * q)
+        assert np.linalg.norm(y - exact) <= 1e-12
+
+
+def test_ppa_route_selection():
+    # exact Euclidean constants for linear F keep the projected route
+    for name in ("skew_bilinear", "linear_monotone", "scalar_shift",
+                 "constrained_quadratic"):
+        problem = library_problem(name)
+        g = euclidean_geometry(problem.feasible_set)
+        for spec in (preset_ppa(g, problem, 0.5),
+                     preset_dmd_calibrated(g, problem, 0.5, case=1)):
+            assert spec.target.grad_h_conj is None
+            assert spec.target.modulus > 0.0 and spec.target.lipschitz > 0.0
+    rps = library_problem("rps_game")
+    g3 = entropy_geometry(3)
+    for spec in (preset_ppa(g3, rps, 1.0),
+                 preset_dmd_calibrated(g3, rps, 1.0, case=1)):
+        assert spec.target.grad_h_conj is g3.grad_h_conj
+        assert spec.target.modulus is None
