@@ -21,8 +21,7 @@ from .dynamics import (RunRecord, SolverState, dual_rate, flow,
                        initial_state, lyapunov_series, primal_vector_field,
                        relaxed_condition_value, run_discrete, run_dmd,
                        run_higher_order, run_vanilla_dmd, state_from_dual,
-                       step_calibrated_dmd, step_discrete, step_higher_order,
-                       step_vanilla_dmd, violation_band)
+                       step_discrete, step_higher_order, violation_band)
 from .ensemble import (EnsembleMember, EnsembleState, ensemble_step,
                        init_ensemble, make_members, run_ensemble,
                        synthesized_geometry, verify_ensemble_reduction)

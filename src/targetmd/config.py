@@ -10,6 +10,7 @@ at parse time so the echoed configuration is complete.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -195,8 +196,6 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigurationError(f"{source}: mode must be one of {MODES}")
     if cfg.integrator not in INTEGRATORS:
         raise ConfigurationError(f"{source}: flow.integrator must be one of {INTEGRATORS}")
-    if cfg.dt <= 0:
-        raise ConfigurationError(f"{source}: flow.dt must be positive")
     if cfg.steps < 0 or cfg.ensemble_steps < 0:
         raise ConfigurationError(f"{source}: step budgets must be nonnegative")
     return cfg
@@ -213,10 +212,16 @@ def _apply_fixed(cfg, key, value, where):
         cfg.integrator = str(value)
     elif key == "flow.dt":
         cfg.dt = _as_float(value, key)
+        if not (math.isfinite(cfg.dt) and cfg.dt > 0.0):
+            raise ConfigurationError(
+                f"{where}: {key} must be a finite positive number, got {value!r}")
     elif key == "budget.steps":
         cfg.steps = _as_int(value, key)
     elif key == "budget.t_end":
         cfg.t_end = _as_float(value, key)
+        if not (math.isfinite(cfg.t_end) and cfg.t_end >= 0.0):
+            raise ConfigurationError(
+                f"{where}: {key} must be a finite number >= 0, got {value!r}")
     elif key == "stop.residual":
         cfg.stop_residual = _as_float(value, key)
     elif key == "output.dir":

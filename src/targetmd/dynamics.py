@@ -1,17 +1,19 @@
-"""Steppers, flow integrators, and run diagnostics.
+"""The stepping loop, its runners, and run diagnostics.
 
-All updates live in the dual space: the state carries z, the primal point
-x = grad_h_conj(z) is recomputed after every update (and at every
-integrator stage), and auxiliary state xi only exists for the
-higher-order variant.  Trajectories are recorded as RunRecords with
-per-sample diagnostics: target residual ||T(x) - x||, natural residual,
-and the Bregman value against a reference point when one is known.
+Every runner steps one dual update through `integrate`: a rate
+z' = rate(z, x, T(x)), a pull-back x = pullback(z) (the mirror map), and a
+scheme.  "discrete" is Euler with dt = 1, and "rk4" recomputes x at every
+stage.  The higher-order variant integrates the stacked state (z, xi).
+Trajectories are recorded as RunRecords with per-sample diagnostics:
+target residual ||T(x) - x||, natural residual, and the Bregman value
+against a reference point when one is known.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, FlowDivergenceError
 from .geometry import MirrorGeometry, bregman
 from .problems import VIProblem, natural_residual
-from .targets import TargetSpec, resolve_target
+from .targets import TargetSpec, _step_size, resolve_target
 
 Vector = np.ndarray
 
@@ -45,6 +47,9 @@ def initial_state(geometry: MirrorGeometry, x0=None) -> SolverState:
     center (uniform on the simplex, box midpoint, origin on the whole
     space)."""
     x0 = geometry.domain.center() if x0 is None else np.asarray(x0, dtype=float)
+    if x0.size != geometry.dim:
+        raise ConfigurationError(
+            f"x0 has {x0.size} entries; the problem has dimension {geometry.dim}")
     z0 = geometry.grad_h(x0)
     return SolverState(0, 0.0, z0, geometry.grad_h_conj(z0))
 
@@ -70,38 +75,118 @@ def dual_rate(spec: TargetSpec, x: Vector, tx: Vector) -> Vector:
     return rate
 
 
+def _tmd_rate(spec):
+    return lambda z, x, tx: dual_rate(spec, x, tx)
+
+
+def _target_map(spec):
+    return lambda x: resolve_target(spec, spec.feasible_set, x)
+
+
+# A scheme maps (rate, pullback, target, z, x, T(x), h) to the next dual
+# point; h = dt * gain is the step of the rate.
+
+def _discrete(rate, pullback, target, z, x, tx, h):
+    return z + rate(z, x, tx)
+
+
+def _euler(rate, pullback, target, z, x, tx, h):
+    return z + h * rate(z, x, tx)
+
+
+def _rk4(rate, pullback, target, z, x, tx, h):
+    def rate_at(zs):
+        xs = pullback(zs)
+        return rate(zs, xs, target(xs))
+
+    k1 = rate(z, x, tx)
+    k2 = rate_at(z + 0.5 * h * k1)
+    k3 = rate_at(z + 0.5 * h * k2)
+    k4 = rate_at(z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+SCHEMES = {"discrete": _discrete, "euler": _euler, "rk4": _rk4}
+
+
+def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
+              target, recorder, dt: float = 1.0, gain=1.0, residual=None,
+              stop_residual: float = DEFAULT_STOP_RESIDUAL, stride: int = 1,
+              max_halvings: int = 8):
+    """The one stepping loop of the package.
+
+    Step z' = gain * rate(z, x, T(x)), x = pullback(z), from `state`
+    for round(t_end / dt) steps of `scheme` (discrete: dt = gain = 1), and
+    return recorder().finish(...) over the samples pushed at the start,
+    every stride-th step and the end.  target(x) is the T(x) that rate,
+    residual and recorder share; the run stops once
+    residual(state, T(x)) <= stop_residual.  A non-finite dual point ends a
+    discrete run with FlowDivergenceError; Euler and RK4 runs restart with
+    dt halved, up to max_halvings times, before raising it.  numpy's
+    overflow and invalid-value warnings are silenced in the loop, since
+    that check reports them.
+    """
+    dt = _step_size(dt, "dt")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ConfigurationError(f"t_end must be a finite number >= 0, got {t_end!r}")
+    advance = SCHEMES[scheme]
+    start = state
+    for attempt in range(1 if scheme == "discrete" else max_halvings + 1):
+        step = dt * 0.5 ** attempt
+        h = step * gain
+        rec = recorder()
+        state = start
+        tx = target(state.x)
+        rec.push(state, tx)
+        termination = BUDGET
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(max(0, int(round(t_end / step)))):
+                if residual is not None and residual(state, tx) <= stop_residual:
+                    termination = CONVERGED
+                    break
+                z1 = advance(rate, pullback, target, state.z, state.x, tx, h)
+                if not math.isfinite(z1.sum()):
+                    termination = None
+                    break
+                state = SolverState(state.step_index + 1, state.time + step,
+                                    z1, pullback(z1), state.xi)
+                tx = target(state.x)
+                if state.step_index % stride == 0:
+                    rec.push(state, tx)
+        if termination is not None:
+            if state is not start and state.step_index % stride:
+                rec.push(state, tx)
+            return rec.finish(termination, scheme, step, state)
+        if scheme == "discrete":
+            raise FlowDivergenceError(
+                f"the dual point turned non-finite at step {state.step_index + 1}; "
+                "the iteration diverges")
+    raise FlowDivergenceError(
+        f"trajectory stayed non-finite down to dt = {step:g}; "
+        "the dynamics appear to diverge")
+
+
 def step_discrete(geometry: MirrorGeometry, spec: TargetSpec,
                   state: SolverState) -> SolverState:
     """One discrete step: accumulate the dual rate into z, pull x back
     through the mirror map.  Step size is absorbed into alpha/beta."""
     tx = resolve_target(spec, spec.feasible_set, state.x)
-    z1 = state.z + dual_rate(spec, state.x, tx)
+    z1 = _discrete(_tmd_rate(spec), None, None, state.z, state.x, tx, 1.0)
     return SolverState(state.step_index + 1, state.time + 1.0,
                        z1, geometry.grad_h_conj(z1), state.xi)
 
 
-def step_calibrated_dmd(geometry: MirrorGeometry, spec: TargetSpec,
-                        state: SolverState, gamma: float, dt: float) -> SolverState:
-    """One Euler step of the discounted dual update z' = gamma*(S(T(x)) - z).
+def _second_order(geometry, spec, gamma1, gamma2, dim):
+    """Rate, pull-back and per-entry gains of the second-order variant on
+    the stacked state y = (z, xi); the gains are validated here."""
+    gamma1 = _step_size(gamma1, "gamma1")
+    gain = np.concatenate((np.ones(dim), np.full(dim, _step_size(gamma2, "gamma2"))))
 
-    Valid for design tuples where alpha*S + beta*Phi collapses to grad_h
-    (both calibrated cases); at equilibrium z = S(T(x)), which under case 1
-    forces T(x) = x, i.e. the equilibrium is a true solution.
-    """
-    tx = resolve_target(spec, spec.feasible_set, state.x)
-    z1 = state.z + dt * gamma * (spec.S(tx) - state.z)
-    return SolverState(state.step_index + 1, state.time + dt,
-                       z1, geometry.grad_h_conj(z1), state.xi)
+    def rate(y, x, tx):
+        gap = x - y[dim:]
+        return np.concatenate((dual_rate(spec, x, tx) - gamma1 * gap, gap))
 
-
-def step_vanilla_dmd(geometry: MirrorGeometry, problem: VIProblem,
-                     state: SolverState, gamma: float, dt: float) -> SolverState:
-    """Uncalibrated discounted update z' = gamma*(-F(x) - z); its
-    equilibria solve z = -F(x) with x = grad_h_conj(z), which generally is
-    NOT a solution of the inequality.  Ships as a baseline."""
-    z1 = state.z + dt * gamma * (-problem.F(state.x) - state.z)
-    return SolverState(state.step_index + 1, state.time + dt,
-                       z1, geometry.grad_h_conj(z1), state.xi)
+    return rate, (lambda y: geometry.grad_h_conj(y[:dim])), gain
 
 
 def step_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
@@ -118,15 +203,14 @@ def step_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
     interior solutions; with the target correction the restriction
     disappears.
     """
-    if gamma1 <= 0.0 or gamma2 <= 0.0:
-        raise ConfigurationError("gamma1 and gamma2 must be positive")
-    xi = state.x.copy() if state.xi is None else state.xi
+    dim = state.x.size
+    rate, pullback, gain = _second_order(geometry, spec, gamma1, gamma2, dim)
+    xi = state.x if state.xi is None else state.xi
     tx = resolve_target(spec, spec.feasible_set, state.x)
-    zdot = dual_rate(spec, state.x, tx) - gamma1 * (state.x - xi)
-    z1 = state.z + dt * zdot
-    xi1 = xi + dt * gamma2 * (state.x - xi)
+    y = _euler(rate, pullback, None, np.concatenate((state.z, xi)), state.x, tx,
+               dt * gain)
     return SolverState(state.step_index + 1, state.time + dt,
-                       z1, geometry.grad_h_conj(z1), xi1)
+                       y[:dim], pullback(y), y[dim:])
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +248,13 @@ class _Recorder:
         has_reference = self.reference is not None
         self.lyapunov = [] if has_reference else None
         self.margins = [] if has_reference and spec is not None else None
-        self.last_step = -1
 
     def push(self, state: SolverState, tx: Optional[Vector]):
-        if state.step_index == self.last_step:
-            return
-        self.last_step = state.step_index
         self.steps.append(state.step_index)
         self.times.append(state.time)
         self.states.append(state.x.copy())
         self.target_res.append(
-            float(np.linalg.norm(tx - state.x)) if tx is not None else math.nan)
+            float(np.linalg.norm(tx - state.x)) if self.spec is not None else math.nan)
         if self.problem is not None:
             point = state.x
             if self.spec is not None and self.spec.shadow is not None:
@@ -205,15 +285,15 @@ class _Recorder:
         )
 
 
-def _stationarity(spec, problem, state, tx):
+def _stationarity(spec, problem):
     """Residual driving the stopping rule: ||T(x) - x|| when the target
     mechanism is active; the natural residual for the alpha = 0 baseline
-    (whose target residual is vacuously zero)."""
+    (whose target residual is vacuously zero); none without a problem."""
     if spec.alpha > 0.0:
-        return float(np.linalg.norm(tx - state.x))
-    if problem is None:
-        return math.inf
-    return natural_residual(problem, state.x)
+        return lambda state, tx: float(np.linalg.norm(tx - state.x))
+    if problem is not None:
+        return lambda state, tx: natural_residual(problem, state.x)
+    return None
 
 
 def run_discrete(geometry: MirrorGeometry, spec: TargetSpec,
@@ -222,72 +302,15 @@ def run_discrete(geometry: MirrorGeometry, spec: TargetSpec,
                  stop_residual: float = DEFAULT_STOP_RESIDUAL,
                  stride: int = 1, reference=None,
                  state: Optional[SolverState] = None) -> RunRecord:
-    """Drive step_discrete for up to n_steps, stopping early once the
-    stationarity residual falls below stop_residual."""
+    """Up to n_steps discrete steps, stopping early once the stationarity
+    residual falls below stop_residual."""
     if state is None:
         state = initial_state(geometry, x0)
-    rec = _Recorder(geometry, spec, problem, reference)
-    tx = resolve_target(spec, spec.feasible_set, state.x)
-    rec.push(state, tx)
-    termination = BUDGET
-    for _ in range(n_steps):
-        if _stationarity(spec, problem, state, tx) <= stop_residual:
-            termination = CONVERGED
-            break
-        z1 = state.z + dual_rate(spec, state.x, tx)
-        state = SolverState(state.step_index + 1, state.time + 1.0,
-                            z1, geometry.grad_h_conj(z1), state.xi)
-        tx = resolve_target(spec, spec.feasible_set, state.x)
-        if state.step_index % stride == 0:
-            rec.push(state, tx)
-    rec.push(state, tx)
-    return rec.finish(termination, "discrete", 1.0, state)
-
-
-class _NonFinite(Exception):
-    pass
-
-
-def _check_finite(state):
-    if not (np.all(np.isfinite(state.z)) and np.all(np.isfinite(state.x))):
-        raise _NonFinite
-
-
-def _flow_once(geometry, spec, state0, integrator, dt, t_end, problem,
-               reference, stop_residual, stride):
-    state = state0
-    rec = _Recorder(geometry, spec, problem, reference)
-
-    def rate_at(z):
-        x = geometry.grad_h_conj(z)
-        tx = resolve_target(spec, spec.feasible_set, x)
-        return dual_rate(spec, x, tx), tx
-
-    n_steps = max(0, int(round(t_end / dt)))
-    tx = resolve_target(spec, spec.feasible_set, state.x)
-    rec.push(state, tx)
-    termination = BUDGET
-    for _ in range(n_steps):
-        if _stationarity(spec, problem, state, tx) <= stop_residual:
-            termination = CONVERGED
-            break
-        if integrator == "euler":
-            k1 = dual_rate(spec, state.x, tx)
-            z1 = state.z + dt * k1
-        else:  # rk4; x is recomputed through the mirror map at every stage
-            k1 = dual_rate(spec, state.x, tx)
-            k2, _ = rate_at(state.z + 0.5 * dt * k1)
-            k3, _ = rate_at(state.z + 0.5 * dt * k2)
-            k4, _ = rate_at(state.z + dt * k3)
-            z1 = state.z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        state = SolverState(state.step_index + 1, state.time + dt,
-                            z1, geometry.grad_h_conj(z1), state.xi)
-        _check_finite(state)
-        tx = resolve_target(spec, spec.feasible_set, state.x)
-        if state.step_index % stride == 0:
-            rec.push(state, tx)
-    rec.push(state, tx)
-    return rec.finish(termination, integrator, dt, state)
+    return integrate(_tmd_rate(spec), geometry.grad_h_conj, state, "discrete",
+                     n_steps, target=_target_map(spec),
+                     residual=_stationarity(spec, problem),
+                     stop_residual=stop_residual, stride=stride,
+                     recorder=partial(_Recorder, geometry, spec, problem, reference))
 
 
 def flow(geometry: MirrorGeometry, spec: TargetSpec,
@@ -303,41 +326,14 @@ def flow(geometry: MirrorGeometry, spec: TargetSpec,
     """
     if integrator not in ("euler", "rk4"):
         raise ConfigurationError("integrator must be 'euler' or 'rk4'")
-    if dt <= 0.0:
-        raise ConfigurationError("dt must be positive")
     if state is None:
         state = initial_state(geometry, x0)
-    for _ in range(max_halvings + 1):
-        try:
-            return _flow_once(geometry, spec, state, integrator, dt, t_end,
-                              problem, reference, stop_residual, stride)
-        except _NonFinite:
-            dt *= 0.5
-    raise FlowDivergenceError(
-        f"trajectory stayed non-finite down to dt = {dt:g}; "
-        "the dynamics appear to diverge")
-
-
-def _run_stepper(geometry, spec, problem, stepper, stationarity, state,
-                 dt, t_end, stop_residual, stride, reference, mode):
-    rec = _Recorder(geometry, spec, problem, reference)
-    tx = (resolve_target(spec, spec.feasible_set, state.x)
-          if spec is not None else None)
-    rec.push(state, tx)
-    termination = BUDGET
-    n_steps = max(0, int(round(t_end / dt)))
-    for _ in range(n_steps):
-        if stationarity(state, tx) <= stop_residual:
-            termination = CONVERGED
-            break
-        state = stepper(state)
-        _check_finite(state)
-        tx = (resolve_target(spec, spec.feasible_set, state.x)
-              if spec is not None else None)
-        if state.step_index % stride == 0:
-            rec.push(state, tx)
-    rec.push(state, tx)
-    return rec.finish(termination, mode, dt, state)
+    return integrate(_tmd_rate(spec), geometry.grad_h_conj, state, integrator,
+                     t_end, dt=dt, target=_target_map(spec),
+                     residual=_stationarity(spec, problem),
+                     stop_residual=stop_residual, stride=stride,
+                     recorder=partial(_Recorder, geometry, spec, problem, reference),
+                     max_halvings=max_halvings)
 
 
 def run_dmd(geometry: MirrorGeometry, spec: TargetSpec, gamma: float = 1.0,
@@ -345,19 +341,16 @@ def run_dmd(geometry: MirrorGeometry, spec: TargetSpec, gamma: float = 1.0,
             problem: Optional[VIProblem] = None, x0=None, reference=None,
             stop_residual: float = DEFAULT_STOP_RESIDUAL,
             stride: int = 10) -> RunRecord:
-    """Calibrated discounted flow; stops on the dual mismatch
-    ||S(T(x)) - z||, which vanishes exactly at equilibrium."""
-    state = initial_state(geometry, x0)
-
-    def stepper(st):
-        return step_calibrated_dmd(geometry, spec, st, gamma, dt)
-
-    def stationarity(st, tx):
-        return float(np.linalg.norm(spec.S(tx) - st.z))
-
-    return _run_stepper(geometry, spec, problem, stepper, stationarity,
-                        state, dt, t_end, stop_residual, stride, reference,
-                        "euler")
+    """Calibrated discounted flow z' = gamma*(S(T(x)) - z), for design
+    tuples where alpha*S + beta*Phi collapses to grad_h.  It stops on the
+    dual mismatch ||S(T(x)) - z||, which vanishes exactly at equilibrium;
+    under case 1 that forces T(x) = x, a true solution."""
+    return integrate(lambda z, x, tx: spec.S(tx) - z, geometry.grad_h_conj,
+                     initial_state(geometry, x0), "euler", t_end, dt=dt,
+                     gain=_step_size(gamma, "gamma"), target=_target_map(spec),
+                     residual=lambda st, tx: float(np.linalg.norm(spec.S(tx) - st.z)),
+                     stop_residual=stop_residual, stride=stride,
+                     recorder=partial(_Recorder, geometry, spec, problem, reference))
 
 
 def run_vanilla_dmd(geometry: MirrorGeometry, problem: VIProblem,
@@ -365,18 +358,18 @@ def run_vanilla_dmd(geometry: MirrorGeometry, problem: VIProblem,
                     x0=None, reference=None,
                     stop_residual: float = DEFAULT_STOP_RESIDUAL,
                     stride: int = 10) -> RunRecord:
-    """Uncalibrated discounted flow baseline; stops on ||-F(x) - z||."""
-    state = initial_state(geometry, x0)
+    """Uncalibrated discounted baseline z' = gamma*(-F(x) - z); stops on
+    ||-F(x) - z||.  Its equilibria z = -F(grad_h_conj(z)) generally do NOT
+    solve the inequality."""
+    def mismatch(z, x, tx):
+        return -problem.F(x) - z
 
-    def stepper(st):
-        return step_vanilla_dmd(geometry, problem, st, gamma, dt)
-
-    def stationarity(st, tx):
-        return float(np.linalg.norm(-problem.F(st.x) - st.z))
-
-    return _run_stepper(geometry, None, problem, stepper, stationarity,
-                        state, dt, t_end, stop_residual, stride, reference,
-                        "euler")
+    return integrate(mismatch, geometry.grad_h_conj,
+                     initial_state(geometry, x0), "euler", t_end, dt=dt,
+                     gain=_step_size(gamma, "gamma"), target=lambda x: None,
+                     residual=lambda st, tx: float(np.linalg.norm(mismatch(st.z, st.x, tx))),
+                     stop_residual=stop_residual, stride=stride,
+                     recorder=partial(_Recorder, geometry, None, problem, reference))
 
 
 def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
@@ -386,21 +379,27 @@ def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
                      reference=None,
                      stop_residual: float = DEFAULT_STOP_RESIDUAL,
                      stride: int = 10) -> RunRecord:
-    """Second-order flow; stationarity combines the target residual with
-    the auxiliary gap ||x - xi||, both of which vanish at equilibrium."""
-    state = initial_state(geometry, x0)
-    state.xi = state.x.copy()
-
-    def stepper(st):
-        return step_higher_order(geometry, spec, st, gamma1, gamma2, dt)
+    """Second-order flow from xi = x0; stationarity combines the target
+    residual with the auxiliary gap ||x - xi||, both of which vanish at
+    equilibrium."""
+    start = initial_state(geometry, x0)
+    dim = start.x.size
+    rate, pullback, gain = _second_order(geometry, spec, gamma1, gamma2, dim)
 
     def stationarity(st, tx):
-        gap = float(np.linalg.norm(st.x - st.xi)) if st.xi is not None else 0.0
-        return max(float(np.linalg.norm(tx - st.x)), gap)
+        return max(float(np.linalg.norm(tx - st.x)),
+                   float(np.linalg.norm(st.x - st.z[dim:])))
 
-    return _run_stepper(geometry, spec, problem, stepper, stationarity,
-                        state, dt, t_end, stop_residual, stride, reference,
-                        "euler")
+    y0 = np.concatenate((start.z, start.x))
+    record = integrate(rate, pullback, SolverState(0, 0.0, y0, start.x), "euler",
+                       t_end, dt=dt, gain=gain, target=_target_map(spec),
+                       residual=stationarity, stop_residual=stop_residual,
+                       stride=stride,
+                       recorder=partial(_Recorder, geometry, spec, problem, reference))
+    end = record.final_state
+    record.final_state = SolverState(end.step_index, end.time, end.z[:dim],
+                                     end.x, end.z[dim:])
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -29,8 +30,8 @@ from .errors import ConfigurationError
 from .geometry import MirrorGeometry, softmax
 from .problems import VIProblem, simplex, whole_space
 from .targets import TargetSpec, resolve_target
-from .dynamics import (RunRecord, SolverState, _Recorder, dual_rate,
-                       state_from_dual, BUDGET, CONVERGED,
+from .dynamics import (SCHEMES, RunRecord, SolverState, _Recorder, _target_map,
+                       _tmd_rate, integrate, state_from_dual,
                        DEFAULT_STOP_RESIDUAL)
 
 Vector = np.ndarray
@@ -83,20 +84,26 @@ def init_ensemble(members: List[EnsembleMember]) -> EnsembleState:
                          x_en=np.mean(xs, axis=0))
 
 
+def _mean_pullback(members):
+    """z -> mean_k grad_h_conj_k(z + z_k(0)): the averaged state at the
+    shared dual z."""
+    return lambda z: np.mean([m.geometry.grad_h_conj(z + m.z0) for m in members],
+                             axis=0)
+
+
 def ensemble_step(state: EnsembleState, spec: TargetSpec,
                   dt: Optional[float] = None) -> EnsembleState:
     """Advance every member by the one shared increment computed at the
     averaged state; dt = None means a discrete step."""
+    scheme, step = ("discrete", 1.0) if dt is None else ("euler", dt)
     tx = resolve_target(spec, spec.feasible_set, state.x_en)
-    inc = dual_rate(spec, state.x_en, tx)
-    if dt is not None:
-        inc = dt * inc
-    z = state.z_shared + inc
+    z = SCHEMES[scheme](_tmd_rate(spec), None, None, state.z_shared, state.x_en,
+                        tx, step)
     xs = [m.geometry.grad_h_conj(z + m.z0) for m in state.members]
     return EnsembleState(members=state.members, z_shared=z, xs=xs,
                          x_en=np.mean(xs, axis=0),
                          step_index=state.step_index + 1,
-                         time=state.time + (1.0 if dt is None else dt))
+                         time=state.time + step)
 
 
 def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
@@ -188,33 +195,31 @@ class ReductionReport:
 def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
                               n_steps: int = 1000,
                               dt: Optional[float] = None) -> ReductionReport:
-    """Run the ensemble and the synthesized single instance (dual start 0)
-    side by side and report the trajectory deviation of the averaged
-    state.  Report-only: tolerances are the caller's business."""
+    """Run the ensemble and the synthesized single instance (dual start 0,
+    at the ensemble's final dt) through `integrate` and report the
+    per-sample deviation of the averaged state.  Report-only: tolerances
+    are the caller's business."""
     geometry = synthesized_geometry(members)
     ens = init_ensemble(members)
-    single = state_from_dual(geometry, np.zeros(geometry.dim))
-    deviations = [float(np.linalg.norm(ens.x_en - single.x))]
-    ens_states = [ens.x_en.copy()]
-    single_states = [single.x.copy()]
-    for _ in range(n_steps):
-        ens = ensemble_step(ens, spec, dt=dt)
-        tx = resolve_target(spec, spec.feasible_set, single.x)
-        inc = dual_rate(spec, single.x, tx)
-        if dt is not None:
-            inc = dt * inc
-        z1 = single.z + inc
-        single = SolverState(single.step_index + 1,
-                             single.time + (1.0 if dt is None else dt),
-                             z1, geometry.grad_h_conj(z1))
-        deviations.append(float(np.linalg.norm(ens.x_en - single.x)))
-        ens_states.append(ens.x_en.copy())
-        single_states.append(single.x.copy())
-    deviations = np.asarray(deviations)
+    scheme, step = ("discrete", 1.0) if dt is None else ("euler", dt)
+    t_end = n_steps * step
+
+    def run(pullback, state, step, max_halvings=8):
+        return integrate(_tmd_rate(spec), pullback, state, scheme, t_end, dt=step,
+                         target=_target_map(spec), max_halvings=max_halvings,
+                         recorder=partial(_Recorder, geometry, None, None, None))
+
+    together = run(_mean_pullback(members),
+                   SolverState(0, 0.0, ens.z_shared, ens.x_en), step)
+    single = run(geometry.grad_h_conj,
+                 state_from_dual(geometry, np.zeros(geometry.dim)), together.dt,
+                 max_halvings=0)
+    deviations = np.array([float(np.linalg.norm(a - b))
+                           for a, b in zip(together.states, single.states)])
     return ReductionReport(max_deviation=float(deviations.max()),
                            deviations=deviations,
-                           ensemble_states=np.asarray(ens_states),
-                           single_states=np.asarray(single_states))
+                           ensemble_states=together.states,
+                           single_states=single.states)
 
 
 def run_ensemble(members: List[EnsembleMember], spec: TargetSpec,
@@ -222,26 +227,15 @@ def run_ensemble(members: List[EnsembleMember], spec: TargetSpec,
                  dt: Optional[float] = None,
                  stop_residual: float = DEFAULT_STOP_RESIDUAL,
                  stride: int = 1) -> RunRecord:
-    """Drive the ensemble and record the averaged state as a trajectory,
-    stopping early on the target residual at the averaged state."""
-    state = init_ensemble(members)
-    rec = _Recorder(members[0].geometry, spec, problem, None)
-
-    def as_solver_state(st):
-        return SolverState(st.step_index, st.time, st.z_shared, st.x_en)
-
-    tx = resolve_target(spec, spec.feasible_set, state.x_en)
-    rec.push(as_solver_state(state), tx)
-    termination = BUDGET
-    for _ in range(n_steps):
-        if float(np.linalg.norm(tx - state.x_en)) <= stop_residual:
-            termination = CONVERGED
-            break
-        state = ensemble_step(state, spec, dt=dt)
-        tx = resolve_target(spec, spec.feasible_set, state.x_en)
-        if state.step_index % stride == 0:
-            rec.push(as_solver_state(state), tx)
-    rec.push(as_solver_state(state), tx)
-    mode = "discrete" if dt is None else "euler"
-    return rec.finish(termination, mode, 1.0 if dt is None else dt,
-                      as_solver_state(state))
+    """Drive the shared dual through the mean-of-members pull-back and
+    record the averaged state as a trajectory, stopping early on the
+    target residual at the averaged state."""
+    ens = init_ensemble(members)
+    scheme, step = ("discrete", 1.0) if dt is None else ("euler", dt)
+    return integrate(_tmd_rate(spec), _mean_pullback(members),
+                     SolverState(0, 0.0, ens.z_shared, ens.x_en), scheme,
+                     n_steps * step, dt=step, target=_target_map(spec),
+                     residual=lambda st, tx: float(np.linalg.norm(tx - st.x)),
+                     stop_residual=stop_residual, stride=stride,
+                     recorder=partial(_Recorder, members[0].geometry, spec, problem,
+                                      None))

@@ -260,7 +260,7 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
     if reference_point is not None:
         reference_point = np.asarray(reference_point, dtype=float)
 
-    gamma = float(cfg.preset_params.get("gamma", 1.0))
+    gamma = cfg.preset_params.get("gamma", 1.0)
     if cfg.preset == "dmd_vanilla":
         if cfg.mode != "flow":
             raise ConfigurationError("dmd_vanilla runs in flow mode")
@@ -280,8 +280,8 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
             raise ConfigurationError("higher_order runs in flow mode")
         record = run_higher_order(
             geometry, spec,
-            gamma1=float(cfg.preset_params.get("gamma1", 1.0)),
-            gamma2=float(cfg.preset_params.get("gamma2", 1.0)),
+            gamma1=cfg.preset_params.get("gamma1", 1.0),
+            gamma2=cfg.preset_params.get("gamma2", 1.0),
             dt=cfg.dt, t_end=cfg.t_end, problem=problem, x0=cfg.x0,
             reference=reference_point, stop_residual=cfg.stop_residual,
             stride=stride)

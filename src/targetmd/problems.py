@@ -160,6 +160,12 @@ def _banded_skew(dim: int) -> Vector:
     return m
 
 
+def _banded_skew_norm(dim: int) -> float:
+    """Spectral norm of _banded_skew(dim) (and of the 2x2 rotation):
+    its eigenvalues are +-2i*cos(k*pi/(dim + 1))."""
+    return 1.0 if dim == 2 else 2.0 * float(np.cos(np.pi / (dim + 1)))
+
+
 def _linear(m: Vector, q: Vector) -> Callable[[Vector], Vector]:
     def F(x):
         return m @ np.asarray(x, dtype=float) + q
@@ -176,7 +182,7 @@ def _make_skew_bilinear(dim: int = 2) -> VIProblem:
         feasible_set=whole_space(dim),
         F=_linear(m, q),
         name="skew_bilinear",
-        lipschitz_hint=float(np.linalg.norm(m, 2)),
+        lipschitz_hint=_banded_skew_norm(dim),
         monotonicity_tag="monotone",
         known_solution=np.zeros(dim),
         linear_terms=(m, q),
@@ -185,15 +191,16 @@ def _make_skew_bilinear(dim: int = 2) -> VIProblem:
 
 def _make_linear_monotone(dim: int = 2) -> VIProblem:
     dim = int(dim)
-    m = np.eye(dim) + (_banded_skew(dim) if dim > 2
-                       else np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    m = _banded_skew(dim) if dim > 2 else np.array([[0.0, 1.0], [-1.0, 0.0]])
+    np.fill_diagonal(m, 1.0)
     q = 0.5 * np.array([(-1.0) ** i for i in range(dim)])
     solution = np.linalg.solve(m, -q)
     return VIProblem(
         feasible_set=whole_space(dim),
         F=_linear(m, q),
         name="linear_monotone",
-        lipschitz_hint=float(np.linalg.norm(m, 2)),
+        # I + K with K skew is normal: its singular values are |1 + i*lambda|
+        lipschitz_hint=float(np.hypot(1.0, _banded_skew_norm(dim))),
         monotonicity_tag="strongly_monotone",
         strong_modulus=1.0,  # symmetric part is the identity
         known_solution=solution,

@@ -1,0 +1,242 @@
+"""The single stepping loop: one scheme for discrete and flow runs, one
+non-finite policy, and the boundary checks every runner passes through."""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from targetmd import (entropy_geometry, euclidean_geometry, flow,
+                      library_problem, load_config, make_members, parse_config,
+                      preset_eg, preset_vanilla_md, run_discrete, run_dmd,
+                      run_ensemble, run_higher_order, run_vanilla_dmd,
+                      preset_dmd_calibrated, verify_ensemble_reduction,
+                      whole_space)
+from targetmd.cli import main
+from targetmd.errors import ConfigurationError, FlowDivergenceError
+from targetmd.harness import OUTPUT_DIR_ENV, run_solve
+
+
+def run_cli(command, text, tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    old = os.environ.pop(OUTPUT_DIR_ENV, None)
+    try:
+        return main([command, str(path)])
+    finally:
+        if old is not None:
+            os.environ[OUTPUT_DIR_ENV] = old
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+SCALAR_FLOW = """problem.name = scalar_shift
+problem.a = 2.0
+geometry.name = euclidean
+preset.name = {preset}
+mode = flow
+flow.dt = 10
+budget.t_end = 50000
+output.dir = {out}
+"""
+
+VANILLA_MD_DIVERGES = """problem.name = skew_bilinear
+geometry.name = euclidean
+preset.name = vanilla_md
+preset.eta = 1
+mode = discrete
+budget.steps = 5000
+x0 = 1, 0
+output.dir = {out}
+"""
+
+HUGE_STEP_ENSEMBLE = """problem.name = skew_bilinear
+geometry.name = euclidean
+preset.name = eg
+preset.eta = 0.1
+mode = flow
+flow.dt = 1e100
+ensemble.count = 1
+ensemble.member1.geometry = euclidean
+ensemble.member1.z0 = 1, 0
+output.dir = {out}
+"""
+
+
+# --- one scheme ---------------------------------------------------------------
+
+@pytest.mark.parametrize("name,eta", [("eg", 0.1), ("vanilla_md", 0.05)])
+def test_discrete_run_is_euler_with_unit_step(name, eta):
+    p = library_problem("skew_bilinear")
+    g = euclidean_geometry(p.feasible_set)
+    spec = (preset_eg if name == "eg" else preset_vanilla_md)(g, p, eta)
+    discrete = run_discrete(g, spec, problem=p, x0=[1.0, 0.0], n_steps=300)
+    euler = flow(g, spec, integrator="euler", dt=1.0, t_end=300.0, problem=p,
+                 x0=[1.0, 0.0], stride=1)
+    assert np.array_equal(discrete.states, euler.states)
+    assert np.array_equal(discrete.steps, euler.steps)
+    assert np.array_equal(discrete.times, euler.times)
+    assert discrete.termination == euler.termination
+    assert (discrete.mode, euler.mode) == ("discrete", "euler")
+
+
+def test_stride_samples_start_multiples_and_end():
+    p = library_problem("skew_bilinear")
+    g = euclidean_geometry(p.feasible_set)
+    rec = run_discrete(g, preset_eg(g, p, 0.1), problem=p, x0=[1.0, 0.0],
+                       n_steps=25, stop_residual=0.0, stride=10)
+    assert rec.steps.tolist() == [0, 10, 20, 25]
+    rec = run_discrete(g, preset_eg(g, p, 0.1), problem=p, x0=[1.0, 0.0],
+                       n_steps=0, stride=10)
+    assert rec.steps.tolist() == [0]
+
+
+# --- non-finite policy ----------------------------------------------------------
+
+@pytest.mark.parametrize("preset,equilibrium", [
+    # the uncalibrated baseline settles at x = 1, not at the solution x = 2
+    ("dmd_vanilla", 1.0),
+    ("higher_order", 2.0),
+])
+def test_discounted_and_higher_order_flows_halve_dt(tmp_path, preset, equilibrium):
+    out = tmp_path / "o"
+    assert run_cli("solve", SCALAR_FLOW.format(preset=preset, out=out), tmp_path) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "converged"
+    assert summary["dt"] < 10.0
+    last = (out / "trajectory.csv").read_text().strip().splitlines()[-1]
+    assert float(last.split(",")[2]) == pytest.approx(equilibrium, abs=1e-6)
+
+
+def test_discrete_divergence_is_a_typed_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("solve", VANILLA_MD_DIVERGES.format(out=out), tmp_path) == 1
+    err = one_error_line(capsys)
+    assert "non-finite at step" in err and "NaN" not in err
+    assert not out.exists()
+    p = library_problem("skew_bilinear")
+    g = euclidean_geometry(p.feasible_set)
+    with pytest.raises(FlowDivergenceError, match="non-finite at step"):
+        run_discrete(g, preset_vanilla_md(g, p, 1.0), problem=p, x0=[1.0, 0.0],
+                     n_steps=5000)
+
+
+def test_ensemble_flow_divergence_is_a_typed_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("ensemble", HUGE_STEP_ENSEMBLE.format(out=out), tmp_path) == 1
+    err = one_error_line(capsys)
+    assert "non-finite" in err and "NaN" not in err
+    assert not out.exists()
+    p = library_problem("skew_bilinear")
+    spec = preset_eg(euclidean_geometry(whole_space(2)), p, 0.1)
+    members = make_members([euclidean_geometry(whole_space(2))], [np.array([1.0, 0.0])])
+    with pytest.raises(FlowDivergenceError):
+        run_ensemble(members, spec, problem=p, n_steps=1000, dt=1e100)
+    with pytest.raises(FlowDivergenceError):
+        verify_ensemble_reduction(members, spec, n_steps=1000, dt=1e100)
+
+
+def test_ensemble_flow_halves_like_a_single_flow():
+    p = library_problem("scalar_shift", a=2.0)
+    g = euclidean_geometry(whole_space(1))
+    spec = preset_eg(g, p, 0.5)
+    members = make_members([g], [np.array([10.0])])
+    # Euler on the extragradient flow z' = -(x - 2)/4 grows by 5 per step
+    # at dt = 24 and by 2 at dt = 12; it contracts by 1/2 at dt = 6
+    rec = run_ensemble(members, spec, problem=p, n_steps=1000, dt=24.0)
+    assert rec.dt == 6.0 and rec.termination == "converged"
+    report = verify_ensemble_reduction(members, spec, n_steps=1000, dt=24.0)
+    assert len(report.deviations) == 4001 and report.max_deviation == 0.0
+
+
+# --- boundary checks ------------------------------------------------------------
+
+BASE_FLOW = """problem.name = skew_bilinear
+geometry.name = euclidean
+preset.name = fbf
+mode = flow
+output.dir = {out}
+"""
+
+
+@pytest.mark.parametrize("key,value,rule", [
+    ("flow.dt", "nan", "finite positive"),
+    ("flow.dt", "inf", "finite positive"),
+    ("flow.dt", "0", "finite positive"),
+    ("flow.dt", "-1", "finite positive"),
+    ("budget.t_end", "nan", ">= 0"),
+    ("budget.t_end", "inf", ">= 0"),
+    ("budget.t_end", "-5", ">= 0"),
+])
+def test_config_rejects_bad_dt_and_horizon(tmp_path, capsys, key, value, rule):
+    out = tmp_path / "o"
+    text = BASE_FLOW.format(out=out) + f"{key} = {value}\n"
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=f"exp.cfg:6: {key} must be"):
+        load_config(path)
+    assert run_cli("solve", text, tmp_path) == 1
+    assert rule in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_config_accepts_zero_horizon():
+    assert parse_config("budget.t_end = 0\n").t_end == 0.0
+
+
+def test_integrate_checks_dt_and_horizon_for_library_callers():
+    p = library_problem("scalar_shift", a=2.0)
+    g = euclidean_geometry(p.feasible_set)
+    spec = preset_dmd_calibrated(g, p, eta=1.0, case=1)
+    with pytest.raises(ConfigurationError, match="dt must be"):
+        run_dmd(g, spec, dt=float("nan"), problem=p)
+    with pytest.raises(ConfigurationError, match="t_end must be"):
+        run_vanilla_dmd(g, p, t_end=-5.0)
+    with pytest.raises(ConfigurationError, match="dt must be"):
+        run_higher_order(g, preset_eg(g, p, 0.5), dt=float("inf"), problem=p)
+    with pytest.raises(ConfigurationError, match="t_end must be"):
+        flow(g, spec, t_end=float("nan"), problem=p)
+
+
+GAIN_CASES = [
+    ("dmd_calibrated", "gamma"),
+    ("dmd_vanilla", "gamma"),
+    ("higher_order", "gamma1"),
+    ("higher_order", "gamma2"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+@pytest.mark.parametrize("preset,key", GAIN_CASES)
+def test_gains_must_be_finite_positive_numbers(tmp_path, capsys, preset, key, value):
+    out = tmp_path / "o"
+    text = SCALAR_FLOW.format(preset=preset, out=out) + f"preset.{key} = {value}\n"
+    assert run_cli("solve", text, tmp_path) == 1
+    err = one_error_line(capsys)
+    assert f"{key} must be a finite positive number" in err
+    with pytest.raises(ConfigurationError):
+        run_solve(parse_config(text))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["discrete", "flow"])
+def test_x0_of_the_wrong_size_is_a_configuration_error(tmp_path, capsys, mode):
+    out = tmp_path / "o"
+    text = (f"problem.name = skew_bilinear\ngeometry.name = euclidean\n"
+            f"preset.name = eg\nmode = {mode}\nx0 = 1, 0, 0\noutput.dir = {out}\n")
+    assert run_cli("solve", text, tmp_path) == 1
+    assert "x0 has 3 entries; the problem has dimension 2" in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_simplex_default_start_passes_the_size_check():
+    p = library_problem("rps_game")
+    g = entropy_geometry(3)
+    rec = run_discrete(g, preset_eg(g, p, 0.1), problem=p, n_steps=3,
+                       stop_residual=-1.0)
+    assert rec.states.shape == (4, 3)
