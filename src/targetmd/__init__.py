@@ -12,11 +12,12 @@ from .problems import (FeasibleSet, VIProblem, box, check_monotonicity,
 from .geometry import (MirrorGeometry, bregman, entropy_geometry,
                        euclidean_geometry, softmax,
                        weighted_quadratic_geometry)
-from .targets import (ClosedForm, ResolventSolve, SplitPair, TargetSpec,
-                      affine_box_split, aitchison_add, bnn_dual_shift_target,
-                      excess_payoff, preset_bnn, preset_dmd_calibrated,
-                      preset_dr, preset_eg, preset_fb, preset_fbf,
-                      preset_ppa, preset_vanilla_md, resolve_target)
+from .targets import (ClosedForm, MirrorOfS, ResolventSolve, SplitPair,
+                      TargetSpec, affine_box_split, aitchison_add,
+                      bnn_dual_shift_target, excess_payoff, preset_bnn,
+                      preset_dmd_calibrated, preset_dr, preset_eg, preset_fb,
+                      preset_fbf, preset_ppa, preset_vanilla_md,
+                      resolve_target)
 from .dynamics import (RunRecord, SolverState, dual_rate, flow,
                        initial_state, lyapunov_series, primal_vector_field,
                        relaxed_condition_value, run_discrete, run_dmd,

@@ -1,9 +1,11 @@
 """The stepping loop, its runners, and run diagnostics.
 
 Every runner steps one dual update through `integrate`: a rate
-z' = rate(z, x, T(x)), a pull-back x = pullback(z) (the mirror map), and a
-scheme.  "discrete" is Euler with dt = 1, and "rk4" recomputes x at every
-stage.  The higher-order variant integrates the stacked state (z, xi).
+z' = rate(z, x, T(x), S(x)), a pull-back x = pullback(z) (the mirror map),
+and a scheme.  Each point resolves its target once, and the S(x) that the
+resolution evaluated travels with T(x) to the rate.  "discrete" is Euler
+with dt = 1, and "rk4" recomputes x at every stage.  The higher-order
+variant integrates the stacked state (z, xi).
 Trajectories are recorded as RunRecords with per-sample diagnostics:
 target residual ||T(x) - x||, natural residual, and the Bregman value
 against a reference point when one is known.
@@ -50,6 +52,8 @@ def initial_state(geometry: MirrorGeometry, x0=None) -> SolverState:
     if x0.size != geometry.dim:
         raise ConfigurationError(
             f"x0 has {x0.size} entries; the problem has dimension {geometry.dim}")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigurationError(f"x0 must be finite, got {x0.tolist()}")
     z0 = geometry.grad_h(x0)
     return SolverState(0, 0.0, z0, geometry.grad_h_conj(z0))
 
@@ -61,45 +65,47 @@ def state_from_dual(geometry: MirrorGeometry, z0) -> SolverState:
     return SolverState(0, 0.0, z0.copy(), geometry.grad_h_conj(z0))
 
 
-def dual_rate(spec: TargetSpec, x: Vector, tx: Vector) -> Vector:
-    """alpha * (S(T(x)) - S(x)) - beta * Phi(x)."""
+def dual_rate(spec: TargetSpec, x: Vector, tx: Vector,
+              sx: Optional[Vector] = None) -> Vector:
+    """alpha * (S(T(x)) - S(x)) - beta * Phi(x); sx, when given, is the
+    S(x) that resolving T(x) evaluated, and is used in place of S(x)."""
     x = np.asarray(x, dtype=float)
     rate = np.zeros_like(x)
     if spec.alpha != 0.0:
         if spec.dual_gap is not None:
             rate = spec.alpha * spec.dual_gap(x, tx)
         else:
-            rate = spec.alpha * (spec.S(tx) - spec.S(x))
+            rate = spec.alpha * (spec.S(tx) - (spec.S(x) if sx is None else sx))
     if spec.beta != 0.0:
         rate = rate - spec.beta * spec.Phi(x)
     return rate
 
 
 def _tmd_rate(spec):
-    return lambda z, x, tx: dual_rate(spec, x, tx)
+    return lambda z, x, tx, sx: dual_rate(spec, x, tx, sx)
 
 
 def _target_map(spec):
-    return lambda x: resolve_target(spec, spec.feasible_set, x)
+    """x -> (T(x), S(x) or None), from one resolve_target call."""
+    return lambda x: resolve_target(spec, spec.feasible_set, x, with_anchor=True)
 
 
-# A scheme maps (rate, pullback, target, z, x, T(x), h) to the next dual
-# point; h = dt * gain is the step of the rate.
+# A scheme maps (rate, pullback, target, z, k1, h) to the next dual point;
+# k1 is the rate at z and h = dt * gain is the step of the rate.
 
-def _discrete(rate, pullback, target, z, x, tx, h):
-    return z + rate(z, x, tx)
-
-
-def _euler(rate, pullback, target, z, x, tx, h):
-    return z + h * rate(z, x, tx)
+def _discrete(rate, pullback, target, z, k1, h):
+    return z + k1
 
 
-def _rk4(rate, pullback, target, z, x, tx, h):
+def _euler(rate, pullback, target, z, k1, h):
+    return z + h * k1
+
+
+def _rk4(rate, pullback, target, z, k1, h):
     def rate_at(zs):
         xs = pullback(zs)
-        return rate(zs, xs, target(xs))
+        return rate(zs, xs, *target(xs))
 
-    k1 = rate(z, x, tx)
     k2 = rate_at(z + 0.5 * h * k1)
     k3 = rate_at(z + 0.5 * h * k2)
     k4 = rate_at(z + h * k3)
@@ -115,16 +121,17 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
               max_halvings: int = 8):
     """The one stepping loop of the package.
 
-    Step z' = gain * rate(z, x, T(x)), x = pullback(z), from `state`
+    Step z' = gain * rate(z, x, T(x), S(x)), x = pullback(z), from `state`
     for round(t_end / dt) steps of `scheme` (discrete: dt = gain = 1), and
     return recorder().finish(...) over the samples pushed at the start,
-    every stride-th step and the end.  target(x) is the T(x) that rate,
-    residual and recorder share; the run stops once
-    residual(state, T(x)) <= stop_residual.  A non-finite dual point ends a
-    discrete run with FlowDivergenceError; Euler and RK4 runs restart with
-    dt halved, up to max_halvings times, before raising it.  numpy's
-    overflow and invalid-value warnings are silenced in the loop, since
-    that check reports them.
+    every stride-th step and the end.  target(x) returns the pair
+    (T(x), S(x)) once per point; rate takes both, and residual and recorder
+    share T(x).  The rate k1 at the current point is computed once per step,
+    and the run stops once residual(state, T(x), k1) <= stop_residual.  A
+    non-finite dual point ends a discrete run with FlowDivergenceError;
+    Euler and RK4 runs restart with dt halved, up to max_halvings times,
+    before raising it.  numpy's overflow and invalid-value warnings are
+    silenced in the loop, since that check reports them.
     """
     dt = _step_size(dt, "dt")
     if not (math.isfinite(t_end) and t_end >= 0.0):
@@ -136,21 +143,22 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
         h = step * gain
         rec = recorder()
         state = start
-        tx = target(state.x)
+        tx, sx = target(state.x)
         rec.push(state, tx)
         termination = BUDGET
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max(0, int(round(t_end / step)))):
-                if residual is not None and residual(state, tx) <= stop_residual:
+                k1 = rate(state.z, state.x, tx, sx)
+                if residual is not None and residual(state, tx, k1) <= stop_residual:
                     termination = CONVERGED
                     break
-                z1 = advance(rate, pullback, target, state.z, state.x, tx, h)
+                z1 = advance(rate, pullback, target, state.z, k1, h)
                 if not math.isfinite(z1.sum()):
                     termination = None
                     break
                 state = SolverState(state.step_index + 1, state.time + step,
                                     z1, pullback(z1), state.xi)
-                tx = target(state.x)
+                tx, sx = target(state.x)
                 if state.step_index % stride == 0:
                     rec.push(state, tx)
         if termination is not None:
@@ -170,8 +178,8 @@ def step_discrete(geometry: MirrorGeometry, spec: TargetSpec,
                   state: SolverState) -> SolverState:
     """One discrete step: accumulate the dual rate into z, pull x back
     through the mirror map.  Step size is absorbed into alpha/beta."""
-    tx = resolve_target(spec, spec.feasible_set, state.x)
-    z1 = _discrete(_tmd_rate(spec), None, None, state.z, state.x, tx, 1.0)
+    tx, sx = _target_map(spec)(state.x)
+    z1 = _discrete(None, None, None, state.z, dual_rate(spec, state.x, tx, sx), 1.0)
     return SolverState(state.step_index + 1, state.time + 1.0,
                        z1, geometry.grad_h_conj(z1), state.xi)
 
@@ -182,9 +190,9 @@ def _second_order(geometry, spec, gamma1, gamma2, dim):
     gamma1 = _step_size(gamma1, "gamma1")
     gain = np.concatenate((np.ones(dim), np.full(dim, _step_size(gamma2, "gamma2"))))
 
-    def rate(y, x, tx):
+    def rate(y, x, tx, sx):
         gap = x - y[dim:]
-        return np.concatenate((dual_rate(spec, x, tx) - gamma1 * gap, gap))
+        return np.concatenate((dual_rate(spec, x, tx, sx) - gamma1 * gap, gap))
 
     return rate, (lambda y: geometry.grad_h_conj(y[:dim])), gain
 
@@ -206,8 +214,8 @@ def step_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
     dim = state.x.size
     rate, pullback, gain = _second_order(geometry, spec, gamma1, gamma2, dim)
     xi = state.x if state.xi is None else state.xi
-    tx = resolve_target(spec, spec.feasible_set, state.x)
-    y = _euler(rate, pullback, None, np.concatenate((state.z, xi)), state.x, tx,
+    y = np.concatenate((state.z, xi))
+    y = _euler(None, None, None, y, rate(y, state.x, *_target_map(spec)(state.x)),
                dt * gain)
     return SolverState(state.step_index + 1, state.time + dt,
                        y[:dim], pullback(y), y[dim:])
@@ -290,9 +298,9 @@ def _stationarity(spec, problem):
     mechanism is active; the natural residual for the alpha = 0 baseline
     (whose target residual is vacuously zero); none without a problem."""
     if spec.alpha > 0.0:
-        return lambda state, tx: float(np.linalg.norm(tx - state.x))
+        return lambda state, tx, k1: float(np.linalg.norm(tx - state.x))
     if problem is not None:
-        return lambda state, tx: natural_residual(problem, state.x)
+        return lambda state, tx, k1: natural_residual(problem, state.x)
     return None
 
 
@@ -336,6 +344,12 @@ def flow(geometry: MirrorGeometry, spec: TargetSpec,
                      max_halvings=max_halvings)
 
 
+def _mismatch_norm(state, tx, k1):
+    """Stop residual of the discounted flows: the norm of their rate, the
+    dual mismatch."""
+    return float(np.linalg.norm(k1))
+
+
 def run_dmd(geometry: MirrorGeometry, spec: TargetSpec, gamma: float = 1.0,
             dt: float = 1e-2, t_end: float = 50.0,
             problem: Optional[VIProblem] = None, x0=None, reference=None,
@@ -345,10 +359,10 @@ def run_dmd(geometry: MirrorGeometry, spec: TargetSpec, gamma: float = 1.0,
     tuples where alpha*S + beta*Phi collapses to grad_h.  It stops on the
     dual mismatch ||S(T(x)) - z||, which vanishes exactly at equilibrium;
     under case 1 that forces T(x) = x, a true solution."""
-    return integrate(lambda z, x, tx: spec.S(tx) - z, geometry.grad_h_conj,
+    return integrate(lambda z, x, tx, sx: spec.S(tx) - z, geometry.grad_h_conj,
                      initial_state(geometry, x0), "euler", t_end, dt=dt,
                      gain=_step_size(gamma, "gamma"), target=_target_map(spec),
-                     residual=lambda st, tx: float(np.linalg.norm(spec.S(tx) - st.z)),
+                     residual=_mismatch_norm,
                      stop_residual=stop_residual, stride=stride,
                      recorder=partial(_Recorder, geometry, spec, problem, reference))
 
@@ -361,13 +375,10 @@ def run_vanilla_dmd(geometry: MirrorGeometry, problem: VIProblem,
     """Uncalibrated discounted baseline z' = gamma*(-F(x) - z); stops on
     ||-F(x) - z||.  Its equilibria z = -F(grad_h_conj(z)) generally do NOT
     solve the inequality."""
-    def mismatch(z, x, tx):
-        return -problem.F(x) - z
-
-    return integrate(mismatch, geometry.grad_h_conj,
+    return integrate(lambda z, x, tx, sx: -problem.F(x) - z, geometry.grad_h_conj,
                      initial_state(geometry, x0), "euler", t_end, dt=dt,
-                     gain=_step_size(gamma, "gamma"), target=lambda x: None,
-                     residual=lambda st, tx: float(np.linalg.norm(mismatch(st.z, st.x, tx))),
+                     gain=_step_size(gamma, "gamma"), target=lambda x: (None, None),
+                     residual=_mismatch_norm,
                      stop_residual=stop_residual, stride=stride,
                      recorder=partial(_Recorder, geometry, None, problem, reference))
 
@@ -386,7 +397,7 @@ def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
     dim = start.x.size
     rate, pullback, gain = _second_order(geometry, spec, gamma1, gamma2, dim)
 
-    def stationarity(st, tx):
+    def stationarity(st, tx, k1):
         return max(float(np.linalg.norm(tx - st.x)),
                    float(np.linalg.norm(st.x - st.z[dim:])))
 
@@ -422,12 +433,16 @@ class LyapunovReport:
 
 def violation_band(record: RunRecord) -> float:
     """Tolerated per-sample increase: discretization admits bounded
-    overshoot, so the band scales with the integrator's local error."""
+    overshoot, so the band scales with the integrator's local error.  A dt
+    so large that the band leaves the float range gives inf: no increase
+    is flagged."""
     if record.mode == "discrete":
         return 1e-9
-    if record.mode == "euler":
-        return max(1e-9, 10.0 * record.dt ** 2)
-    return max(1e-9, 10.0 * record.dt ** 4)
+    order = 2 if record.mode == "euler" else 4
+    try:
+        return max(1e-9, 10.0 * record.dt ** order)
+    except OverflowError:
+        return math.inf
 
 
 def lyapunov_series(record: RunRecord, geometry: MirrorGeometry, reference,

@@ -29,9 +29,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import MirrorGeometry, softmax
 from .problems import VIProblem, simplex, whole_space
-from .targets import TargetSpec, resolve_target
+from .targets import TargetSpec
 from .dynamics import (SCHEMES, RunRecord, SolverState, _Recorder, _target_map,
-                       _tmd_rate, integrate, state_from_dual,
+                       _tmd_rate, dual_rate, integrate, state_from_dual,
                        DEFAULT_STOP_RESIDUAL)
 
 Vector = np.ndarray
@@ -96,9 +96,8 @@ def ensemble_step(state: EnsembleState, spec: TargetSpec,
     """Advance every member by the one shared increment computed at the
     averaged state; dt = None means a discrete step."""
     scheme, step = ("discrete", 1.0) if dt is None else ("euler", dt)
-    tx = resolve_target(spec, spec.feasible_set, state.x_en)
-    z = SCHEMES[scheme](_tmd_rate(spec), None, None, state.z_shared, state.x_en,
-                        tx, step)
+    k1 = dual_rate(spec, state.x_en, *_target_map(spec)(state.x_en))
+    z = SCHEMES[scheme](None, None, None, state.z_shared, k1, step)
     xs = [m.geometry.grad_h_conj(z + m.z0) for m in state.members]
     return EnsembleState(members=state.members, z_shared=z, xs=xs,
                          x_en=np.mean(xs, axis=0),
@@ -235,7 +234,7 @@ def run_ensemble(members: List[EnsembleMember], spec: TargetSpec,
     return integrate(_tmd_rate(spec), _mean_pullback(members),
                      SolverState(0, 0.0, ens.z_shared, ens.x_en), scheme,
                      n_steps * step, dt=step, target=_target_map(spec),
-                     residual=lambda st, tx: float(np.linalg.norm(tx - st.x)),
+                     residual=lambda st, tx, k1: float(np.linalg.norm(tx - st.x)),
                      stop_residual=stop_residual, stride=stride,
                      recorder=partial(_Recorder, members[0].geometry, spec, problem,
                                       None))

@@ -212,9 +212,23 @@ def write_trajectory_csv(path: Path, record: RunRecord) -> None:
             handle.write(",".join(row) + "\n")
 
 
+def _finite_or_null(value):
+    """value with every non-finite float, at any depth, replaced by None, so
+    that the JSON written is strict (no bare NaN or Infinity)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json(path: Path, payload: dict) -> None:
+    """Write payload as strict JSON; non-finite numbers become null."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), handle, indent=2, sort_keys=True,
+                  allow_nan=False)
         handle.write("\n")
 
 

@@ -24,20 +24,41 @@ SIMPLEX = "simplex"
 BOX = "box"
 
 
+SIMPLEX_MASS_TOL = 1e-9
+
+
 def project_simplex(v: Vector) -> Vector:
     """Euclidean projection onto the probability simplex.
 
     Sorted-threshold method: sort descending, find the largest support
     size whose renormalizing shift keeps every surviving entry positive,
-    then clip at that shift.  Output is nonnegative and sums to one.
+    then clip at that shift.  Output is nonnegative and sums to one within
+    SIMPLEX_MASS_TOL for every finite input.
     """
     v = np.asarray(v, dtype=float)
     if np.any(np.isnan(v)):
         raise DomainError("simplex projection rejects NaN input")
+    x = _simplex_threshold(v)
+    if x is None or not abs(float(x.sum()) - 1.0) <= SIMPLEX_MASS_TOL:
+        # far from the origin the unit mass is lost to rounding (the support
+        # can even come out empty); the projection is invariant under a
+        # shift along the ones vector, and shifting by the largest entry
+        # puts the support within 1 of zero (entries that overflow to -inf
+        # on the way lie far outside it)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _simplex_threshold(v - v.max())
+        if x is None:  # only an entry of +inf leaves the support empty here
+            raise DomainError("simplex projection rejects infinite input")
+    return x
+
+
+def _simplex_threshold(v: Vector) -> Optional[Vector]:
     u = np.sort(v)[::-1]
     shifted = np.cumsum(u) - 1.0
     ks = np.arange(1, v.size + 1)
     support = np.nonzero(u - shifted / ks > 0.0)[0]
+    if support.size == 0:
+        return None
     k = int(support[-1]) + 1
     theta = shifted[k - 1] / k
     return np.maximum(v - theta, 0.0)
@@ -152,6 +173,19 @@ _RPS_MATRIX = np.array([[0.0, 1.0, -1.0],
                         [1.0, -1.0, 0.0]])
 
 
+def _dimension(dim, least: int, name: str) -> int:
+    """dim as an int, or ConfigurationError unless it is an integer >= least."""
+    try:
+        n = int(dim)
+        whole = n == dim
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or n < least:
+        raise ConfigurationError(
+            f"{name} needs an integer dim >= {least}, got {dim!r}")
+    return n
+
+
 def _banded_skew(dim: int) -> Vector:
     m = np.zeros((dim, dim))
     for i in range(dim - 1):
@@ -166,6 +200,23 @@ def _banded_skew_norm(dim: int) -> float:
     return 1.0 if dim == 2 else 2.0 * float(np.cos(np.pi / (dim + 1)))
 
 
+def _banded_solve(b: Vector) -> Vector:
+    """Solve (I + _banded_skew) x = b by tridiagonal elimination.
+
+    The elimination pivots d_i = 1 + 1/d_{i-1}, d_0 = 1, lie in [1, 2], so
+    no pivoting is needed; O(n) time and no dense copy of the matrix.
+    """
+    b = [float(v) for v in b]
+    d, r = [1.0], [b[0]]
+    for i in range(1, len(b)):
+        d.append(1.0 + 1.0 / d[-1])
+        r.append(b[i] + r[-1] / d[-2])
+    x = [r[-1] / d[-1]]
+    for i in range(len(b) - 2, -1, -1):
+        x.append((r[i] - x[-1]) / d[i])
+    return np.array(x[::-1])
+
+
 def _linear(m: Vector, q: Vector) -> Callable[[Vector], Vector]:
     def F(x):
         return m @ np.asarray(x, dtype=float) + q
@@ -173,9 +224,7 @@ def _linear(m: Vector, q: Vector) -> Callable[[Vector], Vector]:
 
 
 def _make_skew_bilinear(dim: int = 2) -> VIProblem:
-    dim = int(dim)
-    if dim < 2:
-        raise ConfigurationError("skew_bilinear needs dim >= 2")
+    dim = _dimension(dim, 2, "skew_bilinear")
     m = np.array([[0.0, 1.0], [-1.0, 0.0]]) if dim == 2 else _banded_skew(dim)
     q = np.zeros(dim)
     return VIProblem(
@@ -190,11 +239,11 @@ def _make_skew_bilinear(dim: int = 2) -> VIProblem:
 
 
 def _make_linear_monotone(dim: int = 2) -> VIProblem:
-    dim = int(dim)
+    dim = _dimension(dim, 2, "linear_monotone")
     m = _banded_skew(dim) if dim > 2 else np.array([[0.0, 1.0], [-1.0, 0.0]])
     np.fill_diagonal(m, 1.0)
     q = 0.5 * np.array([(-1.0) ** i for i in range(dim)])
-    solution = np.linalg.solve(m, -q)
+    solution = _banded_solve(-q)
     return VIProblem(
         feasible_set=whole_space(dim),
         F=_linear(m, q),
@@ -222,7 +271,7 @@ def _make_rps_game() -> VIProblem:
 
 
 def _make_constrained_quadratic(dim: int = 2) -> VIProblem:
-    dim = int(dim)
+    dim = _dimension(dim, 1, "constrained_quadratic")
     q_diag = np.arange(2.0, dim + 2.0)
     center = np.linspace(0.25, 0.75, dim)
     m = np.diag(q_diag)

@@ -40,6 +40,19 @@ class ClosedForm:
 
 
 @dataclass(frozen=True)
+class MirrorOfS:
+    """Evaluate the target as T(x) = mirror(S(x)).
+
+    This is the closed form of designs with S + Phi = grad_h, whose mirror
+    map grad_h_conj (a projection for FBF) absorbs the normal cone.  The
+    target then needs S(x) and nothing else, so resolving it yields the
+    anchor S(x) that the dual rate subtracts.
+    """
+
+    mirror: Callable[[Vector], Vector]
+
+
+@dataclass(frozen=True)
 class ResolventSolve:
     """Evaluate the target by solving its strongly monotone subproblem.
 
@@ -60,7 +73,7 @@ class ResolventSolve:
     grad_h_conj: Optional[Callable[[Vector], Vector]] = None
 
 
-TargetStrategy = Union[ClosedForm, ResolventSolve]
+TargetStrategy = Union[ClosedForm, MirrorOfS, ResolventSolve]
 
 
 @dataclass(eq=False)
@@ -127,31 +140,47 @@ class SplitPair:
     lipschitz_B: Optional[float] = None
 
 
-def resolve_target(spec: TargetSpec, feasible_set: FeasibleSet, x: Vector) -> Vector:
+def resolve_target(spec: TargetSpec, feasible_set: FeasibleSet, x: Vector, *,
+                   with_anchor: bool = False):
     """Evaluate the target point T(x).
 
-    Closed-form strategies apply their stored formula.  Solver strategies
-    with a mirror map run y <- grad_h_conj(S(x) - Phi(y)) from y0 = x (see
-    _mirror_fixed_point), falling back to the projected iteration when it
-    does not contract.  The projected iteration runs
-    y <- P(y - tau * (S(y) + Phi(y) - S(x))) from y0 = x until the step
-    shrinks below tol; strong monotonicity of S + Phi makes this a
-    contraction for small enough tau, and divergence (including domain
-    violations of S or Phi) triggers geometric backoff of tau, at most 6
-    halvings.
+    Closed-form strategies apply their stored formula; MirrorOfS maps S(x)
+    through its mirror.  Solver strategies with a mirror map run
+    y <- grad_h_conj(S(x) - Phi(y)) from y0 = x (see _mirror_fixed_point),
+    falling back to the projected iteration when it does not contract.
+    The projected iteration runs y <- P(y - tau * (S(y) + Phi(y) - S(x)))
+    from y0 = x until the step shrinks below tol; strong monotonicity of
+    S + Phi makes this a contraction for small enough tau, and divergence
+    (including domain violations of S or Phi) triggers geometric backoff of
+    tau, at most 6 halvings.
+
+    with_anchor=True returns (T(x), S(x)) instead, where S(x) is the anchor
+    the resolution evaluated (None for ClosedForm), so that the dual rate
+    can reuse it rather than evaluate S(x) again.
     """
     x = np.asarray(x, dtype=float)
     strategy = spec.target
+    anchor = None
     if isinstance(strategy, ClosedForm):
-        return np.asarray(strategy.fn(x), dtype=float)
-    if spec.Phi is None:
-        raise ConfigurationError("solver strategy needs an explicit Phi")
+        tx = np.asarray(strategy.fn(x), dtype=float)
+    elif isinstance(strategy, MirrorOfS):
+        anchor = spec.S(x)
+        tx = np.asarray(strategy.mirror(anchor), dtype=float)
+    else:
+        if spec.Phi is None:
+            raise ConfigurationError("solver strategy needs an explicit Phi")
+        anchor = spec.S(x)
+        tx = None
+        if strategy.grad_h_conj is not None:
+            tx = _mirror_fixed_point(spec, strategy, x, anchor)
+        if tx is None:
+            tx = _projected_iteration(spec, strategy, feasible_set, x, anchor)
+    return (tx, anchor) if with_anchor else tx
 
-    anchor = spec.S(x)
-    if strategy.grad_h_conj is not None:
-        y = _mirror_fixed_point(spec, strategy, x, anchor)
-        if y is not None:
-            return y
+
+def _projected_iteration(spec: TargetSpec, strategy: ResolventSolve,
+                         feasible_set: FeasibleSet, x: Vector,
+                         anchor: Vector) -> Vector:
     tau = strategy.step
     if tau is None:
         if strategy.modulus and strategy.lipschitz:
@@ -308,7 +337,7 @@ def preset_eg(geometry: MirrorGeometry, problem: VIProblem, eta1: float,
               eta2: Optional[float] = None) -> TargetSpec:
     """Extragradient / mirror-prox design: S = grad_h - eta1*F, Phi = eta1*F,
     alpha = eta2/eta1, with the closed-form target
-    T(x) = grad_h_conj(grad_h(x) - eta1 * F(x)).
+    T(x) = grad_h_conj(grad_h(x) - eta1 * F(x)) = grad_h_conj(S(x)).
 
     eta2 = eta1 gives the classical method; distinct step sizes give the
     two-step-size variant.  sigma is the conservative analytic bound
@@ -329,16 +358,13 @@ def preset_eg(geometry: MirrorGeometry, problem: VIProblem, eta1: float,
 
     _require_strongly_monotone(S, problem.feasible_set, "grad_h - eta1*F")
 
-    def target(x):
-        return geometry.grad_h_conj(geometry.grad_h(x) - eta1 * problem.F(x))
-
     return TargetSpec(
         alpha=eta2 / eta1,
         beta=0.0,
         S=S,
         sigma=float(sigma),
         Phi=lambda x: eta1 * problem.F(x),
-        target=ClosedForm(target),
+        target=MirrorOfS(geometry.grad_h_conj),
         feasible_set=problem.feasible_set,
         name="eg" if eta2 == eta1 else "eg_plus",
     )
@@ -543,7 +569,7 @@ def preset_bnn(problem: VIProblem, eta: float = 1.0) -> TargetSpec:
 
 def preset_fbf(problem: VIProblem, eta: float) -> TargetSpec:
     """Forward-backward-forward design: S = I - eta*F, Phi = eta*F,
-    closed-form target T(x) = P(x - eta * F(x)).
+    closed-form target T(x) = P(x - eta * F(x)) = P(S(x)).
 
     The primal rate S(T(x)) - S(x) expands to
     T(x) - x + eta * (F(x) - F(T(x))).  Pair with the whole-space
@@ -563,17 +589,13 @@ def preset_fbf(problem: VIProblem, eta: float) -> TargetSpec:
 
     _require_strongly_monotone(S, problem.feasible_set, "I - eta*F")
 
-    def target(x):
-        x = np.asarray(x, dtype=float)
-        return problem.feasible_set.project(x - eta * problem.F(x))
-
     return TargetSpec(
         alpha=1.0,
         beta=0.0,
         S=S,
         sigma=float(sigma),
         Phi=lambda x: eta * problem.F(x),
-        target=ClosedForm(target),
+        target=MirrorOfS(problem.feasible_set.project),
         feasible_set=problem.feasible_set,
         name="fbf",
     )

@@ -240,3 +240,43 @@ def test_simplex_default_start_passes_the_size_check():
     rec = run_discrete(g, preset_eg(g, p, 0.1), problem=p, n_steps=3,
                        stop_residual=-1.0)
     assert rec.states.shape == (4, 3)
+
+
+@pytest.mark.parametrize("x0", ["nan, 0", "1, inf"])
+def test_non_finite_x0_is_a_configuration_error(tmp_path, capsys, x0):
+    out = tmp_path / "o"
+    text = (f"problem.name = skew_bilinear\ngeometry.name = euclidean\n"
+            f"preset.name = eg\nx0 = {x0}\noutput.dir = {out}\n")
+    assert run_cli("solve", text, tmp_path) == 1
+    assert "x0 must be finite" in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_non_integer_dimension_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    text = (f"problem.name = skew_bilinear\nproblem.dim = 2.5\n"
+            f"geometry.name = euclidean\npreset.name = eg\noutput.dir = {out}\n")
+    assert run_cli("solve", text, tmp_path) == 1
+    assert "integer dim >= 2, got 2.5" in one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("x0", [None, "0.5, 0.3, 0.2"])
+def test_huge_step_flow_writes_strict_json(tmp_path, capsys, integrator, x0):
+    out = tmp_path / "o"
+    text = (f"problem.name = rps_game\ngeometry.name = euclidean\n"
+            f"preset.name = eg\nmode = flow\nflow.integrator = {integrator}\n"
+            f"flow.dt = 1e200\nbudget.t_end = 1e201\noutput.dir = {out}\n")
+    if x0 is not None:
+        text += f"x0 = {x0}\n"
+    assert run_cli("solve", text, tmp_path) in (0, 2)
+    assert capsys.readouterr().err == ""
+
+    def reject(constant):
+        raise ValueError(f"bare {constant} in summary.json")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    # 10 * dt**2 is past the float range: the band is inf and written as null
+    assert summary["lyapunov_band"] is None
+    assert summary["lyapunov_violations"] == 0

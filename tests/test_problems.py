@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from targetmd import (VIProblem, box, check_monotonicity, estimate_lipschitz,
                       library_problem, natural_residual, project_simplex,
                       whole_space)
 from targetmd.errors import ConfigurationError, DomainError
+from targetmd.problems import SIMPLEX_MASS_TOL
 
 SEED = 77
 
@@ -20,6 +23,26 @@ def test_project_simplex_examples():
 def test_project_simplex_rejects_nan():
     with pytest.raises(DomainError):
         project_simplex(np.array([np.nan, 0.0]))
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="infinite"):
+        project_simplex(np.array([np.inf, 0.0, -np.inf]))
+
+
+def test_project_simplex_far_from_the_origin():
+    # u_1 - (u_1 - 1) rounds to 0 here, which emptied the support
+    assert np.array_equal(project_simplex(np.array([1e200, -1e200, 3.0])),
+                          [1.0, 0.0, 0.0])
+    x = project_simplex(np.full(3, 1e15))
+    assert np.allclose(x, 1.0 / 3.0, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(float, st.integers(1, 12),
+              elements=st.floats(-1e300, 1e300, allow_nan=False)))
+def test_project_simplex_lands_on_the_simplex_for_any_finite_input(v):
+    x = project_simplex(v)
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    assert abs(float(x.sum()) - 1.0) <= SIMPLEX_MASS_TOL
+    assert x[np.argmax(v)] > 0.0  # the largest entry is always in the support
 
 
 def test_project_simplex_feasible_idempotent_nonexpansive():
@@ -74,6 +97,23 @@ def test_library_examples():
     assert np.allclose(skew.F(np.array([1.0, 0.0])), [0.0, -1.0])
     vertex = library_problem("vertex_cost_simplex", costs=(1.0, 2.0))
     assert np.allclose(vertex.known_solution, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 10, 200, 2000])
+def test_linear_monotone_solution_matches_a_dense_solve(dim):
+    p = library_problem("linear_monotone", dim=dim)
+    m, q = p.linear_terms
+    dense = np.linalg.solve(m, -q)
+    assert np.max(np.abs(p.known_solution - dense)) <= 1e-14
+    assert np.max(np.abs(m @ p.known_solution + q)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["skew_bilinear", "linear_monotone",
+                                  "constrained_quadratic"])
+@pytest.mark.parametrize("dim", [2.5, 0, -3, "4", float("nan")])
+def test_library_rejects_a_dimension_that_is_no_integer(name, dim):
+    with pytest.raises(ConfigurationError, match="integer dim"):
+        library_problem(name, dim=dim)
 
 
 def test_library_rejects_unknown():
