@@ -235,7 +235,6 @@ class RunRecord:
     target_residuals: Vector        # NaN where no target map applies
     natural_residuals: Vector       # NaN when no problem was supplied
     lyapunov: Optional[Vector]      # None when no reference point is known
-    descent_margins: Optional[Vector]  # relaxed descent values vs the reference
     termination: str
     mode: str                       # "discrete" | "euler" | "rk4"
     dt: float
@@ -253,9 +252,7 @@ class _Recorder:
         self.states = []
         self.target_res = []
         self.natural_res = []
-        has_reference = self.reference is not None
-        self.lyapunov = [] if has_reference else None
-        self.margins = [] if has_reference and spec is not None else None
+        self.lyapunov = [] if self.reference is not None else None
 
     def push(self, state: SolverState, tx: Optional[Vector]):
         self.steps.append(state.step_index)
@@ -272,10 +269,6 @@ class _Recorder:
             self.natural_res.append(math.nan)
         if self.lyapunov is not None:
             self.lyapunov.append(bregman(self.geometry, self.reference, state.x))
-        if self.margins is not None:
-            self.margins.append(
-                math.nan if tx is None else
-                _margin_from_target(self.spec, state.x, tx, self.reference))
 
     def finish(self, termination, mode, dt, final_state) -> RunRecord:
         return RunRecord(
@@ -285,7 +278,6 @@ class _Recorder:
             target_residuals=np.asarray(self.target_res, dtype=float),
             natural_residuals=np.asarray(self.natural_res, dtype=float),
             lyapunov=None if self.lyapunov is None else np.asarray(self.lyapunov, dtype=float),
-            descent_margins=None if self.margins is None else np.asarray(self.margins, dtype=float),
             termination=termination,
             mode=mode,
             dt=dt,
@@ -466,15 +458,6 @@ def lyapunov_series(record: RunRecord, geometry: MirrorGeometry, reference,
                           total_decrease=float(values[0] - values[-1]))
 
 
-def _margin_from_target(spec, x, tx, x_bar) -> float:
-    gap = tx - x
-    value = spec.alpha * (spec.sigma * float(np.dot(gap, gap))
-                          + float(np.dot(spec.phi_at_target(x, tx), tx - x_bar)))
-    if spec.beta != 0.0:
-        value += spec.beta * float(np.dot(spec.Phi(x), x - x_bar))
-    return value
-
-
 def relaxed_condition_value(spec: TargetSpec, x, x_bar) -> float:
     """Descent margin at x against the reference x_bar:
 
@@ -487,7 +470,12 @@ def relaxed_condition_value(spec: TargetSpec, x, x_bar) -> float:
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
     tx = resolve_target(spec, spec.feasible_set, x)
-    return _margin_from_target(spec, x, tx, x_bar)
+    gap = tx - x
+    value = spec.alpha * (spec.sigma * float(np.dot(gap, gap))
+                          + float(np.dot(spec.phi_at_target(x, tx), tx - x_bar)))
+    if spec.beta != 0.0:
+        value += spec.beta * float(np.dot(spec.Phi(x), x - x_bar))
+    return value
 
 
 def primal_vector_field(geometry: MirrorGeometry, spec: TargetSpec, x) -> Vector:

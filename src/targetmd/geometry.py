@@ -150,7 +150,10 @@ def weighted_quadratic_geometry(weights) -> MirrorGeometry:
     Mostly useful for building geometrically diverse ensembles; the mirror
     map is entrywise division by the weights.
     """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    try:
+        w = np.atleast_1d(np.asarray(weights, dtype=float))
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"weights must be numbers, got {weights!r}") from None
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ConfigurationError("weights must be strictly positive and finite")
     domain = whole_space(w.size)

@@ -16,7 +16,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,13 +25,14 @@ from .checks import run_condition_checks
 from .config import ExperimentConfig, echo_config
 from .dynamics import (CONVERGED, RunRecord, dual_rate, flow, initial_state,
                        lyapunov_series, primal_vector_field, run_discrete,
-                       run_dmd, run_higher_order, run_vanilla_dmd)
+                       run_dmd, run_higher_order, run_vanilla_dmd,
+                       step_discrete)
 from .ensemble import (EnsembleMember, run_ensemble, synthesized_geometry,
                        verify_ensemble_reduction)
 from .errors import ConfigurationError
 from .geometry import (MirrorGeometry, entropy_geometry, euclidean_geometry,
                        weighted_quadratic_geometry)
-from .problems import LIBRARY, VIProblem, library_problem, whole_space
+from .problems import LIBRARY, WHOLE_SPACE, VIProblem, library_problem, whole_space
 from .targets import (SplitPair, affine_box_split, preset_bnn,
                       preset_dmd_calibrated, preset_dr, preset_eg, preset_fb,
                       preset_fbf, preset_ppa, preset_vanilla_md,
@@ -43,16 +44,15 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
 
-PRESET_NAMES = ("ppa", "eg", "eg_plus", "dr", "fb", "bnn", "fbf",
-                "vanilla_md", "dmd_vanilla", "dmd_calibrated", "higher_order")
-
-GEOMETRY_NAMES = ("euclidean", "entropy", "weighted_quadratic")
-
-# Presets whose comparison baseline is a per-step iteration vs. a sampled
-# vector field, with the respective acceptance tolerances.
+# Acceptance tolerances of compare: per-step iterations, sampled vector fields.
 DISCRETE_COMPARE_TOL = 1e-9
 FIELD_COMPARE_TOL = 1e-8
-_FIELD_PRESETS = ("bnn", "fbf")
+
+GEOMETRIES = {
+    "euclidean": "half squared norm on the problem's set; mirror map = projection",
+    "entropy": "negative entropy on the simplex; mirror map = softmax",
+    "weighted_quadratic": "0.5 * sum w_i x_i^2 on the whole space",
+}
 
 
 @dataclass
@@ -60,6 +60,153 @@ class CliResult:
     exit_code: int
     summary: dict
     output_dir: Path
+
+
+# ---------------------------------------------------------------------------
+# The preset table
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()  # parameter default: the preset cannot run without it
+
+
+@dataclass(frozen=True)
+class Preset:
+    """Everything the harness knows about one preset.
+
+    params maps each preset.<key> to its default; aliases holds (alias,
+    key) pairs, of which a config gives at most one.  build(geometry,
+    problem, pair, p) returns the design tuple for the resolved parameters
+    p.  A runner replaces run_discrete / flow; its presets run in flow mode
+    only and neither drive an ensemble nor serve as a base.  ambient: the
+    Euclidean state lives on the whole space.  compare checks against
+    coded_step(geometry, problem, pair, spec, p, x), the next iterate, or
+    coded_field(...), the vector field minus the coded one.  Callables look
+    up what they call by name when they run, so rebinding a module
+    attribute reaches them.
+    """
+
+    blurb: str
+    params: dict
+    build: Optional[Callable] = None
+    runner: Optional[Callable] = None
+    ambient: bool = False
+    coded_step: Optional[Callable] = None
+    coded_field: Optional[Callable] = None
+    aliases: tuple = ()   # (alias, key) pairs
+
+
+def _split(pair: Optional[SplitPair], name: str) -> SplitPair:
+    if pair is None:
+        raise ConfigurationError(f"preset {name!r} needs the box_affine_split problem")
+    return pair
+
+
+def _bnn(geometry, problem, pair, p):
+    if geometry.name != "entropy":
+        raise ConfigurationError("the bnn preset requires the entropy geometry")
+    return preset_bnn(problem, **p)
+
+
+def _on_base(geometry, problem, pair, p):
+    """The base preset's design tuple, built from the parameters that
+    higher_order does not take itself."""
+    base = PRESETS.get(p["base"])
+    if base is None or base.runner is not None:
+        bases = ", ".join(name for name, row in PRESETS.items() if row.runner is None)
+        raise ConfigurationError(f"preset.base must be one of {bases}; got {p['base']!r}")
+    own = PRESETS["higher_order"].params
+    sub = ExperimentConfig(preset=p["base"], preset_params={
+        key: value for key, value in p.items() if key not in own})
+    return build_spec(sub, geometry, problem, pair)
+
+
+def _eg_step(geometry, problem, pair, spec, p, x):
+    coded = (reference.eg_step_entropy if geometry.name == "entropy"
+             else reference.eg_step_euclidean)
+    eta2 = p["eta1"] if p["eta2"] is None else p["eta2"]
+    return coded(problem, p["eta1"], eta2, x)
+
+
+PRESETS = {
+    "ppa": Preset(
+        "proximal point: implicit target through grad_h + eta*F",
+        {"eta": 0.1, "inner_tol": 1e-10, "inner_max_iter": 10_000},
+        build=lambda g, pb, pair, p: preset_ppa(g, pb, **p),
+        coded_step=lambda g, pb, pair, spec, p, x: reference.ppa_step(pb, p["eta"], x)),
+    "eg": Preset(
+        "extragradient / mirror-prox (eta1 = eta2)", {"eta1": 0.1, "eta2": None},
+        build=lambda g, pb, pair, p: preset_eg(g, pb, **p), coded_step=_eg_step,
+        aliases=(("eta", "eta1"),)),
+    "eg_plus": Preset(
+        "extragradient with distinct probe/move step sizes",
+        {"eta1": 0.1, "eta2": REQUIRED},
+        build=lambda g, pb, pair, p: preset_eg(g, pb, **p), coded_step=_eg_step,
+        aliases=(("eta", "eta1"),)),
+    "dr": Preset(
+        "Douglas-Rachford splitting (needs box_affine_split)", {"eta": 1.0},
+        build=lambda g, pb, pair, p: preset_dr(_split(pair, "dr"), g.domain, **p),
+        ambient=True,
+        coded_step=lambda g, pb, pair, spec, p, x: reference.dr_step(pair, p["eta"], x)),
+    "fb": Preset(
+        "forward-backward splitting (needs box_affine_split)", {"eta": 0.5},
+        build=lambda g, pb, pair, p: preset_fb(_split(pair, "fb"), g.domain, **p),
+        ambient=True,
+        coded_step=lambda g, pb, pair, spec, p, x: reference.fb_step(pair, p["eta"], x)),
+    "bnn": Preset(
+        "excess-payoff game dynamics on the simplex (entropy geometry)",
+        {"eta": 1.0}, build=_bnn,
+        coded_field=lambda g, pb, pair, spec, p, x: (
+            primal_vector_field(g, spec, x) - reference.bnn_field(pb, x))),
+    "fbf": Preset(
+        "forward-backward-forward dynamics", {"eta": 0.1},
+        build=lambda g, pb, pair, p: preset_fbf(pb, **p), ambient=True,
+        coded_field=lambda g, pb, pair, spec, p, x: (
+            dual_rate(spec, x, resolve_target(spec, spec.feasible_set, x))
+            - reference.fbf_field(pb, p["eta"], x))),
+    "vanilla_md": Preset(
+        "plain mirror descent baseline (no correction)", {"eta": 0.1},
+        build=lambda g, pb, pair, p: preset_vanilla_md(g, pb, **p)),
+    "dmd_vanilla": Preset(
+        "uncalibrated discounted baseline (misaligned equilibria)", {"gamma": 1.0},
+        runner=lambda g, pb, spec, p, **run: run_vanilla_dmd(g, pb, **p, **run)),
+    "dmd_calibrated": Preset(
+        "discounted update recalibrated onto true solutions",
+        {"eta": 1.0, "case": 1, "gamma": 1.0},
+        build=lambda g, pb, pair, p: preset_dmd_calibrated(g, pb, p["eta"], p["case"]),
+        runner=lambda g, pb, spec, p, **run: run_dmd(
+            g, spec, p["gamma"], problem=pb, **run)),
+    "higher_order": Preset(
+        "second-order variant over a base preset",
+        {"base": "eg", "gamma1": 1.0, "gamma2": 1.0}, build=_on_base,
+        runner=lambda g, pb, spec, p, **run: run_higher_order(
+            g, spec, gamma1=p["gamma1"], gamma2=p["gamma2"], problem=pb, **run)),
+}
+
+
+def _resolve(cfg: ExperimentConfig):
+    """(row, parameters) of cfg's preset: its preset.<key> values over the
+    row's defaults.  A row with a `base` parameter hands the keys it does
+    not know on to its base preset."""
+    row = PRESETS.get(cfg.preset)
+    if row is None:
+        raise ConfigurationError(
+            f"unknown preset {cfg.preset!r}; available: {', '.join(PRESETS)}")
+    given = dict(cfg.preset_params)
+    for alias, key in row.aliases:
+        if alias in given:
+            if key in given:
+                raise ConfigurationError(f"preset {cfg.preset!r} takes "
+                                         f"preset.{alias} or preset.{key}, not both")
+            given[key] = given.pop(alias)
+    unknown = sorted(set(given) - set(row.params))
+    if unknown and "base" not in row.params:
+        raise ConfigurationError(
+            f"preset {cfg.preset!r} does not accept parameter(s) {unknown}")
+    p = {**row.params, **given}
+    missing = [key for key, value in p.items() if value is REQUIRED]
+    if missing:
+        raise ConfigurationError(f"{cfg.preset} needs preset.{missing[0]}")
+    return row, p
 
 
 def resolve_output_dir(cfg: ExperimentConfig) -> Path:
@@ -83,107 +230,46 @@ def build_problem(cfg: ExperimentConfig):
     return library_problem(cfg.problem, **cfg.problem_params), None
 
 
+def _geometry(name: str, weights, domain) -> MirrorGeometry:
+    """The named mirror geometry on domain; only weighted_quadratic takes
+    weights, one per dimension."""
+    if name not in GEOMETRIES:
+        raise ConfigurationError(
+            f"unknown geometry {name!r}; available: {', '.join(GEOMETRIES)}")
+    if (weights is None) == (name == "weighted_quadratic"):
+        raise ConfigurationError(f"{name} geometry needs weights" if weights is None
+                                 else f"{name} geometry takes no weights")
+    if name == "euclidean":
+        return euclidean_geometry(domain)
+    if name == "entropy":
+        return entropy_geometry(domain.dim)
+    if domain.kind != WHOLE_SPACE:
+        raise ConfigurationError("weighted_quadratic geometry lives on the whole space")
+    if np.size(weights) != domain.dim:
+        raise ConfigurationError(
+            f"weights have {np.size(weights)} entries; the problem has "
+            f"dimension {domain.dim}")
+    return weighted_quadratic_geometry(weights)
+
+
 def build_geometry(cfg: ExperimentConfig, problem: VIProblem) -> MirrorGeometry:
     params = dict(cfg.geometry_params)
-    if cfg.geometry == "euclidean":
-        if params:
-            raise ConfigurationError("euclidean geometry takes no parameters")
-        if cfg.preset in ("fbf", "dr", "fb"):
-            # These designs keep the state in the ambient space; the
-            # constraint (if any) lives inside the target.
-            return euclidean_geometry(whole_space(problem.feasible_set.dim))
-        return euclidean_geometry(problem.feasible_set)
-    if cfg.geometry == "entropy":
-        if params:
-            raise ConfigurationError("entropy geometry takes no parameters")
-        return entropy_geometry(problem.feasible_set.dim)
-    if cfg.geometry == "weighted_quadratic":
-        weights = params.pop("weights", None)
-        if params or weights is None:
-            raise ConfigurationError(
-                "weighted_quadratic geometry needs exactly geometry.weights")
-        if problem.feasible_set.kind != "whole_space":
-            raise ConfigurationError(
-                "weighted_quadratic geometry lives on the whole space")
-        return weighted_quadratic_geometry(weights)
-    raise ConfigurationError(
-        f"unknown geometry {cfg.geometry!r}; available: {', '.join(GEOMETRY_NAMES)}")
+    weights = params.pop("weights", None)
+    if params:
+        raise ConfigurationError(
+            f"geometry {cfg.geometry!r} does not accept parameter(s) {sorted(params)}")
+    domain = problem.feasible_set
+    if _resolve(cfg)[0].ambient:
+        domain = whole_space(domain.dim)  # the constraint lives inside the target
+    return _geometry(cfg.geometry, weights, domain)
 
 
 def build_spec(cfg: ExperimentConfig, geometry: MirrorGeometry,
                problem: VIProblem, pair: Optional[SplitPair]):
-    """Instantiate the design tuple named by the preset section."""
-    params = dict(cfg.preset_params)
-    name = cfg.preset
-
-    def take(key, default=None):
-        return params.pop(key, default)
-
-    def done():
-        if params:
-            raise ConfigurationError(
-                f"preset {name!r} does not accept parameter(s) {sorted(params)}")
-
-    if name == "ppa":
-        spec = preset_ppa(geometry, problem, take("eta", 0.1),
-                          inner_tol=take("inner_tol", 1e-10),
-                          inner_max_iter=int(take("inner_max_iter", 10_000)))
-        done()
-        return spec
-    if name in ("eg", "eg_plus"):
-        eta1 = take("eta1", take("eta", 0.1))
-        eta2 = take("eta2", None)
-        if name == "eg_plus" and eta2 is None:
-            raise ConfigurationError("eg_plus needs preset.eta2")
-        spec = preset_eg(geometry, problem, eta1, eta2)
-        done()
-        return spec
-    if name in ("dr", "fb"):
-        if pair is None:
-            raise ConfigurationError(
-                f"preset {name!r} needs the box_affine_split problem")
-        eta = take("eta", 1.0 if name == "dr" else 0.5)
-        if name == "dr":
-            spec = preset_dr(pair, geometry.domain, eta)
-        else:
-            spec = preset_fb(pair, geometry.domain, eta)
-        done()
-        return spec
-    if name == "bnn":
-        if geometry.name != "entropy":
-            raise ConfigurationError("the bnn preset requires the entropy geometry")
-        spec = preset_bnn(problem, take("eta", 1.0))
-        done()
-        return spec
-    if name == "fbf":
-        spec = preset_fbf(problem, take("eta", 0.1))
-        done()
-        return spec
-    if name == "vanilla_md":
-        spec = preset_vanilla_md(geometry, problem, take("eta", 0.1))
-        done()
-        return spec
-    if name == "dmd_calibrated":
-        spec = preset_dmd_calibrated(geometry, problem, take("eta", 1.0),
-                                     case=int(take("case", 1)))
-        params.pop("gamma", None)  # consumed by the stepper
-        done()
-        return spec
-    if name == "dmd_vanilla":
-        for key in ("gamma",):
-            params.pop(key, None)
-        done()
-        return None  # no design tuple; the baseline works straight off F
-    if name == "higher_order":
-        base = take("base", "eg")
-        for key in ("gamma1", "gamma2"):
-            params.pop(key, None)
-        sub = ExperimentConfig(**{**cfg.__dict__, "preset": base,
-                                  "preset_params": params})
-        spec = build_spec(sub, geometry, problem, pair)
-        return spec
-    raise ConfigurationError(
-        f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    """Instantiate the design tuple named by the preset section; None for
+    a preset that has none."""
+    row, p = _resolve(cfg)
+    return None if row.build is None else row.build(geometry, problem, pair, p)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +296,13 @@ def write_trajectory_csv(path: Path, record: RunRecord) -> None:
             row.append("" if record.lyapunov is None
                        else _fmt(float(record.lyapunov[i])))
             handle.write(",".join(row) + "\n")
+
+
+def _write_deviations(path: Path, deviations) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("index,deviation\n")
+        for i, d in enumerate(deviations):
+            handle.write(f"{i},{_fmt(float(d))}\n")
 
 
 def _finite_or_null(value):
@@ -261,9 +354,12 @@ def _base_summary(cfg, record, started) -> dict:
 
 def run_solve(cfg: ExperimentConfig) -> CliResult:
     started = time.monotonic()
+    row, p = _resolve(cfg)
     problem, pair = build_problem(cfg)
     geometry = build_geometry(cfg, problem)
     spec = build_spec(cfg, geometry, problem, pair)
+    if row.runner is not None and cfg.mode != "flow":
+        raise ConfigurationError(f"{cfg.preset} runs in flow mode")
     stride = cfg.effective_stride()
 
     reference_point = cfg.lyapunov_reference
@@ -274,41 +370,15 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
     if reference_point is not None:
         reference_point = np.asarray(reference_point, dtype=float)
 
-    gamma = cfg.preset_params.get("gamma", 1.0)
-    if cfg.preset == "dmd_vanilla":
-        if cfg.mode != "flow":
-            raise ConfigurationError("dmd_vanilla runs in flow mode")
-        record = run_vanilla_dmd(geometry, problem, gamma=gamma, dt=cfg.dt,
-                                 t_end=cfg.t_end, x0=cfg.x0,
-                                 reference=reference_point,
-                                 stop_residual=cfg.stop_residual, stride=stride)
-    elif cfg.preset == "dmd_calibrated":
-        if cfg.mode != "flow":
-            raise ConfigurationError("dmd_calibrated runs in flow mode")
-        record = run_dmd(geometry, spec, gamma=gamma, dt=cfg.dt,
-                         t_end=cfg.t_end, problem=problem, x0=cfg.x0,
-                         reference=reference_point,
-                         stop_residual=cfg.stop_residual, stride=stride)
-    elif cfg.preset == "higher_order":
-        if cfg.mode != "flow":
-            raise ConfigurationError("higher_order runs in flow mode")
-        record = run_higher_order(
-            geometry, spec,
-            gamma1=cfg.preset_params.get("gamma1", 1.0),
-            gamma2=cfg.preset_params.get("gamma2", 1.0),
-            dt=cfg.dt, t_end=cfg.t_end, problem=problem, x0=cfg.x0,
-            reference=reference_point, stop_residual=cfg.stop_residual,
-            stride=stride)
-    elif cfg.mode == "discrete":
-        record = run_discrete(geometry, spec, problem=problem, x0=cfg.x0,
-                              n_steps=cfg.steps,
-                              stop_residual=cfg.stop_residual, stride=stride,
-                              reference=reference_point)
+    run = dict(x0=cfg.x0, reference=reference_point,
+               stop_residual=cfg.stop_residual, stride=stride)
+    if cfg.mode == "discrete":
+        record = run_discrete(geometry, spec, problem=problem, n_steps=cfg.steps, **run)
+    elif row.runner is not None:
+        record = row.runner(geometry, problem, spec, p, dt=cfg.dt, t_end=cfg.t_end, **run)
     else:
         record = flow(geometry, spec, integrator=cfg.integrator, dt=cfg.dt,
-                      t_end=cfg.t_end, problem=problem, x0=cfg.x0,
-                      reference=reference_point,
-                      stop_residual=cfg.stop_residual, stride=stride)
+                      t_end=cfg.t_end, problem=problem, **run)
 
     out = resolve_output_dir(cfg)
     trajectory = out / "trajectory.csv"
@@ -338,79 +408,37 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
     return CliResult(exit_code, summary, out)
 
 
-def _compare_discrete(cfg, geometry, problem, pair, spec):
-    """Preset-driven stepping vs the directly coded iteration, from one
-    shared initial point."""
-    from .dynamics import step_discrete  # local import to avoid cycles
-
-    state = initial_state(geometry, cfg.x0)
-    x_ref = state.x.copy()
-    eta = float(cfg.preset_params.get("eta", 0.1))
-    eta1 = float(cfg.preset_params.get("eta1", eta))
-    eta2 = float(cfg.preset_params.get("eta2", eta1))
-
-    def reference_step(x):
-        if cfg.preset == "ppa":
-            return reference.ppa_step(problem, eta, x)
-        if cfg.preset in ("eg", "eg_plus"):
-            if geometry.name == "entropy":
-                return reference.eg_step_entropy(problem, eta1, eta2, x)
-            return reference.eg_step_euclidean(problem, eta1, eta2, x)
-        if cfg.preset == "dr":
-            return reference.dr_step(pair, float(cfg.preset_params.get("eta", 1.0)), x)
-        if cfg.preset == "fb":
-            return reference.fb_step(pair, float(cfg.preset_params.get("eta", 0.5)), x)
-        raise ConfigurationError(f"no coded reference for preset {cfg.preset!r}")
-
-    deviations = []
-    for _ in range(cfg.compare_steps):
-        state = step_discrete(geometry, spec, state)
-        x_ref = reference_step(x_ref)
-        deviations.append(float(np.linalg.norm(state.x - x_ref)))
-    return np.asarray(deviations), DISCRETE_COMPARE_TOL
-
-
-def _compare_fields(cfg, geometry, problem, spec):
-    """Preset-driven vector field vs the directly coded one at sampled
-    states; for simplex dynamics the comparison happens in the primal
-    space, where normalization shifts in the dual cancel exactly."""
-    rng = np.random.default_rng(cfg.seed)
-    # margin keeps exponential payoff reweighting inside float range
-    samples = problem.feasible_set.sample_interior(rng, cfg.compare_samples,
-                                                   margin=0.02)
-    eta = float(cfg.preset_params.get("eta", 1.0 if cfg.preset == "bnn" else 0.1))
-    deviations = []
-    for x in samples:
-        if cfg.preset == "bnn":
-            ours = primal_vector_field(geometry, spec, x)
-            theirs = reference.bnn_field(problem, x)
-        else:
-            tx = resolve_target(spec, spec.feasible_set, x)
-            ours = dual_rate(spec, x, tx)
-            theirs = reference.fbf_field(problem, eta, x)
-        deviations.append(float(np.linalg.norm(ours - theirs)))
-    return np.asarray(deviations), FIELD_COMPARE_TOL
-
-
 def run_compare(cfg: ExperimentConfig) -> CliResult:
+    """The preset against its coded reference: per-step iterates from one
+    shared initial point, or vector fields at sampled states (for simplex
+    dynamics in the primal space, where normalization shifts in the dual
+    cancel exactly)."""
     started = time.monotonic()
-    if cfg.preset not in ("ppa", "eg", "eg_plus", "dr", "fb", "bnn", "fbf"):
+    row, p = _resolve(cfg)
+    if row.coded_step is None and row.coded_field is None:
         raise ConfigurationError(
             f"preset {cfg.preset!r} has no coded reference iteration")
     problem, pair = build_problem(cfg)
     geometry = build_geometry(cfg, problem)
     spec = build_spec(cfg, geometry, problem, pair)
-    if cfg.preset in _FIELD_PRESETS:
-        deviations, tol = _compare_fields(cfg, geometry, problem, spec)
-        kind = "vector_field"
+    if row.coded_field is not None:
+        kind, tol = "vector_field", FIELD_COMPARE_TOL
+        # margin keeps exponential payoff reweighting inside float range
+        samples = problem.feasible_set.sample_interior(
+            np.random.default_rng(cfg.seed), cfg.compare_samples, margin=0.02)
+        deviations = [np.linalg.norm(row.coded_field(geometry, problem, pair, spec, p, x))
+                      for x in samples]
     else:
-        deviations, tol = _compare_discrete(cfg, geometry, problem, pair, spec)
-        kind = "per_step"
+        kind, tol = "per_step", DISCRETE_COMPARE_TOL
+        state = initial_state(geometry, cfg.x0)
+        x_ref, deviations = state.x.copy(), []
+        for _ in range(cfg.compare_steps):
+            state = step_discrete(geometry, spec, state)
+            x_ref = row.coded_step(geometry, problem, pair, spec, p, x_ref)
+            deviations.append(np.linalg.norm(state.x - x_ref))
+    deviations = np.asarray(deviations, dtype=float)
     out = resolve_output_dir(cfg)
-    with open(out / "deviations.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("index,deviation\n")
-        for i, d in enumerate(deviations):
-            handle.write(f"{i},{_fmt(float(d))}\n")
+    _write_deviations(out / "deviations.csv", deviations)
     max_dev = float(deviations.max()) if deviations.size else 0.0
     exit_code = EXIT_OK if max_dev <= tol else EXIT_ERROR
     summary = {
@@ -435,7 +463,7 @@ def run_check(cfg: ExperimentConfig) -> CliResult:
     geometry = build_geometry(cfg, problem)
     spec = build_spec(cfg, geometry, problem, pair)
     if spec is None:
-        raise ConfigurationError("dmd_vanilla has no design tuple to check")
+        raise ConfigurationError(f"preset {cfg.preset!r} has no design tuple to check")
     report = run_condition_checks(geometry, spec, problem,
                                   n_samples=cfg.check_samples, seed=cfg.seed,
                                   x_bar=cfg.check_x_bar)
@@ -452,17 +480,10 @@ def _build_members(cfg: ExperimentConfig, problem: VIProblem):
     members = []
     dim = problem.feasible_set.dim
     for i, mc in enumerate(cfg.ensemble_members, start=1):
-        if mc.geometry == "euclidean":
-            geometry = euclidean_geometry(whole_space(dim))
-        elif mc.geometry == "weighted_quadratic":
-            if mc.weights is None:
-                raise ConfigurationError(f"member {i} needs weights")
-            geometry = weighted_quadratic_geometry(mc.weights)
-        elif mc.geometry == "entropy":
-            geometry = entropy_geometry(dim)
-        else:
-            raise ConfigurationError(
-                f"member {i}: unknown geometry {mc.geometry!r}")
+        try:
+            geometry = _geometry(mc.geometry, mc.weights, whole_space(dim))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"member {i}: {exc}") from None
         z0 = np.asarray(mc.z0 if mc.z0 else np.zeros(dim), dtype=float)
         if z0.size != dim:
             raise ConfigurationError(
@@ -475,16 +496,15 @@ def run_ensemble_cmd(cfg: ExperimentConfig) -> CliResult:
     started = time.monotonic()
     if not cfg.ensemble_members:
         raise ConfigurationError("ensemble runs need an ensemble member list")
+    if _resolve(cfg)[0].runner is not None:
+        raise ConfigurationError(f"preset {cfg.preset!r} cannot drive an ensemble")
     problem, pair = build_problem(cfg)
     # The design tuple is evaluated at the averaged state; ensembles carry
     # per-member run geometries, so the tuple is built against a design
     # geometry matching the member family's domain.
-    members_probe = cfg.ensemble_members[0].geometry
-    if members_probe == "entropy":
-        design_geometry = entropy_geometry(problem.feasible_set.dim)
-    else:
-        design_geometry = euclidean_geometry(whole_space(problem.feasible_set.dim))
-    spec = build_spec(cfg, design_geometry, problem, pair)
+    design = "entropy" if cfg.ensemble_members[0].geometry == "entropy" else "euclidean"
+    spec = build_spec(cfg, _geometry(design, None, whole_space(problem.feasible_set.dim)),
+                      problem, pair)
     members = _build_members(cfg, problem)
     dt = cfg.dt if cfg.mode == "flow" else None
 
@@ -503,11 +523,7 @@ def run_ensemble_cmd(cfg: ExperimentConfig) -> CliResult:
         tol = 1e-9 if members[0].geometry.quadratic_weights is not None else 1e-8
         summary["reduction_max_deviation"] = report.max_deviation
         summary["reduction_tolerance"] = tol
-        with open(out / "reduction_deviations.csv", "w", encoding="utf-8",
-                  newline="\n") as handle:
-            handle.write("index,deviation\n")
-            for i, d in enumerate(report.deviations):
-                handle.write(f"{i},{_fmt(float(d))}\n")
+        _write_deviations(out / "reduction_deviations.csv", report.deviations)
         single = synthesized_geometry(members)
         summary["synthesized_geometry"] = single.name
         if report.max_deviation > tol:
@@ -524,22 +540,5 @@ def catalog() -> dict:
     problems = {name: entry[2] for name, entry in sorted(LIBRARY.items())}
     problems["box_affine_split"] = ("scalar split pair: box normal cone + "
                                     "affine map; for DR/FB designs")
-    geometries = {
-        "euclidean": "half squared norm on the problem's set; mirror map = projection",
-        "entropy": "negative entropy on the simplex; mirror map = softmax",
-        "weighted_quadratic": "0.5 * sum w_i x_i^2 on the whole space",
-    }
-    presets = {
-        "ppa": "proximal point: implicit target through grad_h + eta*F",
-        "eg": "extragradient / mirror-prox (eta1 = eta2)",
-        "eg_plus": "extragradient with distinct probe/move step sizes",
-        "dr": "Douglas-Rachford splitting (needs box_affine_split)",
-        "fb": "forward-backward splitting (needs box_affine_split)",
-        "bnn": "excess-payoff game dynamics on the simplex (entropy geometry)",
-        "fbf": "forward-backward-forward dynamics",
-        "vanilla_md": "plain mirror descent baseline (no correction)",
-        "dmd_vanilla": "uncalibrated discounted baseline (misaligned equilibria)",
-        "dmd_calibrated": "discounted update recalibrated onto true solutions",
-        "higher_order": "second-order variant over a base preset",
-    }
-    return {"problems": problems, "geometries": geometries, "presets": presets}
+    presets = {name: row.blurb for name, row in PRESETS.items()}
+    return {"problems": problems, "geometries": dict(GEOMETRIES), "presets": presets}

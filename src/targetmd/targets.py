@@ -299,8 +299,14 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     under the Euclidean potential the inner contraction constants are
     computed exactly and the projected solver uses them; otherwise the
     solver runs the certified mirror-map fixed point of grad_h.
+    inner_tol must be finite and positive, inner_max_iter an integer >= 1.
     """
     eta = _step_size(eta, "eta")
+    inner_tol = _step_size(inner_tol, "inner_tol")
+    if (isinstance(inner_max_iter, bool)
+            or not isinstance(inner_max_iter, (int, np.integer)) or inner_max_iter < 1):
+        raise ConfigurationError(
+            f"inner_max_iter must be an integer >= 1, got {inner_max_iter!r}")
 
     def combined(x):
         return geometry.grad_h(x) + eta * problem.F(x)
@@ -633,6 +639,8 @@ def preset_dmd_calibrated(geometry: MirrorGeometry, problem: VIProblem,
     can drive the dual state toward S(T(x)) and its equilibria satisfy
     T(x) = x.  The discount rate gamma is supplied at stepping time.
     """
+    if isinstance(case, bool) or case not in (1, 2):
+        raise ConfigurationError(f"case must be 1 or 2, got {case!r}")
     if case == 1:
         spec = preset_ppa(geometry, problem, eta,
                           inner_tol=inner_tol, inner_max_iter=inner_max_iter)
@@ -640,10 +648,8 @@ def preset_dmd_calibrated(geometry: MirrorGeometry, problem: VIProblem,
             alpha=1.0, beta=0.0, S=spec.S, sigma=spec.sigma, Phi=spec.Phi,
             target=spec.target, feasible_set=spec.feasible_set,
             name="dmd_calibrated")
-    if case == 2:
-        spec = preset_eg(geometry, problem, eta)
-        return TargetSpec(
-            alpha=1.0, beta=1.0, S=spec.S, sigma=spec.sigma, Phi=spec.Phi,
-            target=spec.target, feasible_set=spec.feasible_set,
-            name="dmd_calibrated")
-    raise ConfigurationError("case must be 1 or 2")
+    spec = preset_eg(geometry, problem, eta)
+    return TargetSpec(
+        alpha=1.0, beta=1.0, S=spec.S, sigma=spec.sigma, Phi=spec.Phi,
+        target=spec.target, feasible_set=spec.feasible_set,
+        name="dmd_calibrated")

@@ -231,9 +231,9 @@ def test_lyapunov_eg_skew_zero_violations():
     assert rep.dissipation_integral > 0.0
     assert np.all(np.diff(rep.dissipation_running) >= 0.0)
     assert rep.total_decrease == pytest.approx(rep.values[0] - rep.values[-1])
-    # per-sample relaxed descent margins ride along with the record
-    assert rec.descent_margins is not None
-    assert np.all(rec.descent_margins >= 0.0)
+    # the relaxed descent margin holds at every recorded state
+    margins = [relaxed_condition_value(spec, x, p.known_solution) for x in rec.states]
+    assert np.all(np.asarray(margins) >= 0.0)
 
 
 def test_lyapunov_flow_decrease_dominates_dissipation_bound():

@@ -280,6 +280,68 @@ def test_preset_rejects_step_that_is_not_a_finite_positive_number(
     assert not out.exists()
 
 
+ENSEMBLE_MEMBERS = """
+ensemble.member1.geometry = weighted_quadratic
+ensemble.member1.weights = 1, 2
+ensemble.member2.geometry = euclidean
+ensemble.member2.z0 = 1, 1
+"""
+
+REJECTED = [
+    # (command, preset, problem, geometry, extra lines, expected in message)
+    ("solve", "higher_order", "scalar_shift", "euclidean",
+     "preset.base = dmd_vanilla\nmode = flow\n", "preset.base"),
+    ("solve", "higher_order", "scalar_shift", "euclidean",
+     "preset.base = higher_order\nmode = flow\n", "preset.base"),
+    ("solve", "higher_order", "scalar_shift", "euclidean",
+     "preset.base = dmd_calibrated\npreset.gamma = 2\nmode = flow\n", "preset.base"),
+    ("ensemble", "dmd_vanilla", "skew_bilinear", "euclidean", ENSEMBLE_MEMBERS,
+     "ensemble"),
+    ("ensemble", "dmd_calibrated", "skew_bilinear", "euclidean",
+     "preset.gamma = 7\n" + ENSEMBLE_MEMBERS, "ensemble"),
+    ("ensemble", "higher_order", "skew_bilinear", "euclidean",
+     "preset.gamma1 = 3\n" + ENSEMBLE_MEMBERS, "ensemble"),
+    ("solve", "eg", "skew_bilinear", "euclidean",
+     "preset.eta = fast\npreset.eta1 = 0.1\n", "not both"),
+    ("compare", "eg", "skew_bilinear", "euclidean",
+     "preset.eta = fast\npreset.eta1 = 0.1\n", "not both"),
+    ("solve", "eg_plus", "skew_bilinear", "euclidean",
+     "preset.eta = 0.1\npreset.eta1 = 0.1\npreset.eta2 = 0.05\n", "not both"),
+    ("solve", "ppa", "skew_bilinear", "euclidean",
+     "preset.inner_max_iter = abc\n", "inner_max_iter"),
+    ("solve", "ppa", "skew_bilinear", "euclidean",
+     "preset.inner_max_iter = 0\n", "inner_max_iter"),
+    ("solve", "ppa", "skew_bilinear", "euclidean", "preset.inner_tol = nan\n",
+     "inner_tol"),
+    ("solve", "ppa", "skew_bilinear", "euclidean", "preset.inner_tol = -1\n",
+     "inner_tol"),
+    ("solve", "dmd_calibrated", "scalar_shift", "euclidean",
+     "preset.case = abc\nmode = flow\n", "case"),
+    ("solve", "dmd_calibrated", "scalar_shift", "euclidean",
+     "preset.case = 2.7\nmode = flow\n", "case"),
+    ("solve", "eg", "skew_bilinear", "weighted_quadratic",
+     "geometry.weights = 1, 2, 3\n", "weights"),
+    ("solve", "eg", "scalar_shift", "weighted_quadratic", "geometry.weights = abc\n",
+     "weights"),
+    ("ensemble", "eg", "skew_bilinear", "euclidean",
+     ENSEMBLE_MEMBERS.replace("weights = 1, 2", "weights = 1, 2, 3"), "member 1"),
+]
+
+
+@pytest.mark.parametrize("command,preset,problem,geometry,extra,message", REJECTED,
+                         ids=[f"{case[0]}-{case[1]}-{i}" for i, case in enumerate(REJECTED)])
+def test_preset_table_rejects_with_one_line(tmp_path, capsys, command, preset,
+                                            problem, geometry, extra, message):
+    out = tmp_path / "o"
+    text = (f"problem.name = {problem}\ngeometry.name = {geometry}\n"
+            f"preset.name = {preset}\n{extra}output.dir = {out}\n")
+    assert run_cli(command, text, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,exit_code,violations", [
     # KL to the solution rises along the exact excess-payoff trajectory,
     # so bnn reports no violation count; its CSV column stays

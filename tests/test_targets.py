@@ -120,6 +120,25 @@ def test_ppa_rejects_bad_step():
         preset_ppa(g, problem, -0.1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"inner_tol": float("nan")}, {"inner_tol": -1.0}, {"inner_tol": "abc"},
+    {"inner_max_iter": 0}, {"inner_max_iter": 2.5}, {"inner_max_iter": "abc"},
+    {"inner_max_iter": True},
+])
+def test_ppa_rejects_bad_inner_solver_limits(kwargs):
+    problem = library_problem("skew_bilinear")
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        preset_ppa(euclidean_geometry(problem.feasible_set), problem, 0.5, **kwargs)
+
+
+@pytest.mark.parametrize("case", [0, 3, 2.7, "abc", True])
+def test_dmd_calibrated_case_is_one_or_two(case):
+    problem = library_problem("scalar_shift", a=2.0)
+    with pytest.raises(ConfigurationError, match="case must be 1 or 2"):
+        preset_dmd_calibrated(euclidean_geometry(problem.feasible_set), problem, 1.0,
+                              case=case)
+
+
 # --- extragradient preset -------------------------------------------------
 
 def test_eg_correction_example():
