@@ -10,22 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import relaxed_condition_value, run_discrete
-from .errors import TargetMDError
+from .errors import ConfigurationError, TargetMDError
 from .geometry import MirrorGeometry
-from .problems import VIProblem, natural_residual
+from .problems import VIProblem, natural_residual, sampled_monotonicity
 from .targets import ResolventSolve, TargetSpec, resolve_target
 
 REFUTE_TOL = 1e-9
 
 
-def _dual_map_check(spec, feasible_set, samples):
-    worst = np.inf
-    for i in range(len(samples) - 1):
-        d = samples[i] - samples[i + 1]
-        nn = float(np.dot(d, d))
-        if nn < 1e-16:
-            continue
-        worst = min(worst, float(np.dot(spec.S(samples[i]) - spec.S(samples[i + 1]), d)) / nn)
+def _dual_map_check(spec, samples):
+    worst = sampled_monotonicity(spec.S, zip(samples[:-1], samples[1:]))[0]
     return {
         "min_ratio": worst,
         "claimed_modulus": spec.sigma,
@@ -138,6 +132,8 @@ def run_condition_checks(geometry: MirrorGeometry, spec: TargetSpec,
     fixed points with the original problem, solvability of the implicit
     target at sampled states, and the relaxed descent margin.
     """
+    if n_samples < 2:
+        raise ConfigurationError("need at least 2 samples")
     rng = np.random.default_rng(seed)
     # a solid interior margin keeps entropy-based designs (log, entrywise
     # division, exp of normalized payoffs) numerically evaluable
@@ -147,7 +143,7 @@ def run_condition_checks(geometry: MirrorGeometry, spec: TargetSpec,
     report = {
         "seed": seed,
         "n_samples": n_samples,
-        "dual_map_strong_monotonicity": _dual_map_check(spec, problem.feasible_set, samples),
+        "dual_map_strong_monotonicity": _dual_map_check(spec, samples),
         "surrogate_stability": _surrogate_stability_check(spec, samples, x_bar),
         "fixed_point_consistency": _fixed_point_check(geometry, spec, problem),
         "target_resolution": _target_resolution_check(spec, samples),

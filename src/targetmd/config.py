@@ -3,9 +3,11 @@
 Grammar: one `key = value` pair per line; `#` starts a comment; blank
 lines are ignored.  Keys are dotted lowercase paths.  Values are parsed as
 int, float, boolean (true/false), comma-separated float vectors, or raw
-strings, in that order of preference.  Parsing is strict: unknown keys are
-errors carrying the offending line number, and every default is resolved
-at parse time so the echoed configuration is complete.
+strings, in that order of preference.  Parsing is strict: every rejected
+key or value is an error that starts with `source:line: key`, and every
+default is resolved at parse time so the echoed configuration is complete.
+Each fixed key is one row of `_KEYS`, which both parse_config and
+echo_config walk.
 """
 
 from __future__ import annotations
@@ -15,24 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigurationError
-
-# Fixed leaf keys outside the free-parameter sections.
-_FIXED_KEYS = {
-    "seed", "mode", "x0",
-    "flow.integrator", "flow.dt",
-    "budget.steps", "budget.t_end",
-    "stop.residual",
-    "output.dir", "output.stride",
-    "lyapunov.reference",
-    "compare.steps", "compare.samples",
-    "check.samples", "check.x_bar",
-    "ensemble.count", "ensemble.verify", "ensemble.steps",
-}
-
-# Sections whose sub-keys name free parameters validated downstream.
-_PARAM_SECTIONS = ("problem", "geometry", "preset")
-
-_MEMBER_KEYS = {"geometry", "weights", "z0"}
 
 MODES = ("discrete", "flow")
 INTEGRATORS = ("euler", "rk4")
@@ -84,7 +68,7 @@ def _parse_value(raw: str):
         try:
             return tuple(float(part) for part in raw.split(","))
         except ValueError:
-            raise ConfigurationError(f"cannot parse vector value {raw!r}")
+            raise ConfigurationError(f"expects a numeric vector, got {raw!r}") from None
     low = raw.lower()
     if low in ("true", "false"):
         return low == "true"
@@ -99,24 +83,114 @@ def _parse_value(raw: str):
     return raw
 
 
-def _as_vector(value, key):
+# Value parsers: each converts a parsed value or raises a ConfigurationError
+# whose message completes the sentence "<key> ...".
+
+def _vector(value):
     if isinstance(value, tuple):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return (float(value),)
-    raise ConfigurationError(f"{key} expects a numeric vector")
+    raise ConfigurationError(f"expects a numeric vector, got {value!r}")
 
 
-def _as_int(value, key):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{key} expects an integer, got {value!r}")
-    return value
+def _integer(least: int):
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigurationError(f"expects an integer, got {value!r}")
+        if value < least:
+            raise ConfigurationError(f"must be at least {least}, got {value}")
+        return value
+    return parse
 
 
-def _as_float(value, key):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{key} expects a number, got {value!r}")
-    return float(value)
+def _number(rule: str, holds):
+    """A finite float for which holds(value) is true."""
+    def parse(value):
+        try:
+            number = math.nan if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if not (math.isfinite(number) and holds(number)):
+            raise ConfigurationError(f"must be {rule}, got {value!r}")
+        return number
+    return parse
+
+
+def _choice(options: tuple):
+    def parse(value):
+        if value not in options:
+            raise ConfigurationError(f"must be one of {options}, got {value!r}")
+        return value
+    return parse
+
+
+def _typed(kind: type, what: str):
+    def parse(value):
+        if not isinstance(value, kind):
+            raise ConfigurationError(f"expects {what}, got {value!r}")
+        return value
+    return parse
+
+
+_NAME = _typed(str, "a name")
+_FINITE_NONNEGATIVE = _number("a finite number >= 0", lambda v: v >= 0.0)
+
+# The fixed keys: key -> (ExperimentConfig field, value parser).  Both
+# parse_config and echo_config walk this table.  ensemble.count has no
+# field: it is checked against the member list, and echoed as its length.
+_KEYS = {
+    "seed": ("seed", _integer(0)),
+    "problem.name": ("problem", _NAME),
+    "geometry.name": ("geometry", _NAME),
+    "preset.name": ("preset", _NAME),
+    "mode": ("mode", _choice(MODES)),
+    "x0": ("x0", _vector),
+    "flow.integrator": ("integrator", _choice(INTEGRATORS)),
+    "flow.dt": ("dt", _number("a finite positive number", lambda v: v > 0.0)),
+    "budget.steps": ("steps", _integer(0)),
+    "budget.t_end": ("t_end", _FINITE_NONNEGATIVE),
+    "stop.residual": ("stop_residual", _FINITE_NONNEGATIVE),
+    "output.dir": ("output_dir", str),
+    "output.stride": ("stride", _integer(1)),
+    "lyapunov.reference": ("lyapunov_reference", _vector),
+    "compare.steps": ("compare_steps", _integer(1)),
+    "compare.samples": ("compare_samples", _integer(1)),
+    "check.samples": ("check_samples", _integer(2)),
+    "check.x_bar": ("check_x_bar", _vector),
+    "ensemble.count": (None, _integer(0)),
+    "ensemble.verify": ("ensemble_verify", _typed(bool, "true/false")),
+    "ensemble.steps": ("ensemble_steps", _integer(1)),
+}
+
+# ensemble.memberN.<key> -> value parser; each key is a MemberConfig field.
+_MEMBER_KEYS = {"geometry": str, "weights": _vector, "z0": _vector}
+
+# Sections whose other sub-keys name free parameters validated downstream.
+_PARAM_SECTIONS = ("problem", "geometry", "preset")
+
+
+def _apply(cfg, members: dict, key: str, raw: str):
+    """Store the value of one `key = raw` line and return it."""
+    parts = key.split(".")
+    if key in _KEYS:
+        name, parse = _KEYS[key]
+        value = parse(_parse_value(raw))
+        if name is not None:
+            setattr(cfg, name, value)
+        return value
+    if len(parts) == 2 and parts[0] in _PARAM_SECTIONS:
+        getattr(cfg, f"{parts[0]}_params")[parts[1]] = _parse_value(raw)
+    elif len(parts) == 3 and parts[0] == "ensemble" and parts[1].startswith("member"):
+        index = parts[1][len("member"):]
+        if not index.isdecimal():
+            raise ConfigurationError("has a bad member index")
+        if parts[2] not in _MEMBER_KEYS:
+            raise ConfigurationError(
+                f"is not a member key (expected one of {sorted(_MEMBER_KEYS)})")
+        members.setdefault(int(index), {})[parts[2]] = _MEMBER_KEYS[parts[2]](_parse_value(raw))
+    else:
+        raise ConfigurationError("is not a known key")
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -136,120 +210,29 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         if key in pairs:
             raise ConfigurationError(
                 f"{source}:{lineno}: duplicate key {key!r} (first at line {order[key]})")
-        pairs[key] = _parse_value(raw)
+        pairs[key] = raw
         order[key] = lineno
 
     cfg = ExperimentConfig()
     members: dict = {}
+    values = {}
+    for key, raw in pairs.items():
+        try:
+            values[key] = _apply(cfg, members, key, raw)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{source}:{order[key]}: {key} {exc}") from None
 
-    for key, value in pairs.items():
-        lineno = order[key]
-        where = f"{source}:{lineno}"
-        parts = key.split(".")
-        if key in _FIXED_KEYS:
-            _apply_fixed(cfg, key, value, where)
-        elif parts[0] in _PARAM_SECTIONS and len(parts) == 2:
-            section, leaf = parts
-            if leaf == "name":
-                if not isinstance(value, str):
-                    raise ConfigurationError(f"{where}: {key} expects a name")
-                setattr(cfg, section, value)
-            else:
-                getattr(cfg, f"{section}_params")[leaf] = value
-        elif parts[0] == "ensemble" and len(parts) == 3 and parts[1].startswith("member"):
-            index_text = parts[1][len("member"):]
-            if not index_text.isdigit():
-                raise ConfigurationError(f"{where}: bad member index in {key!r}")
-            if parts[2] not in _MEMBER_KEYS:
-                raise ConfigurationError(
-                    f"{where}: unknown member key {parts[2]!r} "
-                    f"(expected one of {sorted(_MEMBER_KEYS)})")
-            members.setdefault(int(index_text), {})[parts[2]] = (value, where)
-        else:
-            raise ConfigurationError(f"{where}: unknown key {key!r}")
-
-    if members:
-        count = pairs.get("ensemble.count")
-        indices = sorted(members)
-        if indices != list(range(1, len(indices) + 1)):
-            raise ConfigurationError(
-                f"{source}: ensemble members must be numbered 1..N; got {indices}")
-        if count is not None and count != len(indices):
-            raise ConfigurationError(
-                f"{source}: ensemble.count = {count} but {len(indices)} members defined")
-        built = []
-        for i in indices:
-            entry = members[i]
-            mc = MemberConfig()
-            if "geometry" in entry:
-                mc.geometry = str(entry["geometry"][0])
-            if "weights" in entry:
-                mc.weights = _as_vector(entry["weights"][0], f"member{i}.weights")
-            if "z0" in entry:
-                mc.z0 = _as_vector(entry["z0"][0], f"member{i}.z0")
-            built.append(mc)
-        cfg.ensemble_members = tuple(built)
-    elif "ensemble.count" in pairs and pairs["ensemble.count"] not in (0,):
-        raise ConfigurationError(f"{source}: ensemble.count given but no members defined")
-
-    if cfg.mode not in MODES:
-        raise ConfigurationError(f"{source}: mode must be one of {MODES}")
-    if cfg.integrator not in INTEGRATORS:
-        raise ConfigurationError(f"{source}: flow.integrator must be one of {INTEGRATORS}")
-    if cfg.steps < 0 or cfg.ensemble_steps < 0:
-        raise ConfigurationError(f"{source}: step budgets must be nonnegative")
+    indices = sorted(members)
+    if indices != list(range(1, len(indices) + 1)):
+        raise ConfigurationError(
+            f"{source}: ensemble members must be numbered 1..N; got {indices}")
+    count = values.get("ensemble.count", len(indices))
+    if count != len(indices):
+        raise ConfigurationError(
+            f"{source}:{order['ensemble.count']}: ensemble.count = {count} "
+            f"but {len(indices)} members defined")
+    cfg.ensemble_members = tuple(MemberConfig(**members[i]) for i in indices)
     return cfg
-
-
-def _apply_fixed(cfg, key, value, where):
-    if key == "seed":
-        cfg.seed = _as_int(value, key)
-    elif key == "mode":
-        cfg.mode = str(value)
-    elif key == "x0":
-        cfg.x0 = _as_vector(value, key)
-    elif key == "flow.integrator":
-        cfg.integrator = str(value)
-    elif key == "flow.dt":
-        cfg.dt = _as_float(value, key)
-        if not (math.isfinite(cfg.dt) and cfg.dt > 0.0):
-            raise ConfigurationError(
-                f"{where}: {key} must be a finite positive number, got {value!r}")
-    elif key == "budget.steps":
-        cfg.steps = _as_int(value, key)
-    elif key == "budget.t_end":
-        cfg.t_end = _as_float(value, key)
-        if not (math.isfinite(cfg.t_end) and cfg.t_end >= 0.0):
-            raise ConfigurationError(
-                f"{where}: {key} must be a finite number >= 0, got {value!r}")
-    elif key == "stop.residual":
-        cfg.stop_residual = _as_float(value, key)
-    elif key == "output.dir":
-        cfg.output_dir = str(value)
-    elif key == "output.stride":
-        cfg.stride = _as_int(value, key)
-        if cfg.stride < 1:
-            raise ConfigurationError(f"{where}: {key} must be at least 1, got {value}")
-    elif key == "lyapunov.reference":
-        cfg.lyapunov_reference = _as_vector(value, key)
-    elif key == "compare.steps":
-        cfg.compare_steps = _as_int(value, key)
-    elif key == "compare.samples":
-        cfg.compare_samples = _as_int(value, key)
-    elif key == "check.samples":
-        cfg.check_samples = _as_int(value, key)
-    elif key == "check.x_bar":
-        cfg.check_x_bar = _as_vector(value, key)
-    elif key == "ensemble.count":
-        _as_int(value, key)  # cross-validated against the member list
-    elif key == "ensemble.verify":
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"{where}: {key} expects true/false")
-        cfg.ensemble_verify = value
-    elif key == "ensemble.steps":
-        cfg.ensemble_steps = _as_int(value, key)
-    else:  # pragma: no cover - guarded by _FIXED_KEYS
-        raise ConfigurationError(f"{where}: unknown key {key!r}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -269,41 +252,17 @@ def _format_value(value) -> str:
 
 def echo_config(cfg: ExperimentConfig) -> list:
     """Canonical, complete (defaults included) line rendering; parsing the
-    echo reproduces an equivalent configuration."""
-    lines = {
-        "seed": cfg.seed,
-        "problem.name": cfg.problem,
-        "geometry.name": cfg.geometry,
-        "preset.name": cfg.preset,
-        "mode": cfg.mode,
-        "flow.integrator": cfg.integrator,
-        "flow.dt": cfg.dt,
-        "budget.steps": cfg.steps,
-        "budget.t_end": cfg.t_end,
-        "stop.residual": cfg.stop_residual,
-        "output.dir": cfg.output_dir,
-        "output.stride": cfg.effective_stride(),
-        "compare.steps": cfg.compare_steps,
-        "compare.samples": cfg.compare_samples,
-        "check.samples": cfg.check_samples,
-        "ensemble.verify": cfg.ensemble_verify,
-        "ensemble.steps": cfg.ensemble_steps,
-    }
+    echo reproduces an equivalent configuration.  Unset optional values
+    (None, or an empty z0) are left out."""
+    lines = {key: getattr(cfg, name) for key, (name, _) in _KEYS.items() if name}
+    lines["output.stride"] = cfg.effective_stride()
     for section in _PARAM_SECTIONS:
         for key, value in getattr(cfg, f"{section}_params").items():
             lines[f"{section}.{key}"] = value
-    if cfg.x0 is not None:
-        lines["x0"] = cfg.x0
-    if cfg.lyapunov_reference is not None:
-        lines["lyapunov.reference"] = cfg.lyapunov_reference
-    if cfg.check_x_bar is not None:
-        lines["check.x_bar"] = cfg.check_x_bar
     if cfg.ensemble_members:
         lines["ensemble.count"] = len(cfg.ensemble_members)
-        for i, member in enumerate(cfg.ensemble_members, start=1):
-            lines[f"ensemble.member{i}.geometry"] = member.geometry
-            if member.weights is not None:
-                lines[f"ensemble.member{i}.weights"] = member.weights
-            if member.z0:
-                lines[f"ensemble.member{i}.z0"] = member.z0
-    return [f"{key} = {_format_value(value)}" for key, value in sorted(lines.items())]
+    for i, member in enumerate(cfg.ensemble_members, start=1):
+        for key in _MEMBER_KEYS:
+            lines[f"ensemble.member{i}.{key}"] = getattr(member, key)
+    return [f"{key} = {_format_value(value)}" for key, value in sorted(lines.items())
+            if value not in (None, ())]

@@ -363,6 +363,24 @@ class MonotonicityReport:
     rng_seed: int = 0
 
 
+def sampled_monotonicity(op, pairs):
+    """Minimum of <op(x) - op(y), x - y> / ||x - y||^2 over sampled pairs,
+    with its pair and the minimum of the inner product itself.  Pairs with
+    ||x - y||^2 < 1e-16 are skipped; with none left it is (inf, None, inf)."""
+    min_ratio = min_inner = np.inf
+    witness = None
+    for x, y in pairs:
+        d = x - y
+        nn = float(np.dot(d, d))
+        if nn < 1e-16:
+            continue
+        inner = float(np.dot(op(x) - op(y), d))
+        min_inner = min(min_inner, inner)
+        if inner / nn < min_ratio:
+            min_ratio, witness = inner / nn, (x, y)
+    return min_ratio, witness, min_inner
+
+
 def check_monotonicity(problem: VIProblem, n_samples: int = 200,
                        rng_seed: int = 0) -> MonotonicityReport:
     """Sampled monotonicity spot-check; refutes but never certifies.
@@ -375,20 +393,7 @@ def check_monotonicity(problem: VIProblem, n_samples: int = 200,
     rng = np.random.default_rng(rng_seed)
     xs = problem.feasible_set.sample(rng, n_samples)
     ys = problem.feasible_set.sample(rng, n_samples)
-    min_inner = np.inf
-    min_ratio = np.inf
-    witness = None
-    for x, y in zip(xs, ys):
-        d = x - y
-        nn = float(np.dot(d, d))
-        if nn < 1e-16:
-            continue
-        inner = float(np.dot(problem.F(x) - problem.F(y), d))
-        min_inner = min(min_inner, inner)
-        ratio = inner / nn
-        if ratio < min_ratio:
-            min_ratio = ratio
-            witness = (x.copy(), y.copy())
+    min_ratio, witness, min_inner = sampled_monotonicity(problem.F, zip(xs, ys))
     tol = 1e-9
     if min_ratio < -tol:
         label = f"not monotone (witness ratio {min_ratio:.3e})"

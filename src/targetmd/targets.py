@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, TargetResolutionError
 from .geometry import INTERIOR_FLOOR, MirrorGeometry, entropy_geometry
 from .problems import (SIMPLEX, WHOLE_SPACE, FeasibleSet, VIProblem, box,
-                       estimate_lipschitz)
+                       estimate_lipschitz, sampled_monotonicity)
 
 Vector = np.ndarray
 
@@ -249,24 +249,12 @@ def _mirror_fixed_point(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
     return None
 
 
-def _min_monotonicity_ratio(op, feasible_set, n_pairs=64, seed=0):
-    """Sampled lower bound on <op(x)-op(y), x-y> / ||x-y||^2; refutation
-    helper for preset preconditions."""
-    rng = np.random.default_rng(seed)
-    a = feasible_set.sample_interior(rng, n_pairs)
-    b = feasible_set.sample_interior(rng, n_pairs)
-    worst = np.inf
-    for x, y in zip(a, b):
-        d = x - y
-        nn = float(np.dot(d, d))
-        if nn < 1e-16:
-            continue
-        worst = min(worst, float(np.dot(op(x) - op(y), d)) / nn)
-    return worst
-
-
 def _require_strongly_monotone(op, feasible_set, label, seed=0):
-    ratio = _min_monotonicity_ratio(op, feasible_set, seed=seed)
+    """Refute, on 64 sampled interior pairs, that op is strongly monotone."""
+    rng = np.random.default_rng(seed)
+    pairs = zip(feasible_set.sample_interior(rng, 64),
+                feasible_set.sample_interior(rng, 64))
+    ratio = sampled_monotonicity(op, pairs)[0]
     if ratio <= 1e-12:
         raise ConfigurationError(
             f"{label} is not strongly monotone on sampled pairs "

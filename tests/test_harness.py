@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from targetmd import (echo_config, library_problem, load_config, parse_config,
-                      run_condition_checks, euclidean_geometry, whole_space,
-                      TargetSpec, ClosedForm)
+from targetmd import (config, echo_config, library_problem, load_config,
+                      parse_config, preset_eg, run_condition_checks,
+                      euclidean_geometry, whole_space, TargetSpec, ClosedForm)
 from targetmd.cli import main
 from targetmd.errors import ConfigurationError
 from targetmd.harness import OUTPUT_DIR_ENV, run_solve
@@ -93,13 +93,93 @@ def test_parser_junk_raises_only_config_errors():
             pass  # rejecting junk is the contract; crashing is not
 
 
+EVERY_KEY = """
+seed = 3
+problem.name = rps_game
+geometry.name = entropy
+geometry.weights = 1, 2, 3
+preset.name = eg
+preset.eta = 0.2
+mode = flow
+x0 = 0.5, 0.25, 0.25
+flow.integrator = rk4
+flow.dt = 0.05
+budget.steps = 0
+budget.t_end = 2.5
+stop.residual = 0
+output.dir = runs/every_key
+output.stride = 3
+lyapunov.reference = 0.3, 0.3, 0.4
+compare.steps = 1
+compare.samples = 1
+check.samples = 2
+check.x_bar = 0.3, 0.3, 0.4
+ensemble.count = 2
+ensemble.verify = false
+ensemble.steps = 1
+ensemble.member1.geometry = weighted_quadratic
+ensemble.member1.weights = 1, 2, 3
+ensemble.member1.z0 = 0, 1, 0
+ensemble.member2.geometry = entropy
+"""
+
+
 def test_echo_round_trip_is_a_fixed_point():
-    for name in ("eg_skew_solve.cfg", "ensemble_quadratic.cfg",
-                 "higher_order_vertex.cfg", "dmd_calibrated_scalar.cfg"):
-        cfg = parse_config((CONFIG_DIR / name).read_text())
+    texts = [path.read_text() for path in sorted(CONFIG_DIR.glob("*.cfg"))]
+    assert len(texts) == 12
+    for text in texts + [EVERY_KEY]:
+        cfg = parse_config(text)
         echoed = echo_config(cfg)
         reparsed = parse_config("\n".join(echoed))
         assert echo_config(reparsed) == echoed
+    assert reparsed == cfg  # EVERY_KEY sets the stride, so nothing is derived
+    assert set(config._KEYS) <= {line.split(" = ")[0] for line in echoed}
+
+
+# a value of the wrong type for each key that has a rule
+WRONG_TYPE = {
+    "seed": "abc", "problem.name": "1.5", "geometry.name": "2", "preset.name": "1, 2",
+    "mode": "3", "x0": "abc", "flow.integrator": "true", "flow.dt": "abc",
+    "budget.steps": "2.5", "budget.t_end": "abc", "stop.residual": "fast",
+    "output.stride": "1.5", "lyapunov.reference": "abc", "compare.steps": "true",
+    "compare.samples": "1, 2", "check.samples": "2.0", "check.x_bar": "false",
+    "ensemble.count": "abc", "ensemble.verify": "1", "ensemble.steps": "1e3",
+    "ensemble.member1.weights": "abc", "ensemble.member1.z0": "1, x",
+}
+ROWS = sorted(config._KEYS) + [f"ensemble.member1.{key}" for key in config._MEMBER_KEYS]
+
+
+@pytest.mark.parametrize("key", ROWS)
+def test_every_key_rejects_a_wrong_type_with_file_and_line(key):
+    if key not in WRONG_TYPE:  # output.dir and a member's geometry are text
+        assert f"{key} = 2.5" in echo_config(parse_config(f"{key} = 2.5\n"))
+        return
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(f"# header\n\n{key} = {WRONG_TYPE[key]}\n", source="exp.cfg")
+    assert str(err.value).startswith(f"exp.cfg:3: {key} ")
+
+
+@pytest.mark.parametrize("command,key,value,rule", [
+    ("compare", "compare.steps", "0", "must be at least 1"),
+    ("compare", "compare.samples", "0", "must be at least 1"),
+    ("check", "check.samples", "1", "must be at least 2"),
+    ("ensemble", "ensemble.steps", "0", "must be at least 1"),
+    ("solve", "budget.steps", "-1", "must be at least 0"),
+    ("compare", "seed", "-1", "must be at least 0"),
+    ("check", "seed", "-1", "must be at least 0"),
+    ("solve", "stop.residual", "nan", "must be a finite number >= 0"),
+    ("solve", "stop.residual", "inf", "must be a finite number >= 0"),
+    ("solve", "stop.residual", "-1e-9", "must be a finite number >= 0"),
+])
+def test_config_rules_reject_with_file_and_line(tmp_path, capsys, command, key,
+                                                value, rule):
+    out = tmp_path / "o"
+    text = f"preset.name = eg\noutput.dir = {out}\n{key} = {value}\n"
+    assert run_cli(command, text, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'exp.cfg'}:3: {key} {rule}, got ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stride", [0, -3])
@@ -521,6 +601,13 @@ def test_check_api_anti_monotone_surrogate_refuted():
                                   seed=0, x_bar=np.zeros(1))
     assert report["surrogate_stability"]["refuted"] is True
     assert report["refuted"] is True
+
+
+def test_check_api_needs_a_pair_of_samples():
+    problem = library_problem("skew_bilinear")
+    g = euclidean_geometry(problem.feasible_set)
+    with pytest.raises(ConfigurationError, match="at least 2 samples"):
+        run_condition_checks(g, preset_eg(g, problem, 0.1), problem, n_samples=1)
 
 
 def test_check_api_skew_surrogate_not_refuted():
