@@ -12,10 +12,10 @@ The reduction: the averaged state follows a single dual update pulled back
 through the map z -> mean_k grad_h_conj_k(z + z_k(0)), started at z = 0.
 That map is the conjugate gradient of a scaled-and-tilted infimal
 convolution of the member potentials, so the ensemble inherits every
-convergence property of the single run.  Synthesis is implemented for the
-two families with closed-form conjugates (whole-space quadratics and
-entropy); a general pointwise infimal convolution is deliberately not
-attempted.
+convergence property of the single run.  `synthesized_geometry` builds it
+for any members that share a domain, `run_ensemble` runs it, and
+`verify_ensemble_reduction` checks it against the members run in
+parallel on their own duals.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import MirrorGeometry, softmax
-from .problems import VIProblem, simplex, whole_space
+from .geometry import MirrorGeometry
+from .problems import VIProblem
 from .targets import TargetSpec
 from .dynamics import (SCHEMES, RunRecord, SolverState, _Recorder, _target_map,
-                       _tmd_rate, dual_rate, integrate, state_from_dual,
-                       DEFAULT_STOP_RESIDUAL)
+                       _tmd_rate, dual_rate, flow, integrate, run_discrete,
+                       state_from_dual, DEFAULT_STOP_RESIDUAL)
 
 Vector = np.ndarray
 
@@ -68,7 +68,8 @@ def make_members(geometries, z0s) -> List[EnsembleMember]:
             for g, z in zip(geometries, z0s)]
 
 
-def init_ensemble(members: List[EnsembleMember]) -> EnsembleState:
+def _shared_dim(members: List[EnsembleMember]) -> int:
+    """The members' common dimension; they must also share one domain."""
     if not members:
         raise ConfigurationError("ensemble needs at least one member")
     dim = members[0].geometry.dim
@@ -78,17 +79,14 @@ def init_ensemble(members: List[EnsembleMember]) -> EnsembleState:
             raise ConfigurationError("all members must share one dimension")
         if m.geometry.domain.kind != kind:
             raise ConfigurationError("all members must share one domain")
-    z_shared = np.zeros(dim)
+    return dim
+
+
+def init_ensemble(members: List[EnsembleMember]) -> EnsembleState:
+    z_shared = np.zeros(_shared_dim(members))
     xs = [m.geometry.grad_h_conj(z_shared + m.z0) for m in members]
     return EnsembleState(members=members, z_shared=z_shared, xs=xs,
                          x_en=np.mean(xs, axis=0))
-
-
-def _mean_pullback(members):
-    """z -> mean_k grad_h_conj_k(z + z_k(0)): the averaged state at the
-    shared dual z."""
-    return lambda z: np.mean([m.geometry.grad_h_conj(z + m.z0) for m in members],
-                             axis=0)
 
 
 def ensemble_step(state: EnsembleState, spec: TargetSpec,
@@ -106,38 +104,30 @@ def ensemble_step(state: EnsembleState, spec: TargetSpec,
 
 
 def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
-    """The single mirror geometry whose map reproduces the averaged state:
+    """The single mirror geometry whose map is the averaged state at the
+    shared dual z:
 
         conj(z) = (1/N) * sum_k grad_h_conj_k(z + z_k(0)).
 
-    Closed forms exist for two member families.  Whole-space quadratics
-    (weights w_k): the map is affine, and the full potential (gradient,
-    values, modulus) is recovered exactly.  Entropy members with distinct
-    initial duals: the map is a mean of shifted softmaxes; its potential
-    has no elementary form, so eval_h/grad_h raise and runs must start
-    from an explicit dual point.  Distinct initial duals make the result
-    genuinely different from any single member's map even when the member
-    potentials coincide.
+    Any members that share a domain qualify.  Each grad_h_conj_k is
+    1/mu_k-Lipschitz, so the modulus is 1 / mean_k(1/mu_k).  When every
+    member is a whole-space quadratic (weights w_k) the map is affine and
+    the full potential (values, gradient, Jacobian, modulus) is recovered
+    exactly.  Otherwise the potential has no elementary form: eval_h and
+    grad_h raise, and runs start from an explicit dual point.  Distinct
+    initial duals make the map differ from any single member's map even
+    when the member potentials coincide.
     """
-    if not members:
-        raise ConfigurationError("ensemble needs at least one member")
-    dim = members[0].geometry.dim
-    n = len(members)
-    names = {m.geometry.name for m in members}
+    dim = _shared_dim(members)
 
-    quadratic = all(m.geometry.quadratic_weights is not None for m in members)
-    if quadratic:
-        inv_weights = [1.0 / m.geometry.quadratic_weights for m in members]
-        offsets = [m.z0 for m in members]
+    def grad_h_conj(z):
+        return np.mean([m.geometry.grad_h_conj(z + m.z0) for m in members], axis=0)
 
-        def grad_h_conj(z):
-            z = np.asarray(z, dtype=float)
-            return np.mean([iw * (z + z0) for iw, z0 in zip(inv_weights, offsets)],
-                           axis=0)
-
+    if all(m.geometry.quadratic_weights is not None for m in members):
         # conj(z) = a*z + b entrywise; invert for the potential itself.
+        inv_weights = [1.0 / m.geometry.quadratic_weights for m in members]
         a = np.mean(inv_weights, axis=0)
-        b = np.mean([iw * z0 for iw, z0 in zip(inv_weights, offsets)], axis=0)
+        b = np.mean([iw * m.z0 for iw, m in zip(inv_weights, members)], axis=0)
 
         def grad_h(x):
             return (np.asarray(x, dtype=float) - b) / a
@@ -146,38 +136,25 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
             d = np.asarray(x, dtype=float) - b
             return 0.5 * float(np.sum(d * d / a))
 
-        def jacobian(x):
-            return np.diag(a)
-
         return MirrorGeometry(
-            dim=dim, domain_tag="whole_space", eval_h=eval_h, grad_h=grad_h,
-            grad_h_conj=grad_h_conj,
+            dim=dim, eval_h=eval_h, grad_h=grad_h, grad_h_conj=grad_h_conj,
             strong_convexity_modulus=float(1.0 / a.max()),
-            domain=whole_space(dim), name="synthesized_quadratic",
-            conj_jacobian=jacobian)
+            domain=members[0].geometry.domain, name="synthesized_quadratic",
+            conj_jacobian=lambda x: np.diag(a))
 
-    if names == {"entropy"}:
-        offsets = [m.z0 for m in members]
+    name = ("synthesized_entropy" if all(m.geometry.name == "entropy" for m in members)
+            else "synthesized")
 
-        def grad_h_conj(z):
-            z = np.asarray(z, dtype=float)
-            return np.mean([softmax(z + z0) for z0 in offsets], axis=0)
+    def unsupported(_x):
+        raise ConfigurationError(
+            f"the {name} potential has no closed form; "
+            "start runs from an explicit dual point")
 
-        def unsupported(_x):
-            raise ConfigurationError(
-                "the synthesized entropy-family potential has no closed form; "
-                "start runs from an explicit dual point")
-
-        return MirrorGeometry(
-            dim=dim, domain_tag="custom", eval_h=unsupported, grad_h=unsupported,
-            grad_h_conj=grad_h_conj,
-            strong_convexity_modulus=min(m.geometry.strong_convexity_modulus
-                                         for m in members),
-            domain=simplex(dim), name="synthesized_entropy")
-
-    raise ConfigurationError(
-        "synthesis supports all-quadratic (whole space) or all-entropy member "
-        f"families; got {sorted(names)}")
+    return MirrorGeometry(
+        dim=dim, eval_h=unsupported, grad_h=unsupported, grad_h_conj=grad_h_conj,
+        strong_convexity_modulus=float(1.0 / np.mean(
+            [1.0 / m.geometry.strong_convexity_modulus for m in members])),
+        domain=members[0].geometry.domain, name=name)
 
 
 @dataclass(eq=False)
@@ -187,38 +164,39 @@ class ReductionReport:
 
     max_deviation: float
     deviations: Vector
-    ensemble_states: Vector
-    single_states: Vector
 
 
 def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
                               n_steps: int = 1000,
                               dt: Optional[float] = None) -> ReductionReport:
-    """Run the ensemble and the synthesized single instance (dual start 0,
-    at the ensemble's final dt) through `integrate` and report the
-    per-sample deviation of the averaged state.  Report-only: tolerances
-    are the caller's business."""
+    """Run the members in parallel on their own duals, each moved by the
+    rate at their averaged state, and the synthesized single run (dual 0,
+    at the parallel run's final dt, no halving) through `integrate`; report
+    the per-sample deviation.  Tolerances are the caller's business."""
     geometry = synthesized_geometry(members)
-    ens = init_ensemble(members)
+    n, dim = len(members), geometry.dim
     scheme, step = ("discrete", 1.0) if dt is None else ("euler", dt)
     t_end = n_steps * step
 
-    def run(pullback, state, step, max_halvings=8):
-        return integrate(_tmd_rate(spec), pullback, state, scheme, t_end, dt=step,
+    def run(rate, pullback, state, step, max_halvings=8):
+        return integrate(rate, pullback, state, scheme, t_end, dt=step,
                          target=_target_map(spec), max_halvings=max_halvings,
                          recorder=partial(_Recorder, geometry, None, None, None))
 
-    together = run(_mean_pullback(members),
-                   SolverState(0, 0.0, ens.z_shared, ens.x_en), step)
-    single = run(geometry.grad_h_conj,
-                 state_from_dual(geometry, np.zeros(geometry.dim)), together.dt,
+    def mean_of_members(duals):
+        return np.mean([m.geometry.grad_h_conj(z)
+                        for m, z in zip(members, duals.reshape(n, dim))], axis=0)
+
+    duals = np.concatenate([m.z0 for m in members])
+    together = run(lambda zs, x, tx, sx: np.tile(dual_rate(spec, x, tx, sx), n),
+                   mean_of_members,
+                   SolverState(0, 0.0, duals, mean_of_members(duals)), step)
+    single = run(_tmd_rate(spec), geometry.grad_h_conj,
+                 state_from_dual(geometry, np.zeros(dim)), together.dt,
                  max_halvings=0)
-    deviations = np.array([float(np.linalg.norm(a - b))
-                           for a, b in zip(together.states, single.states)])
+    deviations = np.linalg.norm(together.states - single.states, axis=1)
     return ReductionReport(max_deviation=float(deviations.max()),
-                           deviations=deviations,
-                           ensemble_states=together.states,
-                           single_states=single.states)
+                           deviations=deviations)
 
 
 def run_ensemble(members: List[EnsembleMember], spec: TargetSpec,
@@ -226,15 +204,12 @@ def run_ensemble(members: List[EnsembleMember], spec: TargetSpec,
                  dt: Optional[float] = None,
                  stop_residual: float = DEFAULT_STOP_RESIDUAL,
                  stride: int = 1) -> RunRecord:
-    """Drive the shared dual through the mean-of-members pull-back and
-    record the averaged state as a trajectory, stopping early on the
-    target residual at the averaged state."""
-    ens = init_ensemble(members)
-    scheme, step = ("discrete", 1.0) if dt is None else ("euler", dt)
-    return integrate(_tmd_rate(spec), _mean_pullback(members),
-                     SolverState(0, 0.0, ens.z_shared, ens.x_en), scheme,
-                     n_steps * step, dt=step, target=_target_map(spec),
-                     residual=lambda st, tx, k1: float(np.linalg.norm(tx - st.x)),
-                     stop_residual=stop_residual, stride=stride,
-                     recorder=partial(_Recorder, members[0].geometry, spec, problem,
-                                      None))
+    """The averaged state as one single run through the synthesized map from
+    dual 0: n_steps discrete steps, or with dt an Euler flow to n_steps*dt."""
+    geometry = synthesized_geometry(members)
+    state = state_from_dual(geometry, np.zeros(geometry.dim))
+    if dt is None:
+        return run_discrete(geometry, spec, problem=problem, n_steps=n_steps,
+                            stop_residual=stop_residual, stride=stride, state=state)
+    return flow(geometry, spec, state=state, dt=dt, t_end=n_steps * dt,
+                problem=problem, stop_residual=stop_residual, stride=stride)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .problems import SIMPLEX, WHOLE_SPACE, FeasibleSet, simplex, whole_space
+from .problems import WHOLE_SPACE, FeasibleSet, simplex, whole_space
 
 Vector = np.ndarray
 
@@ -44,7 +44,6 @@ class MirrorGeometry:
     """
 
     dim: int
-    domain_tag: str
     eval_h: Callable[[Vector], float]
     grad_h: Callable[[Vector], Vector]
     grad_h_conj: Callable[[Vector], Vector]
@@ -82,7 +81,6 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
 
     return MirrorGeometry(
         dim=feasible_set.dim,
-        domain_tag=feasible_set.kind,
         eval_h=eval_h,
         grad_h=grad_h,
         grad_h_conj=feasible_set.project,
@@ -133,7 +131,6 @@ def entropy_geometry(dim: int) -> MirrorGeometry:
 
     return MirrorGeometry(
         dim=dim,
-        domain_tag=SIMPLEX,
         eval_h=eval_h,
         grad_h=grad_h,
         grad_h_conj=softmax,
@@ -174,7 +171,6 @@ def weighted_quadratic_geometry(weights) -> MirrorGeometry:
 
     return MirrorGeometry(
         dim=w.size,
-        domain_tag=WHOLE_SPACE,
         eval_h=eval_h,
         grad_h=grad_h,
         grad_h_conj=grad_h_conj,

@@ -498,6 +498,9 @@ def run_ensemble_cmd(cfg: ExperimentConfig) -> CliResult:
         raise ConfigurationError("ensemble runs need an ensemble member list")
     if _resolve(cfg)[0].runner is not None:
         raise ConfigurationError(f"preset {cfg.preset!r} cannot drive an ensemble")
+    if cfg.mode == "flow" and cfg.integrator != "euler":
+        raise ConfigurationError(f"flow.integrator = {cfg.integrator}: ensemble "
+                                 "flows integrate with euler only")
     problem, pair = build_problem(cfg)
     # The design tuple is evaluated at the averaged state; ensembles carry
     # per-member run geometries, so the tuple is built against a design

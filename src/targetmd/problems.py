@@ -143,16 +143,14 @@ def box(lower, upper) -> FeasibleSet:
 class VIProblem:
     """A variational inequality instance.
 
-    monotonicity_tag is descriptive only; sampled checks can refute it but
-    never certify it.  linear_terms holds (M, q) when F(x) = M x + q, which
-    lets constants be computed exactly instead of estimated.
+    linear_terms holds (M, q) when F(x) = M x + q, which lets constants be
+    computed exactly instead of estimated.
     """
 
     feasible_set: FeasibleSet
     F: Callable[[Vector], Vector]
     name: str = "custom"
     lipschitz_hint: Optional[float] = None
-    monotonicity_tag: str = "unknown"
     strong_modulus: Optional[float] = None
     known_solution: Optional[Vector] = None
     linear_terms: Optional[tuple] = None
@@ -232,7 +230,6 @@ def _make_skew_bilinear(dim: int = 2) -> VIProblem:
         F=_linear(m, q),
         name="skew_bilinear",
         lipschitz_hint=_banded_skew_norm(dim),
-        monotonicity_tag="monotone",
         known_solution=np.zeros(dim),
         linear_terms=(m, q),
     )
@@ -250,7 +247,6 @@ def _make_linear_monotone(dim: int = 2) -> VIProblem:
         name="linear_monotone",
         # I + K with K skew is normal: its singular values are |1 + i*lambda|
         lipschitz_hint=float(np.hypot(1.0, _banded_skew_norm(dim))),
-        monotonicity_tag="strongly_monotone",
         strong_modulus=1.0,  # symmetric part is the identity
         known_solution=solution,
         linear_terms=(m, q),
@@ -264,7 +260,6 @@ def _make_rps_game() -> VIProblem:
         F=_linear(m, np.zeros(3)),
         name="rps_game",
         lipschitz_hint=float(np.linalg.norm(m, 2)),
-        monotonicity_tag="monotone",
         known_solution=np.full(3, 1.0 / 3.0),
         linear_terms=(m, np.zeros(3)),
     )
@@ -281,7 +276,6 @@ def _make_constrained_quadratic(dim: int = 2) -> VIProblem:
         F=_linear(m, q),
         name="constrained_quadratic",
         lipschitz_hint=float(q_diag.max()),
-        monotonicity_tag="strongly_monotone",
         strong_modulus=float(q_diag.min()),
         known_solution=center,  # interior of the box by construction
         linear_terms=(m, q),
@@ -300,7 +294,6 @@ def _make_vertex_cost_simplex(costs=(1.0, 2.0)) -> VIProblem:
         F=lambda x: c.copy(),
         name="vertex_cost_simplex",
         lipschitz_hint=0.0,
-        monotonicity_tag="monotone",
         known_solution=solution,
         linear_terms=(np.zeros((dim, dim)), c),
     )
@@ -313,7 +306,6 @@ def _make_scalar_shift(a: float = 2.0) -> VIProblem:
         F=lambda x: np.asarray(x, dtype=float) - a,
         name="scalar_shift",
         lipschitz_hint=1.0,
-        monotonicity_tag="strongly_monotone",
         strong_modulus=1.0,
         known_solution=np.array([a]),
         linear_terms=(np.eye(1), np.array([-a])),

@@ -468,7 +468,6 @@ def affine_box_split(shift: float = 2.0, lower: float = 0.0,
         F=lambda x: np.asarray(x, dtype=float) - shift,
         name="box_affine_split",
         lipschitz_hint=1.0,
-        monotonicity_tag="strongly_monotone",
         strong_modulus=1.0,
         known_solution=np.array([min(max(shift, lo), up)]),
         linear_terms=(np.eye(1), np.array([-shift])),

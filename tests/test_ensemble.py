@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from targetmd import (ensemble_step, entropy_geometry,
+from targetmd import (box, ensemble_step, entropy_geometry,
                       euclidean_geometry, init_ensemble,
                       library_problem, make_members, natural_residual,
-                      preset_bnn, preset_eg, preset_fbf,
-                      run_ensemble, softmax, state_from_dual, step_discrete,
+                      preset_bnn, preset_eg, preset_fbf, preset_vanilla_md,
+                      project_simplex, run_ensemble, simplex, softmax,
+                      state_from_dual, step_discrete,
                       synthesized_geometry, verify_ensemble_reduction,
                       weighted_quadratic_geometry, whole_space)
 from targetmd.errors import ConfigurationError
@@ -30,6 +33,12 @@ def _quadratic_members():
 def _entropy_members():
     return make_members([entropy_geometry(3), entropy_geometry(3)],
                         [np.zeros(3), np.array([1.0, 0.0, 0.0])])
+
+
+def _mixed_simplex_members():
+    # an entropy member and a projected member on the same simplex
+    return make_members([entropy_geometry(3), euclidean_geometry(simplex(3))],
+                        [np.zeros(3), np.array([0.5, 0.2, 0.3])])
 
 
 # --- stepping ---------------------------------------------------------------
@@ -154,6 +163,28 @@ def test_synthesized_rejects_mixed_families():
         synthesized_geometry(make_members([g, g_box], [np.zeros(2), np.zeros(2)]))
 
 
+def test_synthesized_mixed_simplex_family_is_the_mean_map():
+    sg = synthesized_geometry(_mixed_simplex_members())
+    assert (sg.name, sg.domain.kind) == ("synthesized", "simplex")
+    rng = np.random.default_rng(SEED + 4)
+    for z in rng.normal(size=(100, 3)):
+        oracle = 0.5 * (softmax(z) + project_simplex(z + np.array([0.5, 0.2, 0.3])))
+        assert np.allclose(sg.grad_h_conj(z), oracle, atol=1e-15)
+    with pytest.raises(ConfigurationError):
+        sg.grad_h(np.full(3, 1.0 / 3.0))
+    with pytest.raises(ConfigurationError):
+        sg.eval_h(np.full(3, 1.0 / 3.0))
+
+
+def test_synthesized_modulus_is_the_harmonic_mean():
+    assert synthesized_geometry(_mixed_simplex_members()).strong_convexity_modulus == 1.0
+    # each conjugate map is 1/mu_k-Lipschitz; their mean is mean_k(1/mu_k)-Lipschitz
+    g = euclidean_geometry(box([0.0, 0.0], [1.0, 1.0]))
+    stiff = replace(g, strong_convexity_modulus=4.0)
+    sg = synthesized_geometry(make_members([g, stiff], [np.zeros(2), np.ones(2)]))
+    assert sg.strong_convexity_modulus == pytest.approx(1.0 / np.mean([1.0, 0.25]))
+
+
 # --- reduction to a single run ---------------------------------------------------
 
 def test_reduction_quadratic_family():
@@ -167,6 +198,16 @@ def test_reduction_entropy_family():
     spec = preset_bnn(p, eta=1.0)
     report = verify_ensemble_reduction(_entropy_members(), spec, n_steps=1000)
     assert report.max_deviation <= 1e-8
+
+
+@pytest.mark.parametrize("dt", [None, 0.1])
+def test_reduction_mixed_simplex_family(dt):
+    p = library_problem("rps_game")
+    spec = preset_eg(entropy_geometry(3), p, 0.1)
+    report = verify_ensemble_reduction(_mixed_simplex_members(), spec,
+                                       n_steps=2000, dt=dt)
+    assert len(report.deviations) == 2001
+    assert report.max_deviation <= 1e-9
 
 
 def test_reduction_single_member_is_exact():
@@ -190,6 +231,20 @@ def test_ensemble_inherits_convergence():
     rec = run_ensemble(_quadratic_members(), spec, problem=p, n_steps=10_000)
     assert rec.termination == "converged"
     assert natural_residual(p, rec.final_state.x) <= 1e-6
+
+
+def test_alpha_zero_ensemble_stops_on_the_natural_residual():
+    # vanilla mirror descent has no target, so its target residual is 0 at
+    # every point; the run must not call that convergence
+    p = library_problem("skew_bilinear")
+    spec = preset_vanilla_md(euclidean_geometry(whole_space(2)), p, 0.05)
+    members = make_members([euclidean_geometry(whole_space(2)),
+                            weighted_quadratic_geometry([1.0, 2.0])],
+                           [np.array([1.0, 1.0]), np.zeros(2)])
+    rec = run_ensemble(members, spec, problem=p, n_steps=500)
+    assert rec.termination == "budget_exhausted"
+    assert rec.final_state.step_index == 500
+    assert natural_residual(p, rec.final_state.x) > 1e-3
 
 
 def test_ensemble_mean_stays_feasible_on_simplex():

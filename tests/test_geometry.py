@@ -120,7 +120,7 @@ def _interior_samples(geometry, rng, n):
 
 
 @pytest.mark.parametrize("geometry", all_geometries(),
-                         ids=lambda g: f"{g.name}-{g.domain_tag}-{g.dim}")
+                         ids=lambda g: f"{g.name}-{g.domain.kind}-{g.dim}")
 def test_round_trip_identity(geometry):
     rng = np.random.default_rng(SEED)
     for x in _interior_samples(geometry, rng, 1000):
@@ -129,7 +129,7 @@ def test_round_trip_identity(geometry):
 
 
 @pytest.mark.parametrize("geometry", all_geometries(),
-                         ids=lambda g: f"{g.name}-{g.domain_tag}-{g.dim}")
+                         ids=lambda g: f"{g.name}-{g.domain.kind}-{g.dim}")
 def test_bregman_nonnegative_and_diagonal_zero(geometry):
     rng = np.random.default_rng(SEED + 1)
     xs = _interior_samples(geometry, rng, 300)

@@ -655,6 +655,30 @@ def test_ensemble_verify_off_exits_zero(tmp_path):
     assert "reduction_max_deviation" not in summary
 
 
+def test_alpha_zero_ensemble_runs_its_budget(tmp_path):
+    out = tmp_path / "out"
+    text = ("problem.name = skew_bilinear\ngeometry.name = euclidean\n"
+            "preset.name = vanilla_md\npreset.eta = 0.05\nensemble.steps = 500\n"
+            f"{ENSEMBLE_MEMBERS}output.dir = {out}\n")
+    assert run_cli("ensemble", text, tmp_path) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "budget_exhausted"
+    assert summary["final_step"] == 500
+    assert summary["final_natural_residual"] > 1e-3
+
+
+def test_ensemble_rejects_rk4(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = (CONFIG_DIR / "ensemble_quadratic.cfg").read_text().replace(
+        "runs/ensemble_quadratic", str(out))
+    text += "mode = flow\nflow.integrator = rk4\n"
+    assert run_cli("ensemble", text, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "flow.integrator = rk4" in err
+    assert not out.exists()
+
+
 def test_ensemble_requires_members(tmp_path):
     assert run_cli("ensemble", BASE_SOLVE.format(steps=10, out=tmp_path / "o"),
                    tmp_path) == 1

@@ -151,7 +151,7 @@ def test_ensemble_flow_halves_like_a_single_flow():
     rec = run_ensemble(members, spec, problem=p, n_steps=1000, dt=24.0)
     assert rec.dt == 6.0 and rec.termination == "converged"
     report = verify_ensemble_reduction(members, spec, n_steps=1000, dt=24.0)
-    assert len(report.deviations) == 4001 and report.max_deviation == 0.0
+    assert len(report.deviations) == 4001 and report.max_deviation <= 1e-12
 
 
 # --- boundary checks ------------------------------------------------------------
