@@ -22,9 +22,8 @@ from .dynamics import (RunRecord, SolverState, dual_rate, flow,
                        initial_state, lyapunov_series, primal_vector_field,
                        relaxed_condition_value, run_discrete, run_dmd,
                        run_higher_order, run_vanilla_dmd, state_from_dual,
-                       step_discrete, step_higher_order, violation_band)
-from .ensemble import (EnsembleMember, EnsembleState, ensemble_step,
-                       init_ensemble, make_members, run_ensemble,
+                       violation_band)
+from .ensemble import (EnsembleMember, make_members, run_ensemble,
                        synthesized_geometry, verify_ensemble_reduction)
 from .checks import run_condition_checks
 from .config import ExperimentConfig, MemberConfig, echo_config, load_config, parse_config

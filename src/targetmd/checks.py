@@ -39,7 +39,7 @@ def _surrogate_stability_check(spec, samples, x_bar):
         if on_image:
             # Phi has no pointwise form; evaluate on the target image where
             # the resolvent identity gives Phi(T(s)) = s - T(s).
-            tx = resolve_target(spec, spec.feasible_set, s)
+            tx = resolve_target(spec, s)
             inner = float(np.dot(s - tx, tx - x_bar))
         else:
             inner = float(np.dot(spec.Phi(s), s - x_bar))
@@ -89,7 +89,7 @@ def _target_resolution_check(spec, samples):
     failures = 0
     for s in samples:
         try:
-            resolve_target(spec, spec.feasible_set, s)
+            resolve_target(spec, s)
         except TargetMDError:
             failures += 1
     return {"closed_form": False, "failures": failures,
@@ -104,7 +104,7 @@ def _descent_margin_check(spec, samples, x_bar, residual_tol=1e-8):
     nonpositive = 0
     evaluated = 0
     for s in samples:
-        tx = resolve_target(spec, spec.feasible_set, s)
+        tx = resolve_target(spec, s)
         if float(np.linalg.norm(tx - s)) <= residual_tol:
             continue  # at (near-)solutions the margin legitimately vanishes
         value = relaxed_condition_value(spec, s, x_bar)

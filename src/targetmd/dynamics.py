@@ -87,7 +87,7 @@ def _tmd_rate(spec):
 
 def _target_map(spec):
     """x -> (T(x), S(x) or None), from one resolve_target call."""
-    return lambda x: resolve_target(spec, spec.feasible_set, x, with_anchor=True)
+    return lambda x: resolve_target(spec, x, with_anchor=True)
 
 
 # A scheme maps (rate, pullback, target, z, k1, h) to the next dual point;
@@ -172,53 +172,6 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     raise FlowDivergenceError(
         f"trajectory stayed non-finite down to dt = {step:g}; "
         "the dynamics appear to diverge")
-
-
-def step_discrete(geometry: MirrorGeometry, spec: TargetSpec,
-                  state: SolverState) -> SolverState:
-    """One discrete step: accumulate the dual rate into z, pull x back
-    through the mirror map.  Step size is absorbed into alpha/beta."""
-    tx, sx = _target_map(spec)(state.x)
-    z1 = _discrete(None, None, None, state.z, dual_rate(spec, state.x, tx, sx), 1.0)
-    return SolverState(state.step_index + 1, state.time + 1.0,
-                       z1, geometry.grad_h_conj(z1), state.xi)
-
-
-def _second_order(geometry, spec, gamma1, gamma2, dim):
-    """Rate, pull-back and per-entry gains of the second-order variant on
-    the stacked state y = (z, xi); the gains are validated here."""
-    gamma1 = _step_size(gamma1, "gamma1")
-    gain = np.concatenate((np.ones(dim), np.full(dim, _step_size(gamma2, "gamma2"))))
-
-    def rate(y, x, tx, sx):
-        gap = x - y[dim:]
-        return np.concatenate((dual_rate(spec, x, tx, sx) - gamma1 * gap, gap))
-
-    return rate, (lambda y: geometry.grad_h_conj(y[:dim])), gain
-
-
-def step_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
-                      state: SolverState, gamma1: float, gamma2: float,
-                      dt: float) -> SolverState:
-    """One Euler step of the second-order variant:
-
-        z'  = alpha*(S(T(x)) - S(x)) - beta*Phi(x) - gamma1*(x - xi)
-        xi' = gamma2*(x - xi)
-
-    xi defaults to x0.  At equilibrium x = xi and the first-order
-    stationarity conditions hold simultaneously.  Setting alpha = 0
-    recovers the second-order mirror descent baseline, which needs
-    interior solutions; with the target correction the restriction
-    disappears.
-    """
-    dim = state.x.size
-    rate, pullback, gain = _second_order(geometry, spec, gamma1, gamma2, dim)
-    xi = state.x if state.xi is None else state.xi
-    y = np.concatenate((state.z, xi))
-    y = _euler(None, None, None, y, rate(y, state.x, *_target_map(spec)(state.x)),
-               dt * gain)
-    return SolverState(state.step_index + 1, state.time + dt,
-                       y[:dim], pullback(y), y[dim:])
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +335,38 @@ def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
                      reference=None,
                      stop_residual: float = DEFAULT_STOP_RESIDUAL,
                      stride: int = 10) -> RunRecord:
-    """Second-order flow from xi = x0; stationarity combines the target
-    residual with the auxiliary gap ||x - xi||, both of which vanish at
-    equilibrium."""
+    """Euler integration of the second-order variant on the stacked state
+    (z, xi), from xi = x0:
+
+        z'  = alpha*(S(T(x)) - S(x)) - beta*Phi(x) - gamma1*(x - xi)
+        xi' = gamma2*(x - xi)
+
+    At equilibrium x = xi and the first-order stationarity conditions hold
+    simultaneously.  Setting alpha = 0 recovers the second-order mirror
+    descent baseline, which needs interior solutions; with the target
+    correction the restriction disappears.  Stationarity combines the
+    first-order stop residual with the auxiliary gap ||x - xi||, both of
+    which vanish at equilibrium; without a first-order residual (alpha = 0
+    and no problem) the run has no stop rule, as in run_discrete."""
     start = initial_state(geometry, x0)
     dim = start.x.size
-    rate, pullback, gain = _second_order(geometry, spec, gamma1, gamma2, dim)
+    gamma1 = _step_size(gamma1, "gamma1")
+    gain = np.concatenate((np.ones(dim), np.full(dim, _step_size(gamma2, "gamma2"))))
+    first_order = _stationarity(spec, problem)
+
+    def rate(y, x, tx, sx):
+        gap = x - y[dim:]
+        return np.concatenate((dual_rate(spec, x, tx, sx) - gamma1 * gap, gap))
 
     def stationarity(st, tx, k1):
-        return max(float(np.linalg.norm(tx - st.x)),
-                   float(np.linalg.norm(st.x - st.z[dim:])))
+        return max(first_order(st, tx, k1), float(np.linalg.norm(st.x - st.z[dim:])))
 
     y0 = np.concatenate((start.z, start.x))
-    record = integrate(rate, pullback, SolverState(0, 0.0, y0, start.x), "euler",
+    record = integrate(rate, lambda y: geometry.grad_h_conj(y[:dim]),
+                       SolverState(0, 0.0, y0, start.x), "euler",
                        t_end, dt=dt, gain=gain, target=_target_map(spec),
-                       residual=stationarity, stop_residual=stop_residual,
-                       stride=stride,
+                       residual=None if first_order is None else stationarity,
+                       stop_residual=stop_residual, stride=stride,
                        recorder=partial(_Recorder, geometry, spec, problem, reference))
     end = record.final_state
     record.final_state = SolverState(end.step_index, end.time, end.z[:dim],
@@ -437,12 +406,13 @@ def violation_band(record: RunRecord) -> float:
         return math.inf
 
 
-def lyapunov_series(record: RunRecord, geometry: MirrorGeometry, reference,
+def lyapunov_series(record: RunRecord,
                     spec: Optional[TargetSpec] = None) -> LyapunovReport:
-    """Bregman distance from the reference along the samples, with every
-    index where it increases beyond the integrator band flagged."""
-    reference = np.asarray(reference, dtype=float)
-    values = np.array([bregman(geometry, reference, x) for x in record.states])
+    """The run's Bregman distance from its reference along the samples, with
+    every index where it increases beyond the integrator band flagged."""
+    if record.lyapunov is None:
+        raise ConfigurationError("the run has no reference point, so no Lyapunov values")
+    values = record.lyapunov
     band = violation_band(record)
     diffs = np.diff(values)
     violations = [int(i) for i in np.nonzero(diffs > band)[0]]
@@ -469,7 +439,7 @@ def relaxed_condition_value(spec: TargetSpec, x, x_bar) -> float:
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
-    tx = resolve_target(spec, spec.feasible_set, x)
+    tx = resolve_target(spec, x)
     gap = tx - x
     value = spec.alpha * (spec.sigma * float(np.dot(gap, gap))
                           + float(np.dot(spec.phi_at_target(x, tx), tx - x_bar)))
@@ -490,5 +460,5 @@ def primal_vector_field(geometry: MirrorGeometry, spec: TargetSpec, x) -> Vector
         raise ConfigurationError(
             f"geometry {geometry.name!r} has no closed-form mirror-map Jacobian")
     x = np.asarray(x, dtype=float)
-    tx = resolve_target(spec, spec.feasible_set, x)
+    tx = resolve_target(spec, x)
     return geometry.conj_jacobian(x) @ dual_rate(spec, x, tx)

@@ -1,21 +1,20 @@
-"""Geometric ensembles: several mirror geometries advancing in parallel
-under one shared dual update, and their reduction to a single run with a
+"""Geometric ensembles: several mirror geometries advancing in parallel,
+each on its own dual, and their reduction to a single run with a
 synthesized mirror map.
 
-Every member receives the identical dual increment, computed from the
-design tuple evaluated at the averaged primal state.  Member duals
-therefore keep their initial offsets forever; the state stores one shared
-accumulated dual and the per-member offsets, which makes that rigidity
-exact by construction rather than a float coincidence.
+Member k starts at the dual point z_k(0), and every member receives the
+identical dual increment, computed from the design tuple evaluated at the
+averaged primal state.  Member duals therefore keep their initial offsets:
+member k sits at z + z_k(0), where z is one shared dual started at 0.
 
 The reduction: the averaged state follows a single dual update pulled back
 through the map z -> mean_k grad_h_conj_k(z + z_k(0)), started at z = 0.
 That map is the conjugate gradient of a scaled-and-tilted infimal
 convolution of the member potentials, so the ensemble inherits every
 convergence property of the single run.  `synthesized_geometry` builds it
-for any members that share a domain, `run_ensemble` runs it, and
-`verify_ensemble_reduction` checks it against the members run in
-parallel on their own duals.
+for any members that share a domain, `run_ensemble` runs it (member k's
+dual is its final_state.z + z_k(0)), and `verify_ensemble_reduction`
+checks it against the members run in parallel on their own duals.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .errors import ConfigurationError
 from .geometry import MirrorGeometry
 from .problems import VIProblem
 from .targets import TargetSpec
-from .dynamics import (SCHEMES, RunRecord, SolverState, _Recorder, _target_map,
+from .dynamics import (RunRecord, SolverState, _Recorder, _target_map,
                        _tmd_rate, dual_rate, flow, integrate, run_discrete,
                        state_from_dual, DEFAULT_STOP_RESIDUAL)
 
@@ -41,26 +40,6 @@ Vector = np.ndarray
 class EnsembleMember:
     geometry: MirrorGeometry
     z0: Vector
-
-
-@dataclass(eq=False)
-class EnsembleState:
-    """members, the shared accumulated dual, per-member primal points, and
-    their arithmetic mean.
-
-    Member i's dual state is z_shared + members[i].z0; storing the shared
-    part once keeps the pairwise dual offsets exactly constant.
-    """
-
-    members: List[EnsembleMember]
-    z_shared: Vector
-    xs: List[Vector]
-    x_en: Vector
-    step_index: int = 0
-    time: float = 0.0
-
-    def member_dual(self, i: int) -> Vector:
-        return self.z_shared + self.members[i].z0
 
 
 def make_members(geometries, z0s) -> List[EnsembleMember]:
@@ -80,27 +59,6 @@ def _shared_dim(members: List[EnsembleMember]) -> int:
         if m.geometry.domain.kind != kind:
             raise ConfigurationError("all members must share one domain")
     return dim
-
-
-def init_ensemble(members: List[EnsembleMember]) -> EnsembleState:
-    z_shared = np.zeros(_shared_dim(members))
-    xs = [m.geometry.grad_h_conj(z_shared + m.z0) for m in members]
-    return EnsembleState(members=members, z_shared=z_shared, xs=xs,
-                         x_en=np.mean(xs, axis=0))
-
-
-def ensemble_step(state: EnsembleState, spec: TargetSpec,
-                  dt: Optional[float] = None) -> EnsembleState:
-    """Advance every member by the one shared increment computed at the
-    averaged state; dt = None means a discrete step."""
-    scheme, step = ("discrete", 1.0) if dt is None else ("euler", dt)
-    k1 = dual_rate(spec, state.x_en, *_target_map(spec)(state.x_en))
-    z = SCHEMES[scheme](None, None, None, state.z_shared, k1, step)
-    xs = [m.geometry.grad_h_conj(z + m.z0) for m in state.members]
-    return EnsembleState(members=state.members, z_shared=z, xs=xs,
-                         x_en=np.mean(xs, axis=0),
-                         step_index=state.step_index + 1,
-                         time=state.time + step)
 
 
 def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:

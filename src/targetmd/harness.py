@@ -15,6 +15,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -23,10 +24,10 @@ import numpy as np
 from . import reference
 from .checks import run_condition_checks
 from .config import ExperimentConfig, echo_config
-from .dynamics import (CONVERGED, RunRecord, dual_rate, flow, initial_state,
+from .dynamics import (CONVERGED, RunRecord, _Recorder, _target_map, _tmd_rate,
+                       dual_rate, flow, initial_state, integrate,
                        lyapunov_series, primal_vector_field, run_discrete,
-                       run_dmd, run_higher_order, run_vanilla_dmd,
-                       step_discrete)
+                       run_dmd, run_higher_order, run_vanilla_dmd)
 from .ensemble import (EnsembleMember, run_ensemble, synthesized_geometry,
                        verify_ensemble_reduction)
 from .errors import ConfigurationError
@@ -161,7 +162,7 @@ PRESETS = {
         "forward-backward-forward dynamics", {"eta": 0.1},
         build=lambda g, pb, pair, p: preset_fbf(pb, **p), ambient=True,
         coded_field=lambda g, pb, pair, spec, p, x: (
-            dual_rate(spec, x, resolve_target(spec, spec.feasible_set, x))
+            dual_rate(spec, x, resolve_target(spec, x))
             - reference.fbf_field(pb, p["eta"], x))),
     "vanilla_md": Preset(
         "plain mirror descent baseline (no correction)", {"eta": 0.1},
@@ -387,7 +388,7 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
     # KL to the solution rises along the exact excess-payoff trajectory, so
     # the Bregman distance is no Lyapunov function of bnn runs
     if record.lyapunov is not None and spec is not None and spec.name != "bnn":
-        report = lyapunov_series(record, geometry, reference_point, spec=spec)
+        report = lyapunov_series(record, spec=spec)
         summary["lyapunov_violations"] = len(report.violations)
         summary["lyapunov_band"] = report.band
         summary["lyapunov_total_decrease"] = report.total_decrease
@@ -430,12 +431,15 @@ def run_compare(cfg: ExperimentConfig) -> CliResult:
                       for x in samples]
     else:
         kind, tol = "per_step", DISCRETE_COMPARE_TOL
-        state = initial_state(geometry, cfg.x0)
-        x_ref, deviations = state.x.copy(), []
-        for _ in range(cfg.compare_steps):
-            state = step_discrete(geometry, spec, state)
+        # every step is compared, so the driver run has no stop residual
+        record = integrate(_tmd_rate(spec), geometry.grad_h_conj,
+                           initial_state(geometry, cfg.x0), "discrete",
+                           cfg.compare_steps, target=_target_map(spec),
+                           recorder=partial(_Recorder, geometry, None, None, None))
+        x_ref, deviations = record.states[0], []
+        for x in record.states[1:]:
             x_ref = row.coded_step(geometry, problem, pair, spec, p, x_ref)
-            deviations.append(np.linalg.norm(state.x - x_ref))
+            deviations.append(np.linalg.norm(x - x_ref))
     deviations = np.asarray(deviations, dtype=float)
     out = resolve_output_dir(cfg)
     _write_deviations(out / "deviations.csv", deviations)

@@ -140,19 +140,19 @@ class SplitPair:
     lipschitz_B: Optional[float] = None
 
 
-def resolve_target(spec: TargetSpec, feasible_set: FeasibleSet, x: Vector, *,
-                   with_anchor: bool = False):
+def resolve_target(spec: TargetSpec, x: Vector, *, with_anchor: bool = False):
     """Evaluate the target point T(x).
 
     Closed-form strategies apply their stored formula; MirrorOfS maps S(x)
     through its mirror.  Solver strategies with a mirror map run
     y <- grad_h_conj(S(x) - Phi(y)) from y0 = x (see _mirror_fixed_point),
     falling back to the projected iteration when it does not contract.
-    The projected iteration runs y <- P(y - tau * (S(y) + Phi(y) - S(x)))
-    from y0 = x until the step shrinks below tol; strong monotonicity of
-    S + Phi makes this a contraction for small enough tau, and divergence
-    (including domain violations of S or Phi) triggers geometric backoff of
-    tau, at most 6 halvings.
+    The projected iteration runs y <- P(y - tau * (S(y) + Phi(y) - S(x))),
+    with P the projection onto spec.feasible_set, from y0 = x until the
+    step shrinks below tol; strong monotonicity of S + Phi makes this a
+    contraction for small enough tau, and divergence (including domain
+    violations of S or Phi) triggers geometric backoff of tau, at most 6
+    halvings.
 
     with_anchor=True returns (T(x), S(x)) instead, where S(x) is the anchor
     the resolution evaluated (None for ClosedForm), so that the dual rate
@@ -174,12 +174,11 @@ def resolve_target(spec: TargetSpec, feasible_set: FeasibleSet, x: Vector, *,
         if strategy.grad_h_conj is not None:
             tx = _mirror_fixed_point(spec, strategy, x, anchor)
         if tx is None:
-            tx = _projected_iteration(spec, strategy, feasible_set, x, anchor)
+            tx = _projected_iteration(spec, strategy, x, anchor)
     return (tx, anchor) if with_anchor else tx
 
 
-def _projected_iteration(spec: TargetSpec, strategy: ResolventSolve,
-                         feasible_set: FeasibleSet, x: Vector,
+def _projected_iteration(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
                          anchor: Vector) -> Vector:
     tau = strategy.step
     if tau is None:
@@ -198,7 +197,7 @@ def _projected_iteration(spec: TargetSpec, strategy: ResolventSolve,
             except DomainError:
                 diverged = True
                 break
-            y_next = feasible_set.project(y - tau * g)
+            y_next = spec.feasible_set.project(y - tau * g)
             diff = float(np.linalg.norm(y_next - y))
             if not np.isfinite(diff) or diff > 1e6 * scale:
                 diverged = True

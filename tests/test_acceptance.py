@@ -4,6 +4,8 @@ line with the measured quantity, asserted at its stated tolerance.
 Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 """
 
+from functools import partial
+
 import numpy as np
 
 import reference_impls as ri
@@ -15,10 +17,10 @@ from targetmd import (affine_box_split, bregman, entropy_geometry,
                       bnn_dual_shift_target, primal_vector_field,
                       project_simplex, relaxed_condition_value,
                       resolve_target, run_discrete, run_dmd, run_higher_order,
-                      run_vanilla_dmd, step_discrete, verify_ensemble_reduction,
+                      run_ensemble, run_vanilla_dmd, verify_ensemble_reduction,
                       make_members, weighted_quadratic_geometry, whole_space)
-from targetmd.dynamics import dual_rate
-from targetmd.ensemble import ensemble_step, init_ensemble
+from targetmd.dynamics import (_Recorder, _target_map, _tmd_rate, dual_rate,
+                               integrate)
 
 ACCEPTANCE_SEED = 20250811
 
@@ -34,13 +36,18 @@ def _report(number, label, passed, detail):
 # -------------------------------------------------------------------------
 
 def _stepwise_deviation(geometry, spec, reference_step, x0, n_steps=100):
-    state = initial_state(geometry, x0)
-    x_ref = state.x.copy()
+    # one driver run with no stop residual, so that every step is compared,
+    # also past an exact fixed point (DR reaches one at step 53)
+    states = integrate(_tmd_rate(spec), geometry.grad_h_conj,
+                       initial_state(geometry, x0), "discrete", n_steps,
+                       target=_target_map(spec),
+                       recorder=partial(_Recorder, geometry, None, None, None)).states
+    assert len(states) == n_steps + 1
+    x_ref = states[0]
     worst = 0.0
-    for _ in range(n_steps):
-        state = step_discrete(geometry, spec, state)
+    for x in states[1:]:
         x_ref = reference_step(x_ref)
-        worst = max(worst, float(np.linalg.norm(state.x - x_ref)))
+        worst = max(worst, float(np.linalg.norm(x - x_ref)))
     return worst
 
 
@@ -86,7 +93,7 @@ def test_criterion_1_reduction_equivalence():
     fbf = preset_fbf(skew, 0.1)
     worst_fbf = 0.0
     for x in skew.feasible_set.sample(rng, 1000):
-        tx = resolve_target(fbf, fbf.feasible_set, x)
+        tx = resolve_target(fbf, x)
         worst_fbf = max(worst_fbf, float(np.linalg.norm(
             dual_rate(fbf, x, tx)
             - ri.fbf_field(skew.F, skew.feasible_set.project, 0.1, x))))
@@ -149,17 +156,18 @@ def test_criterion_2_bregman_descent_matrix():
     ok = True
     for tag, geometry, spec, problem, x0, reference, strict in _matrix_rows():
         reference = problem.known_solution if reference is None else reference
-        rec = run_discrete(geometry, spec, problem=problem, x0=x0, n_steps=500)
-        rep = lyapunov_series(rec, geometry, reference, spec=spec)
+        rec = run_discrete(geometry, spec, problem=problem, x0=x0, n_steps=500,
+                           reference=reference)
+        rep = lyapunov_series(rec, spec=spec)
         ok = ok and not rep.violations
         worst.append(f"{tag}:{len(rep.violations)}")
     # continuous-time rows, sampled per integrator step
     skew = library_problem("skew_bilinear")
     ge = euclidean_geometry(skew.feasible_set)
     rec = flow(ge, preset_fbf(skew, 0.1), x0=[1.0, 0.0], integrator="euler",
-               dt=1e-3, t_end=20.0, problem=skew, stride=1)
-    rep = lyapunov_series(rec, ge, skew.known_solution,
-                          spec=preset_fbf(skew, 0.1))
+               dt=1e-3, t_end=20.0, problem=skew, stride=1,
+               reference=skew.known_solution)
+    rep = lyapunov_series(rec, spec=preset_fbf(skew, 0.1))
     ok = ok and not rep.violations
     worst.append(f"fbf-flow/skew:{len(rep.violations)}")
     _report(2, "Bregman descent, zero violations across the matrix",
@@ -198,7 +206,7 @@ def test_criterion_4_simplex_game_dynamics():
     dual_route = bnn_dual_shift_target(rps, 1.0)
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     worst_gap = max(
-        float(np.linalg.norm(resolve_target(spec, spec.feasible_set, x)
+        float(np.linalg.norm(resolve_target(spec, x)
                              - dual_route(x)))
         for x in rps.feasible_set.sample_interior(rng, 1000, margin=0.02))
     forms_ok = worst_gap <= 1e-10
@@ -292,12 +300,12 @@ def test_criterion_7_ensemble_reduction():
     ent = verify_ensemble_reduction(ent_members, preset_bnn(rps, eta=1.0),
                                     n_steps=2000)
 
-    state = init_ensemble(quad_members)
-    spec = preset_eg(ge, skew, 0.1)
-    for _ in range(200):
-        state = ensemble_step(state, spec)
-    rigid = all(
-        np.array_equal((state.member_dual(i) - state.member_dual(j))
+    # member k's dual is the shared dual plus its offset z_k(0)
+    shared = run_ensemble(quad_members, preset_eg(ge, skew, 0.1), n_steps=200,
+                          stop_residual=0.0).final_state
+    duals = [shared.z + m.z0 for m in quad_members]
+    rigid = shared.step_index == 200 and all(
+        np.array_equal((duals[i] - duals[j])
                        - (quad_members[i].z0 - quad_members[j].z0),
                        np.zeros(2))
         for i in range(3) for j in range(3))

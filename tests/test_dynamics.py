@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from targetmd import (affine_box_split, entropy_geometry,
                       preset_fb, preset_fbf, preset_ppa, preset_vanilla_md,
                       primal_vector_field, relaxed_condition_value,
                       resolve_target, run_discrete, run_dmd, run_higher_order,
-                      run_vanilla_dmd, step_discrete, step_higher_order,
-                      whole_space)
-from targetmd.dynamics import SolverState, dual_rate, violation_band
+                      run_vanilla_dmd, whole_space)
+from targetmd.dynamics import (_Recorder, _target_map, _tmd_rate, dual_rate,
+                               integrate, violation_band)
 from targetmd.errors import ConfigurationError
 
 SEED = 999
@@ -24,11 +26,20 @@ def _skew():
 
 # --- single steps -----------------------------------------------------------
 
+def _every_step(geometry, spec, x0, n_steps):
+    """n_steps discrete steps through the driver with no stop residual, so
+    that every step runs, also from an exact fixed point (where the stop
+    rule of run_discrete would end the run at step 0)."""
+    return integrate(_tmd_rate(spec), geometry.grad_h_conj,
+                     initial_state(geometry, x0), "discrete", n_steps,
+                     target=_target_map(spec),
+                     recorder=partial(_Recorder, geometry, None, None, None))
+
+
 def test_discrete_step_eg_example():
     p, g = _skew()
     spec = preset_eg(g, p, 0.1)
-    state = initial_state(g, [1.0, 0.0])
-    nxt = step_discrete(g, spec, state)
+    nxt = run_discrete(g, spec, x0=[1.0, 0.0], n_steps=1).final_state
     assert np.allclose(nxt.x, [0.99, 0.1])
     assert nxt.step_index == 1
 
@@ -37,7 +48,7 @@ def test_discrete_step_vanilla_md_grows():
     p, g = _skew()
     spec = preset_vanilla_md(g, p, 0.1)
     state = initial_state(g, [1.0, 0.0])
-    nxt = step_discrete(g, spec, state)
+    nxt = run_discrete(g, spec, n_steps=1, state=state).final_state
     assert np.allclose(nxt.x, [1.0, 0.1])
     assert np.linalg.norm(nxt.x) > np.linalg.norm(state.x)
 
@@ -46,9 +57,9 @@ def test_discrete_step_stationary_at_solution():
     p, g = _skew()
     for spec in (preset_eg(g, p, 0.1), preset_ppa(g, p, 0.5),
                  preset_fbf(p, 0.1)):
-        state = initial_state(g, p.known_solution)
-        nxt = step_discrete(g, spec, state)
-        assert np.linalg.norm(nxt.x - state.x) <= 1e-10
+        rec = _every_step(g, spec, p.known_solution, 1)
+        assert rec.final_state.step_index == 1
+        assert np.linalg.norm(rec.final_state.x - rec.states[0]) <= 1e-10
 
 
 def test_state_consistency_after_steps():
@@ -56,8 +67,10 @@ def test_state_consistency_after_steps():
     g = entropy_geometry(3)
     spec = preset_eg(g, p, 0.1)
     state = initial_state(g, [0.5, 0.25, 0.25])
-    for _ in range(50):
-        state = step_discrete(g, spec, state)
+    for k in range(1, 51):
+        state = run_discrete(g, spec, n_steps=1, stop_residual=0.0,
+                             state=state).final_state
+        assert state.step_index == k
         assert np.linalg.norm(state.x - g.grad_h_conj(state.z)) <= 1e-12
         assert abs(state.x.sum() - 1.0) <= 1e-9 and np.all(state.x > 0.0)
 
@@ -67,13 +80,13 @@ def test_state_consistency_after_steps():
 # reproduces, run side by side from one initial point
 
 def _side_by_side(geometry, spec, reference_step, x0, n_steps):
-    state = initial_state(geometry, x0)
-    x_ref = state.x.copy()
+    states = _every_step(geometry, spec, x0, n_steps).states
+    assert len(states) == n_steps + 1
+    x_ref = states[0]
     worst = 0.0
-    for _ in range(n_steps):
-        state = step_discrete(geometry, spec, state)
+    for x in states[1:]:
         x_ref = reference_step(x_ref)
-        worst = max(worst, float(np.linalg.norm(state.x - x_ref)))
+        worst = max(worst, float(np.linalg.norm(x - x_ref)))
     return worst
 
 
@@ -152,7 +165,7 @@ def test_reduction_fbf_field():
     spec = preset_fbf(p, 0.1)
     rng = np.random.default_rng(SEED + 1)
     for x in p.feasible_set.sample(rng, 1000):
-        tx = resolve_target(spec, spec.feasible_set, x)
+        tx = resolve_target(spec, x)
         ours = dual_rate(spec, x, tx)
         theirs = ri.fbf_field(p.F, p.feasible_set.project, 0.1, x)
         assert np.linalg.norm(ours - theirs) <= 1e-10
@@ -225,7 +238,7 @@ def test_lyapunov_eg_skew_zero_violations():
     spec = preset_eg(g, p, 0.1)
     rec = run_discrete(g, spec, problem=p, x0=[1.0, 0.0], n_steps=500,
                        reference=p.known_solution)
-    rep = lyapunov_series(rec, g, p.known_solution, spec=spec)
+    rep = lyapunov_series(rec, spec=spec)
     assert rep.violations == []
     assert np.all(np.diff(rep.values) < 0.0)
     assert rep.dissipation_integral > 0.0
@@ -242,25 +255,36 @@ def test_lyapunov_flow_decrease_dominates_dissipation_bound():
     p, g = _skew()
     spec = preset_fbf(p, 0.1)
     rec = flow(g, spec, x0=[1.0, 0.0], integrator="rk4", dt=1e-3, t_end=10.0,
-               problem=p, stride=1, stop_residual=0.0)
-    rep = lyapunov_series(rec, g, p.known_solution, spec=spec)
+               problem=p, stride=1, stop_residual=0.0, reference=p.known_solution)
+    rep = lyapunov_series(rec, spec=spec)
     assert rep.total_decrease >= rep.dissipation_integral - 1e-6
 
 
 def test_lyapunov_vanilla_md_violates_everywhere():
     p, g = _skew()
     spec = preset_vanilla_md(g, p, 0.1)
-    rec = run_discrete(g, spec, problem=p, x0=[1.0, 0.0], n_steps=300)
-    rep = lyapunov_series(rec, g, p.known_solution, spec=spec)
+    rec = run_discrete(g, spec, problem=p, x0=[1.0, 0.0], n_steps=300,
+                       reference=p.known_solution)
+    rep = lyapunov_series(rec, spec=spec)
     assert len(rep.violations) == len(rep.values) - 1
 
 
 def test_lyapunov_constant_trajectory_is_zero():
     p, g = _skew()
     spec = preset_eg(g, p, 0.1)
-    rec = run_discrete(g, spec, problem=p, x0=p.known_solution, n_steps=10)
-    rep = lyapunov_series(rec, g, p.known_solution, spec=spec)
+    rec = run_discrete(g, spec, problem=p, x0=p.known_solution, n_steps=10,
+                       reference=p.known_solution)
+    rep = lyapunov_series(rec, spec=spec)
     assert np.allclose(rep.values, 0.0)
+
+
+def test_lyapunov_series_needs_a_reference():
+    p, g = _skew()
+    spec = preset_eg(g, p, 0.1)
+    rec = run_discrete(g, spec, problem=p, x0=[1.0, 0.0], n_steps=10)
+    assert rec.lyapunov is None
+    with pytest.raises(ConfigurationError, match="no reference point"):
+        lyapunov_series(rec, spec=spec)
 
 
 def test_violation_band_scales_with_integrator():
@@ -348,16 +372,33 @@ def test_dmd_case_validation():
 # --- higher-order variant -----------------------------------------------------------
 
 def test_higher_order_alpha_zero_matches_hand_coded_md2():
+    # the first Euler step leaves xi = x0 and moves x off it; the second
+    # step checks the rate at that point, where xi != x
     p, g = _skew()
     spec = preset_vanilla_md(g, p, 0.3)
-    x = np.array([0.8, -0.4])
-    xi = np.array([0.1, 0.2])
-    state = SolverState(0, 0.0, x.copy(), x.copy(), xi.copy())
     dt = 0.05
-    stepped = step_higher_order(g, spec, state, gamma1=1.3, gamma2=0.7, dt=dt)
+    run = dict(gamma1=1.3, gamma2=0.7, dt=dt, problem=p, x0=[0.8, -0.4])
+    first = run_higher_order(g, spec, t_end=dt, **run).final_state
+    second = run_higher_order(g, spec, t_end=2 * dt, **run).final_state
+    assert first.step_index == 1 and second.step_index == 2
+    x, xi = first.x, first.xi
+    assert np.linalg.norm(x - xi) > 1e-3
     z_rate, xi_rate = ri.md2_rates(p.F, 0.3, 1.3, 0.7, x, xi)
-    assert np.allclose(stepped.z, x + dt * z_rate, atol=1e-14)
-    assert np.allclose(stepped.xi, xi + dt * xi_rate, atol=1e-14)
+    assert np.allclose(second.z, first.z + dt * z_rate, atol=1e-14)
+    assert np.allclose(second.xi, xi + dt * xi_rate, atol=1e-14)
+
+
+def test_higher_order_alpha_zero_does_not_stop_at_its_start():
+    # x = xi at the start and the target residual of alpha = 0 is 0 at
+    # every point, so only the natural residual can tell convergence; with
+    # no problem there is no stop rule
+    p, g = _skew()
+    spec = preset_vanilla_md(g, p, 0.1)
+    for problem in (p, None):
+        rec = run_higher_order(g, spec, dt=0.05, t_end=1.0, problem=problem,
+                               x0=[1.0, 0.0])
+        assert rec.termination == "budget_exhausted"
+        assert rec.final_state.step_index == 20
 
 
 def test_higher_order_equilibrium_conditions():
@@ -387,10 +428,8 @@ def test_higher_order_reaches_boundary_solution():
 def test_higher_order_rejects_bad_gains():
     p, g = _skew()
     spec = preset_eg(g, p, 0.1)
-    state = initial_state(g, [1.0, 0.0])
-    state.xi = state.x.copy()
     with pytest.raises(ConfigurationError):
-        step_higher_order(g, spec, state, gamma1=-1.0, gamma2=1.0, dt=0.01)
+        run_higher_order(g, spec, gamma1=-1.0, gamma2=1.0, dt=0.01, x0=[1.0, 0.0])
 
 
 # --- divergence handling ----------------------------------------------------------------
@@ -433,9 +472,8 @@ def test_target_failure_propagates_through_steps():
                           Phi=good.Phi,
                           target=ResolventSolve(tol=1e-16, max_iter=1),
                           feasible_set=good.feasible_set)
-    state = initial_state(g, [1.0, 1.0])
     with pytest.raises(TargetResolutionError):
-        step_discrete(g, crippled, state)
+        run_discrete(g, crippled, x0=[1.0, 1.0], n_steps=1)
 
 
 # --- relaxed descent condition ---------------------------------------------------------

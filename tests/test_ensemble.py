@@ -3,12 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from targetmd import (box, ensemble_step, entropy_geometry,
-                      euclidean_geometry, init_ensemble,
+from targetmd import (box, entropy_geometry, euclidean_geometry,
                       library_problem, make_members, natural_residual,
                       preset_bnn, preset_eg, preset_fbf, preset_vanilla_md,
-                      project_simplex, run_ensemble, simplex, softmax,
-                      state_from_dual, step_discrete,
+                      project_simplex, run_discrete, run_ensemble, simplex,
+                      softmax, state_from_dual,
                       synthesized_geometry, verify_ensemble_reduction,
                       weighted_quadratic_geometry, whole_space)
 from targetmd.errors import ConfigurationError
@@ -42,27 +41,36 @@ def _mixed_simplex_members():
 
 
 # --- stepping ---------------------------------------------------------------
+# run_ensemble is one run on the shared dual z from 0; member k's dual is
+# z + z_k(0).  stop_residual = 0 makes every step run.
+
+def _shared_duals(members, spec, n_steps):
+    """The final shared dual of run_ensemble after each of 1..n_steps."""
+    for n in range(1, n_steps + 1):
+        end = run_ensemble(members, spec, n_steps=n, stop_residual=0.0).final_state
+        assert end.step_index == n
+        yield end
+
 
 def test_single_member_matches_single_run():
     p, spec = _skew_spec()
     g = euclidean_geometry(whole_space(2))
     members = make_members([g], [np.array([1.0, -0.5])])
-    state = init_ensemble(members)
-    single = state_from_dual(g, np.array([1.0, -0.5]))
-    for _ in range(50):
-        state = ensemble_step(state, spec)
-        single = step_discrete(g, spec, single)
-        assert np.allclose(state.x_en, single.x, atol=1e-14)
+    ensemble = run_ensemble(members, spec, n_steps=50, stop_residual=0.0)
+    single = run_discrete(g, spec, n_steps=50, stop_residual=0.0,
+                          state=state_from_dual(g, np.array([1.0, -0.5])))
+    assert len(ensemble.states) == len(single.states) == 51
+    for x_en, x in zip(ensemble.states[1:], single.states[1:]):
+        assert np.allclose(x_en, x, atol=1e-14)
 
 
 def test_identical_members_collapse():
     p, spec = _skew_spec()
     g = euclidean_geometry(whole_space(2))
     members = make_members([g, g], [np.array([1.0, 0.0]), np.array([1.0, 0.0])])
-    state = init_ensemble(members)
-    for _ in range(20):
-        state = ensemble_step(state, spec)
-        assert np.allclose(state.xs[0], state.xs[1])
+    for end in _shared_duals(members, spec, 20):
+        xs = [m.geometry.grad_h_conj(end.z + m.z0) for m in members]
+        assert np.allclose(xs[0], xs[1])
 
 
 def test_two_member_affine_shift_example():
@@ -71,33 +79,31 @@ def test_two_member_affine_shift_example():
     p, spec = _skew_spec()
     g = euclidean_geometry(whole_space(2))
     members = make_members([g, g], [np.array([2.0, 0.0]), np.array([0.0, 2.0])])
-    state = init_ensemble(members)
-    for _ in range(30):
-        state = ensemble_step(state, spec)
-        assert np.allclose(state.x_en, state.z_shared + 1.0, atol=1e-14)
+    for end in _shared_duals(members, spec, 30):
+        assert np.allclose(end.x, end.z + 1.0, atol=1e-14)
 
 
 def test_member_validation():
     g2 = euclidean_geometry(whole_space(2))
     g3 = euclidean_geometry(whole_space(3))
     with pytest.raises(ConfigurationError):
-        init_ensemble(make_members([g2, g3], [np.zeros(2), np.zeros(3)]))
+        synthesized_geometry(make_members([g2, g3], [np.zeros(2), np.zeros(3)]))
     with pytest.raises(ConfigurationError):
-        init_ensemble(make_members([g2, entropy_geometry(2)],
-                                   [np.zeros(2), np.zeros(2)]))
+        synthesized_geometry(make_members([g2, entropy_geometry(2)],
+                                          [np.zeros(2), np.zeros(2)]))
     with pytest.raises(ConfigurationError):
-        init_ensemble([])
+        synthesized_geometry([])
 
 
 def test_dual_offsets_are_rigid():
     p, spec = _skew_spec()
     members = _quadratic_members()
-    state = init_ensemble(members)
-    for _ in range(100):
-        state = ensemble_step(state, spec)
+    shared = run_ensemble(members, spec, n_steps=100, stop_residual=0.0).final_state
+    assert shared.step_index == 100
+    duals = [shared.z + m.z0 for m in members]
     for i in range(len(members)):
         for j in range(len(members)):
-            lhs = state.member_dual(i) - state.member_dual(j)
+            lhs = duals[i] - duals[j]
             rhs = members[i].z0 - members[j].z0
             assert np.array_equal(lhs - rhs, np.zeros(2))  # exact, by construction
 
@@ -250,8 +256,9 @@ def test_alpha_zero_ensemble_stops_on_the_natural_residual():
 def test_ensemble_mean_stays_feasible_on_simplex():
     p = library_problem("rps_game")
     spec = preset_bnn(p, eta=1.0)
-    state = init_ensemble(_entropy_members())
-    for _ in range(200):
-        state = ensemble_step(state, spec, dt=0.05)
-        assert abs(state.x_en.sum() - 1.0) <= 1e-9
-        assert np.all(state.x_en > 0.0)
+    rec = run_ensemble(_entropy_members(), spec, n_steps=200, dt=0.05,
+                       stop_residual=0.0)
+    assert len(rec.states) == 201 and rec.dt == 0.05
+    for x_en in rec.states[1:]:
+        assert abs(x_en.sum() - 1.0) <= 1e-9
+        assert np.all(x_en > 0.0)

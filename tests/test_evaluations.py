@@ -142,8 +142,8 @@ def test_anchor_is_the_s_of_x_the_rate_would_evaluate():
     p, g = _skew()
     x = np.array([0.3, -0.7])
     for spec in [make(g, p) for make in PRESETS.values()] + [preset_ppa(g, p, 1.0)]:
-        tx, sx = dynamics.resolve_target(spec, spec.feasible_set, x, with_anchor=True)
-        assert np.array_equal(tx, dynamics.resolve_target(spec, spec.feasible_set, x))
+        tx, sx = dynamics.resolve_target(spec, x, with_anchor=True)
+        assert np.array_equal(tx, dynamics.resolve_target(spec, x))
         assert np.array_equal(sx, spec.S(x))
         assert np.array_equal(dynamics.dual_rate(spec, x, tx, sx),
                               dynamics.dual_rate(spec, x, tx))

@@ -469,6 +469,25 @@ def test_compare_subcommand(tmp_path, name, expected_kind):
     assert summary["comparison"] == expected_kind
     assert summary["max_deviation"] <= summary["tolerance"]
     assert (out / "deviations.csv").exists()
+    # every step (or sample) is compared; none is cut by a stop rule
+    cfg = load_config(CONFIG_DIR / name)
+    expected = cfg.compare_steps if expected_kind == "per_step" else cfg.compare_samples
+    assert summary["count"] == expected
+    assert len((out / "deviations.csv").read_text().splitlines()) == expected + 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_overflowing_iterate_ends_in_one_error_line(tmp_path, capsys):
+    # a move step of 1e300 overflows the second iterate; the driver's
+    # non-finite policy reports it before the coded reference runs
+    out = tmp_path / "o"
+    text = ("problem.name = skew_bilinear\npreset.name = eg_plus\n"
+            f"preset.eta2 = 1e300\nx0 = 1, 0\noutput.dir = {out}\n")
+    assert run_cli("compare", text, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "dual point turned non-finite" in err
+    assert not out.exists()
 
 
 def test_compare_every_referenced_preset(tmp_path):

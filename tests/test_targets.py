@@ -29,7 +29,7 @@ def test_resolve_identity_subproblem():
                       Phi=lambda x: np.zeros_like(x),
                       target=ResolventSolve(modulus=1.0, lipschitz=1.0),
                       feasible_set=s)
-    assert np.allclose(resolve_target(spec, s, np.array([2.0, 2.0])), [2.0, 2.0])
+    assert np.allclose(resolve_target(spec, np.array([2.0, 2.0])), [2.0, 2.0])
 
 
 def test_resolve_scalar_proximal_equation():
@@ -40,7 +40,7 @@ def test_resolve_scalar_proximal_equation():
                       Phi=lambda x: 0.5 * problem.F(x),
                       target=ResolventSolve(tol=1e-12, modulus=1.5, lipschitz=1.5),
                       feasible_set=s)
-    y = resolve_target(spec, s, np.array([0.0]))
+    y = resolve_target(spec, np.array([0.0]))
     assert y[0] == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
@@ -48,7 +48,7 @@ def test_resolve_eg_closed_form():
     problem = library_problem("skew_bilinear")
     g = euclidean_geometry(problem.feasible_set)
     spec = preset_eg(g, problem, 0.1)
-    y = resolve_target(spec, spec.feasible_set, np.array([1.0, 0.0]))
+    y = resolve_target(spec, np.array([1.0, 0.0]))
     assert np.allclose(y, [1.0, 0.1])
 
 
@@ -60,7 +60,7 @@ def test_resolve_reports_nonconvergence():
                       target=ResolventSolve(tol=1e-12, max_iter=50, step=0.5),
                       feasible_set=s)
     with pytest.raises(TargetResolutionError) as err:
-        resolve_target(spec, s, np.array([1.0]))
+        resolve_target(spec, np.array([1.0]))
     assert err.value.last_residual is not None
 
 
@@ -80,7 +80,7 @@ def test_ppa_scalar_example():
     problem = library_problem("scalar_shift", a=2.0)
     g = euclidean_geometry(problem.feasible_set)
     spec = preset_ppa(g, problem, 1.0)
-    y = resolve_target(spec, spec.feasible_set, np.array([0.0]))
+    y = resolve_target(spec, np.array([0.0]))
     assert y[0] == pytest.approx(1.0, abs=1e-9)  # solves 2y = 2
 
 
@@ -91,7 +91,7 @@ def test_ppa_fixed_point_at_solution():
         g = geometry_of(problem.feasible_set)
         spec = preset_ppa(g, problem, 0.5)
         star = problem.known_solution
-        y = resolve_target(spec, spec.feasible_set, star)
+        y = resolve_target(spec, star)
         assert np.linalg.norm(y - star) <= 1e-9
 
 
@@ -104,7 +104,7 @@ def test_ppa_entropy_prox_matches_multiplicative_closed_form():
     x = np.array([0.5, 0.5])
     oracle = x * np.exp(-1.0 * np.array([1.0, 2.0]))
     oracle = oracle / oracle.sum()
-    y = resolve_target(spec, spec.feasible_set, x)
+    y = resolve_target(spec, x)
     assert np.linalg.norm(y - oracle) <= 1e-9
 
 
@@ -146,7 +146,7 @@ def test_eg_correction_example():
     g = euclidean_geometry(problem.feasible_set)
     spec = preset_eg(g, problem, 0.1)
     x = np.array([1.0, 0.0])
-    tx = resolve_target(spec, spec.feasible_set, x)
+    tx = resolve_target(spec, x)
     correction = spec.alpha * (spec.S(tx) - spec.S(x))
     assert np.allclose(correction, [-0.01, 0.1], atol=1e-15)
     x_next = x + correction
@@ -159,7 +159,7 @@ def test_eg_stationary_at_solution():
     g = euclidean_geometry(problem.feasible_set)
     spec = preset_eg(g, problem, 0.1)
     star = np.zeros(2)
-    tx = resolve_target(spec, spec.feasible_set, star)
+    tx = resolve_target(spec, star)
     assert np.linalg.norm(tx - star) == 0.0
 
 
@@ -182,8 +182,8 @@ def test_eg_inner_solver_agrees_with_closed_form():
                         feasible_set=closed.feasible_set)
     rng = np.random.default_rng(SEED)
     for x in problem.feasible_set.sample(rng, 50):
-        a = resolve_target(closed, closed.feasible_set, x)
-        b = resolve_target(solver, solver.feasible_set, x)
+        a = resolve_target(closed, x)
+        b = resolve_target(solver, x)
         assert np.linalg.norm(a - b) <= 1e-12
 
 
@@ -196,7 +196,7 @@ def test_ppa_inner_solver_agrees_with_linear_solve():
     rng = np.random.default_rng(SEED + 1)
     for x in problem.feasible_set.sample(rng, 50):
         direct = np.linalg.solve(a, x - 0.5 * q)
-        y = resolve_target(spec, spec.feasible_set, x)
+        y = resolve_target(spec, x)
         assert np.linalg.norm(y - direct) <= 1e-10
 
 
@@ -205,7 +205,7 @@ def test_ppa_inner_solver_agrees_with_linear_solve():
 def test_dr_scalar_examples():
     pair, problem = affine_box_split(2.0, 0.0, 1.0)
     spec = preset_dr(pair, whole_space(1), 1.0)
-    t = lambda v: resolve_target(spec, spec.feasible_set, np.array([v]))[0]
+    t = lambda v: resolve_target(spec, np.array([v]))[0]
     assert t(0.0) == pytest.approx(0.0)
     assert t(2.0) == pytest.approx(1.0)
     assert t(1.0) == pytest.approx(0.5)
@@ -223,7 +223,7 @@ def test_dr_needs_whole_space():
 def test_fb_scalar_examples():
     pair, _ = affine_box_split(2.0, 0.0, 1.0)
     spec = preset_fb(pair, whole_space(1), 0.5)
-    t = lambda v: resolve_target(spec, spec.feasible_set, np.array([v]))[0]
+    t = lambda v: resolve_target(spec, np.array([v]))[0]
     assert t(0.0) == pytest.approx(1.0)
     assert t(1.0) == pytest.approx(1.0)
     assert t(-2.0) == pytest.approx(0.0)
@@ -266,7 +266,7 @@ def test_subproblem_optimality_of_solver_output():
         feasible_set=entropy_ppa.feasible_set)
     cases.append((entropy_ppa, rps, np.array([0.5, 0.25, 0.25])))
     for spec, problem, x in cases:
-        y = resolve_target(spec, spec.feasible_set, x)
+        y = resolve_target(spec, x)
         g = spec.S(y) + spec.Phi(y) - spec.S(x)
         for u in problem.feasible_set.sample_interior(rng, 100):
             assert float(np.dot(g, u - y)) >= -10.0 * spec.target.tol
@@ -293,7 +293,7 @@ def test_resolver_matches_linear_solve_on_random_strongly_monotone_pairs():
                                   lipschitz=float(np.linalg.norm(a, 2))),
             feasible_set=s)
         x = rng.normal(size=dim)
-        y = resolve_target(spec, s, x)
+        y = resolve_target(spec, x)
         assert np.linalg.norm(y - np.linalg.solve(a, x - eta * q)) <= 1e-9
 
 
@@ -345,7 +345,7 @@ def test_bnn_uniform_is_fixed():
     rps = library_problem("rps_game")
     spec = preset_bnn(rps, eta=1.0)
     uniform = np.full(3, 1.0 / 3.0)
-    assert np.allclose(resolve_target(spec, spec.feasible_set, uniform), uniform)
+    assert np.allclose(resolve_target(spec, uniform), uniform)
 
 
 def test_bnn_target_value_and_cross_check():
@@ -355,7 +355,7 @@ def test_bnn_target_value_and_cross_check():
     # oracle: products (0.5, 0.25*e, 0.25) renormalized
     products = x * np.exp(np.array([0.0, 1.0, 0.0]))
     oracle = products / products.sum()
-    tx = resolve_target(spec, spec.feasible_set, x)
+    tx = resolve_target(spec, x)
     assert np.allclose(tx, oracle, atol=1e-14)
     assert np.allclose(tx, [0.349755, 0.475367, 0.174877], atol=1e-5)
     dual_route = bnn_dual_shift_target(rps, 1.0)
@@ -370,7 +370,7 @@ def test_bnn_two_routes_agree_on_samples():
     # margin keeps the normalized excess payoff inside exp's range so the
     # literal product form stays evaluable alongside the dual-shift form
     for x in rps.feasible_set.sample_interior(rng, 1000, margin=0.02):
-        a = resolve_target(spec, spec.feasible_set, x)
+        a = resolve_target(spec, x)
         assert np.linalg.norm(dual_route(x) - a) <= 1e-10
 
 
@@ -384,7 +384,7 @@ def test_bnn_correction_is_excess_payoff_up_to_uniform_shift():
     # the target amplifies payoff ratios exponentially, so keep samples far
     # enough inside that S remains evaluable at the target as well
     for x in rps.feasible_set.sample_interior(rng, 200, margin=0.1):
-        tx = resolve_target(spec, spec.feasible_set, x)
+        tx = resolve_target(spec, x)
         literal = spec.alpha * (spec.S(tx) - spec.S(x))
         stable = spec.alpha * spec.dual_gap(x, tx)
         assert np.linalg.norm(literal - stable) <= 1e-10
@@ -404,11 +404,11 @@ def test_fbf_rate_example():
     problem = library_problem("skew_bilinear")
     spec = preset_fbf(problem, 0.1)
     x = np.array([1.0, 0.0])
-    tx = resolve_target(spec, spec.feasible_set, x)
+    tx = resolve_target(spec, x)
     rate = spec.S(tx) - spec.S(x)
     assert np.allclose(rate, [-0.01, 0.1], atol=1e-15)
     star = np.zeros(2)
-    tstar = resolve_target(spec, spec.feasible_set, star)
+    tstar = resolve_target(spec, star)
     assert np.allclose(spec.S(tstar) - spec.S(star), 0.0)
 
 
@@ -416,7 +416,7 @@ def test_fbf_interior_solution_is_fixed_point():
     problem = library_problem("constrained_quadratic")
     spec = preset_fbf(problem, 0.2)
     star = problem.known_solution
-    assert np.linalg.norm(resolve_target(spec, spec.feasible_set, star) - star) <= 1e-12
+    assert np.linalg.norm(resolve_target(spec, star) - star) <= 1e-12
 
 
 def test_fbf_rejects_large_step():
@@ -456,7 +456,7 @@ def test_solutions_are_target_fixed_points():
         if spec.name in ("bnn",) or "entropy" in getattr(spec, "name", ""):
             pass
         try:
-            tx = resolve_target(spec, spec.feasible_set, star)
+            tx = resolve_target(spec, star)
         except DomainError:
             continue  # boundary solution under an interior-only map
         tol = spec.target.tol if isinstance(spec.target, ResolventSolve) else 1e-10
@@ -467,7 +467,7 @@ def test_target_image_stays_feasible():
     rng = np.random.default_rng(SEED + 7)
     for spec, problem in _matrix():
         for x in problem.feasible_set.sample_interior(rng, 25, margin=0.05):
-            tx = resolve_target(spec, spec.feasible_set, x)
+            tx = resolve_target(spec, x)
             assert problem.feasible_set.contains(tx, tol=1e-8)
 
 
@@ -477,7 +477,7 @@ def test_vanilla_md_spec_shape():
     spec = preset_vanilla_md(g, problem, 0.1)
     assert spec.alpha == 0.0 and spec.beta == 1.0
     x = np.array([1.0, 0.0])
-    assert np.allclose(resolve_target(spec, spec.feasible_set, x), x)
+    assert np.allclose(resolve_target(spec, x), x)
 
 
 # --- mirror-map route of implicit targets ------------------------------------
@@ -515,7 +515,7 @@ def test_mirror_route_target_within_tol_of_oracle(eta, tol):
     assert spec.target.grad_h_conj is not None
     rng = np.random.default_rng(SEED + 20)
     for x in rps.feasible_set.sample_interior(rng, 10, margin=0.02):
-        y = resolve_target(spec, spec.feasible_set, x)
+        y = resolve_target(spec, x)
         assert np.linalg.norm(y - _rps_oracle(rps, eta, x)) <= tol
 
 
@@ -538,7 +538,7 @@ def test_mirror_route_f_calls_per_target():
         d = rng.standard_normal(3)
         d -= d.mean()
         calls[0] = 0
-        resolve_target(spec, spec.feasible_set, uniform + 0.2 * d / np.linalg.norm(d))
+        resolve_target(spec, uniform + 0.2 * d / np.linalg.norm(d))
         assert calls[0] <= 60
 
 
@@ -560,9 +560,9 @@ def test_mirror_route_falls_back_to_projected_solve():
     rng = np.random.default_rng(SEED + 22)
     for x in rps.feasible_set.sample_interior(rng, 3, margin=0.05):
         tried[0] = 0
-        y = resolve_target(mirror, mirror.feasible_set, x)
+        y = resolve_target(mirror, x)
         assert 0 < tried[0] < 20
-        assert np.array_equal(y, resolve_target(projected, projected.feasible_set, x))
+        assert np.array_equal(y, resolve_target(projected, x))
 
 
 def test_mirror_route_weighted_quadratic_matches_linear_solve():
@@ -575,7 +575,7 @@ def test_mirror_route_weighted_quadratic_matches_linear_solve():
     w = np.diag([1.0, 2.0])
     rng = np.random.default_rng(SEED + 23)
     for x in rng.normal(size=(10, 2)):
-        y = resolve_target(spec, spec.feasible_set, x)
+        y = resolve_target(spec, x)
         exact = np.linalg.solve(w + 0.5 * m, w @ x - 0.5 * q)
         assert np.linalg.norm(y - exact) <= 1e-12
 
