@@ -12,9 +12,10 @@ through the map z -> mean_k grad_h_conj_k(z + z_k(0)), started at z = 0.
 That map is the conjugate gradient of a scaled-and-tilted infimal
 convolution of the member potentials, so the ensemble inherits every
 convergence property of the single run.  `synthesized_geometry` builds it
-for any members that share a domain, `run_ensemble` runs it (member k's
-dual is its final_state.z + z_k(0)), and `verify_ensemble_reduction`
-checks it against the members run in parallel on their own duals.
+for any members that share a domain, and `run_ensemble` is that one run
+(member k's dual is its final_state.z + z_k(0)).  `verify_ensemble_reduction`
+checks the reported run itself: it steps the members in parallel on their
+own duals for the run's steps at its dt and compares each recorded sample.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .geometry import MirrorGeometry
 from .problems import VIProblem
 from .targets import TargetSpec
 from .dynamics import (RunRecord, SolverState, _Recorder, _target_map,
-                       _tmd_rate, dual_rate, flow, integrate, run_discrete,
+                       dual_rate, flow, integrate, run_discrete,
                        state_from_dual, DEFAULT_STOP_RESIDUAL)
 
 Vector = np.ndarray
@@ -118,41 +119,33 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
 @dataclass(eq=False)
 class ReductionReport:
     """Per-sample distance between the averaged ensemble state and the
-    synthesized single run, plus the worst case over the horizon."""
+    synthesized run's samples, plus the worst case over the run."""
 
     max_deviation: float
     deviations: Vector
 
 
 def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
-                              n_steps: int = 1000,
-                              dt: Optional[float] = None) -> ReductionReport:
-    """Run the members in parallel on their own duals, each moved by the
-    rate at their averaged state, and the synthesized single run (dual 0,
-    at the parallel run's final dt, no halving) through `integrate`; report
-    the per-sample deviation.  Tolerances are the caller's business."""
-    geometry = synthesized_geometry(members)
-    n, dim = len(members), geometry.dim
-    scheme, step = ("discrete", 1.0) if dt is None else ("euler", dt)
-    t_end = n_steps * step
-
-    def run(rate, pullback, state, step, max_halvings=8):
-        return integrate(rate, pullback, state, scheme, t_end, dt=step,
-                         target=_target_map(spec), max_halvings=max_halvings,
-                         recorder=partial(_Recorder, geometry, None, None, None))
+                              record: RunRecord) -> ReductionReport:
+    """Check `record`, a run_ensemble run of these members, against the
+    members run in parallel on their own duals, each moved by the rate at
+    their averaged state: the same steps and scheme at the record's dt, no
+    halving, every step kept.  Report the deviation at each of the record's
+    samples.  Tolerances are the caller's business."""
+    n, dim = len(members), _shared_dim(members)
 
     def mean_of_members(duals):
         return np.mean([m.geometry.grad_h_conj(z)
                         for m, z in zip(members, duals.reshape(n, dim))], axis=0)
 
     duals = np.concatenate([m.z0 for m in members])
-    together = run(lambda zs, x, tx, sx: np.tile(dual_rate(spec, x, tx, sx), n),
-                   mean_of_members,
-                   SolverState(0, 0.0, duals, mean_of_members(duals)), step)
-    single = run(_tmd_rate(spec), geometry.grad_h_conj,
-                 state_from_dual(geometry, np.zeros(dim)), together.dt,
-                 max_halvings=0)
-    deviations = np.linalg.norm(together.states - single.states, axis=1)
+    together = integrate(
+        lambda zs, x, tx, sx: np.tile(dual_rate(spec, x, tx, sx), n),
+        mean_of_members, SolverState(0, 0.0, duals, mean_of_members(duals)),
+        record.mode, record.final_state.step_index * record.dt, dt=record.dt,
+        target=_target_map(spec), max_halvings=0,
+        recorder=partial(_Recorder, None, None, None, None))
+    deviations = np.linalg.norm(together.states[record.steps] - record.states, axis=1)
     return ReductionReport(max_deviation=float(deviations.max()),
                            deviations=deviations)
 

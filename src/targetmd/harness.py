@@ -334,7 +334,7 @@ def _final(record: RunRecord, attr: str):
     return None if math.isnan(v) else v
 
 
-def _base_summary(cfg, record, started) -> dict:
+def _base_summary(cfg, record) -> dict:
     return {
         "config": echo_config(cfg),
         "termination": record.termination,
@@ -345,7 +345,6 @@ def _base_summary(cfg, record, started) -> dict:
         "final_time": float(record.times[-1]),
         "final_target_residual": _final(record, "target_residuals"),
         "final_natural_residual": _final(record, "natural_residuals"),
-        "wallclock_seconds": time.monotonic() - started,
     }
 
 
@@ -384,7 +383,7 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
     out = resolve_output_dir(cfg)
     trajectory = out / "trajectory.csv"
     write_trajectory_csv(trajectory, record)
-    summary = _base_summary(cfg, record, started)
+    summary = _base_summary(cfg, record)
     # KL to the solution rises along the exact excess-payoff trajectory, so
     # the Bregman distance is no Lyapunov function of bnn runs
     if record.lyapunov is not None and spec is not None and spec.name != "bnn":
@@ -405,6 +404,7 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
     summary["exit_code"] = exit_code
     summary["outputs"] = {"trajectory_csv": trajectory.name,
                           "summary_json": "summary.json"}
+    summary["wallclock_seconds"] = time.monotonic() - started
     write_json(out / "summary.json", summary)
     return CliResult(exit_code, summary, out)
 
@@ -521,23 +521,23 @@ def run_ensemble_cmd(cfg: ExperimentConfig) -> CliResult:
                           stride=cfg.effective_stride())
     out = resolve_output_dir(cfg)
     write_trajectory_csv(out / "ensemble_trajectory.csv", record)
-    summary = _base_summary(cfg, record, started)
+    summary = _base_summary(cfg, record)
     summary["members"] = len(members)
+    summary["outputs"] = {"ensemble_trajectory_csv": "ensemble_trajectory.csv",
+                          "summary_json": "summary.json"}
     exit_code = EXIT_OK
     if cfg.ensemble_verify:
-        report = verify_ensemble_reduction(members, spec,
-                                           n_steps=cfg.ensemble_steps, dt=dt)
+        report = verify_ensemble_reduction(members, spec, record)
         tol = 1e-9 if members[0].geometry.quadratic_weights is not None else 1e-8
         summary["reduction_max_deviation"] = report.max_deviation
         summary["reduction_tolerance"] = tol
         _write_deviations(out / "reduction_deviations.csv", report.deviations)
-        single = synthesized_geometry(members)
-        summary["synthesized_geometry"] = single.name
+        summary["outputs"]["reduction_deviations_csv"] = "reduction_deviations.csv"
+        summary["synthesized_geometry"] = synthesized_geometry(members).name
         if report.max_deviation > tol:
             exit_code = EXIT_ERROR
     summary["exit_code"] = exit_code
-    summary["outputs"] = {"ensemble_trajectory_csv": "ensemble_trajectory.csv",
-                          "summary_json": "summary.json"}
+    summary["wallclock_seconds"] = time.monotonic() - started
     write_json(out / "summary.json", summary)
     return CliResult(exit_code, summary, out)
 

@@ -19,7 +19,7 @@ independently coded version of the named method in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -628,14 +628,8 @@ def preset_dmd_calibrated(geometry: MirrorGeometry, problem: VIProblem,
     if isinstance(case, bool) or case not in (1, 2):
         raise ConfigurationError(f"case must be 1 or 2, got {case!r}")
     if case == 1:
-        spec = preset_ppa(geometry, problem, eta,
-                          inner_tol=inner_tol, inner_max_iter=inner_max_iter)
-        return TargetSpec(
-            alpha=1.0, beta=0.0, S=spec.S, sigma=spec.sigma, Phi=spec.Phi,
-            target=spec.target, feasible_set=spec.feasible_set,
-            name="dmd_calibrated")
-    spec = preset_eg(geometry, problem, eta)
-    return TargetSpec(
-        alpha=1.0, beta=1.0, S=spec.S, sigma=spec.sigma, Phi=spec.Phi,
-        target=spec.target, feasible_set=spec.feasible_set,
-        name="dmd_calibrated")
+        return replace(preset_ppa(geometry, problem, eta, inner_tol=inner_tol,
+                                  inner_max_iter=inner_max_iter),
+                       name="dmd_calibrated")
+    return replace(preset_eg(geometry, problem, eta), alpha=1.0, beta=1.0,
+                   name="dmd_calibrated")

@@ -291,17 +291,21 @@ def test_criterion_7_ensemble_reduction():
          weighted_quadratic_geometry([2.0, 1.0]),
          euclidean_geometry(whole_space(2))],
         [np.array([2.0, 0.0]), np.array([0.0, 2.0]), np.array([1.0, 1.0])])
-    quad = verify_ensemble_reduction(quad_members, preset_eg(ge, skew, 0.1),
-                                     n_steps=10_000)
+    quad_spec = preset_eg(ge, skew, 0.1)
+    quad = verify_ensemble_reduction(
+        quad_members, quad_spec,
+        run_ensemble(quad_members, quad_spec, n_steps=10_000, stop_residual=0.0))
 
     rps = library_problem("rps_game")
     ent_members = make_members([entropy_geometry(3), entropy_geometry(3)],
                                [np.zeros(3), np.array([1.0, 0.0, 0.0])])
-    ent = verify_ensemble_reduction(ent_members, preset_bnn(rps, eta=1.0),
-                                    n_steps=2000)
+    ent_spec = preset_bnn(rps, eta=1.0)
+    ent = verify_ensemble_reduction(
+        ent_members, ent_spec,
+        run_ensemble(ent_members, ent_spec, n_steps=2000, stop_residual=0.0))
 
     # member k's dual is the shared dual plus its offset z_k(0)
-    shared = run_ensemble(quad_members, preset_eg(ge, skew, 0.1), n_steps=200,
+    shared = run_ensemble(quad_members, quad_spec, n_steps=200,
                           stop_residual=0.0).final_state
     duals = [shared.z + m.z0 for m in quad_members]
     rigid = shared.step_index == 200 and all(

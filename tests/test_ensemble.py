@@ -192,17 +192,24 @@ def test_synthesized_modulus_is_the_harmonic_mean():
 
 
 # --- reduction to a single run ---------------------------------------------------
+# verify_ensemble_reduction checks a run_ensemble record; stop_residual = 0
+# makes the record run all n_steps.
+
+def _reduction(members, spec, n_steps, dt=None):
+    record = run_ensemble(members, spec, n_steps=n_steps, dt=dt, stop_residual=0.0)
+    return verify_ensemble_reduction(members, spec, record)
+
 
 def test_reduction_quadratic_family():
     p, spec = _skew_spec()
-    report = verify_ensemble_reduction(_quadratic_members(), spec, n_steps=2000)
+    report = _reduction(_quadratic_members(), spec, n_steps=2000)
     assert report.max_deviation <= 1e-9
 
 
 def test_reduction_entropy_family():
     p = library_problem("rps_game")
     spec = preset_bnn(p, eta=1.0)
-    report = verify_ensemble_reduction(_entropy_members(), spec, n_steps=1000)
+    report = _reduction(_entropy_members(), spec, n_steps=1000)
     assert report.max_deviation <= 1e-8
 
 
@@ -210,8 +217,7 @@ def test_reduction_entropy_family():
 def test_reduction_mixed_simplex_family(dt):
     p = library_problem("rps_game")
     spec = preset_eg(entropy_geometry(3), p, 0.1)
-    report = verify_ensemble_reduction(_mixed_simplex_members(), spec,
-                                       n_steps=2000, dt=dt)
+    report = _reduction(_mixed_simplex_members(), spec, n_steps=2000, dt=dt)
     assert len(report.deviations) == 2001
     assert report.max_deviation <= 1e-9
 
@@ -220,16 +226,23 @@ def test_reduction_single_member_is_exact():
     p, spec = _skew_spec()
     members = make_members([euclidean_geometry(whole_space(2))],
                            [np.array([0.7, -0.1])])
-    report = verify_ensemble_reduction(members, spec, n_steps=500)
+    report = _reduction(members, spec, n_steps=500)
     assert report.max_deviation <= 1e-12
 
 
 def test_reduction_flow_mode():
     p = library_problem("skew_bilinear")
     spec = preset_fbf(p, 0.1)
-    report = verify_ensemble_reduction(_quadratic_members(), spec,
-                                       n_steps=1000, dt=1e-2)
+    report = _reduction(_quadratic_members(), spec, n_steps=1000, dt=1e-2)
     assert report.max_deviation <= 1e-9
+
+
+def test_reduction_refutes_a_record_of_other_members():
+    p, spec = _skew_spec()
+    record = run_ensemble(_quadratic_members(), spec, n_steps=500, stop_residual=0.0)
+    shifted = [replace(m, z0=m.z0 + 0.5) for m in _quadratic_members()]
+    report = verify_ensemble_reduction(shifted, spec, record)
+    assert report.max_deviation > 1e-3
 
 
 def test_ensemble_inherits_convergence():

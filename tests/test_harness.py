@@ -1,6 +1,7 @@
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from targetmd import (config, echo_config, library_problem, load_config,
                       parse_config, preset_eg, run_condition_checks,
                       euclidean_geometry, whole_space, TargetSpec, ClosedForm)
+from targetmd import harness
 from targetmd.cli import main
 from targetmd.errors import ConfigurationError
 from targetmd.harness import OUTPUT_DIR_ENV, run_solve
@@ -672,6 +674,7 @@ def test_ensemble_verify_off_exits_zero(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert "reduction_max_deviation" not in summary
+    assert sorted(os.listdir(out)) == sorted(summary["outputs"].values())
 
 
 def test_alpha_zero_ensemble_runs_its_budget(tmp_path):
@@ -696,6 +699,45 @@ def test_ensemble_rejects_rk4(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "flow.integrator = rk4" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,name", [
+    ("solve", "eg_skew_solve.cfg"),
+    ("compare", "compare_eg.cfg"),
+    ("compare", "compare_bnn.cfg"),
+    ("ensemble", "ensemble_quadratic.cfg"),
+    ("ensemble", "ensemble_entropy.cfg"),
+])
+def test_outputs_name_every_file_written(tmp_path, command, name):
+    out = tmp_path / "out"
+    run_cli(command, (CONFIG_DIR / name).read_text(), tmp_path, name, env_dir=out)
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(os.listdir(out)) == sorted(summary["outputs"].values())
+
+
+@pytest.mark.parametrize("command,late_phase", [
+    ("solve", "lyapunov_series"),
+    ("ensemble", "verify_ensemble_reduction"),
+])
+def test_wallclock_covers_the_whole_command(tmp_path, monkeypatch, command,
+                                            late_phase):
+    # a clock that moves only while the last phase before the summary runs
+    out = tmp_path / "out"
+    text = (BASE_SOLVE.format(steps=50, out=out) if command == "solve" else
+            (CONFIG_DIR / "ensemble_quadratic.cfg").read_text().replace(
+                "runs/ensemble_quadratic", str(out)))
+    now = [0.0]
+    monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    phase = getattr(harness, late_phase)
+
+    def slow(*args, **kwargs):
+        now[0] += 100.0
+        return phase(*args, **kwargs)
+
+    monkeypatch.setattr(harness, late_phase, slow)
+    run_cli(command, text, tmp_path)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["wallclock_seconds"] == 100.0
 
 
 def test_ensemble_requires_members(tmp_path):

@@ -137,8 +137,19 @@ def test_ensemble_flow_divergence_is_a_typed_error(tmp_path, capsys):
     members = make_members([euclidean_geometry(whole_space(2))], [np.array([1.0, 0.0])])
     with pytest.raises(FlowDivergenceError):
         run_ensemble(members, spec, problem=p, n_steps=1000, dt=1e100)
-    with pytest.raises(FlowDivergenceError):
-        verify_ensemble_reduction(members, spec, n_steps=1000, dt=1e100)
+
+
+@pytest.mark.parametrize("dt", [None, 0.1])
+def test_reduction_check_that_overflows_is_a_typed_error(dt):
+    # the parallel run of the check steps at the record's dt with no halving
+    p = library_problem("skew_bilinear")
+    g = euclidean_geometry(whole_space(2))
+    members = make_members([g], [np.array([1.0, 0.0])])
+    record = run_ensemble(members, preset_eg(g, p, 0.1), n_steps=100, dt=dt,
+                          stop_residual=0.0)
+    assert np.all(np.isfinite(record.states))
+    with pytest.raises(FlowDivergenceError, match="non-finite"):
+        verify_ensemble_reduction(members, preset_vanilla_md(g, p, 1e300), record)
 
 
 def test_ensemble_flow_halves_like_a_single_flow():
@@ -150,8 +161,23 @@ def test_ensemble_flow_halves_like_a_single_flow():
     # at dt = 24 and by 2 at dt = 12; it contracts by 1/2 at dt = 6
     rec = run_ensemble(members, spec, problem=p, n_steps=1000, dt=24.0)
     assert rec.dt == 6.0 and rec.termination == "converged"
-    report = verify_ensemble_reduction(members, spec, n_steps=1000, dt=24.0)
-    assert len(report.deviations) == 4001 and report.max_deviation <= 1e-12
+    # the check steps at the halved dt and keeps every one of the record's steps
+    report = verify_ensemble_reduction(members, spec, rec)
+    assert len(report.deviations) == rec.final_state.step_index + 1
+    assert report.max_deviation <= 1e-12
+
+
+def test_reduction_check_follows_a_strided_halved_record():
+    p = library_problem("scalar_shift", a=2.0)
+    g = euclidean_geometry(whole_space(1))
+    spec = preset_eg(g, p, 0.5)
+    members = make_members([g], [np.array([10.0])])
+    rec = run_ensemble(members, spec, problem=p, n_steps=1000, dt=24.0, stride=10)
+    assert rec.dt == 6.0 and rec.termination == "converged"
+    assert rec.final_state.step_index % 10 != 0   # the end sample is off-stride
+    report = verify_ensemble_reduction(members, spec, rec)
+    assert len(report.deviations) == len(rec.steps)
+    assert np.all(report.deviations <= 1e-12)
 
 
 # --- boundary checks ------------------------------------------------------------
