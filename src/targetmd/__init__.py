@@ -6,9 +6,9 @@ geometric ensembles of mirror maps with a verified single-run reduction.
 
 from .errors import (ConfigurationError, DomainError, FlowDivergenceError,
                      TargetMDError, TargetResolutionError)
-from .problems import (FeasibleSet, VIProblem, box, check_monotonicity,
-                       estimate_lipschitz, library_problem, natural_residual,
-                       project_simplex, simplex, whole_space)
+from .problems import (FeasibleSet, Tridiagonal, VIProblem, box,
+                       check_monotonicity, estimate_lipschitz, library_problem,
+                       natural_residual, project_simplex, simplex, whole_space)
 from .geometry import (MirrorGeometry, bregman, entropy_geometry,
                        euclidean_geometry, softmax,
                        weighted_quadratic_geometry)

@@ -144,7 +144,9 @@ class VIProblem:
     """A variational inequality instance.
 
     linear_terms holds (M, q) when F(x) = M x + q, which lets constants be
-    computed exactly instead of estimated.
+    computed exactly instead of estimated.  M is an ndarray or a
+    Tridiagonal; both take M @ x and M.T, and callers that need an array
+    call to_dense() on the latter.
     """
 
     feasible_set: FeasibleSet
@@ -184,35 +186,64 @@ def _dimension(dim, least: int, name: str) -> int:
     return n
 
 
-def _banded_skew(dim: int) -> Vector:
-    m = np.zeros((dim, dim))
-    for i in range(dim - 1):
-        m[i, i + 1] = 1.0
-        m[i + 1, i] = -1.0
-    return m
+class Tridiagonal:
+    """diag*I + off*K, K the banded skew matrix (K[i, i+1] = 1 = -K[i+1, i]),
+    held as two scalars: O(n) products and solves, no n x n array outside
+    to_dense().  It is normal, with a closed-form norm, and its symmetric
+    part is diag*I, so diag is that part's least eigenvalue."""
 
+    def __init__(self, dim: int, diag: float, off: float):
+        self.dim, self.diag, self.off = int(dim), float(diag), float(off)
+        self.shape = (self.dim, self.dim)
 
-def _banded_skew_norm(dim: int) -> float:
-    """Spectral norm of _banded_skew(dim) (and of the 2x2 rotation):
-    its eigenvalues are +-2i*cos(k*pi/(dim + 1))."""
-    return 1.0 if dim == 2 else 2.0 * float(np.cos(np.pi / (dim + 1)))
+    def __matmul__(self, x):
+        # off*(x[i+1] - x[i-1]) first, then + diag*x[i]: the order in which
+        # the dense product of the library matrices rounds
+        x = np.asarray(x, dtype=float)
+        y = np.empty_like(x)
+        if self.dim > 2:
+            np.subtract(x[2:], x[:-2], out=y[1:-1])
+        y[0] = x[1]
+        y[-1] = -x[-2]
+        if self.off != 1.0:
+            y *= self.off
+        if self.diag == 1.0:
+            y += x
+        elif self.diag:
+            y += self.diag * x
+        return y
 
+    @property
+    def T(self) -> "Tridiagonal":
+        return Tridiagonal(self.dim, self.diag, -self.off)
 
-def _banded_solve(b: Vector) -> Vector:
-    """Solve (I + _banded_skew) x = b by tridiagonal elimination.
+    def shifted(self, eta: float) -> "Tridiagonal":
+        """I + eta*self."""
+        return Tridiagonal(self.dim, 1.0 + eta * self.diag, eta * self.off)
 
-    The elimination pivots d_i = 1 + 1/d_{i-1}, d_0 = 1, lie in [1, 2], so
-    no pivoting is needed; O(n) time and no dense copy of the matrix.
-    """
-    b = [float(v) for v in b]
-    d, r = [1.0], [b[0]]
-    for i in range(1, len(b)):
-        d.append(1.0 + 1.0 / d[-1])
-        r.append(b[i] + r[-1] / d[-2])
-    x = [r[-1] / d[-1]]
-    for i in range(len(b) - 2, -1, -1):
-        x.append((r[i] - x[-1]) / d[i])
-    return np.array(x[::-1])
+    def norm(self) -> float:
+        """Spectral norm: K's eigenvalues are +-2i*cos(k*pi/(dim + 1)); at
+        dim 2, where 2*cos(pi/3) rounds above 1, K is the unit rotation."""
+        k = 1.0 if self.dim == 2 else 2.0 * float(np.cos(np.pi / (self.dim + 1)))
+        return float(np.hypot(self.diag, abs(self.off) * k))
+
+    def solve(self, b: Vector) -> Vector:
+        """x with self @ x = b by tridiagonal elimination, for diag != 0: the
+        pivots p_i = diag + off^2/p_{i-1}, p_0 = diag, keep |p_i| >= |diag|."""
+        d, o = self.diag, self.off
+        b = [float(v) for v in b]
+        p, r = [d], [b[0]]
+        for i in range(1, len(b)):
+            p.append(d + o * o / p[-1])
+            r.append(b[i] + o * r[-1] / p[-2])
+        x = [r[-1] / p[-1]]
+        for i in range(len(b) - 2, -1, -1):
+            x.append((r[i] - o * x[-1]) / p[i])
+        return np.array(x[::-1])
+
+    def to_dense(self) -> Vector:
+        n = self.dim
+        return self.diag * np.eye(n) + self.off * (np.eye(n, k=1) - np.eye(n, k=-1))
 
 
 def _linear(m: Vector, q: Vector) -> Callable[[Vector], Vector]:
@@ -223,13 +254,13 @@ def _linear(m: Vector, q: Vector) -> Callable[[Vector], Vector]:
 
 def _make_skew_bilinear(dim: int = 2) -> VIProblem:
     dim = _dimension(dim, 2, "skew_bilinear")
-    m = np.array([[0.0, 1.0], [-1.0, 0.0]]) if dim == 2 else _banded_skew(dim)
+    m = Tridiagonal(dim, 0.0, 1.0)
     q = np.zeros(dim)
     return VIProblem(
         feasible_set=whole_space(dim),
         F=_linear(m, q),
         name="skew_bilinear",
-        lipschitz_hint=_banded_skew_norm(dim),
+        lipschitz_hint=m.norm(),
         known_solution=np.zeros(dim),
         linear_terms=(m, q),
     )
@@ -237,18 +268,15 @@ def _make_skew_bilinear(dim: int = 2) -> VIProblem:
 
 def _make_linear_monotone(dim: int = 2) -> VIProblem:
     dim = _dimension(dim, 2, "linear_monotone")
-    m = _banded_skew(dim) if dim > 2 else np.array([[0.0, 1.0], [-1.0, 0.0]])
-    np.fill_diagonal(m, 1.0)
+    m = Tridiagonal(dim, 1.0, 1.0)
     q = 0.5 * np.array([(-1.0) ** i for i in range(dim)])
-    solution = _banded_solve(-q)
     return VIProblem(
         feasible_set=whole_space(dim),
         F=_linear(m, q),
         name="linear_monotone",
-        # I + K with K skew is normal: its singular values are |1 + i*lambda|
-        lipschitz_hint=float(np.hypot(1.0, _banded_skew_norm(dim))),
-        strong_modulus=1.0,  # symmetric part is the identity
-        known_solution=solution,
+        lipschitz_hint=m.norm(),
+        strong_modulus=m.diag,
+        known_solution=m.solve(-q),
         linear_terms=(m, q),
     )
 
@@ -409,15 +437,14 @@ def estimate_lipschitz(problem: VIProblem, n_samples: int = 64,
         return float(problem.lipschitz_hint)
     if problem.linear_terms is not None:
         m, _ = problem.linear_terms
-        gram = m.T @ m
         v = np.ones(m.shape[0]) / np.sqrt(m.shape[0])
         for _ in range(50):
-            w = gram @ v
+            w = m.T @ (m @ v)
             nw = np.linalg.norm(w)
             if nw == 0.0:
                 return 0.0
             v = w / nw
-        return float(np.sqrt(v @ gram @ v))
+        return float(np.sqrt(v @ (m.T @ (m @ v))))
     rng = np.random.default_rng(rng_seed)
     xs = problem.feasible_set.sample(rng, n_samples)
     ys = problem.feasible_set.sample(rng, n_samples)

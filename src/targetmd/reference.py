@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .problems import WHOLE_SPACE, VIProblem
+from .problems import WHOLE_SPACE, Tridiagonal, VIProblem
 from .targets import SplitPair
 
 Vector = np.ndarray
@@ -25,8 +25,10 @@ def ppa_step(problem: VIProblem, eta: float, x: Vector) -> Vector:
     if problem.feasible_set.kind != WHOLE_SPACE:
         raise ConfigurationError("reference proximal step needs a whole-space set")
     m, q = problem.linear_terms
-    a = np.eye(m.shape[0]) + eta * m
-    return np.linalg.solve(a, np.asarray(x, dtype=float) - eta * q)
+    b = np.asarray(x, dtype=float) - eta * q
+    if isinstance(m, Tridiagonal):
+        return m.shifted(eta).solve(b)
+    return np.linalg.solve(np.eye(m.shape[0]) + eta * m, b)
 
 
 def eg_step_euclidean(problem: VIProblem, eta1: float, eta2: float,

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, TargetResolutionError
 from .geometry import INTERIOR_FLOOR, MirrorGeometry, entropy_geometry
-from .problems import (SIMPLEX, WHOLE_SPACE, FeasibleSet, VIProblem, box,
-                       estimate_lipschitz, sampled_monotonicity)
+from .problems import (SIMPLEX, WHOLE_SPACE, FeasibleSet, Tridiagonal, VIProblem,
+                       box, estimate_lipschitz, sampled_monotonicity)
 
 Vector = np.ndarray
 
@@ -304,10 +304,13 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     modulus = lipschitz = None
     if problem.linear_terms is not None and geometry.name == "euclidean":
         m, _ = problem.linear_terms
-        a = np.eye(m.shape[0]) + eta * m
-        sym = 0.5 * (a + a.T)
-        modulus = float(np.linalg.eigvalsh(sym).min())
-        lipschitz = float(np.linalg.norm(a, 2))
+        if isinstance(m, Tridiagonal):
+            a = m.shifted(eta)
+            modulus, lipschitz = a.diag, a.norm()
+        else:
+            a = np.eye(m.shape[0]) + eta * m
+            modulus = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
+            lipschitz = float(np.linalg.norm(a, 2))
         if modulus <= 0.0:
             modulus = lipschitz = None
 

@@ -55,6 +55,7 @@ def test_criterion_1_reduction_equivalence():
     skew = library_problem("skew_bilinear")
     g = euclidean_geometry(skew.feasible_set)
     m, q = skew.linear_terms
+    m = m.to_dense()
     pair, _ = affine_box_split(2.0, 0.0, 1.0)
     g1 = euclidean_geometry(whole_space(1))
     ja = lambda v: np.clip(v, 0.0, 1.0)

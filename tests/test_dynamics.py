@@ -93,6 +93,7 @@ def _side_by_side(geometry, spec, reference_step, x0, n_steps):
 def test_reduction_ppa_linear():
     p, g = _skew()
     m, q = p.linear_terms
+    m = m.to_dense()
     spec = preset_ppa(g, p, 0.5, inner_tol=1e-13)
     worst = _side_by_side(g, spec, lambda x: ri.ppa_step_linear(m, q, 0.5, x),
                           [1.0, 0.0], 100)

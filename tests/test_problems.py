@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from targetmd import (VIProblem, box, check_monotonicity, estimate_lipschitz,
-                      library_problem, natural_residual, project_simplex,
+                      euclidean_geometry, library_problem, natural_residual,
+                      preset_eg, preset_ppa, project_simplex, reference,
                       whole_space)
 from targetmd.errors import ConfigurationError, DomainError
-from targetmd.problems import SIMPLEX_MASS_TOL
+from targetmd.problems import SIMPLEX_MASS_TOL, Tridiagonal
 
 SEED = 77
 
@@ -103,9 +104,81 @@ def test_library_examples():
 def test_linear_monotone_solution_matches_a_dense_solve(dim):
     p = library_problem("linear_monotone", dim=dim)
     m, q = p.linear_terms
-    dense = np.linalg.solve(m, -q)
+    dense = np.linalg.solve(m.to_dense(), -q)
     assert np.max(np.abs(p.known_solution - dense)) <= 1e-14
     assert np.max(np.abs(m @ p.known_solution + q)) <= 1e-14
+
+
+# --- the banded operator of skew_bilinear and linear_monotone --------------
+
+BANDED_DIMS = [2, 3, 10, 200, 1999, 2000]
+
+
+@pytest.mark.parametrize("dim", BANDED_DIMS)
+def test_skew_bilinear_operator_is_bit_identical_to_its_dense_matrix(dim):
+    # two nonzeros per row: no summation order to differ in
+    m, _ = library_problem("skew_bilinear", dim=dim).linear_terms
+    dense = m.to_dense()
+    for x in np.random.default_rng(SEED + dim).standard_normal((20, dim)):
+        assert np.array_equal((m @ x).view(np.int64), (dense @ x).view(np.int64))
+
+
+@pytest.mark.parametrize("dim", BANDED_DIMS)
+def test_linear_monotone_operator_matches_its_dense_matrix_within_2_ulp(dim):
+    # a dense product may sum a row's three terms in another order; the
+    # bound is 2 ulp of the row's sum of absolute terms
+    m, _ = library_problem("linear_monotone", dim=dim).linear_terms
+    dense = m.to_dense()
+    for x in np.random.default_rng(SEED + dim).standard_normal((20, dim)):
+        ulp = np.spacing(np.abs(dense) @ np.abs(x))
+        assert np.all(np.abs(m @ x - dense @ x) <= 2.0 * ulp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40),
+       st.floats(0.1, 4.0) | st.floats(-4.0, -0.1),
+       st.floats(-4.0, 4.0))
+def test_tridiagonal_matches_dense_numpy(dim, diag, off):
+    m = Tridiagonal(dim, diag, off)
+    dense = m.to_dense()
+    x = np.random.default_rng(SEED + dim).standard_normal(dim)
+    assert np.allclose(m @ x, dense @ x, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(m.T.to_dense(), dense.T)
+    assert m.norm() == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+    assert m.diag == pytest.approx(
+        np.linalg.eigvalsh(0.5 * (dense + dense.T)).min(), rel=1e-14)
+    # the pivots stay at least |diag|, so cond(m) <= norm/|diag| <= 81
+    assert np.allclose(m.solve(x), np.linalg.solve(dense, x), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["skew_bilinear", "linear_monotone"])
+@pytest.mark.parametrize("dim", [2, 3, 200])
+@pytest.mark.parametrize("eta", [0.1, 0.5, 1.0])
+def test_ppa_constants_of_the_banded_operator_match_a_dense_eigensolve(name, dim, eta):
+    problem = library_problem(name, dim=dim)
+    inner = preset_ppa(euclidean_geometry(problem.feasible_set), problem, eta).target
+    a = np.eye(dim) + eta * problem.linear_terms[0].to_dense()
+    modulus = np.linalg.eigvalsh(0.5 * (a + a.T)).min()
+    lipschitz = np.linalg.norm(a, 2)
+    assert abs(inner.modulus - modulus) <= np.spacing(modulus)
+    assert abs(inner.lipschitz - lipschitz) <= np.spacing(lipschitz)
+
+
+@pytest.mark.parametrize("name", ["skew_bilinear", "linear_monotone"])
+def test_banded_problems_run_at_a_dimension_no_dense_matrix_fits(name):
+    # a dense 100,000 x 100,000 matrix would take 80 GB
+    dim = 100_000
+    problem = library_problem(name, dim=dim)
+    g = euclidean_geometry(problem.feasible_set)
+    assert np.max(np.abs(problem.F(problem.known_solution))) <= 1e-14
+    x = np.random.default_rng(SEED).standard_normal(dim)
+    assert problem.F(x).shape == (dim,)
+    preset_eg(g, problem, 0.1)
+    inner = preset_ppa(g, problem, 0.5).target
+    assert inner.modulus is not None and inner.lipschitz is not None
+    # the proximal step y solves y + eta*F(y) = x
+    y = reference.ppa_step(problem, 0.5, x)
+    assert np.max(np.abs(y + 0.5 * problem.F(y) - x)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["skew_bilinear", "linear_monotone",
@@ -202,7 +275,8 @@ def test_lipschitz_power_iteration_matches_spectral_norm():
     problem = library_problem("linear_monotone", dim=4)
     problem.lipschitz_hint = None
     m, _ = problem.linear_terms
-    assert estimate_lipschitz(problem) == pytest.approx(np.linalg.norm(m, 2), rel=1e-6)
+    assert estimate_lipschitz(problem) == pytest.approx(np.linalg.norm(m.to_dense(), 2),
+                                                        rel=1e-6)
 
 
 def test_lipschitz_sampled_fallback_overestimates():

@@ -192,7 +192,7 @@ def test_ppa_inner_solver_agrees_with_linear_solve():
     g = euclidean_geometry(problem.feasible_set)
     spec = preset_ppa(g, problem, 0.5, inner_tol=1e-13)
     m, q = problem.linear_terms
-    a = np.eye(2) + 0.5 * m
+    a = np.eye(2) + 0.5 * m.to_dense()
     rng = np.random.default_rng(SEED + 1)
     for x in problem.feasible_set.sample(rng, 50):
         direct = np.linalg.solve(a, x - 0.5 * q)
@@ -576,7 +576,7 @@ def test_mirror_route_weighted_quadratic_matches_linear_solve():
     rng = np.random.default_rng(SEED + 23)
     for x in rng.normal(size=(10, 2)):
         y = resolve_target(spec, x)
-        exact = np.linalg.solve(w + 0.5 * m, w @ x - 0.5 * q)
+        exact = np.linalg.solve(w + 0.5 * m.to_dense(), w @ x - 0.5 * q)
         assert np.linalg.norm(y - exact) <= 1e-12
 
 
