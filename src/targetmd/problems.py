@@ -197,8 +197,8 @@ class Tridiagonal:
         self.shape = (self.dim, self.dim)
 
     def __matmul__(self, x):
-        # off*(x[i+1] - x[i-1]) first, then + diag*x[i]: the order in which
-        # the dense product of the library matrices rounds
+        # off*(x[i+1] - x[i-1]) first, then + diag*x[i]: on the library
+        # matrices this is the dense product's bits, or within 2 ulp of them
         x = np.asarray(x, dtype=float)
         y = np.empty_like(x)
         if self.dim > 2:
