@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, FlowDivergenceError
 from .geometry import MirrorGeometry, bregman
 from .problems import VIProblem, natural_residual
-from .targets import TargetSpec, _step_size, resolve_target
+from .targets import ClosedFormGap, TargetSpec, _step_size, resolve_target
 
 Vector = np.ndarray
 
@@ -67,13 +67,14 @@ def state_from_dual(geometry: MirrorGeometry, z0) -> SolverState:
 
 def dual_rate(spec: TargetSpec, x: Vector, tx: Vector,
               sx: Optional[Vector] = None) -> Vector:
-    """alpha * (S(T(x)) - S(x)) - beta * Phi(x); sx, when given, is the
-    S(x) that resolving T(x) evaluated, and is used in place of S(x)."""
+    """alpha * (S(T(x)) - S(x)) - beta * Phi(x); sx, when given, is what
+    resolving T(x) handed on (see resolve_target): the S(x) used in place
+    of S(x), or under ClosedFormGap the gap itself."""
     x = np.asarray(x, dtype=float)
     rate = np.zeros_like(x)
     if spec.alpha != 0.0:
-        if spec.dual_gap is not None:
-            rate = spec.alpha * spec.dual_gap(x, tx)
+        if isinstance(spec.target, ClosedFormGap):
+            rate = spec.alpha * (spec.target.fn(x)[1] if sx is None else sx)
         else:
             rate = spec.alpha * (spec.S(tx) - (spec.S(x) if sx is None else sx))
     if spec.beta != 0.0:
@@ -249,6 +250,34 @@ def _stationarity(spec, problem):
     return None
 
 
+def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
+         gain=1.0, x0=None, state=None, reference=None, stacked=False,
+         stop_residual=DEFAULT_STOP_RESIDUAL, stride=1, max_halvings=8):
+    """What every runner shares around its rate, stop residual and gain: the
+    start state, the target map (none without a spec), the recorder and the
+    integrate call.  A flow (dt given) integrates with euler or rk4.  stacked
+    runs on (z, xi) from xi = x0, pulled back through z alone."""
+    if dt is not None and scheme not in ("euler", "rk4"):
+        raise ConfigurationError("integrator must be 'euler' or 'rk4'")
+    if state is None:
+        state = initial_state(geometry, x0)
+    pullback, dim = geometry.grad_h_conj, geometry.dim
+    if stacked:
+        state = SolverState(0, 0.0, np.concatenate((state.z, state.x)), state.x)
+        pullback = lambda y: geometry.grad_h_conj(y[:dim])
+    record = integrate(rate, pullback, state, scheme, t_end,
+                       dt=1.0 if scheme == "discrete" else dt, gain=gain,
+                       target=(lambda x: (None, None)) if spec is None else _target_map(spec),
+                       residual=residual, stop_residual=stop_residual, stride=stride,
+                       recorder=partial(_Recorder, geometry, spec, problem, reference),
+                       max_halvings=max_halvings)
+    if stacked:
+        end = record.final_state
+        record.final_state = SolverState(end.step_index, end.time, end.z[:dim],
+                                         end.x, end.z[dim:])
+    return record
+
+
 def run_discrete(geometry: MirrorGeometry, spec: TargetSpec,
                  problem: Optional[VIProblem] = None, x0=None,
                  n_steps: int = 1000,
@@ -257,13 +286,9 @@ def run_discrete(geometry: MirrorGeometry, spec: TargetSpec,
                  state: Optional[SolverState] = None) -> RunRecord:
     """Up to n_steps discrete steps, stopping early once the stationarity
     residual falls below stop_residual."""
-    if state is None:
-        state = initial_state(geometry, x0)
-    return integrate(_tmd_rate(spec), geometry.grad_h_conj, state, "discrete",
-                     n_steps, target=_target_map(spec),
-                     residual=_stationarity(spec, problem),
-                     stop_residual=stop_residual, stride=stride,
-                     recorder=partial(_Recorder, geometry, spec, problem, reference))
+    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
+                "discrete", n_steps, x0=x0, state=state, reference=reference,
+                stop_residual=stop_residual, stride=stride)
 
 
 def flow(geometry: MirrorGeometry, spec: TargetSpec,
@@ -272,26 +297,15 @@ def flow(geometry: MirrorGeometry, spec: TargetSpec,
          problem: Optional[VIProblem] = None, x0=None, reference=None,
          stop_residual: float = DEFAULT_STOP_RESIDUAL, stride: int = 10,
          max_halvings: int = 8) -> RunRecord:
-    """Integrate z' = alpha*(S o T - S)(x) - beta*Phi(x), x = grad_h_conj(z).
-
-    Non-finite states trigger automatic halving of dt (up to max_halvings)
-    before giving up with a diagnostic.
-    """
-    if integrator not in ("euler", "rk4"):
-        raise ConfigurationError("integrator must be 'euler' or 'rk4'")
-    if state is None:
-        state = initial_state(geometry, x0)
-    return integrate(_tmd_rate(spec), geometry.grad_h_conj, state, integrator,
-                     t_end, dt=dt, target=_target_map(spec),
-                     residual=_stationarity(spec, problem),
-                     stop_residual=stop_residual, stride=stride,
-                     recorder=partial(_Recorder, geometry, spec, problem, reference),
-                     max_halvings=max_halvings)
+    """Integrate z' = alpha*(S o T - S)(x) - beta*Phi(x), x = grad_h_conj(z);
+    a non-finite state halves dt, up to max_halvings times (see integrate)."""
+    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
+                integrator, t_end, dt=dt, x0=x0, state=state, reference=reference,
+                stop_residual=stop_residual, stride=stride, max_halvings=max_halvings)
 
 
 def _mismatch_norm(state, tx, k1):
-    """Stop residual of the discounted flows: the norm of their rate, the
-    dual mismatch."""
+    """The discounted flows' stop residual: the norm of their rate."""
     return float(np.linalg.norm(k1))
 
 
@@ -299,33 +313,29 @@ def run_dmd(geometry: MirrorGeometry, spec: TargetSpec, gamma: float = 1.0,
             dt: float = 1e-2, t_end: float = 50.0,
             problem: Optional[VIProblem] = None, x0=None, reference=None,
             stop_residual: float = DEFAULT_STOP_RESIDUAL,
-            stride: int = 10) -> RunRecord:
+            stride: int = 10, integrator: str = "euler") -> RunRecord:
     """Calibrated discounted flow z' = gamma*(S(T(x)) - z), for design
     tuples where alpha*S + beta*Phi collapses to grad_h.  It stops on the
     dual mismatch ||S(T(x)) - z||, which vanishes exactly at equilibrium;
     under case 1 that forces T(x) = x, a true solution."""
-    return integrate(lambda z, x, tx, sx: spec.S(tx) - z, geometry.grad_h_conj,
-                     initial_state(geometry, x0), "euler", t_end, dt=dt,
-                     gain=_step_size(gamma, "gamma"), target=_target_map(spec),
-                     residual=_mismatch_norm,
-                     stop_residual=stop_residual, stride=stride,
-                     recorder=partial(_Recorder, geometry, spec, problem, reference))
+    return _run(geometry, spec, problem, lambda z, x, tx, sx: spec.S(tx) - z,
+                _mismatch_norm, integrator, t_end, dt=dt,
+                gain=_step_size(gamma, "gamma"), x0=x0, reference=reference,
+                stop_residual=stop_residual, stride=stride)
 
 
 def run_vanilla_dmd(geometry: MirrorGeometry, problem: VIProblem,
                     gamma: float = 1.0, dt: float = 1e-2, t_end: float = 50.0,
                     x0=None, reference=None,
                     stop_residual: float = DEFAULT_STOP_RESIDUAL,
-                    stride: int = 10) -> RunRecord:
+                    stride: int = 10, integrator: str = "euler") -> RunRecord:
     """Uncalibrated discounted baseline z' = gamma*(-F(x) - z); stops on
     ||-F(x) - z||.  Its equilibria z = -F(grad_h_conj(z)) generally do NOT
     solve the inequality."""
-    return integrate(lambda z, x, tx, sx: -problem.F(x) - z, geometry.grad_h_conj,
-                     initial_state(geometry, x0), "euler", t_end, dt=dt,
-                     gain=_step_size(gamma, "gamma"), target=lambda x: (None, None),
-                     residual=_mismatch_norm,
-                     stop_residual=stop_residual, stride=stride,
-                     recorder=partial(_Recorder, geometry, None, problem, reference))
+    return _run(geometry, None, problem, lambda z, x, tx, sx: -problem.F(x) - z,
+                _mismatch_norm, integrator, t_end, dt=dt,
+                gain=_step_size(gamma, "gamma"), x0=x0, reference=reference,
+                stop_residual=stop_residual, stride=stride)
 
 
 def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
@@ -334,9 +344,8 @@ def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
                      problem: Optional[VIProblem] = None, x0=None,
                      reference=None,
                      stop_residual: float = DEFAULT_STOP_RESIDUAL,
-                     stride: int = 10) -> RunRecord:
-    """Euler integration of the second-order variant on the stacked state
-    (z, xi), from xi = x0:
+                     stride: int = 10, integrator: str = "euler") -> RunRecord:
+    """The second-order variant on the stacked state (z, xi), from xi = x0:
 
         z'  = alpha*(S(T(x)) - S(x)) - beta*Phi(x) - gamma1*(x - xi)
         xi' = gamma2*(x - xi)
@@ -348,8 +357,7 @@ def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
     first-order stop residual with the auxiliary gap ||x - xi||, both of
     which vanish at equilibrium; without a first-order residual (alpha = 0
     and no problem) the run has no stop rule, as in run_discrete."""
-    start = initial_state(geometry, x0)
-    dim = start.x.size
+    dim = geometry.dim
     gamma1 = _step_size(gamma1, "gamma1")
     gain = np.concatenate((np.ones(dim), np.full(dim, _step_size(gamma2, "gamma2"))))
     first_order = _stationarity(spec, problem)
@@ -361,17 +369,10 @@ def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
     def stationarity(st, tx, k1):
         return max(first_order(st, tx, k1), float(np.linalg.norm(st.x - st.z[dim:])))
 
-    y0 = np.concatenate((start.z, start.x))
-    record = integrate(rate, lambda y: geometry.grad_h_conj(y[:dim]),
-                       SolverState(0, 0.0, y0, start.x), "euler",
-                       t_end, dt=dt, gain=gain, target=_target_map(spec),
-                       residual=None if first_order is None else stationarity,
-                       stop_residual=stop_residual, stride=stride,
-                       recorder=partial(_Recorder, geometry, spec, problem, reference))
-    end = record.final_state
-    record.final_state = SolverState(end.step_index, end.time, end.z[:dim],
-                                     end.x, end.z[dim:])
-    return record
+    return _run(geometry, spec, problem, rate,
+                None if first_order is None else stationarity, integrator, t_end,
+                dt=dt, gain=gain, x0=x0, reference=reference, stacked=True,
+                stop_residual=stop_residual, stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -460,5 +461,5 @@ def primal_vector_field(geometry: MirrorGeometry, spec: TargetSpec, x) -> Vector
         raise ConfigurationError(
             f"geometry {geometry.name!r} has no closed-form mirror-map Jacobian")
     x = np.asarray(x, dtype=float)
-    tx = resolve_target(spec, x)
-    return geometry.conj_jacobian(x) @ dual_rate(spec, x, tx)
+    return geometry.conj_jacobian(x) @ dual_rate(
+        spec, x, *resolve_target(spec, x, with_anchor=True))

@@ -15,7 +15,6 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -24,8 +23,7 @@ import numpy as np
 from . import reference
 from .checks import run_condition_checks
 from .config import ExperimentConfig, echo_config
-from .dynamics import (CONVERGED, RunRecord, _Recorder, _target_map, _tmd_rate,
-                       dual_rate, flow, initial_state, integrate,
+from .dynamics import (CONVERGED, RunRecord, _run, _tmd_rate, dual_rate, flow,
                        lyapunov_series, primal_vector_field, run_discrete,
                        run_dmd, run_higher_order, run_vanilla_dmd)
 from .ensemble import (EnsembleMember, run_ensemble, synthesized_geometry,
@@ -77,19 +75,22 @@ class Preset:
     params maps each preset.<key> to its default; aliases holds (alias,
     key) pairs, of which a config gives at most one.  build(geometry,
     problem, pair, p) returns the design tuple for the resolved parameters
-    p.  A runner replaces run_discrete / flow; its presets run in flow mode
-    only and neither drive an ensemble nor serve as a base.  ambient: the
-    Euclidean state lives on the whole space.  compare checks against
-    coded_step(geometry, problem, pair, spec, p, x), the next iterate, or
-    coded_field(...), the vector field minus the coded one.  Callables look
-    up what they call by name when they run, so rebinding a module
-    attribute reaches them.
+    p.  Discrete mode runs run_discrete; flow mode runs flow(geometry,
+    problem, spec, p, integrator=..., **run), by default the dynamics' flow.
+    flow_only: the preset brings its own rate to that flow, runs in flow
+    mode only, and neither drives an ensemble nor serves as a base.
+    ambient: the Euclidean state lives on the whole space.  compare checks
+    against coded_step(geometry, problem, pair, spec, p, x), the next
+    iterate, or coded_field(...), the vector field minus the coded one.
+    Callables look up what they call by name when they run, so rebinding a
+    module attribute reaches them.
     """
 
     blurb: str
     params: dict
     build: Optional[Callable] = None
-    runner: Optional[Callable] = None
+    flow: Callable = lambda g, pb, spec, p, **run: flow(g, spec, problem=pb, **run)
+    flow_only: bool = False
     ambient: bool = False
     coded_step: Optional[Callable] = None
     coded_field: Optional[Callable] = None
@@ -112,8 +113,8 @@ def _on_base(geometry, problem, pair, p):
     """The base preset's design tuple, built from the parameters that
     higher_order does not take itself."""
     base = PRESETS.get(p["base"])
-    if base is None or base.runner is not None:
-        bases = ", ".join(name for name, row in PRESETS.items() if row.runner is None)
+    if base is None or base.flow_only:
+        bases = ", ".join(name for name, row in PRESETS.items() if not row.flow_only)
         raise ConfigurationError(f"preset.base must be one of {bases}; got {p['base']!r}")
     own = PRESETS["higher_order"].params
     sub = ExperimentConfig(preset=p["base"], preset_params={
@@ -169,18 +170,20 @@ PRESETS = {
         build=lambda g, pb, pair, p: preset_vanilla_md(g, pb, **p)),
     "dmd_vanilla": Preset(
         "uncalibrated discounted baseline (misaligned equilibria)", {"gamma": 1.0},
-        runner=lambda g, pb, spec, p, **run: run_vanilla_dmd(g, pb, **p, **run)),
+        flow=lambda g, pb, spec, p, **run: run_vanilla_dmd(g, pb, **p, **run),
+        flow_only=True),
     "dmd_calibrated": Preset(
         "discounted update recalibrated onto true solutions",
         {"eta": 1.0, "case": 1, "gamma": 1.0},
         build=lambda g, pb, pair, p: preset_dmd_calibrated(g, pb, p["eta"], p["case"]),
-        runner=lambda g, pb, spec, p, **run: run_dmd(
-            g, spec, p["gamma"], problem=pb, **run)),
+        flow=lambda g, pb, spec, p, **run: run_dmd(g, spec, p["gamma"], problem=pb, **run),
+        flow_only=True),
     "higher_order": Preset(
         "second-order variant over a base preset",
         {"base": "eg", "gamma1": 1.0, "gamma2": 1.0}, build=_on_base,
-        runner=lambda g, pb, spec, p, **run: run_higher_order(
-            g, spec, gamma1=p["gamma1"], gamma2=p["gamma2"], problem=pb, **run)),
+        flow=lambda g, pb, spec, p, **run: run_higher_order(
+            g, spec, gamma1=p["gamma1"], gamma2=p["gamma2"], problem=pb, **run),
+        flow_only=True),
 }
 
 
@@ -358,27 +361,22 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
     problem, pair = build_problem(cfg)
     geometry = build_geometry(cfg, problem)
     spec = build_spec(cfg, geometry, problem, pair)
-    if row.runner is not None and cfg.mode != "flow":
+    if row.flow_only and cfg.mode != "flow":
         raise ConfigurationError(f"{cfg.preset} runs in flow mode")
-    stride = cfg.effective_stride()
 
     reference_point = cfg.lyapunov_reference
     if reference_point is None and (spec is None or spec.shadow is None):
         # For shadow-style designs the known solution is NOT a reference
         # for the governing sequence, so it must be given explicitly.
         reference_point = problem.known_solution
-    if reference_point is not None:
-        reference_point = np.asarray(reference_point, dtype=float)
 
     run = dict(x0=cfg.x0, reference=reference_point,
-               stop_residual=cfg.stop_residual, stride=stride)
+               stop_residual=cfg.stop_residual, stride=cfg.effective_stride())
     if cfg.mode == "discrete":
         record = run_discrete(geometry, spec, problem=problem, n_steps=cfg.steps, **run)
-    elif row.runner is not None:
-        record = row.runner(geometry, problem, spec, p, dt=cfg.dt, t_end=cfg.t_end, **run)
     else:
-        record = flow(geometry, spec, integrator=cfg.integrator, dt=cfg.dt,
-                      t_end=cfg.t_end, problem=problem, **run)
+        record = row.flow(geometry, problem, spec, p, integrator=cfg.integrator,
+                          dt=cfg.dt, t_end=cfg.t_end, **run)
 
     out = resolve_output_dir(cfg)
     trajectory = out / "trajectory.csv"
@@ -432,10 +430,8 @@ def run_compare(cfg: ExperimentConfig) -> CliResult:
     else:
         kind, tol = "per_step", DISCRETE_COMPARE_TOL
         # every step is compared, so the driver run has no stop residual
-        record = integrate(_tmd_rate(spec), geometry.grad_h_conj,
-                           initial_state(geometry, cfg.x0), "discrete",
-                           cfg.compare_steps, target=_target_map(spec),
-                           recorder=partial(_Recorder, geometry, None, None, None))
+        record = _run(geometry, spec, None, _tmd_rate(spec), None, "discrete",
+                      cfg.compare_steps, x0=cfg.x0)
         x_ref, deviations = record.states[0], []
         for x in record.states[1:]:
             x_ref = row.coded_step(geometry, problem, pair, spec, p, x_ref)
@@ -500,7 +496,7 @@ def run_ensemble_cmd(cfg: ExperimentConfig) -> CliResult:
     started = time.monotonic()
     if not cfg.ensemble_members:
         raise ConfigurationError("ensemble runs need an ensemble member list")
-    if _resolve(cfg)[0].runner is not None:
+    if _resolve(cfg)[0].flow_only:
         raise ConfigurationError(f"preset {cfg.preset!r} cannot drive an ensemble")
     if cfg.mode == "flow" and cfg.integrator != "euler":
         raise ConfigurationError(f"flow.integrator = {cfg.integrator}: ensemble "

@@ -40,6 +40,17 @@ class ClosedForm:
 
 
 @dataclass(frozen=True)
+class ClosedFormGap:
+    """Evaluate the target and the dual gap S(T(x)) - S(x) together by
+    direct formula: fn(x) returns both, and resolving the target hands the
+    gap on to the dual rate.  For gaps that stay evaluable where the
+    literal difference would not (targets exponentially close to a
+    boundary)."""
+
+    fn: Callable[[Vector], tuple]
+
+
+@dataclass(frozen=True)
 class MirrorOfS:
     """Evaluate the target as T(x) = mirror(S(x)).
 
@@ -73,7 +84,7 @@ class ResolventSolve:
     grad_h_conj: Optional[Callable[[Vector], Vector]] = None
 
 
-TargetStrategy = Union[ClosedForm, MirrorOfS, ResolventSolve]
+TargetStrategy = Union[ClosedForm, ClosedFormGap, MirrorOfS, ResolventSolve]
 
 
 @dataclass(eq=False)
@@ -98,11 +109,6 @@ class TargetSpec:
     name: str = "custom"
     phi_implicit: bool = False
     shadow: Optional[Callable[[Vector], Vector]] = None
-    # optional closed form for S(T(x)) - S(x); some designs admit a direct
-    # expression that stays evaluable where the literal difference would
-    # leave the representable range (targets exponentially close to a
-    # boundary)
-    dual_gap: Optional[Callable[[Vector, Vector], Vector]] = None
 
     def __post_init__(self):
         if self.alpha < 0.0 or self.beta < 0.0:
@@ -154,15 +160,17 @@ def resolve_target(spec: TargetSpec, x: Vector, *, with_anchor: bool = False):
     violations of S or Phi) triggers geometric backoff of tau, at most 6
     halvings.
 
-    with_anchor=True returns (T(x), S(x)) instead, where S(x) is the anchor
-    the resolution evaluated (None for ClosedForm), so that the dual rate
-    can reuse it rather than evaluate S(x) again.
+    with_anchor=True returns (T(x), a) instead, with a what the dual rate
+    reuses rather than evaluate again: the anchor S(x) the resolution
+    evaluated (None for ClosedForm), or ClosedFormGap's gap S(T(x)) - S(x).
     """
     x = np.asarray(x, dtype=float)
     strategy = spec.target
     anchor = None
     if isinstance(strategy, ClosedForm):
         tx = np.asarray(strategy.fn(x), dtype=float)
+    elif isinstance(strategy, ClosedFormGap):
+        tx, anchor = strategy.fn(x)
     elif isinstance(strategy, MirrorOfS):
         anchor = spec.S(x)
         tx = np.asarray(strategy.mirror(anchor), dtype=float)
@@ -251,8 +259,7 @@ def _mirror_fixed_point(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
 def _require_strongly_monotone(op, feasible_set, label, seed=0):
     """Refute, on 64 sampled interior pairs, that op is strongly monotone."""
     rng = np.random.default_rng(seed)
-    pairs = zip(feasible_set.sample_interior(rng, 64),
-                feasible_set.sample_interior(rng, 64))
+    pairs = (feasible_set.sample_interior(rng, 2) for _ in range(64))
     ratio = sampled_monotonicity(op, pairs)[0]
     if ratio <= 1e-12:
         raise ConfigurationError(
@@ -537,17 +544,13 @@ def preset_bnn(problem: VIProblem, eta: float = 1.0) -> TargetSpec:
 
     def target(x):
         _, nep = excess_payoff(problem, x)
-        return aitchison_add(x, np.exp(eta * nep))
-
-    def dual_gap(x, tx):
-        # log of the Aitchison translation: the gap is the dual shift minus
-        # its log-normalizer times the all-ones vector, computed in log
-        # space so targets hugging the boundary stay evaluable
-        _, nep = excess_payoff(problem, x)
+        # the gap is the log of the Aitchison translation: the dual shift
+        # minus its log-normalizer times the all-ones vector, computed in
+        # log space so targets hugging the boundary stay evaluable
         shifted = np.log(x) + eta * nep
         peak = shifted.max()
         log_z = peak + np.log(np.sum(np.exp(shifted - peak)))
-        return eta * nep - log_z
+        return aitchison_add(x, np.exp(eta * nep)), eta * nep - log_z
 
     return TargetSpec(
         alpha=1.0 / eta,
@@ -555,10 +558,9 @@ def preset_bnn(problem: VIProblem, eta: float = 1.0) -> TargetSpec:
         S=geometry.grad_h,
         sigma=geometry.strong_convexity_modulus,
         Phi=lambda x: eta * problem.F(x),
-        target=ClosedForm(target),
+        target=ClosedFormGap(target),
         feasible_set=problem.feasible_set,
         name="bnn",
-        dual_gap=dual_gap,
     )
 
 

@@ -212,16 +212,42 @@ def test_flow_rejects_bad_arguments():
         flow(g, spec, integrator="euler", dt=-1e-2, t_end=1.0)
 
 
-def test_integrator_observed_orders():
+def _order_run(case):
+    """integrator, dt -> RunRecord of one flow runner on t in [0, 2]."""
     p, g = _skew()
-    spec = preset_fbf(p, 0.1)
+    run = dict(t_end=2.0, stop_residual=0.0, stride=10 ** 9)
+    if case == "flow_fbf":
+        return partial(flow, g, preset_fbf(p, 0.1), x0=[1.0, 0.0], **run)
+    if case == "dmd_case1":
+        shift = library_problem("scalar_shift")
+        g1 = euclidean_geometry(shift.feasible_set)
+        spec = preset_dmd_calibrated(g1, shift, eta=1.0, case=1)
+        return partial(run_dmd, g1, spec, problem=shift, x0=[0.0], **run)
+    if case == "dmd_case2":
+        spec = preset_dmd_calibrated(g, p, eta=0.1, case=2)
+        return partial(run_dmd, g, spec, problem=p, x0=[1.0, 0.0], **run)
+    if case == "vanilla_dmd":
+        return partial(run_vanilla_dmd, g, p, x0=[1.0, 0.0], **run)
+    if case == "higher_order_eg_euclidean":
+        return partial(run_higher_order, g, preset_eg(g, p, 0.1), problem=p,
+                       x0=[1.0, 0.0], **run)
+    rps, ge = library_problem("rps_game"), entropy_geometry(3)
+    return partial(run_higher_order, ge, preset_eg(ge, rps, 0.1), problem=rps,
+                   x0=[0.6, 0.3, 0.1], **run)
+
+
+@pytest.mark.parametrize("case", [
+    "flow_fbf", "dmd_case1", "dmd_case2", "vanilla_dmd",
+    "higher_order_eg_euclidean", "higher_order_eg_entropy"])
+def test_integrator_observed_orders(case):
+    runner = _order_run(case)
 
     def endpoint(integrator, dt):
-        rec = flow(g, spec, x0=[1.0, 0.0], integrator=integrator, dt=dt,
-                   t_end=2.0, stop_residual=0.0, stride=10 ** 9)
+        rec = runner(integrator=integrator, dt=dt)
+        assert rec.mode == integrator
         return rec.final_state.x
 
-    truth = endpoint("rk4", 1e-4)
+    truth = endpoint("rk4", 1e-3)  # within 1e-12 of the dt = 1e-4 endpoint
     euler_errors = [np.linalg.norm(endpoint("euler", dt) - truth)
                     for dt in (0.02, 0.01, 0.005)]
     euler_orders = [np.log2(euler_errors[i] / euler_errors[i + 1]) for i in range(2)]

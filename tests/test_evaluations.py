@@ -11,7 +11,7 @@ import pytest
 
 import targetmd.dynamics as dynamics
 from targetmd import (entropy_geometry, euclidean_geometry, flow,
-                      library_problem, make_members, preset_dmd_calibrated,
+                      library_problem, make_members, preset_bnn, preset_dmd_calibrated,
                       preset_eg, preset_fbf, preset_ppa, run_discrete, run_dmd,
                       run_ensemble, run_vanilla_dmd, whole_space)
 
@@ -92,22 +92,45 @@ def test_extragradient_family_flows_reuse_s_of_x(name, integrator, expected,
     assert counts.per_step(run) == expected
 
 
-def test_calibrated_discounted_flow_makes_two_f_calls_per_step(monkeypatch):
+@pytest.mark.parametrize("integrator,expected", [
+    ("euler", (1.0, 1.0, 1.0)), ("rk4", (4.0, 4.0, 4.0))])
+def test_calibrated_discounted_flow_makes_two_f_calls_per_step(integrator, expected,
+                                                               monkeypatch):
     p, g = _skew()
     counts = Counts(p, monkeypatch)
     spec = preset_dmd_calibrated(g, p, eta=0.1, case=2)
     run = lambda n: run_dmd(g, spec, dt=0.01, t_end=0.01 * n, problem=p, x0=X0,
-                            stop_residual=0.0, stride=n)
+                            stop_residual=0.0, stride=n, integrator=integrator)
     # the mismatch S(T(x)) - z is evaluated once, for the step and the stop
-    assert counts.per_step(run) == (1.0, 1.0, 1.0)
+    assert counts.per_step(run) == expected
 
 
-def test_vanilla_discounted_flow_makes_one_f_call_per_step(monkeypatch):
+@pytest.mark.parametrize("integrator,expected", [
+    ("euler", (1.0, 0.0, 0.0)), ("rk4", (4.0, 0.0, 0.0))])
+def test_vanilla_discounted_flow_makes_one_f_call_per_step(integrator, expected,
+                                                           monkeypatch):
     p, g = _skew()
     counts = Counts(p, monkeypatch)
     run = lambda n: run_vanilla_dmd(g, p, dt=0.01, t_end=0.01 * n, x0=X0,
-                                    stop_residual=0.0, stride=n)
-    assert counts.per_step(run) == (1.0, 0.0, 0.0)
+                                    stop_residual=0.0, stride=n, integrator=integrator)
+    assert counts.per_step(run) == expected
+
+
+@pytest.mark.parametrize("mode,expected", [
+    ("discrete", (0.0, 1.0, 1.0)), ("euler", (0.0, 1.0, 1.0)), ("rk4", (0.0, 4.0, 4.0))])
+def test_bnn_target_hands_its_gap_to_the_rate(mode, expected, monkeypatch):
+    # one excess-payoff evaluation per point serves the target and the gap
+    p = library_problem("rps_game")
+    g = entropy_geometry(3)
+    counts = Counts(p, monkeypatch)
+    spec = preset_bnn(p, eta=1.0)
+    run_at = dict(problem=p, x0=[0.5, 0.25, 0.25], stop_residual=0.0)
+    if mode == "discrete":
+        run = lambda n: run_discrete(g, spec, n_steps=n, stride=n, **run_at)
+    else:
+        run = lambda n: flow(g, spec, integrator=mode, dt=0.01, t_end=0.01 * n,
+                             stride=n, **run_at)
+    assert counts.per_step(run) == expected
 
 
 def test_extragradient_ensemble_makes_two_f_calls_per_step(monkeypatch):

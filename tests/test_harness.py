@@ -291,15 +291,20 @@ def test_solve_dmd_vanilla_leaves_diagnostic_cells_empty(tmp_path):
         assert cells[target_col] == ""   # no target map for this baseline
 
 
-def test_solve_rk4_flow(tmp_path):
+@pytest.mark.parametrize("name,exit_code", [
+    ("bnn_rps_flow", 2), ("dmd_calibrated_scalar", 0), ("dmd_vanilla_scalar", 0),
+    ("higher_order_vertex", 0)])
+def test_solve_rk4_flow(name, exit_code, tmp_path):
+    # every flow preset integrates with the echoed flow.integrator
     out = tmp_path / "out"
-    text = (CONFIG_DIR / "bnn_rps_flow.cfg").read_text().replace(
-        "runs/bnn_rps", str(out)).replace(
-        "flow.integrator = euler", "flow.integrator = rk4").replace(
+    lines = [line for line in (CONFIG_DIR / f"{name}.cfg").read_text().splitlines()
+             if not line.startswith(("output.dir", "flow.integrator"))]
+    text = "\n".join(lines + [f"output.dir = {out}", "flow.integrator = rk4"]).replace(
         "budget.t_end = 200.0", "budget.t_end = 2.0")
     code = run_cli("solve", text, tmp_path)
-    assert code == 2
+    assert code == exit_code
     summary = json.loads((out / "summary.json").read_text())
+    assert "flow.integrator = rk4" in summary["config"]
     assert summary["mode"] == "rk4"
 
 

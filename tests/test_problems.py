@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,8 +175,16 @@ def test_banded_problems_run_at_a_dimension_no_dense_matrix_fits(name):
     assert np.max(np.abs(problem.F(problem.known_solution))) <= 1e-14
     x = np.random.default_rng(SEED).standard_normal(dim)
     assert problem.F(x).shape == (dim,)
-    preset_eg(g, problem, 0.1)
-    inner = preset_ppa(g, problem, 0.5).target
+    # each preset's sampled strong-monotonicity check holds one pair at a
+    # time: 64 pairs drawn at once would peak above 100 MB
+    tracemalloc.start()
+    try:
+        preset_eg(g, problem, 0.1)
+        inner = preset_ppa(g, problem, 0.5).target
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
     assert inner.modulus is not None and inner.lipschitz is not None
     # the proximal step y solves y + eta*F(y) = x
     y = reference.ppa_step(problem, 0.5, x)
