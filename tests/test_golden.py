@@ -87,7 +87,7 @@ def capture(name, out):
             files[path.name] = _csv_entry(path)
         elif path.suffix == ".json":
             files[path.name] = _mask(json.loads(path.read_text(encoding="utf-8")))
-    return {"argv": argv[:1] + [f"configs/{name}.cfg"] * (len(argv) - 1),
+    return {"command": argv[0],
             "exit_code": code,
             "stdout": stdout.getvalue().replace(str(out), "<out>"),
             "files": files}
