@@ -28,18 +28,19 @@ def _dual_map_check(spec, samples):
     }
 
 
-def _surrogate_stability_check(spec, samples, x_bar):
+def _surrogate_stability_check(spec, samples, targets, x_bar):
     if x_bar is None:
         return {"skipped": True, "reason": "no reference point available",
                 "refuted": False}
     on_image = spec.phi_implicit
     worst = np.inf
     witness = None
-    for s in samples:
+    for s, tx in zip(samples, targets):
         if on_image:
             # Phi has no pointwise form; evaluate on the target image where
             # the resolvent identity gives Phi(T(s)) = s - T(s).
-            tx = resolve_target(spec, s)
+            if tx is None:
+                continue  # no target; counted by the resolution check
             inner = float(np.dot(s - tx, tx - x_bar))
         else:
             inner = float(np.dot(spec.Phi(s), s - x_bar))
@@ -83,31 +84,34 @@ def _fixed_point_check(geometry, spec, problem, budget=5000):
     }
 
 
-def _target_resolution_check(spec, samples):
-    if not isinstance(spec.target, ResolventSolve):
-        return {"closed_form": True, "failures": 0, "refuted": False}
-    failures = 0
+def _resolve_samples(spec, samples):
+    """T(s) for each sample, resolved once; None where it raised."""
+    targets = []
     for s in samples:
         try:
-            resolve_target(spec, s)
+            targets.append(resolve_target(spec, s))
         except TargetMDError:
-            failures += 1
-    return {"closed_form": False, "failures": failures,
-            "refuted": bool(failures > 0)}
+            targets.append(None)
+    return targets
 
 
-def _descent_margin_check(spec, samples, x_bar, residual_tol=1e-8):
+def _target_resolution_check(spec, targets):
+    failures = sum(tx is None for tx in targets)
+    return {"closed_form": not isinstance(spec.target, ResolventSolve),
+            "failures": failures, "refuted": bool(failures > 0)}
+
+
+def _descent_margin_check(spec, samples, targets, x_bar, residual_tol=1e-8):
     if x_bar is None:
         return {"skipped": True, "reason": "no reference point available",
                 "refuted": False}
     worst = np.inf
     nonpositive = 0
     evaluated = 0
-    for s in samples:
-        tx = resolve_target(spec, s)
-        if float(np.linalg.norm(tx - s)) <= residual_tol:
+    for s, tx in zip(samples, targets):
+        if tx is None or float(np.linalg.norm(tx - s)) <= residual_tol:
             continue  # at (near-)solutions the margin legitimately vanishes
-        value = relaxed_condition_value(spec, s, x_bar)
+        value = relaxed_condition_value(spec, s, x_bar, tx)
         evaluated += 1
         worst = min(worst, value)
         if value <= 0.0:
@@ -129,8 +133,10 @@ def run_condition_checks(geometry: MirrorGeometry, spec: TargetSpec,
 
     Covers: strong monotonicity of the dual map S, variational stability
     of the surrogate Phi against a reference point, consistency of located
-    fixed points with the original problem, solvability of the implicit
-    target at sampled states, and the relaxed descent margin.
+    fixed points with the original problem, solvability of the target at
+    sampled states, and the relaxed descent margin.  Each sample's target
+    is resolved once and serves every check; a sample whose resolution
+    raises counts as a resolution failure and is left out of the others.
     """
     if n_samples < 2:
         raise ConfigurationError("need at least 2 samples")
@@ -140,14 +146,15 @@ def run_condition_checks(geometry: MirrorGeometry, spec: TargetSpec,
     samples = problem.feasible_set.sample_interior(rng, n_samples, margin=0.02)
     if x_bar is None and problem.known_solution is not None:
         x_bar = problem.known_solution
+    targets = _resolve_samples(spec, samples)
     report = {
         "seed": seed,
         "n_samples": n_samples,
         "dual_map_strong_monotonicity": _dual_map_check(spec, samples),
-        "surrogate_stability": _surrogate_stability_check(spec, samples, x_bar),
+        "surrogate_stability": _surrogate_stability_check(spec, samples, targets, x_bar),
         "fixed_point_consistency": _fixed_point_check(geometry, spec, problem),
-        "target_resolution": _target_resolution_check(spec, samples),
-        "descent_margin": _descent_margin_check(spec, samples, x_bar),
+        "target_resolution": _target_resolution_check(spec, targets),
+        "descent_margin": _descent_margin_check(spec, samples, targets, x_bar),
     }
     report["refuted"] = bool(any(section.get("refuted") for section in report.values()
                                  if isinstance(section, dict)))

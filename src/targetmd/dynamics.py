@@ -8,7 +8,9 @@ with dt = 1, and "rk4" recomputes x at every stage.  The higher-order
 variant integrates the stacked state (z, xi).
 Trajectories are recorded as RunRecords with per-sample diagnostics:
 target residual ||T(x) - x||, natural residual, and the Bregman value
-against a reference point when one is known.
+against a reference point when one is known.  The loop records only the
+target residual; the other two are evaluated once per run, on the
+stacked samples.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .targets import ClosedFormGap, TargetSpec, _step_size, resolve_target
 Vector = np.ndarray
 
 DEFAULT_STOP_RESIDUAL = 1e-8
+# Diagnostics are evaluated on blocks of at most this many sample entries,
+# which bounds their temporaries whatever the run's length and dimension.
+DIAGNOSTIC_BLOCK = 1 << 16
 CONVERGED = "converged"
 BUDGET = "budget_exhausted"
 
@@ -196,6 +201,13 @@ class RunRecord:
 
 
 class _Recorder:
+    """The samples of one run.  push keeps a sample's step, time, x and
+    ||T(x) - x||; finish evaluates the natural residuals (at the shadow
+    points, when the spec has a shadow) and the Bregman values against the
+    reference on the stacked samples, in row blocks of DIAGNOSTIC_BLOCK
+    entries.  Row by row evaluation gives each sample the bits of its own
+    call."""
+
     def __init__(self, geometry, spec, problem, reference):
         self.geometry = geometry
         self.spec = spec
@@ -205,8 +217,6 @@ class _Recorder:
         self.times = []
         self.states = []
         self.target_res = []
-        self.natural_res = []
-        self.lyapunov = [] if self.reference is not None else None
 
     def push(self, state: SolverState, tx: Optional[Vector]):
         self.steps.append(state.step_index)
@@ -214,24 +224,32 @@ class _Recorder:
         self.states.append(state.x.copy())
         self.target_res.append(
             float(np.linalg.norm(tx - state.x)) if self.spec is not None else math.nan)
-        if self.problem is not None:
-            point = state.x
-            if self.spec is not None and self.spec.shadow is not None:
-                point = self.spec.shadow(state.x)
-            self.natural_res.append(natural_residual(self.problem, point))
-        else:
-            self.natural_res.append(math.nan)
-        if self.lyapunov is not None:
-            self.lyapunov.append(bregman(self.geometry, self.reference, state.x))
 
     def finish(self, termination, mode, dt, final_state) -> RunRecord:
+        states = np.asarray(self.states, dtype=float)
+        natural = np.full(len(states), math.nan)
+        lyapunov = None if self.reference is None else np.empty(len(states))
+        shadow = None if self.spec is None else self.spec.shadow
+        rows = max(1, DIAGNOSTIC_BLOCK // states.shape[1])
+        for start in range(0, len(states), rows):
+            block = states[start:start + rows]
+            if self.problem is not None:
+                points = block if shadow is None else shadow(block)
+                if np.shape(points) != block.shape:
+                    raise ConfigurationError(
+                        f"the shadow of {self.spec.name!r} returned shape "
+                        f"{np.shape(points)} for points of shape {block.shape}; "
+                        "it must map each row of a stack")
+                natural[start:start + rows] = natural_residual(self.problem, points)
+            if lyapunov is not None:
+                lyapunov[start:start + rows] = bregman(self.geometry, self.reference, block)
         return RunRecord(
             steps=np.asarray(self.steps, dtype=int),
             times=np.asarray(self.times, dtype=float),
-            states=np.asarray(self.states, dtype=float),
+            states=states,
             target_residuals=np.asarray(self.target_res, dtype=float),
-            natural_residuals=np.asarray(self.natural_res, dtype=float),
-            lyapunov=None if self.lyapunov is None else np.asarray(self.lyapunov, dtype=float),
+            natural_residuals=natural,
+            lyapunov=lyapunov,
             termination=termination,
             mode=mode,
             dt=dt,
@@ -429,18 +447,20 @@ def lyapunov_series(record: RunRecord,
                           total_decrease=float(values[0] - values[-1]))
 
 
-def relaxed_condition_value(spec: TargetSpec, x, x_bar) -> float:
+def relaxed_condition_value(spec: TargetSpec, x, x_bar, tx=None) -> float:
     """Descent margin at x against the reference x_bar:
 
         alpha * (sigma * ||T(x)-x||^2 + <Phi(T(x)), T(x) - x_bar>)
           + beta * <Phi(x), x - x_bar>.
 
     Positive values certify the relaxed descent condition at x even when
-    no point is perfectly stable for Phi.  Norms are Euclidean.
+    no point is perfectly stable for Phi.  Norms are Euclidean.  tx, when
+    given, is T(x), already resolved.
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
-    tx = resolve_target(spec, x)
+    if tx is None:
+        tx = resolve_target(spec, x)
     gap = tx - x
     value = spec.alpha * (spec.sigma * float(np.dot(gap, gap))
                           + float(np.dot(spec.phi_at_target(x, tx), tx - x_bar)))

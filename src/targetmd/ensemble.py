@@ -93,7 +93,7 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
 
         def eval_h(x):
             d = np.asarray(x, dtype=float) - b
-            return 0.5 * float(np.sum(d * d / a))
+            return 0.5 * np.sum(d * d / a, axis=-1)
 
         return MirrorGeometry(
             dim=dim, eval_h=eval_h, grad_h=grad_h, grad_h_conj=grad_h_conj,

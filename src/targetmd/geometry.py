@@ -36,6 +36,10 @@ def softmax(z: Vector) -> Vector:
 class MirrorGeometry:
     """Primal-dual geometry bundle.
 
+    eval_h and grad_h take one point or a stack of points (rows of an
+    array) and act on each row: eval_h returns a float for one point and
+    one value per row for a stack, grad_h an array of the input's shape.
+
     conj_jacobian, when available, maps a primal point x to the Jacobian
     of grad_h_conj evaluated at the dual image of x; it is used to convert
     dual-space rates into primal vector fields.  quadratic_weights marks
@@ -63,7 +67,7 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
 
     def eval_h(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(np.dot(x, x))
+        return 0.5 * np.vecdot(x, x)
 
     def grad_h(x):
         return np.asarray(x, dtype=float).copy()
@@ -113,12 +117,12 @@ def entropy_geometry(dim: int) -> MirrorGeometry:
             raise DomainError("negative coordinate outside the simplex")
         x = np.maximum(x, 0.0)
         safe = np.where(x > 0.0, x, 1.0)
-        return float(np.sum(x * np.log(safe)))
+        return np.sum(x * np.log(safe), axis=-1)
 
     def grad_h(x):
         x = np.asarray(x, dtype=float)
-        if x.size != dim:
-            raise DomainError(f"expected dimension {dim}, got {x.size}")
+        if x.shape[-1:] != (dim,):
+            raise DomainError(f"expected points of dimension {dim}, got shape {x.shape}")
         if np.min(x) < INTERIOR_FLOOR:
             raise DomainError(
                 f"entropy gradient needs every coordinate >= {INTERIOR_FLOOR:g}; "
@@ -158,7 +162,7 @@ def weighted_quadratic_geometry(weights) -> MirrorGeometry:
 
     def eval_h(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(np.sum(w * x * x))
+        return 0.5 * np.sum(w * x * x, axis=-1)
 
     def grad_h(x):
         return w * np.asarray(x, dtype=float)
@@ -182,16 +186,25 @@ def weighted_quadratic_geometry(weights) -> MirrorGeometry:
     )
 
 
-def bregman(geometry: MirrorGeometry, x: Vector, y: Vector) -> float:
+def bregman(geometry: MirrorGeometry, x: Vector, y: Vector):
     """h(x) - h(y) - <grad_h(y), x - y>.
 
     Nonnegative by convexity, zero iff x = y for strictly convex h.  The
     second argument must lie where grad_h is defined (the interior, for
-    the entropy geometry).
+    the entropy geometry).  y may be a stack of points: the result is then
+    one value per row, each with the bits of that row's own call.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if geometry.domain.kind != WHOLE_SPACE and not geometry.domain.contains(y, tol=1e-9):
+    if geometry.domain.kind != WHOLE_SPACE and not np.all(
+            geometry.domain.contains(y, tol=1e-9)):
         raise DomainError("second Bregman argument lies outside the domain")
     gy = geometry.grad_h(y)
-    return float(geometry.eval_h(x) - geometry.eval_h(y) - np.dot(gy, x - y))
+    hx, hy = geometry.eval_h(x), geometry.eval_h(y)
+    if y.ndim > 1 and (np.shape(hy) != y.shape[:-1] or np.shape(gy) != y.shape):
+        raise ConfigurationError(
+            f"geometry {geometry.name!r} returned shapes {np.shape(hy)} and "
+            f"{np.shape(gy)} from eval_h and grad_h for points of shape {y.shape}; "
+            "they must map each row of a stack")
+    value = hx - hy - np.vecdot(gy, x - y)
+    return float(value) if y.ndim == 1 else value

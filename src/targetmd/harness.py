@@ -47,6 +47,10 @@ EXIT_BUDGET = 2
 DISCRETE_COMPARE_TOL = 1e-9
 FIELD_COMPARE_TOL = 1e-8
 
+# CSV rows are formatted in blocks of about this many entries, which bounds
+# the Python objects alive at once whatever the run's length.
+CSV_BLOCK = 1 << 12
+
 GEOMETRIES = {
     "euclidean": "half squared norm on the problem's set; mirror map = projection",
     "entropy": "negative entropy on the simplex; mirror map = softmax",
@@ -280,33 +284,40 @@ def build_spec(cfg: ExperimentConfig, geometry: MirrorGeometry,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return f"{value:.17g}"
+def _write_rows(handle, labels, columns, tail: str = "") -> None:
+    """One CSV line per label: the label, then every entry of the columns
+    (arrays of one or more columns each) in that row at 17 significant
+    digits, a NaN entry left empty, then tail.  Rows are formatted in
+    blocks of about CSV_BLOCK entries, one str.format call per row."""
+    width = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
+    line = "{}" + ",{:.17g}" * width + tail + "\n"
+    rows = max(1, CSV_BLOCK // width)
+    for start in range(0, len(labels), rows):
+        block = np.column_stack([c[start:start + rows] for c in columns]).tolist()
+        text = "".join(line.format(label, *row)
+                       for label, row in zip(labels[start:start + rows], block))
+        handle.write(text.replace("nan", ""))  # no number's 17 digits hold "nan"
 
 
 def write_trajectory_csv(path: Path, record: RunRecord) -> None:
     dim = record.states.shape[1]
     columns = (["step", "time"] + [f"x_{i}" for i in range(dim)]
                + ["residual_target", "residual_natural", "lyapunov"])
+    values = [record.times, record.states, record.target_residuals,
+              record.natural_residuals]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(columns) + "\n")
-        for i in range(record.states.shape[0]):
-            row = [str(int(record.steps[i])), _fmt(float(record.times[i]))]
-            row += [_fmt(float(v)) for v in record.states[i]]
-            row.append(_fmt(float(record.target_residuals[i])))
-            row.append(_fmt(float(record.natural_residuals[i])))
-            row.append("" if record.lyapunov is None
-                       else _fmt(float(record.lyapunov[i])))
-            handle.write(",".join(row) + "\n")
+        if record.lyapunov is None:
+            _write_rows(handle, record.steps.tolist(), values, tail=",")
+        else:
+            _write_rows(handle, record.steps.tolist(), values + [record.lyapunov])
 
 
 def _write_deviations(path: Path, deviations) -> None:
+    deviations = np.asarray(deviations, dtype=float)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("index,deviation\n")
-        for i, d in enumerate(deviations):
-            handle.write(f"{i},{_fmt(float(d))}\n")
+        _write_rows(handle, range(len(deviations)), [deviations])
 
 
 def _finite_or_null(value):

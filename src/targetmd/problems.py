@@ -11,6 +11,7 @@ checked against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +29,8 @@ SIMPLEX_MASS_TOL = 1e-9
 
 
 def project_simplex(v: Vector) -> Vector:
-    """Euclidean projection onto the probability simplex.
+    """Euclidean projection onto the probability simplex, of one point or of
+    each row of a stack of points.
 
     Sorted-threshold method: sort descending, find the largest support
     size whose renormalizing shift keeps every surviving entry positive,
@@ -38,35 +40,43 @@ def project_simplex(v: Vector) -> Vector:
     v = np.asarray(v, dtype=float)
     if np.any(np.isnan(v)):
         raise DomainError("simplex projection rejects NaN input")
-    x = _simplex_threshold(v)
-    if x is None or not abs(float(x.sum()) - 1.0) <= SIMPLEX_MASS_TOL:
+    rows = v.reshape(-1, v.shape[-1])
+    x, found = _simplex_threshold(rows)
+    lost = ~found | ~(np.abs(x.sum(axis=1) - 1.0) <= SIMPLEX_MASS_TOL)
+    if lost.any():
         # far from the origin the unit mass is lost to rounding (the support
         # can even come out empty); the projection is invariant under a
         # shift along the ones vector, and shifting by the largest entry
         # puts the support within 1 of zero (entries that overflow to -inf
         # on the way lie far outside it)
+        far = rows[lost]
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _simplex_threshold(v - v.max())
-        if x is None:  # only an entry of +inf leaves the support empty here
+            x[lost], found = _simplex_threshold(far - far.max(axis=1, keepdims=True))
+        if not found.all():  # only an entry of +inf leaves the support empty here
             raise DomainError("simplex projection rejects infinite input")
-    return x
+    return x.reshape(v.shape)
 
 
-def _simplex_threshold(v: Vector) -> Optional[Vector]:
-    u = np.sort(v)[::-1]
-    shifted = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    support = np.nonzero(u - shifted / ks > 0.0)[0]
-    if support.size == 0:
-        return None
-    k = int(support[-1]) + 1
-    theta = shifted[k - 1] / k
-    return np.maximum(v - theta, 0.0)
+def _simplex_threshold(rows: Vector):
+    """(projections, found) of the rows of a 2-D array; found is False
+    where the support comes out empty, and that row's projection is void."""
+    u = np.sort(rows, axis=1)[:, ::-1]
+    shifted = np.cumsum(u, axis=1) - 1.0
+    positive = u - shifted / np.arange(1, rows.shape[1] + 1) > 0.0
+    k = rows.shape[1] - np.argmax(positive[:, ::-1], axis=1)
+    theta = shifted[np.arange(rows.shape[0]), k - 1] / k
+    found = positive.any(axis=1)
+    return np.maximum(rows - np.where(found, theta, 0.0)[:, None], 0.0), found
 
 
 @dataclass(eq=False)
 class FeasibleSet:
-    """A closed convex set with projection, membership, and sampling."""
+    """A closed convex set with projection, membership, and sampling.
+
+    project and contains take one point or a stack of points (rows of an
+    array) and act on each row: project returns an array of the input's
+    shape, contains a bool for one point and a bool array for a stack.
+    """
 
     dim: int
     kind: str
@@ -87,15 +97,15 @@ class FeasibleSet:
             return np.clip(v, self.lower, self.upper)
         raise ValueError(f"unknown set kind {self.kind!r}")
 
-    def contains(self, v: Vector, tol: float = 1e-9) -> bool:
+    def contains(self, v: Vector, tol: float = 1e-9):
         v = np.asarray(v, dtype=float)
-        if not np.all(np.isfinite(v)):
-            return False
-        if self.kind == WHOLE_SPACE:
-            return True
+        inside = np.all(np.isfinite(v), axis=-1)
         if self.kind == SIMPLEX:
-            return bool(np.all(v >= -tol) and abs(float(v.sum()) - 1.0) <= tol)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
+            inside &= np.all(v >= -tol, axis=-1) & (np.abs(v.sum(axis=-1) - 1.0) <= tol)
+        elif self.kind == BOX:
+            inside &= (np.all(v >= self.lower - tol, axis=-1)
+                       & np.all(v <= self.upper + tol, axis=-1))
+        return bool(inside) if v.ndim == 1 else inside
 
     def center(self) -> Vector:
         """Analytic center used as the default initial point."""
@@ -143,6 +153,9 @@ def box(lower, upper) -> FeasibleSet:
 class VIProblem:
     """A variational inequality instance.
 
+    F takes one point or a stack of points (rows of an array) and returns
+    an array of the same shape, row i being F of row i.
+
     linear_terms holds (M, q) when F(x) = M x + q, which lets constants be
     computed exactly instead of estimated.  M is an ndarray or a
     Tridiagonal; both take M @ x and M.T, and callers that need an array
@@ -158,10 +171,18 @@ class VIProblem:
     linear_terms: Optional[tuple] = None
 
 
-def natural_residual(problem: VIProblem, x: Vector) -> float:
-    """|| x - P(x - F(x)) ||; zero exactly at solutions."""
+def natural_residual(problem: VIProblem, x: Vector):
+    """|| x - P(x - F(x)) ||; zero exactly at solutions.  A float for one
+    point, an array of one residual per row for a stack of points."""
     x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - problem.feasible_set.project(x - problem.F(x))))
+    f = problem.F(x)
+    if x.ndim > 1 and np.shape(f) != x.shape:
+        raise ConfigurationError(
+            f"F of problem {problem.name!r} returned shape {np.shape(f)} "
+            f"for points of shape {x.shape}; F must map each row of a stack")
+    r = x - problem.feasible_set.project(x - f)
+    norms = np.sqrt(np.vecdot(r, r))
+    return float(norms) if x.ndim == 1 else norms
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +219,16 @@ class Tridiagonal:
 
     def __matmul__(self, x):
         # off*(x[i+1] - x[i-1]) first, then + diag*x[i]: on the library
-        # matrices this is the dense product's bits, or within 2 ulp of them
+        # matrices this is the dense product's bits, or within 2 ulp of them.
+        # Indexing the transposes walks the last axis, so a stack of points
+        # is one product per row with each row's bits.
         x = np.asarray(x, dtype=float)
         y = np.empty_like(x)
+        xt, yt = x.T, y.T
         if self.dim > 2:
-            np.subtract(x[2:], x[:-2], out=y[1:-1])
-        y[0] = x[1]
-        y[-1] = -x[-2]
+            np.subtract(xt[2:], xt[:-2], out=yt[1:-1])
+        yt[0] = xt[1]
+        yt[-1] = -xt[-2]
         if self.off != 1.0:
             y *= self.off
         if self.diag == 1.0:
@@ -246,9 +270,13 @@ class Tridiagonal:
         return self.diag * np.eye(n) + self.off * (np.eye(n, k=1) - np.eye(n, k=-1))
 
 
-def _linear(m: Vector, q: Vector) -> Callable[[Vector], Vector]:
+def _linear(m, q: Vector) -> Callable[[Vector], Vector]:
+    """x -> M x + q, row by row on a stack: matvec gives each row the bits
+    of M @ row, which a stack's X @ M.T does not."""
+    product = m.__matmul__ if isinstance(m, Tridiagonal) else partial(np.matvec, m)
+
     def F(x):
-        return m @ np.asarray(x, dtype=float) + q
+        return product(np.asarray(x, dtype=float)) + q
     return F
 
 
@@ -310,6 +338,13 @@ def _make_constrained_quadratic(dim: int = 2) -> VIProblem:
     )
 
 
+def _constant(c: Vector, x: Vector) -> Vector:
+    """c at every row of x."""
+    f = np.empty(np.shape(x))
+    f[:] = c
+    return f
+
+
 def _make_vertex_cost_simplex(costs=(1.0, 2.0)) -> VIProblem:
     c = np.asarray(costs, dtype=float)
     if c.size < 2 or len(set(c.tolist())) != c.size:
@@ -319,7 +354,7 @@ def _make_vertex_cost_simplex(costs=(1.0, 2.0)) -> VIProblem:
     solution[int(np.argmin(c))] = 1.0
     return VIProblem(
         feasible_set=simplex(dim),
-        F=lambda x: c.copy(),
+        F=partial(_constant, c),
         name="vertex_cost_simplex",
         lipschitz_hint=0.0,
         known_solution=solution,

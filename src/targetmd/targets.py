@@ -96,7 +96,9 @@ class TargetSpec:
     T the resolvent of Phi): Phi cannot be evaluated pointwise there, but
     Phi(T(x)) = x - T(x) holds exactly and is substituted wherever needed.
     shadow, when set, maps a governing iterate to the point at which
-    solution residuals are meaningful (Douglas-Rachford).
+    solution residuals are meaningful (Douglas-Rachford).  It takes one
+    point or a stack of points (rows of an array), returning an array of
+    the input's shape whose row i is the shadow of row i.
     """
 
     alpha: float

@@ -1,19 +1,21 @@
 """Operator evaluations per step: each point resolves its target once, and
 the S(x) that resolution evaluated is the one the dual rate subtracts.
 
-Every count is a difference between runs of N and 2N steps with the
-recorder idle (stride >= budget), so start-up and end-of-run samples
-cancel.  Counts split into F calls made inside `resolve_target` (the
-target, including S(x)) and outside it (the rate)."""
+Every count is a difference between runs of N and 2N steps, so start-up
+and end-of-run samples cancel; the recorder is idle (stride >= budget)
+unless a test records every step.  Counts split into F calls made inside
+`resolve_target` (the target, including S(x)) and outside it (the rate)."""
 
 import numpy as np
 import pytest
 
+import targetmd.checks as checks
 import targetmd.dynamics as dynamics
 from targetmd import (entropy_geometry, euclidean_geometry, flow,
                       library_problem, make_members, preset_bnn, preset_dmd_calibrated,
-                      preset_eg, preset_fbf, preset_ppa, run_discrete, run_dmd,
-                      run_ensemble, run_vanilla_dmd, whole_space)
+                      preset_eg, preset_fbf, preset_ppa, run_condition_checks,
+                      run_discrete, run_dmd, run_ensemble, run_vanilla_dmd,
+                      whole_space)
 
 N = 40
 X0 = [1.0, 0.0]
@@ -64,14 +66,18 @@ PRESETS = {
 }
 
 
+@pytest.mark.parametrize("stride", ["idle", 1])
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_discrete_extragradient_family_makes_two_f_calls_per_step(name, monkeypatch):
+def test_discrete_extragradient_family_makes_two_f_calls_per_step(name, stride,
+                                                                  monkeypatch):
     p, g = _skew()
     counts = Counts(p, monkeypatch)
     spec = PRESETS[name](g, p)
     run = lambda n: run_discrete(g, spec, problem=p, x0=X0, n_steps=n,
-                                 stop_residual=0.0, stride=n)
-    # a rate that evaluated S(x) again would make it (2, 1, 1)
+                                 stop_residual=0.0, reference=p.known_solution,
+                                 stride=n if stride == "idle" else stride)
+    # a rate that evaluated S(x) again would make it (2, 1, 1), and so
+    # would a recorder that evaluated a sample's natural residual on its own
     assert counts.per_step(run) == (1.0, 1.0, 1.0)
 
 
@@ -170,3 +176,22 @@ def test_anchor_is_the_s_of_x_the_rate_would_evaluate():
         assert np.array_equal(sx, spec.S(x))
         assert np.array_equal(dynamics.dual_rate(spec, x, tx, sx),
                               dynamics.dual_rate(spec, x, tx))
+
+
+@pytest.mark.parametrize("preset", [preset_eg, preset_ppa], ids=["eg", "ppa"])
+def test_condition_checks_resolve_each_sample_once(preset, monkeypatch):
+    p, g = _skew()
+    spec = preset(g, p, 0.1)
+    calls = []
+    resolve = dynamics.resolve_target
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return resolve(*args, **kwargs)
+
+    for module in (checks, dynamics):
+        monkeypatch.setattr(module, "resolve_target", counted)
+    run_condition_checks(g, spec, p, n_samples=200, seed=0)
+    # one per sample, and one for the fixed-point run, which starts at the
+    # known solution and stops there
+    assert len(calls) == 201
