@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, FlowDivergenceError
 from .geometry import MirrorGeometry, bregman
 from .problems import VIProblem, natural_residual
-from .targets import ClosedFormGap, TargetSpec, _step_size, resolve_target
+from .targets import ClosedFormGap, TargetSpec, _norm, _step_size, resolve_target
 
 Vector = np.ndarray
 
@@ -74,17 +74,16 @@ def dual_rate(spec: TargetSpec, x: Vector, tx: Vector,
               sx: Optional[Vector] = None) -> Vector:
     """alpha * (S(T(x)) - S(x)) - beta * Phi(x); sx, when given, is what
     resolving T(x) handed on (see resolve_target): the S(x) used in place
-    of S(x), or under ClosedFormGap the gap itself."""
-    x = np.asarray(x, dtype=float)
-    rate = np.zeros_like(x)
-    if spec.alpha != 0.0:
-        if isinstance(spec.target, ClosedFormGap):
-            rate = spec.alpha * (spec.target.fn(x)[1] if sx is None else sx)
-        else:
-            rate = spec.alpha * (spec.S(tx) - (spec.S(x) if sx is None else sx))
-    if spec.beta != 0.0:
-        rate = rate - spec.beta * spec.Phi(x)
-    return rate
+    of S(x), or under ClosedFormGap the gap itself.  With alpha = 0 the
+    rate is 0.0 - beta * Phi(x), which keeps the sign of zeros."""
+    alpha, beta = spec.alpha, spec.beta
+    if alpha == 0.0:
+        return 0.0 - beta * spec.Phi(x)
+    if isinstance(spec.target, ClosedFormGap):
+        rate = alpha * (spec.target.fn(x)[1] if sx is None else sx)
+    else:
+        rate = alpha * (spec.S(tx) - (spec.S(x) if sx is None else sx))
+    return rate if beta == 0.0 else rate - beta * spec.Phi(x)
 
 
 def _tmd_rate(spec):
@@ -130,10 +129,11 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     Step z' = gain * rate(z, x, T(x), S(x)), x = pullback(z), from `state`
     for round(t_end / dt) steps of `scheme` (discrete: dt = gain = 1), and
     return recorder().finish(...) over the samples pushed at the start,
-    every stride-th step and the end.  target(x) returns the pair
+    every stride-th step and the end; push(k, t, x, T(x)) takes a sample's
+    step index, time, point and target.  target(x) returns the pair
     (T(x), S(x)) once per point; rate takes both, and residual and recorder
     share T(x).  The rate k1 at the current point is computed once per step,
-    and the run stops once residual(state, T(x), k1) <= stop_residual.  A
+    and the run stops once residual(z, x, T(x), k1) <= stop_residual.  A
     non-finite dual point ends a discrete run with FlowDivergenceError;
     Euler and RK4 runs restart with dt halved, up to max_halvings times,
     before raising it.  numpy's overflow and invalid-value warnings are
@@ -143,37 +143,37 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ConfigurationError(f"t_end must be a finite number >= 0, got {t_end!r}")
     advance = SCHEMES[scheme]
-    start = state
+    k0 = state.step_index
     for attempt in range(1 if scheme == "discrete" else max_halvings + 1):
         step = dt * 0.5 ** attempt
         h = step * gain
         rec = recorder()
-        state = start
-        tx, sx = target(state.x)
-        rec.push(state, tx)
+        k, t, z, x = k0, state.time, state.z, state.x
+        tx, sx = target(x)
+        rec.push(k, t, x, tx)
         termination = BUDGET
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max(0, int(round(t_end / step)))):
-                k1 = rate(state.z, state.x, tx, sx)
-                if residual is not None and residual(state, tx, k1) <= stop_residual:
+                k1 = rate(z, x, tx, sx)
+                if residual is not None and residual(z, x, tx, k1) <= stop_residual:
                     termination = CONVERGED
                     break
-                z1 = advance(rate, pullback, target, state.z, k1, h)
+                z1 = advance(rate, pullback, target, z, k1, h)
                 if not math.isfinite(z1.sum()):
                     termination = None
                     break
-                state = SolverState(state.step_index + 1, state.time + step,
-                                    z1, pullback(z1), state.xi)
-                tx, sx = target(state.x)
-                if state.step_index % stride == 0:
-                    rec.push(state, tx)
+                k, t, z, x = k + 1, t + step, z1, pullback(z1)
+                tx, sx = target(x)
+                if k % stride == 0:
+                    rec.push(k, t, x, tx)
         if termination is not None:
-            if state is not start and state.step_index % stride:
-                rec.push(state, tx)
-            return rec.finish(termination, scheme, step, state)
+            if k != k0 and k % stride:
+                rec.push(k, t, x, tx)
+            return rec.finish(termination, scheme, step,
+                              SolverState(k, t, z, x, state.xi))
         if scheme == "discrete":
             raise FlowDivergenceError(
-                f"the dual point turned non-finite at step {state.step_index + 1}; "
+                f"the dual point turned non-finite at step {k + 1}; "
                 "the iteration diverges")
     raise FlowDivergenceError(
         f"trajectory stayed non-finite down to dt = {step:g}; "
@@ -202,28 +202,29 @@ class RunRecord:
 
 class _Recorder:
     """The samples of one run.  push keeps a sample's step, time, x and
-    ||T(x) - x||; finish evaluates the natural residuals (at the shadow
+    ||T(x) - x||, read through gap, the _SharedGap a run's stop rule may
+    read too; finish evaluates the natural residuals (at the shadow
     points, when the spec has a shadow) and the Bregman values against the
     reference on the stacked samples, in row blocks of DIAGNOSTIC_BLOCK
     entries.  Row by row evaluation gives each sample the bits of its own
     call."""
 
-    def __init__(self, geometry, spec, problem, reference):
+    def __init__(self, geometry, spec, problem, reference, gap=None):
         self.geometry = geometry
         self.spec = spec
         self.problem = problem
         self.reference = None if reference is None else np.asarray(reference, dtype=float)
+        self.gap = _SharedGap() if gap is None else gap
         self.steps = []
         self.times = []
         self.states = []
         self.target_res = []
 
-    def push(self, state: SolverState, tx: Optional[Vector]):
-        self.steps.append(state.step_index)
-        self.times.append(state.time)
-        self.states.append(state.x.copy())
-        self.target_res.append(
-            float(np.linalg.norm(tx - state.x)) if self.spec is not None else math.nan)
+    def push(self, k: int, t: float, x: Vector, tx: Optional[Vector]):
+        self.steps.append(k)
+        self.times.append(t)
+        self.states.append(x.copy())
+        self.target_res.append(self.gap(x, tx) if self.spec is not None else math.nan)
 
     def finish(self, termination, mode, dt, final_state) -> RunRecord:
         states = np.asarray(self.states, dtype=float)
@@ -257,24 +258,44 @@ class _Recorder:
         )
 
 
-def _stationarity(spec, problem):
-    """Residual driving the stopping rule: ||T(x) - x|| when the target
-    mechanism is active; the natural residual for the alpha = 0 baseline
-    (whose target residual is vacuously zero); none without a problem."""
+def _target_gap(x: Vector, tx: Vector) -> float:
+    """||T(x) - x||, the target residual."""
+    return _norm(tx - x)
+
+
+class _SharedGap:
+    """_target_gap of the last point asked for, held with that point's x and
+    T(x) arrays, so that the stop rule and the recorder of one run evaluate
+    it once per point."""
+
+    last = (None, None, math.nan)
+
+    def __call__(self, x: Vector, tx: Vector) -> float:
+        if x is not self.last[0] or tx is not self.last[1]:
+            self.last = (x, tx, _target_gap(x, tx))
+        return self.last[2]
+
+
+def _stationarity(spec, problem, gap):
+    """Residual driving the stopping rule: ||T(x) - x||, through the run's
+    shared gap, when the target mechanism is active; the natural residual
+    for the alpha = 0 baseline (whose target residual is vacuously zero);
+    none without a problem."""
     if spec.alpha > 0.0:
-        return lambda state, tx, k1: float(np.linalg.norm(tx - state.x))
+        return lambda z, x, tx, k1: gap(x, tx)
     if problem is not None:
-        return lambda state, tx, k1: natural_residual(problem, state.x)
+        return lambda z, x, tx, k1: natural_residual(problem, x)
     return None
 
 
 def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
          gain=1.0, x0=None, state=None, reference=None, stacked=False,
-         stop_residual=DEFAULT_STOP_RESIDUAL, stride=1, max_halvings=8):
+         stop_residual=DEFAULT_STOP_RESIDUAL, stride=1, max_halvings=8, gap=None):
     """What every runner shares around its rate, stop residual and gain: the
     start state, the target map (none without a spec), the recorder and the
     integrate call.  A flow (dt given) integrates with euler or rk4.  stacked
-    runs on (z, xi) from xi = x0, pulled back through z alone."""
+    runs on (z, xi) from xi = x0, pulled back through z alone.  gap is the
+    _SharedGap the stop residual reads, if it reads one."""
     if dt is not None and scheme not in ("euler", "rk4"):
         raise ConfigurationError("integrator must be 'euler' or 'rk4'")
     if state is None:
@@ -287,7 +308,7 @@ def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
                        dt=1.0 if scheme == "discrete" else dt, gain=gain,
                        target=(lambda x: (None, None)) if spec is None else _target_map(spec),
                        residual=residual, stop_residual=stop_residual, stride=stride,
-                       recorder=partial(_Recorder, geometry, spec, problem, reference),
+                       recorder=partial(_Recorder, geometry, spec, problem, reference, gap),
                        max_halvings=max_halvings)
     if stacked:
         end = record.final_state
@@ -304,9 +325,10 @@ def run_discrete(geometry: MirrorGeometry, spec: TargetSpec,
                  state: Optional[SolverState] = None) -> RunRecord:
     """Up to n_steps discrete steps, stopping early once the stationarity
     residual falls below stop_residual."""
-    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
+    gap = _SharedGap()
+    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem, gap),
                 "discrete", n_steps, x0=x0, state=state, reference=reference,
-                stop_residual=stop_residual, stride=stride)
+                stop_residual=stop_residual, stride=stride, gap=gap)
 
 
 def flow(geometry: MirrorGeometry, spec: TargetSpec,
@@ -317,14 +339,16 @@ def flow(geometry: MirrorGeometry, spec: TargetSpec,
          max_halvings: int = 8) -> RunRecord:
     """Integrate z' = alpha*(S o T - S)(x) - beta*Phi(x), x = grad_h_conj(z);
     a non-finite state halves dt, up to max_halvings times (see integrate)."""
-    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
+    gap = _SharedGap()
+    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem, gap),
                 integrator, t_end, dt=dt, x0=x0, state=state, reference=reference,
-                stop_residual=stop_residual, stride=stride, max_halvings=max_halvings)
+                stop_residual=stop_residual, stride=stride, max_halvings=max_halvings,
+                gap=gap)
 
 
-def _mismatch_norm(state, tx, k1):
+def _mismatch_norm(z, x, tx, k1):
     """The discounted flows' stop residual: the norm of their rate."""
-    return float(np.linalg.norm(k1))
+    return _norm(k1)
 
 
 def run_dmd(geometry: MirrorGeometry, spec: TargetSpec, gamma: float = 1.0,
@@ -378,19 +402,20 @@ def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
     dim = geometry.dim
     gamma1 = _step_size(gamma1, "gamma1")
     gain = np.concatenate((np.ones(dim), np.full(dim, _step_size(gamma2, "gamma2"))))
-    first_order = _stationarity(spec, problem)
+    shared = _SharedGap()
+    first_order = _stationarity(spec, problem, shared)
 
     def rate(y, x, tx, sx):
         gap = x - y[dim:]
         return np.concatenate((dual_rate(spec, x, tx, sx) - gamma1 * gap, gap))
 
-    def stationarity(st, tx, k1):
-        return max(first_order(st, tx, k1), float(np.linalg.norm(st.x - st.z[dim:])))
+    def stationarity(y, x, tx, k1):
+        return max(first_order(y, x, tx, k1), _norm(x - y[dim:]))
 
     return _run(geometry, spec, problem, rate,
                 None if first_order is None else stationarity, integrator, t_end,
                 dt=dt, gain=gain, x0=x0, reference=reference, stacked=True,
-                stop_residual=stop_residual, stride=stride)
+                stop_residual=stop_residual, stride=stride, gap=shared)
 
 
 # ---------------------------------------------------------------------------

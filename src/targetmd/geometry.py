@@ -28,7 +28,7 @@ INTERIOR_FLOOR = 1e-12
 def softmax(z: Vector) -> Vector:
     """Normalized exponential with max-subtraction for overflow safety."""
     z = np.asarray(z, dtype=float)
-    e = np.exp(z - np.max(z))
+    e = np.exp(z - z.max())
     return e / e.sum()
 
 

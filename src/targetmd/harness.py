@@ -217,11 +217,22 @@ def _resolve(cfg: ExperimentConfig):
     return row, p
 
 
+def _output_path(cfg: ExperimentConfig) -> Path:
+    return Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
+
+
 def resolve_output_dir(cfg: ExperimentConfig) -> Path:
-    out = os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
-    path = Path(out)
+    path = _output_path(cfg)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _clear_outputs(cfg: ExperimentConfig, *names: str) -> None:
+    """Delete the named outputs an earlier run left in cfg's output
+    directory, and nothing else, so that a command that fails leaves none
+    of them behind."""
+    for name in names:
+        (_output_path(cfg) / name).unlink(missing_ok=True)
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -368,6 +379,7 @@ def _base_summary(cfg, record) -> dict:
 
 def run_solve(cfg: ExperimentConfig) -> CliResult:
     started = time.monotonic()
+    _clear_outputs(cfg, "trajectory.csv", "summary.json")
     row, p = _resolve(cfg)
     problem, pair = build_problem(cfg)
     geometry = build_geometry(cfg, problem)
@@ -424,6 +436,7 @@ def run_compare(cfg: ExperimentConfig) -> CliResult:
     dynamics in the primal space, where normalization shifts in the dual
     cancel exactly)."""
     started = time.monotonic()
+    _clear_outputs(cfg, "deviations.csv", "summary.json")
     row, p = _resolve(cfg)
     if row.coded_step is None and row.coded_field is None:
         raise ConfigurationError(
@@ -470,6 +483,7 @@ def run_compare(cfg: ExperimentConfig) -> CliResult:
 
 def run_check(cfg: ExperimentConfig) -> CliResult:
     started = time.monotonic()
+    _clear_outputs(cfg, "check_report.json")
     problem, pair = build_problem(cfg)
     geometry = build_geometry(cfg, problem)
     spec = build_spec(cfg, geometry, problem, pair)
@@ -505,6 +519,8 @@ def _build_members(cfg: ExperimentConfig, problem: VIProblem):
 
 def run_ensemble_cmd(cfg: ExperimentConfig) -> CliResult:
     started = time.monotonic()
+    _clear_outputs(cfg, "ensemble_trajectory.csv", "reduction_deviations.csv",
+                   "summary.json")
     if not cfg.ensemble_members:
         raise ConfigurationError("ensemble runs need an ensemble member list")
     if _resolve(cfg)[0].flow_only:

@@ -10,6 +10,7 @@ checked against ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -85,17 +86,14 @@ class FeasibleSet:
 
     def project(self, v: Vector) -> Vector:
         v = np.asarray(v, dtype=float)
-        if self.kind == WHOLE_SPACE:
-            if np.any(np.isnan(v)):
-                raise DomainError("cannot project NaN")
-            return v.copy()
         if self.kind == SIMPLEX:
             return project_simplex(v)
-        if self.kind == BOX:
-            if np.any(np.isnan(v)):
-                raise DomainError("cannot project NaN")
-            return np.clip(v, self.lower, self.upper)
-        raise ValueError(f"unknown set kind {self.kind!r}")
+        if self.kind not in (WHOLE_SPACE, BOX):
+            raise ValueError(f"unknown set kind {self.kind!r}")
+        # a NaN entry, and nothing else, makes the sum of squares NaN
+        if math.isnan(np.vdot(v, v)):
+            raise DomainError("cannot project NaN")
+        return v.copy() if self.kind == WHOLE_SPACE else np.clip(v, self.lower, self.upper)
 
     def contains(self, v: Vector, tol: float = 1e-9):
         v = np.asarray(v, dtype=float)

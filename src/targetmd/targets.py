@@ -19,6 +19,7 @@ independently coded version of the named method in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -188,6 +189,12 @@ def resolve_target(spec: TargetSpec, x: Vector, *, with_anchor: bool = False):
     return (tx, anchor) if with_anchor else tx
 
 
+def _norm(v: Vector) -> float:
+    """The Euclidean norm of a real 1-D array: what np.linalg.norm computes
+    for one, without its dispatch."""
+    return math.sqrt(float(np.dot(v, v)))
+
+
 def _projected_iteration(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
                          anchor: Vector) -> Vector:
     tau = strategy.step
@@ -196,7 +203,7 @@ def _projected_iteration(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
             tau = strategy.modulus / strategy.lipschitz ** 2
         else:
             tau = 1e-2
-    scale = 1.0 + float(np.linalg.norm(x))
+    scale = 1.0 + _norm(x)
     last = np.inf
     for _ in range(7):
         y = x.copy()
@@ -208,7 +215,7 @@ def _projected_iteration(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
                 diverged = True
                 break
             y_next = spec.feasible_set.project(y - tau * g)
-            diff = float(np.linalg.norm(y_next - y))
+            diff = _norm(y_next - y)
             if not np.isfinite(diff) or diff > 1e6 * scale:
                 diverged = True
                 break
@@ -247,9 +254,9 @@ def _mirror_fixed_point(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
         for _ in range(strategy.max_iter):
             y_next = strategy.grad_h_conj(anchor - phi)
             phi_next = spec.Phi(y_next)
-            if float(np.linalg.norm(phi_next - phi)) <= bound:
+            if _norm(phi_next - phi) <= bound:
                 return y_next
-            step = float(np.linalg.norm(y_next - y))
+            step = _norm(y_next - y)
             if not step < last:
                 return None
             y, phi, last = y_next, phi_next, step
@@ -545,14 +552,22 @@ def preset_bnn(problem: VIProblem, eta: float = 1.0) -> TargetSpec:
     geometry = entropy_geometry(problem.feasible_set.dim)
 
     def target(x):
-        _, nep = excess_payoff(problem, x)
+        # excess_payoff and aitchison_add inlined: x >= INTERIOR_FLOOR is
+        # checked here, and exp(shift) >= 1 since the excess payoff is >= 0
+        x = np.asarray(x, dtype=float)
+        if x.min() < INTERIOR_FLOOR:
+            raise DomainError(
+                "excess payoff needs an interior simplex point (entrywise division by x)")
+        f = np.asarray(problem.F(x), dtype=float)
+        shift = eta * (np.maximum(-(f - float(np.dot(x, f))), 0.0) / x)
         # the gap is the log of the Aitchison translation: the dual shift
         # minus its log-normalizer times the all-ones vector, computed in
         # log space so targets hugging the boundary stay evaluable
-        shifted = np.log(x) + eta * nep
+        shifted = np.log(x) + shift
         peak = shifted.max()
-        log_z = peak + np.log(np.sum(np.exp(shifted - peak)))
-        return aitchison_add(x, np.exp(eta * nep)), eta * nep - log_z
+        log_z = peak + np.log(np.exp(shifted - peak).sum())
+        p = x * np.exp(shift)
+        return p / p.sum(), shift - log_z
 
     return TargetSpec(
         alpha=1.0 / eta,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_impls as ri
+import targetmd.dynamics as dynamics
 from targetmd import (affine_box_split, entropy_geometry,
                       euclidean_geometry, flow, initial_state,
                       library_problem, lyapunov_series, natural_residual,
@@ -344,6 +345,37 @@ def test_run_discrete_converges_and_stops_early():
     assert rec.termination == "converged"
     assert rec.final_state.step_index < 10_000
     assert natural_residual(p, rec.final_state.x) <= 1e-6
+
+
+@pytest.mark.parametrize("stride,n_steps,stop", [
+    (1, 50, 0.0),       # every point recorded, budget exhausted
+    (7, 50, 0.0),       # most points only reach the stop rule
+    (1, 10_000, 1e-8),  # converged: the last point ends the run and is pushed
+])
+def test_target_residual_is_evaluated_once_per_point(monkeypatch, stride,
+                                                      n_steps, stop):
+    # the stop rule and the recorder share one ||T(x) - x|| per point
+    p, g = _skew()
+    spec = preset_eg(g, p, 0.1)
+    points = []
+    gap = dynamics._target_gap
+
+    def counted(x, tx):
+        points.append(x)
+        return gap(x, tx)
+
+    monkeypatch.setattr(dynamics, "_target_gap", counted)
+    rec = run_discrete(g, spec, problem=p, x0=[1.0, 0.0], n_steps=n_steps,
+                       stop_residual=stop, stride=stride)
+    assert rec.termination == ("converged" if stop else "budget_exhausted")
+    assert len(points) == rec.final_state.step_index + 1
+    assert np.array_equal(points[0], rec.states[0])
+    assert np.array_equal(points[-1], rec.final_state.x)
+    if stride == 1:
+        assert np.array_equal(np.array(points), rec.states)
+        tx = [resolve_target(spec, x) for x in rec.states]
+        assert np.array_equal(rec.target_residuals,
+                              [np.linalg.norm(t - x) for t, x in zip(tx, rec.states)])
 
 
 def test_vanilla_md_never_converges_on_skew():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from targetmd import (DomainError, bregman, entropy_geometry,
                       euclidean_geometry, simplex, weighted_quadratic_geometry,
@@ -179,3 +181,30 @@ def test_mirror_map_image_is_feasible():
     for geometry in all_geometries():
         for z in rng.normal(scale=5.0, size=(200, geometry.dim)):
             assert geometry.domain.contains(geometry.grad_h_conj(z), tol=1e-9)
+
+
+# --- mirror-map round trips -------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.integers(1, 8), elements=st.floats(-1e300, 1e300)))
+def test_euclidean_round_trip(x):
+    g = euclidean_geometry(whole_space(x.size))
+    assert np.array_equal(g.grad_h_conj(g.grad_h(x)), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.integers(2, 8), elements=st.floats(1e-6, 1.0)))
+def test_entropy_round_trip(w):
+    x = w / w.sum()  # every entry >= 1e-6 / 8, far above INTERIOR_FLOOR
+    g = entropy_geometry(x.size)
+    assert np.allclose(g.grad_h_conj(g.grad_h(x)), x, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+    arrays(float, d, elements=st.floats(1e-3, 1e3)),
+    arrays(float, d, elements=st.floats(-1e6, 1e6)))))
+def test_weighted_quadratic_round_trip(case):
+    w, x = case
+    g = weighted_quadratic_geometry(w)
+    assert np.allclose(g.grad_h_conj(g.grad_h(x)), x, rtol=1e-15, atol=1e-300)

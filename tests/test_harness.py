@@ -720,6 +720,39 @@ def test_outputs_name_every_file_written(tmp_path, command, name):
     assert sorted(os.listdir(out)) == sorted(summary["outputs"].values())
 
 
+def test_failed_solve_leaves_no_stale_outputs(tmp_path, capsys):
+    # a converged solve, then a diverging one into the same directory
+    out = tmp_path / "out"
+    good = (CONFIG_DIR / "eg_skew_solve.cfg").read_text()
+    assert run_cli("solve", good, tmp_path, "good.cfg", env_dir=out) == 0
+    (out / "notes.txt").write_text("not an output\n")
+    bad = (CONFIG_DIR / "vanilla_md_skew.cfg").read_text().replace(
+        "preset.eta = 0.1", "preset.eta = 5.0")
+    assert run_cli("solve", bad, tmp_path, "bad.cfg", env_dir=out) == 1
+    assert "non-finite at step 436" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["notes.txt"]
+
+
+@pytest.mark.parametrize("command,name,old,new", [
+    ("compare", "compare_eg.cfg", "preset.name = eg", "preset.name = vanilla_md"),
+    ("check", "check_eg.cfg", "preset.eta = 0.1", "preset.eta = 20"),
+    ("ensemble", "ensemble_quadratic.cfg", "ensemble.verify = true",
+     "ensemble.verify = true\nmode = flow\nflow.integrator = rk4"),
+])
+def test_failed_command_clears_only_its_own_outputs(tmp_path, command, name, old,
+                                                    new):
+    out = tmp_path / "out"
+    good = (CONFIG_DIR / name).read_text()
+    assert run_cli(command, good, tmp_path, "good.cfg", env_dir=out) == 0
+    (out / "notes.txt").write_text("not an output\n")
+    (out / "trajectory.csv").write_text("another command's output\n")
+    assert old in good
+    bad = good.replace(old, new)
+    assert run_cli(command, bad, tmp_path, "bad.cfg", env_dir=out) == 1
+    expected = ["notes.txt"] + (["trajectory.csv"] if command != "solve" else [])
+    assert sorted(os.listdir(out)) == expected
+
+
 @pytest.mark.parametrize("command,late_phase", [
     ("solve", "lyapunov_series"),
     ("ensemble", "verify_ensemble_reduction"),

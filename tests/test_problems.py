@@ -2,8 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from targetmd import (VIProblem, box, check_monotonicity, estimate_lipschitz,
                       euclidean_geometry, library_problem, natural_residual,
@@ -46,6 +46,53 @@ def test_project_simplex_lands_on_the_simplex_for_any_finite_input(v):
     assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
     assert abs(float(x.sum()) - 1.0) <= SIMPLEX_MASS_TOL
     assert x[np.argmax(v)] > 0.0  # the largest entry is always in the support
+
+
+FINITE = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(float, st.integers(1, 12), elements=FINITE))
+def test_project_simplex_is_idempotent(v):
+    x = project_simplex(v)
+    assert np.allclose(project_simplex(x), x, rtol=0.0, atol=SIMPLEX_MASS_TOL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+    arrays(float, d, elements=FINITE),
+    arrays(float, d, elements=st.floats(-1e6, 1e6)),
+    arrays(float, d, elements=st.floats(1e-6, 1e6)))))
+def test_project_box_is_idempotent(case):
+    v, lower, width = case
+    s = box(lower, lower + width)
+    x = s.project(v)
+    assert s.contains(x, tol=0.0)
+    assert np.array_equal(s.project(x), x)
+
+
+SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308,
+                           5e-324])
+
+
+@settings(max_examples=400, deadline=None)
+@given(arrays(float, array_shapes(min_dims=1, max_dims=2, max_side=6),
+              elements=st.one_of(SPECIAL, st.floats())))
+@example(np.array([np.inf, -np.inf]))
+@example(np.array([[1e308, 1e308], [-1e308, -np.inf]]))
+@example(np.array([-np.inf, np.nan, np.inf]))
+def test_projection_raises_exactly_on_nan(v):
+    # [inf, -inf] sums to NaN but holds no NaN: it must project
+    dim = v.shape[-1]
+    for s in (whole_space(dim), box(np.full(dim, -1.0), np.full(dim, 1.0))):
+        if np.isnan(v).any():
+            with pytest.raises(DomainError, match="NaN"):
+                s.project(v)
+        else:
+            x = s.project(v)
+            assert x.shape == v.shape
+            assert np.array_equal(x, v if s.kind == "whole_space"
+                                  else np.clip(v, -1.0, 1.0))
 
 
 def test_project_simplex_feasible_idempotent_nonexpansive():
