@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import relaxed_condition_value, run_discrete
+from .dynamics import _finite_point, relaxed_condition_value, run_discrete
 from .errors import ConfigurationError, TargetMDError
 from .geometry import MirrorGeometry
 from .problems import VIProblem, natural_residual, sampled_monotonicity
@@ -144,8 +144,10 @@ def run_condition_checks(geometry: MirrorGeometry, spec: TargetSpec,
     # a solid interior margin keeps entropy-based designs (log, entrywise
     # division, exp of normalized payoffs) numerically evaluable
     samples = problem.feasible_set.sample_interior(rng, n_samples, margin=0.02)
-    if x_bar is None and problem.known_solution is not None:
+    if x_bar is None:
         x_bar = problem.known_solution
+    if x_bar is not None:
+        x_bar = _finite_point("x_bar", x_bar, geometry.dim)
     targets = _resolve_samples(spec, samples)
     report = {
         "seed": seed,

@@ -2,12 +2,13 @@
 
 Grammar: one `key = value` pair per line; `#` starts a comment; blank
 lines are ignored.  Keys are dotted lowercase paths.  Values are parsed as
-int, float, boolean (true/false), comma-separated float vectors, or raw
-strings, in that order of preference.  Parsing is strict: every rejected
-key or value is an error that starts with `source:line: key`, and every
-default is resolved at parse time so the echoed configuration is complete.
-Each fixed key is one row of `_KEYS`, which both parse_config and
-echo_config walk.
+comma-separated float vectors, boolean (true/false), int, float, or raw
+strings, in that order of preference; the text keys (output.dir and
+ensemble.memberN.geometry) keep the value's text as written.  Parsing is
+strict: every rejected key or value is an error that starts with
+`source:line: key`, and every default is resolved at parse time so the
+echoed configuration is complete.  Each fixed key is one row of `_KEYS`,
+which both parse_config and echo_config walk.
 """
 
 from __future__ import annotations
@@ -170,12 +171,16 @@ _MEMBER_KEYS = {"geometry": str, "weights": _vector, "z0": _vector}
 _PARAM_SECTIONS = ("problem", "geometry", "preset")
 
 
+def _convert(parse, raw: str):
+    return parse(raw.strip() if parse is str else _parse_value(raw))
+
+
 def _apply(cfg, members: dict, key: str, raw: str):
     """Store the value of one `key = raw` line and return it."""
     parts = key.split(".")
     if key in _KEYS:
         name, parse = _KEYS[key]
-        value = parse(_parse_value(raw))
+        value = _convert(parse, raw)
         if name is not None:
             setattr(cfg, name, value)
         return value
@@ -188,7 +193,7 @@ def _apply(cfg, members: dict, key: str, raw: str):
         if parts[2] not in _MEMBER_KEYS:
             raise ConfigurationError(
                 f"is not a member key (expected one of {sorted(_MEMBER_KEYS)})")
-        members.setdefault(int(index), {})[parts[2]] = _MEMBER_KEYS[parts[2]](_parse_value(raw))
+        members.setdefault(int(index), {})[parts[2]] = _convert(_MEMBER_KEYS[parts[2]], raw)
     else:
         raise ConfigurationError("is not a known key")
 
@@ -236,8 +241,12 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    return parse_config(text, source=str(path))
 
 
 def _format_value(value) -> str:

@@ -49,16 +49,23 @@ class SolverState:
     xi: Optional[Vector] = None
 
 
+def _finite_point(name: str, value, dim: int) -> Vector:
+    """value as a float array of dim finite entries, or ConfigurationError."""
+    point = np.asarray(value, dtype=float)
+    if point.size != dim:
+        raise ConfigurationError(
+            f"{name} has {point.size} entries; the problem has dimension {dim}")
+    if not np.all(np.isfinite(point)):
+        raise ConfigurationError(f"{name} must be finite, got {point.tolist()}")
+    return point
+
+
 def initial_state(geometry: MirrorGeometry, x0=None) -> SolverState:
     """State at z0 = grad_h(x0); default x0 is the domain's analytic
     center (uniform on the simplex, box midpoint, origin on the whole
     space)."""
-    x0 = geometry.domain.center() if x0 is None else np.asarray(x0, dtype=float)
-    if x0.size != geometry.dim:
-        raise ConfigurationError(
-            f"x0 has {x0.size} entries; the problem has dimension {geometry.dim}")
-    if not np.all(np.isfinite(x0)):
-        raise ConfigurationError(f"x0 must be finite, got {x0.tolist()}")
+    x0 = (geometry.domain.center() if x0 is None
+          else _finite_point("x0", x0, geometry.dim))
     z0 = geometry.grad_h(x0)
     return SolverState(0, 0.0, z0, geometry.grad_h_conj(z0))
 
@@ -129,15 +136,17 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     Step z' = gain * rate(z, x, T(x), S(x)), x = pullback(z), from `state`
     for round(t_end / dt) steps of `scheme` (discrete: dt = gain = 1), and
     return recorder().finish(...) over the samples pushed at the start,
-    every stride-th step and the end; push(k, t, x, T(x)) takes a sample's
-    step index, time, point and target.  target(x) returns the pair
-    (T(x), S(x)) once per point; rate takes both, and residual and recorder
-    share T(x).  The rate k1 at the current point is computed once per step,
-    and the run stops once residual(z, x, T(x), k1) <= stop_residual.  A
-    non-finite dual point ends a discrete run with FlowDivergenceError;
-    Euler and RK4 runs restart with dt halved, up to max_halvings times,
-    before raising it.  numpy's overflow and invalid-value warnings are
-    silenced in the loop, since that check reports them.
+    every stride-th step and the end; push(k, t, x, g) takes a sample's
+    step index, time, point and g = ||T(x) - x||.  target(x) returns
+    (T(x), S(x)) once per point, or (None, None) and g = NaN; rate takes
+    both.  g is computed once per loop point, none at RK4 stage points.
+    The rate k1 at the current point is computed once per step, and the
+    run stops once residual(z, x, g, k1) < stop_residual: 0 runs every
+    step, also past an exact fixed point.  A non-finite dual point ends a
+    discrete run with FlowDivergenceError; Euler and RK4 runs restart with
+    dt halved, up to max_halvings times, before raising it.  numpy's
+    overflow and invalid-value warnings are silenced in the loop, since
+    that check reports them.
     """
     dt = _step_size(dt, "dt")
     if not (math.isfinite(t_end) and t_end >= 0.0):
@@ -150,12 +159,13 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
         rec = recorder()
         k, t, z, x = k0, state.time, state.z, state.x
         tx, sx = target(x)
-        rec.push(k, t, x, tx)
+        g = math.nan if tx is None else _norm(tx - x)
+        rec.push(k, t, x, g)
         termination = BUDGET
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max(0, int(round(t_end / step)))):
                 k1 = rate(z, x, tx, sx)
-                if residual is not None and residual(z, x, tx, k1) <= stop_residual:
+                if residual is not None and residual(z, x, g, k1) < stop_residual:
                     termination = CONVERGED
                     break
                 z1 = advance(rate, pullback, target, z, k1, h)
@@ -164,11 +174,12 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
                     break
                 k, t, z, x = k + 1, t + step, z1, pullback(z1)
                 tx, sx = target(x)
+                g = math.nan if tx is None else _norm(tx - x)
                 if k % stride == 0:
-                    rec.push(k, t, x, tx)
+                    rec.push(k, t, x, g)
         if termination is not None:
             if k != k0 and k % stride:
-                rec.push(k, t, x, tx)
+                rec.push(k, t, x, g)
             return rec.finish(termination, scheme, step,
                               SolverState(k, t, z, x, state.xi))
         if scheme == "discrete":
@@ -202,29 +213,27 @@ class RunRecord:
 
 class _Recorder:
     """The samples of one run.  push keeps a sample's step, time, x and
-    ||T(x) - x||, read through gap, the _SharedGap a run's stop rule may
-    read too; finish evaluates the natural residuals (at the shadow
+    ||T(x) - x||; finish evaluates the natural residuals (at the shadow
     points, when the spec has a shadow) and the Bregman values against the
     reference on the stacked samples, in row blocks of DIAGNOSTIC_BLOCK
     entries.  Row by row evaluation gives each sample the bits of its own
     call."""
 
-    def __init__(self, geometry, spec, problem, reference, gap=None):
+    def __init__(self, geometry, spec, problem, reference):
         self.geometry = geometry
         self.spec = spec
         self.problem = problem
-        self.reference = None if reference is None else np.asarray(reference, dtype=float)
-        self.gap = _SharedGap() if gap is None else gap
+        self.reference = reference
         self.steps = []
         self.times = []
         self.states = []
         self.target_res = []
 
-    def push(self, k: int, t: float, x: Vector, tx: Optional[Vector]):
+    def push(self, k: int, t: float, x: Vector, g: float):
         self.steps.append(k)
         self.times.append(t)
         self.states.append(x.copy())
-        self.target_res.append(self.gap(x, tx) if self.spec is not None else math.nan)
+        self.target_res.append(g)
 
     def finish(self, termination, mode, dt, final_state) -> RunRecord:
         states = np.asarray(self.states, dtype=float)
@@ -258,48 +267,31 @@ class _Recorder:
         )
 
 
-def _target_gap(x: Vector, tx: Vector) -> float:
-    """||T(x) - x||, the target residual."""
-    return _norm(tx - x)
-
-
-class _SharedGap:
-    """_target_gap of the last point asked for, held with that point's x and
-    T(x) arrays, so that the stop rule and the recorder of one run evaluate
-    it once per point."""
-
-    last = (None, None, math.nan)
-
-    def __call__(self, x: Vector, tx: Vector) -> float:
-        if x is not self.last[0] or tx is not self.last[1]:
-            self.last = (x, tx, _target_gap(x, tx))
-        return self.last[2]
-
-
-def _stationarity(spec, problem, gap):
-    """Residual driving the stopping rule: ||T(x) - x||, through the run's
-    shared gap, when the target mechanism is active; the natural residual
-    for the alpha = 0 baseline (whose target residual is vacuously zero);
-    none without a problem."""
+def _stationarity(spec, problem):
+    """Residual driving the stopping rule: the target residual g when the
+    target mechanism is active; the natural residual for the alpha = 0
+    baseline (whose target residual is vacuously zero); none without a
+    problem."""
     if spec.alpha > 0.0:
-        return lambda z, x, tx, k1: gap(x, tx)
+        return lambda z, x, g, k1: g
     if problem is not None:
-        return lambda z, x, tx, k1: natural_residual(problem, x)
+        return lambda z, x, g, k1: natural_residual(problem, x)
     return None
 
 
 def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
          gain=1.0, x0=None, state=None, reference=None, stacked=False,
-         stop_residual=DEFAULT_STOP_RESIDUAL, stride=1, max_halvings=8, gap=None):
+         stop_residual=DEFAULT_STOP_RESIDUAL, stride=1, max_halvings=8):
     """What every runner shares around its rate, stop residual and gain: the
     start state, the target map (none without a spec), the recorder and the
     integrate call.  A flow (dt given) integrates with euler or rk4.  stacked
-    runs on (z, xi) from xi = x0, pulled back through z alone.  gap is the
-    _SharedGap the stop residual reads, if it reads one."""
+    runs on (z, xi) from xi = x0, pulled back through z alone."""
     if dt is not None and scheme not in ("euler", "rk4"):
         raise ConfigurationError("integrator must be 'euler' or 'rk4'")
     if state is None:
         state = initial_state(geometry, x0)
+    if reference is not None:
+        reference = _finite_point("reference", reference, geometry.dim)
     pullback, dim = geometry.grad_h_conj, geometry.dim
     if stacked:
         state = SolverState(0, 0.0, np.concatenate((state.z, state.x)), state.x)
@@ -308,7 +300,7 @@ def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
                        dt=1.0 if scheme == "discrete" else dt, gain=gain,
                        target=(lambda x: (None, None)) if spec is None else _target_map(spec),
                        residual=residual, stop_residual=stop_residual, stride=stride,
-                       recorder=partial(_Recorder, geometry, spec, problem, reference, gap),
+                       recorder=partial(_Recorder, geometry, spec, problem, reference),
                        max_halvings=max_halvings)
     if stacked:
         end = record.final_state
@@ -325,10 +317,9 @@ def run_discrete(geometry: MirrorGeometry, spec: TargetSpec,
                  state: Optional[SolverState] = None) -> RunRecord:
     """Up to n_steps discrete steps, stopping early once the stationarity
     residual falls below stop_residual."""
-    gap = _SharedGap()
-    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem, gap),
+    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
                 "discrete", n_steps, x0=x0, state=state, reference=reference,
-                stop_residual=stop_residual, stride=stride, gap=gap)
+                stop_residual=stop_residual, stride=stride)
 
 
 def flow(geometry: MirrorGeometry, spec: TargetSpec,
@@ -339,14 +330,12 @@ def flow(geometry: MirrorGeometry, spec: TargetSpec,
          max_halvings: int = 8) -> RunRecord:
     """Integrate z' = alpha*(S o T - S)(x) - beta*Phi(x), x = grad_h_conj(z);
     a non-finite state halves dt, up to max_halvings times (see integrate)."""
-    gap = _SharedGap()
-    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem, gap),
+    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
                 integrator, t_end, dt=dt, x0=x0, state=state, reference=reference,
-                stop_residual=stop_residual, stride=stride, max_halvings=max_halvings,
-                gap=gap)
+                stop_residual=stop_residual, stride=stride, max_halvings=max_halvings)
 
 
-def _mismatch_norm(z, x, tx, k1):
+def _mismatch_norm(z, x, g, k1):
     """The discounted flows' stop residual: the norm of their rate."""
     return _norm(k1)
 
@@ -402,20 +391,19 @@ def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
     dim = geometry.dim
     gamma1 = _step_size(gamma1, "gamma1")
     gain = np.concatenate((np.ones(dim), np.full(dim, _step_size(gamma2, "gamma2"))))
-    shared = _SharedGap()
-    first_order = _stationarity(spec, problem, shared)
+    first_order = _stationarity(spec, problem)
 
     def rate(y, x, tx, sx):
         gap = x - y[dim:]
         return np.concatenate((dual_rate(spec, x, tx, sx) - gamma1 * gap, gap))
 
-    def stationarity(y, x, tx, k1):
-        return max(first_order(y, x, tx, k1), _norm(x - y[dim:]))
+    def stationarity(y, x, g, k1):
+        return max(first_order(y, x, g, k1), _norm(x - y[dim:]))
 
     return _run(geometry, spec, problem, rate,
                 None if first_order is None else stationarity, integrator, t_end,
                 dt=dt, gain=gain, x0=x0, reference=reference, stacked=True,
-                stop_residual=stop_residual, stride=stride, gap=shared)
+                stop_residual=stop_residual, stride=stride)
 
 
 # ---------------------------------------------------------------------------

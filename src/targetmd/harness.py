@@ -23,9 +23,9 @@ import numpy as np
 from . import reference
 from .checks import run_condition_checks
 from .config import ExperimentConfig, echo_config
-from .dynamics import (CONVERGED, RunRecord, _run, _tmd_rate, dual_rate, flow,
-                       lyapunov_series, primal_vector_field, run_discrete,
-                       run_dmd, run_higher_order, run_vanilla_dmd)
+from .dynamics import (CONVERGED, RunRecord, dual_rate, flow, lyapunov_series,
+                       primal_vector_field, run_discrete, run_dmd,
+                       run_higher_order, run_vanilla_dmd)
 from .ensemble import (EnsembleMember, run_ensemble, synthesized_geometry,
                        verify_ensemble_reduction)
 from .errors import ConfigurationError
@@ -79,13 +79,13 @@ class Preset:
     params maps each preset.<key> to its default; aliases holds (alias,
     key) pairs, of which a config gives at most one.  build(geometry,
     problem, pair, p) returns the design tuple for the resolved parameters
-    p.  Discrete mode runs run_discrete; flow mode runs flow(geometry,
-    problem, spec, p, integrator=..., **run), by default the dynamics' flow.
-    flow_only: the preset brings its own rate to that flow, runs in flow
-    mode only, and neither drives an ensemble nor serves as a base.
-    ambient: the Euclidean state lives on the whole space.  compare checks
-    against coded_step(geometry, problem, pair, spec, p, x), the next
-    iterate, or coded_field(...), the vector field minus the coded one.
+    p.  Discrete mode runs run_discrete; flow mode runs the dynamics' flow,
+    or flow(geometry, problem, spec, p, integrator=..., **run) when the row
+    brings its own.  Such a row is flow_only: it runs in flow mode only,
+    and neither drives an ensemble nor serves as a base.  ambient: the
+    Euclidean state lives on the whole space.  compare checks against
+    coded_step(geometry, problem, pair, spec, p, x), the next iterate, or
+    coded_field(...), the vector field minus the coded one.
     Callables look up what they call by name when they run, so rebinding a
     module attribute reaches them.
     """
@@ -93,12 +93,12 @@ class Preset:
     blurb: str
     params: dict
     build: Optional[Callable] = None
-    flow: Callable = lambda g, pb, spec, p, **run: flow(g, spec, problem=pb, **run)
-    flow_only: bool = False
+    flow: Optional[Callable] = None
     ambient: bool = False
     coded_step: Optional[Callable] = None
     coded_field: Optional[Callable] = None
     aliases: tuple = ()   # (alias, key) pairs
+    flow_only = property(lambda self: self.flow is not None)
 
 
 def _split(pair: Optional[SplitPair], name: str) -> SplitPair:
@@ -174,20 +174,17 @@ PRESETS = {
         build=lambda g, pb, pair, p: preset_vanilla_md(g, pb, **p)),
     "dmd_vanilla": Preset(
         "uncalibrated discounted baseline (misaligned equilibria)", {"gamma": 1.0},
-        flow=lambda g, pb, spec, p, **run: run_vanilla_dmd(g, pb, **p, **run),
-        flow_only=True),
+        flow=lambda g, pb, spec, p, **run: run_vanilla_dmd(g, pb, **p, **run)),
     "dmd_calibrated": Preset(
         "discounted update recalibrated onto true solutions",
         {"eta": 1.0, "case": 1, "gamma": 1.0},
         build=lambda g, pb, pair, p: preset_dmd_calibrated(g, pb, p["eta"], p["case"]),
-        flow=lambda g, pb, spec, p, **run: run_dmd(g, spec, p["gamma"], problem=pb, **run),
-        flow_only=True),
+        flow=lambda g, pb, spec, p, **run: run_dmd(g, spec, p["gamma"], problem=pb, **run)),
     "higher_order": Preset(
         "second-order variant over a base preset",
         {"base": "eg", "gamma1": 1.0, "gamma2": 1.0}, build=_on_base,
         flow=lambda g, pb, spec, p, **run: run_higher_order(
-            g, spec, gamma1=p["gamma1"], gamma2=p["gamma2"], problem=pb, **run),
-        flow_only=True),
+            g, spec, gamma1=p["gamma1"], gamma2=p["gamma2"], problem=pb, **run)),
 }
 
 
@@ -398,8 +395,9 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
     if cfg.mode == "discrete":
         record = run_discrete(geometry, spec, problem=problem, n_steps=cfg.steps, **run)
     else:
-        record = row.flow(geometry, problem, spec, p, integrator=cfg.integrator,
-                          dt=cfg.dt, t_end=cfg.t_end, **run)
+        run.update(integrator=cfg.integrator, dt=cfg.dt, t_end=cfg.t_end)
+        record = (row.flow(geometry, problem, spec, p, **run) if row.flow_only
+                  else flow(geometry, spec, problem=problem, **run))
 
     out = resolve_output_dir(cfg)
     trajectory = out / "trajectory.csv"
@@ -453,9 +451,9 @@ def run_compare(cfg: ExperimentConfig) -> CliResult:
                       for x in samples]
     else:
         kind, tol = "per_step", DISCRETE_COMPARE_TOL
-        # every step is compared, so the driver run has no stop residual
-        record = _run(geometry, spec, None, _tmd_rate(spec), None, "discrete",
-                      cfg.compare_steps, x0=cfg.x0)
+        # stop_residual = 0 runs every step, also past an exact fixed point
+        record = run_discrete(geometry, spec, x0=cfg.x0, n_steps=cfg.compare_steps,
+                              stop_residual=0.0)
         x_ref, deviations = record.states[0], []
         for x in record.states[1:]:
             x_ref = row.coded_step(geometry, problem, pair, spec, p, x_ref)

@@ -4,13 +4,11 @@ line with the measured quantity, asserted at its stated tolerance.
 Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 """
 
-from functools import partial
-
 import numpy as np
 
 import reference_impls as ri
 from targetmd import (affine_box_split, bregman, entropy_geometry,
-                      euclidean_geometry, flow, initial_state,
+                      euclidean_geometry, flow,
                       library_problem, lyapunov_series, natural_residual,
                       preset_bnn, preset_dmd_calibrated, preset_dr, preset_eg,
                       preset_fb, preset_fbf, preset_ppa, preset_vanilla_md,
@@ -19,8 +17,7 @@ from targetmd import (affine_box_split, bregman, entropy_geometry,
                       resolve_target, run_discrete, run_dmd, run_higher_order,
                       run_ensemble, run_vanilla_dmd, verify_ensemble_reduction,
                       make_members, weighted_quadratic_geometry, whole_space)
-from targetmd.dynamics import (_Recorder, _target_map, _tmd_rate, dual_rate,
-                               integrate)
+from targetmd.dynamics import dual_rate
 
 ACCEPTANCE_SEED = 20250811
 
@@ -36,12 +33,10 @@ def _report(number, label, passed, detail):
 # -------------------------------------------------------------------------
 
 def _stepwise_deviation(geometry, spec, reference_step, x0, n_steps=100):
-    # one driver run with no stop residual, so that every step is compared,
+    # stop_residual = 0 runs every step, so that every step is compared,
     # also past an exact fixed point (DR reaches one at step 53)
-    states = integrate(_tmd_rate(spec), geometry.grad_h_conj,
-                       initial_state(geometry, x0), "discrete", n_steps,
-                       target=_target_map(spec),
-                       recorder=partial(_Recorder, geometry, None, None, None)).states
+    states = run_discrete(geometry, spec, x0=x0, n_steps=n_steps,
+                          stop_residual=0.0).states
     assert len(states) == n_steps + 1
     x_ref = states[0]
     worst = 0.0

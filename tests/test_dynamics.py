@@ -13,8 +13,7 @@ from targetmd import (affine_box_split, entropy_geometry,
                       primal_vector_field, relaxed_condition_value,
                       resolve_target, run_discrete, run_dmd, run_higher_order,
                       run_vanilla_dmd, whole_space)
-from targetmd.dynamics import (_Recorder, _target_map, _tmd_rate, dual_rate,
-                               integrate, violation_band)
+from targetmd.dynamics import dual_rate, violation_band
 from targetmd.errors import ConfigurationError
 
 SEED = 999
@@ -26,16 +25,6 @@ def _skew():
 
 
 # --- single steps -----------------------------------------------------------
-
-def _every_step(geometry, spec, x0, n_steps):
-    """n_steps discrete steps through the driver with no stop residual, so
-    that every step runs, also from an exact fixed point (where the stop
-    rule of run_discrete would end the run at step 0)."""
-    return integrate(_tmd_rate(spec), geometry.grad_h_conj,
-                     initial_state(geometry, x0), "discrete", n_steps,
-                     target=_target_map(spec),
-                     recorder=partial(_Recorder, geometry, None, None, None))
-
 
 def test_discrete_step_eg_example():
     p, g = _skew()
@@ -58,7 +47,8 @@ def test_discrete_step_stationary_at_solution():
     p, g = _skew()
     for spec in (preset_eg(g, p, 0.1), preset_ppa(g, p, 0.5),
                  preset_fbf(p, 0.1)):
-        rec = _every_step(g, spec, p.known_solution, 1)
+        # stop_residual = 0 runs the step, also from the exact fixed point
+        rec = run_discrete(g, spec, x0=p.known_solution, n_steps=1, stop_residual=0.0)
         assert rec.final_state.step_index == 1
         assert np.linalg.norm(rec.final_state.x - rec.states[0]) <= 1e-10
 
@@ -81,7 +71,8 @@ def test_state_consistency_after_steps():
 # reproduces, run side by side from one initial point
 
 def _side_by_side(geometry, spec, reference_step, x0, n_steps):
-    states = _every_step(geometry, spec, x0, n_steps).states
+    states = run_discrete(geometry, spec, x0=x0, n_steps=n_steps,
+                          stop_residual=0.0).states
     assert len(states) == n_steps + 1
     x_ref = states[0]
     worst = 0.0
@@ -347,35 +338,55 @@ def test_run_discrete_converges_and_stops_early():
     assert natural_residual(p, rec.final_state.x) <= 1e-6
 
 
-@pytest.mark.parametrize("stride,n_steps,stop", [
-    (1, 50, 0.0),       # every point recorded, budget exhausted
-    (7, 50, 0.0),       # most points only reach the stop rule
-    (1, 10_000, 1e-8),  # converged: the last point ends the run and is pushed
+@pytest.mark.parametrize("integrator,stride,n_steps,stop", [
+    ("discrete", 1, 50, 0.0),       # every point recorded, budget exhausted
+    ("discrete", 7, 50, 0.0),       # most points only reach the stop rule
+    ("discrete", 1, 10_000, 1e-8),  # converged: the last point ends the run
+    ("rk4", 7, 50, 0.0),            # none at the stage points of RK4
 ])
-def test_target_residual_is_evaluated_once_per_point(monkeypatch, stride,
-                                                      n_steps, stop):
-    # the stop rule and the recorder share one ||T(x) - x|| per point
+def test_target_residual_is_evaluated_once_per_point(monkeypatch, integrator,
+                                                      stride, n_steps, stop):
+    # the loop computes one ||T(x) - x|| per point, for the stop rule and
+    # the recorder both
     p, g = _skew()
     spec = preset_eg(g, p, 0.1)
-    points = []
-    gap = dynamics._target_gap
+    gaps = []
+    norm = dynamics._norm
 
-    def counted(x, tx):
-        points.append(x)
-        return gap(x, tx)
+    def counted(v):
+        gaps.append(v)
+        return norm(v)
 
-    monkeypatch.setattr(dynamics, "_target_gap", counted)
-    rec = run_discrete(g, spec, problem=p, x0=[1.0, 0.0], n_steps=n_steps,
-                       stop_residual=stop, stride=stride)
+    monkeypatch.setattr(dynamics, "_norm", counted)
+    run = dict(problem=p, x0=[1.0, 0.0], stop_residual=stop, stride=stride)
+    if integrator == "discrete":
+        rec = run_discrete(g, spec, n_steps=n_steps, **run)
+    else:
+        rec = flow(g, spec, integrator=integrator, dt=0.1, t_end=0.1 * n_steps, **run)
     assert rec.termination == ("converged" if stop else "budget_exhausted")
-    assert len(points) == rec.final_state.step_index + 1
-    assert np.array_equal(points[0], rec.states[0])
-    assert np.array_equal(points[-1], rec.final_state.x)
+    assert len(gaps) == rec.final_state.step_index + 1
+    assert np.array_equal(gaps[0], resolve_target(spec, rec.states[0]) - rec.states[0])
+    end = rec.final_state.x
+    assert np.array_equal(gaps[-1], resolve_target(spec, end) - end)
     if stride == 1:
-        assert np.array_equal(np.array(points), rec.states)
         tx = [resolve_target(spec, x) for x in rec.states]
+        assert np.array_equal(np.array(gaps), [t - x for t, x in zip(tx, rec.states)])
         assert np.array_equal(rec.target_residuals,
                               [np.linalg.norm(t - x) for t, x in zip(tx, rec.states)])
+
+
+def test_zero_stop_residual_runs_past_an_exact_fixed_point():
+    # DR from x0 = 3 lands on its exact fixed point at step 53; with
+    # stop_residual = 0 the run still takes all of its steps
+    pair, problem = affine_box_split(2.0, 0.0, 1.0)
+    g = euclidean_geometry(whole_space(1))
+    spec = preset_dr(pair, g.domain, 1.0)
+    rec = run_discrete(g, spec, problem=problem, x0=[3.0], n_steps=200,
+                       stop_residual=0.0)
+    assert rec.termination == "budget_exhausted"
+    assert rec.final_state.step_index == 200 and len(rec.states) == 201
+    assert rec.target_residuals[52] > 0.0
+    assert np.all(rec.target_residuals[53:] == 0.0)
 
 
 def test_vanilla_md_never_converges_on_skew():

@@ -457,6 +457,48 @@ def test_solve_missing_config_exits_one():
     assert main(["solve", "/nonexistent/exp.cfg"]) == 1
 
 
+def test_non_utf8_config_ends_in_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["output.dir", "ensemble.member1.geometry"])
+@pytest.mark.parametrize("text", ["007", "1e3", "true", "runs/a,b"])
+def test_text_keys_keep_the_value_as_written(key, text):
+    cfg = parse_config(f"{key} =  {text} \n")
+    value = cfg.output_dir if key == "output.dir" else cfg.ensemble_members[0].geometry
+    assert value == text
+    assert f"{key} = {text}" in echo_config(cfg)
+
+
+def test_solve_writes_to_the_output_dir_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("solve", BASE_SOLVE.format(steps=10, out="007"), tmp_path) == 2
+    assert (tmp_path / "007" / "summary.json").is_file()
+    assert not (tmp_path / "7").exists()
+
+
+@pytest.mark.parametrize("command,key,name", [
+    ("solve", "lyapunov.reference", "reference"),
+    ("check", "check.x_bar", "x_bar"),
+])
+@pytest.mark.parametrize("value,message", [
+    ("1, 2, 3", "has 3 entries; the problem has dimension 2"),
+    ("nan, 0", "must be finite"),
+])
+def test_reference_points_are_checked_like_x0(tmp_path, capsys, command, key, name,
+                                               value, message):
+    out = tmp_path / "o"
+    text = BASE_SOLVE.format(steps=10, out=out) + f"{key} = {value}\n"
+    assert run_cli(command, text, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # --- compare -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("name,expected_kind", [
