@@ -4,7 +4,9 @@ Grammar: one `key = value` pair per line; `#` starts a comment; blank
 lines are ignored.  Keys are dotted lowercase paths.  Values are parsed as
 comma-separated float vectors, boolean (true/false), int, float, or raw
 strings, in that order of preference; the text keys (output.dir and
-ensemble.memberN.geometry) keep the value's text as written.  Parsing is
+ensemble.memberN.geometry) keep the value's text as written, and
+output.dir must not be empty.  A config file that cannot be read is an
+error `source: reason`.  Parsing is
 strict: every rejected key or value is an error that starts with
 `source:line: key`, and every default is resolved at parse time so the
 echoed configuration is complete.  Each fixed key is one row of `_KEYS`,
@@ -134,6 +136,12 @@ def _typed(kind: type, what: str):
     return parse
 
 
+def _directory(text: str):
+    if not text:
+        raise ConfigurationError("must name a directory, got an empty value")
+    return text
+
+
 _NAME = _typed(str, "a name")
 _FINITE_NONNEGATIVE = _number("a finite number >= 0", lambda v: v >= 0.0)
 
@@ -152,7 +160,7 @@ _KEYS = {
     "budget.steps": ("steps", _integer(0)),
     "budget.t_end": ("t_end", _FINITE_NONNEGATIVE),
     "stop.residual": ("stop_residual", _FINITE_NONNEGATIVE),
-    "output.dir": ("output_dir", str),
+    "output.dir": ("output_dir", _directory),
     "output.stride": ("stride", _integer(1)),
     "lyapunov.reference": ("lyapunov_reference", _vector),
     "compare.steps": ("compare_steps", _integer(1)),
@@ -172,7 +180,8 @@ _PARAM_SECTIONS = ("problem", "geometry", "preset")
 
 
 def _convert(parse, raw: str):
-    return parse(raw.strip() if parse is str else _parse_value(raw))
+    """parse of the value's text for the text keys, else of the parsed value."""
+    return parse(raw.strip() if parse in (str, _directory) else _parse_value(raw))
 
 
 def _apply(cfg, members: dict, key: str, raw: str):
@@ -246,6 +255,8 @@ def load_config(path) -> ExperimentConfig:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror or exc}") from None
     return parse_config(text, source=str(path))
 
 

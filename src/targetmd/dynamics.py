@@ -127,8 +127,14 @@ def _rk4(rate, pullback, target, z, k1, h):
 SCHEMES = {"discrete": _discrete, "euler": _euler, "rk4": _rk4}
 
 
+def _target_gap(tx, x) -> float:
+    """||T(x) - x||, or NaN where no target map applies (tx is None)."""
+    return math.nan if tx is None else _norm(tx - x)
+
+
 def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
               target, recorder, dt: float = 1.0, gain=1.0, residual=None,
+              stop_on_gap: bool = False,
               stop_residual: float = DEFAULT_STOP_RESIDUAL, stride: int = 1,
               max_halvings: int = 8):
     """The one stepping loop of the package.
@@ -139,9 +145,11 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     every stride-th step and the end; push(k, t, x, g) takes a sample's
     step index, time, point and g = ||T(x) - x||.  target(x) returns
     (T(x), S(x)) once per point, or (None, None) and g = NaN; rate takes
-    both.  g is computed once per loop point, none at RK4 stage points.
-    The rate k1 at the current point is computed once per step, and the
-    run stops once residual(z, x, g, k1) < stop_residual: 0 runs every
+    both.  g is computed where something reads it: once per loop point
+    when stop_on_gap is set (the stop rule reads it), otherwise only at
+    pushed samples, and the residual gets g = None; never at RK4 stage
+    points.  The rate k1 at the current point is computed once per step,
+    and the run stops once residual(z, x, g, k1) < stop_residual: 0 runs every
     step, also past an exact fixed point.  A non-finite dual point ends a
     discrete run with FlowDivergenceError; Euler and RK4 runs restart with
     dt halved, up to max_halvings times, before raising it.  numpy's
@@ -159,8 +167,8 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
         rec = recorder()
         k, t, z, x = k0, state.time, state.z, state.x
         tx, sx = target(x)
-        g = math.nan if tx is None else _norm(tx - x)
-        rec.push(k, t, x, g)
+        g = _target_gap(tx, x) if stop_on_gap else None
+        rec.push(k, t, x, _target_gap(tx, x) if g is None else g)
         termination = BUDGET
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max(0, int(round(t_end / step)))):
@@ -174,12 +182,12 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
                     break
                 k, t, z, x = k + 1, t + step, z1, pullback(z1)
                 tx, sx = target(x)
-                g = math.nan if tx is None else _norm(tx - x)
+                g = _target_gap(tx, x) if stop_on_gap else None
                 if k % stride == 0:
-                    rec.push(k, t, x, g)
+                    rec.push(k, t, x, _target_gap(tx, x) if g is None else g)
         if termination is not None:
             if k != k0 and k % stride:
-                rec.push(k, t, x, g)
+                rec.push(k, t, x, _target_gap(tx, x) if g is None else g)
             return rec.finish(termination, scheme, step,
                               SolverState(k, t, z, x, state.xi))
         if scheme == "discrete":
@@ -281,11 +289,13 @@ def _stationarity(spec, problem):
 
 def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
          gain=1.0, x0=None, state=None, reference=None, stacked=False,
-         stop_residual=DEFAULT_STOP_RESIDUAL, stride=1, max_halvings=8):
+         stop_residual=DEFAULT_STOP_RESIDUAL, stride=1, max_halvings=8,
+         stop_on_gap=False):
     """What every runner shares around its rate, stop residual and gain: the
     start state, the target map (none without a spec), the recorder and the
     integrate call.  A flow (dt given) integrates with euler or rk4.  stacked
-    runs on (z, xi) from xi = x0, pulled back through z alone."""
+    runs on (z, xi) from xi = x0, pulled back through z alone.  stop_on_gap
+    tells integrate that the residual reads g."""
     if dt is not None and scheme not in ("euler", "rk4"):
         raise ConfigurationError("integrator must be 'euler' or 'rk4'")
     if state is None:
@@ -299,7 +309,8 @@ def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
     record = integrate(rate, pullback, state, scheme, t_end,
                        dt=1.0 if scheme == "discrete" else dt, gain=gain,
                        target=(lambda x: (None, None)) if spec is None else _target_map(spec),
-                       residual=residual, stop_residual=stop_residual, stride=stride,
+                       residual=residual, stop_on_gap=stop_on_gap,
+                       stop_residual=stop_residual, stride=stride,
                        recorder=partial(_Recorder, geometry, spec, problem, reference),
                        max_halvings=max_halvings)
     if stacked:
@@ -319,7 +330,7 @@ def run_discrete(geometry: MirrorGeometry, spec: TargetSpec,
     residual falls below stop_residual."""
     return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
                 "discrete", n_steps, x0=x0, state=state, reference=reference,
-                stop_residual=stop_residual, stride=stride)
+                stop_residual=stop_residual, stride=stride, stop_on_gap=spec.alpha > 0.0)
 
 
 def flow(geometry: MirrorGeometry, spec: TargetSpec,
@@ -332,7 +343,8 @@ def flow(geometry: MirrorGeometry, spec: TargetSpec,
     a non-finite state halves dt, up to max_halvings times (see integrate)."""
     return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
                 integrator, t_end, dt=dt, x0=x0, state=state, reference=reference,
-                stop_residual=stop_residual, stride=stride, max_halvings=max_halvings)
+                stop_residual=stop_residual, stride=stride, max_halvings=max_halvings,
+                stop_on_gap=spec.alpha > 0.0)
 
 
 def _mismatch_norm(z, x, g, k1):
@@ -403,7 +415,7 @@ def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
     return _run(geometry, spec, problem, rate,
                 None if first_order is None else stationarity, integrator, t_end,
                 dt=dt, gain=gain, x0=x0, reference=reference, stacked=True,
-                stop_residual=stop_residual, stride=stride)
+                stop_residual=stop_residual, stride=stride, stop_on_gap=spec.alpha > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from targetmd import (affine_box_split, entropy_geometry,
                       primal_vector_field, relaxed_condition_value,
                       resolve_target, run_discrete, run_dmd, run_higher_order,
                       run_vanilla_dmd, whole_space)
+from targetmd.cli import main
 from targetmd.dynamics import dual_rate, violation_band
 from targetmd.errors import ConfigurationError
+from targetmd.harness import OUTPUT_DIR_ENV
 
 SEED = 999
 
@@ -373,6 +376,40 @@ def test_target_residual_is_evaluated_once_per_point(monkeypatch, integrator,
         assert np.array_equal(np.array(gaps), [t - x for t, x in zip(tx, rec.states)])
         assert np.array_equal(rec.target_residuals,
                               [np.linalg.norm(t - x) for t, x in zip(tx, rec.states)])
+
+
+def _count_gaps(monkeypatch):
+    calls = [0]
+    gap = dynamics._target_gap
+
+    def counted(tx, x):
+        calls[0] += 1
+        return gap(tx, x)
+
+    monkeypatch.setattr(dynamics, "_target_gap", counted)
+    return calls
+
+
+def test_dmd_run_evaluates_the_target_residual_only_at_samples(monkeypatch, tmp_path):
+    # run_dmd stops on ||k1||, so ||T(x) - x|| is read only by the recorder:
+    # 461 samples of the 4,595 points of 4,594 steps
+    calls = _count_gaps(monkeypatch)
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    config = Path(__file__).resolve().parent.parent / "configs" / "dmd_calibrated_scalar.cfg"
+    assert main(["solve", str(config)]) == 0
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert calls[0] == len(rows) - 1 == 461
+
+
+def test_alpha_zero_run_evaluates_the_target_residual_only_at_samples(monkeypatch):
+    # alpha = 0 stops on the natural residual, not on ||T(x) - x||: 9
+    # samples (steps 0, 7, ..., 49, 50) of 50 steps
+    calls = _count_gaps(monkeypatch)
+    p, g = _skew()
+    rec = run_discrete(g, preset_vanilla_md(g, p, 0.1), problem=p, x0=[1.0, 0.0],
+                       n_steps=50, stride=7)
+    assert calls[0] == len(rec.states) == 9
+    assert np.array_equal(rec.target_residuals, np.zeros(len(rec.states)))
 
 
 def test_zero_stop_residual_runs_past_an_exact_fixed_point():

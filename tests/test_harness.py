@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -453,8 +455,26 @@ def test_solve_unknown_problem_exits_one(tmp_path):
     assert run_cli("solve", text, tmp_path) == 1
 
 
-def test_solve_missing_config_exits_one():
+def test_solve_missing_config_exits_one(capsys):
     assert main(["solve", "/nonexistent/exp.cfg"]) == 1
+    assert capsys.readouterr().err == "error: /nonexistent/exp.cfg: No such file or directory\n"
+
+
+def test_config_that_is_a_directory_ends_in_one_error_line(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("value", ["", "   "])
+def test_empty_output_dir_is_rejected(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    text = BASE_SOLVE.format(steps=10, out=value)
+    line = text.splitlines().index(f"output.dir = {value}") + 1
+    assert run_cli("solve", text, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {tmp_path / 'exp.cfg'}:{line}: output.dir must name a "
+                   "directory, got an empty value\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 def test_non_utf8_config_ends_in_one_error_line(tmp_path, capsys):
@@ -826,6 +846,26 @@ def test_ensemble_requires_members(tmp_path):
 
 
 # --- list --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,first", [
+    (["list"], "problems:"),
+    (["solve", str(CONFIG_DIR / "eg_skew_solve.cfg")], "converged  target_residual="),
+])
+def test_module_entry_point_in_a_subprocess(tmp_path, argv, first):
+    # python -m targetmd.cli, so the __main__ guard runs too
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env[OUTPUT_DIR_ENV] = str(tmp_path)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "targetmd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    line = done.stdout.splitlines()[0]
+    assert line.startswith(first)
+    if argv[0] == "solve":
+        assert line.endswith(f"-> {tmp_path}")
+        assert (tmp_path / "summary.json").is_file()
+
 
 def test_list_subcommand(capsys):
     assert main(["list"]) == 0
