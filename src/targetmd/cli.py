@@ -5,17 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
 from .errors import TargetMDError
-from .harness import (catalog, run_check, run_compare, run_ensemble_cmd,
-                      run_solve)
-
-_COMMANDS = {
-    "solve": run_solve,
-    "compare": run_compare,
-    "check": run_check,
-    "ensemble": run_ensemble_cmd,
-}
+from .harness import COMMANDS, catalog, run_command
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -24,16 +15,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monotone variational inequality solvers built on "
                     "target-corrected dual updates.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", help="run one experiment").add_argument("config")
-    sub.add_parser("compare",
-                   help="run a preset against its directly coded reference"
-                   ).add_argument("config")
-    sub.add_parser("check",
-                   help="sampled spot-checks of the design obligations"
-                   ).add_argument("config")
-    sub.add_parser("ensemble",
-                   help="run a geometric ensemble, optionally verifying its "
-                        "single-run reduction").add_argument("config")
+    for name, command in COMMANDS.items():
+        sub.add_parser(name, help=command.help).add_argument("config")
     sub.add_parser("list", help="enumerate problems, geometries, and presets")
     return parser
 
@@ -47,31 +30,12 @@ def main(argv=None) -> int:
                 print(f"  {name:22s} {blurb}")
         return 0
     try:
-        cfg = load_config(args.config)
-        result = _COMMANDS[args.command](cfg)
-    except TargetMDError as exc:
+        exit_code, report, out = run_command(args.command, args.config)
+    except (TargetMDError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    summary = result.summary
-    if args.command == "solve":
-        print(f"{summary['termination']}  "
-              f"target_residual={summary['final_target_residual']}  "
-              f"natural_residual={summary['final_natural_residual']}  "
-              f"-> {result.output_dir}")
-    elif args.command == "compare":
-        print(f"max_deviation={summary['max_deviation']:.3e} "
-              f"(tolerance {summary['tolerance']:.1e})  -> {result.output_dir}")
-    elif args.command == "check":
-        verdict = "refuted" if summary["refuted"] else "no refutation"
-        print(f"{verdict}  -> {result.output_dir}")
-    else:
-        dev = summary.get("reduction_max_deviation")
-        extra = "" if dev is None else f"  reduction_deviation={dev:.3e}"
-        print(f"{summary['termination']}{extra}  -> {result.output_dir}")
-    return result.exit_code
+    print(f"{COMMANDS[args.command].line(report)}  -> {out}")
+    return exit_code
 
 
 if __name__ == "__main__":

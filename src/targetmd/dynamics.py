@@ -142,13 +142,13 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     Step z' = gain * rate(z, x, T(x), S(x)), x = pullback(z), from `state`
     for round(t_end / dt) steps of `scheme` (discrete: dt = gain = 1), and
     return recorder().finish(...) over the samples pushed at the start,
-    every stride-th step and the end; push(k, t, x, g) takes a sample's
-    step index, time, point and g = ||T(x) - x||.  target(x) returns
-    (T(x), S(x)) once per point, or (None, None) and g = NaN; rate takes
-    both.  g is computed where something reads it: once per loop point
-    when stop_on_gap is set (the stop rule reads it), otherwise only at
-    pushed samples, and the residual gets g = None; never at RK4 stage
-    points.  The rate k1 at the current point is computed once per step,
+    every stride-th step and the end; push(k, t, x, tx, g) takes a
+    sample's step index, time, point, target and g = ||T(x) - x||.
+    target(x) returns (T(x), S(x)) once per point, or (None, None) and g =
+    NaN; rate takes both.  g is computed where something reads it: once per
+    loop point when stop_on_gap is set (the stop rule reads it), otherwise
+    g = None and the recorder computes the gaps it keeps; never at RK4
+    stage points.  The rate k1 at the current point is computed once per step,
     and the run stops once residual(z, x, g, k1) < stop_residual: 0 runs every
     step, also past an exact fixed point.  A non-finite dual point ends a
     discrete run with FlowDivergenceError; Euler and RK4 runs restart with
@@ -168,7 +168,7 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
         k, t, z, x = k0, state.time, state.z, state.x
         tx, sx = target(x)
         g = _target_gap(tx, x) if stop_on_gap else None
-        rec.push(k, t, x, _target_gap(tx, x) if g is None else g)
+        rec.push(k, t, x, tx, g)
         termination = BUDGET
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max(0, int(round(t_end / step)))):
@@ -184,10 +184,10 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
                 tx, sx = target(x)
                 g = _target_gap(tx, x) if stop_on_gap else None
                 if k % stride == 0:
-                    rec.push(k, t, x, _target_gap(tx, x) if g is None else g)
+                    rec.push(k, t, x, tx, g)
         if termination is not None:
             if k != k0 and k % stride:
-                rec.push(k, t, x, _target_gap(tx, x) if g is None else g)
+                rec.push(k, t, x, tx, g)
             return rec.finish(termination, scheme, step,
                               SolverState(k, t, z, x, state.xi))
         if scheme == "discrete":
@@ -221,11 +221,11 @@ class RunRecord:
 
 class _Recorder:
     """The samples of one run.  push keeps a sample's step, time, x and
-    ||T(x) - x||; finish evaluates the natural residuals (at the shadow
-    points, when the spec has a shadow) and the Bregman values against the
-    reference on the stacked samples, in row blocks of DIAGNOSTIC_BLOCK
-    entries.  Row by row evaluation gives each sample the bits of its own
-    call."""
+    ||T(x) - x|| (computed here when g is None; NaN without a spec); finish
+    evaluates the natural residuals (at the shadow points, when the spec
+    has a shadow) and the Bregman values against the reference on the
+    stacked samples, in row blocks of DIAGNOSTIC_BLOCK entries.  Row by row
+    evaluation gives each sample the bits of its own call."""
 
     def __init__(self, geometry, spec, problem, reference):
         self.geometry = geometry
@@ -237,10 +237,12 @@ class _Recorder:
         self.states = []
         self.target_res = []
 
-    def push(self, k: int, t: float, x: Vector, g: float):
+    def push(self, k: int, t: float, x: Vector, tx, g: Optional[float]):
         self.steps.append(k)
         self.times.append(t)
         self.states.append(x.copy())
+        if g is None:
+            g = math.nan if self.spec is None else _target_gap(tx, x)
         self.target_res.append(g)
 
     def finish(self, termination, mode, dt, final_state) -> RunRecord:

@@ -130,8 +130,9 @@ def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
     """Check `record`, a run_ensemble run of these members, against the
     members run in parallel on their own duals, each moved by the rate at
     their averaged state: the same steps and scheme at the record's dt, no
-    halving, every step kept.  Report the deviation at each of the record's
-    samples.  Tolerances are the caller's business."""
+    halving, every step kept and no target residual computed.  Report the
+    deviation at each of the record's samples.  Tolerances are the
+    caller's business."""
     n, dim = len(members), _shared_dim(members)
 
     def mean_of_members(duals):

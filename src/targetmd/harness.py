@@ -1,5 +1,6 @@
 """Experiment orchestration: build runs from configurations, execute them,
-and serialize trajectories, summaries, and reports.
+and serialize trajectories, summaries, and reports.  Each subcommand is one
+row of COMMANDS; run_command does their shared bookkeeping once.
 
 File contract: trajectories are CSV with header
 step,time,x_0..x_{n-1},residual_target,residual_natural,lyapunov, floats
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import reference
 from .checks import run_condition_checks
-from .config import ExperimentConfig, echo_config
+from .config import ExperimentConfig, echo_config, load_config
 from .dynamics import (CONVERGED, RunRecord, dual_rate, flow, lyapunov_series,
                        primal_vector_field, run_discrete, run_dmd,
                        run_higher_order, run_vanilla_dmd)
@@ -56,13 +57,6 @@ GEOMETRIES = {
     "entropy": "negative entropy on the simplex; mirror map = softmax",
     "weighted_quadratic": "0.5 * sum w_i x_i^2 on the whole space",
 }
-
-
-@dataclass
-class CliResult:
-    exit_code: int
-    summary: dict
-    output_dir: Path
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +208,6 @@ def _resolve(cfg: ExperimentConfig):
     return row, p
 
 
-def _output_path(cfg: ExperimentConfig) -> Path:
-    return Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
-
-
-def resolve_output_dir(cfg: ExperimentConfig) -> Path:
-    path = _output_path(cfg)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _clear_outputs(cfg: ExperimentConfig, *names: str) -> None:
-    """Delete the named outputs an earlier run left in cfg's output
-    directory, and nothing else, so that a command that fails leaves none
-    of them behind."""
-    for name in names:
-        (_output_path(cfg) / name).unlink(missing_ok=True)
-
-
 def build_problem(cfg: ExperimentConfig):
     """Returns (problem, split_pair); the split pair is only present for
     the box_affine_split pseudo-problem used by DR/FB designs."""
@@ -356,9 +332,8 @@ def _final(record: RunRecord, attr: str):
     return None if math.isnan(v) else v
 
 
-def _base_summary(cfg, record) -> dict:
+def _base_summary(record) -> dict:
     return {
-        "config": echo_config(cfg),
         "termination": record.termination,
         "mode": record.mode,
         "dt": record.dt,
@@ -374,9 +349,7 @@ def _base_summary(cfg, record) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def run_solve(cfg: ExperimentConfig) -> CliResult:
-    started = time.monotonic()
-    _clear_outputs(cfg, "trajectory.csv", "summary.json")
+def _solve(cfg: ExperimentConfig):
     row, p = _resolve(cfg)
     problem, pair = build_problem(cfg)
     geometry = build_geometry(cfg, problem)
@@ -399,10 +372,7 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
         record = (row.flow(geometry, problem, spec, p, **run) if row.flow_only
                   else flow(geometry, spec, problem=problem, **run))
 
-    out = resolve_output_dir(cfg)
-    trajectory = out / "trajectory.csv"
-    write_trajectory_csv(trajectory, record)
-    summary = _base_summary(cfg, record)
+    summary = _base_summary(record)
     # KL to the solution rises along the exact excess-payoff trajectory, so
     # the Bregman distance is no Lyapunov function of bnn runs
     if record.lyapunov is not None and spec is not None and spec.name != "bnn":
@@ -420,21 +390,14 @@ def run_solve(cfg: ExperimentConfig) -> CliResult:
         summary["final_point"] = [float(v) for v in final_x]
         summary["final_shadow_point"] = [float(v) for v in spec.shadow(final_x)]
     exit_code = EXIT_OK if record.termination == CONVERGED else EXIT_BUDGET
-    summary["exit_code"] = exit_code
-    summary["outputs"] = {"trajectory_csv": trajectory.name,
-                          "summary_json": "summary.json"}
-    summary["wallclock_seconds"] = time.monotonic() - started
-    write_json(out / "summary.json", summary)
-    return CliResult(exit_code, summary, out)
+    return exit_code, summary, {"trajectory.csv": (write_trajectory_csv, record)}
 
 
-def run_compare(cfg: ExperimentConfig) -> CliResult:
+def _compare(cfg: ExperimentConfig):
     """The preset against its coded reference: per-step iterates from one
     shared initial point, or vector fields at sampled states (for simplex
     dynamics in the primal space, where normalization shifts in the dual
     cancel exactly)."""
-    started = time.monotonic()
-    _clear_outputs(cfg, "deviations.csv", "summary.json")
     row, p = _resolve(cfg)
     if row.coded_step is None and row.coded_field is None:
         raise ConfigurationError(
@@ -459,29 +422,14 @@ def run_compare(cfg: ExperimentConfig) -> CliResult:
             x_ref = row.coded_step(geometry, problem, pair, spec, p, x_ref)
             deviations.append(np.linalg.norm(x - x_ref))
     deviations = np.asarray(deviations, dtype=float)
-    out = resolve_output_dir(cfg)
-    _write_deviations(out / "deviations.csv", deviations)
     max_dev = float(deviations.max()) if deviations.size else 0.0
-    exit_code = EXIT_OK if max_dev <= tol else EXIT_ERROR
-    summary = {
-        "config": echo_config(cfg),
-        "comparison": kind,
-        "preset": cfg.preset,
-        "max_deviation": max_dev,
-        "tolerance": tol,
-        "count": int(deviations.size),
-        "exit_code": exit_code,
-        "wallclock_seconds": time.monotonic() - started,
-        "outputs": {"deviations_csv": "deviations.csv",
-                    "summary_json": "summary.json"},
-    }
-    write_json(out / "summary.json", summary)
-    return CliResult(exit_code, summary, out)
+    summary = {"comparison": kind, "preset": cfg.preset, "max_deviation": max_dev,
+               "tolerance": tol, "count": int(deviations.size)}
+    return (EXIT_OK if max_dev <= tol else EXIT_ERROR, summary,
+            {"deviations.csv": (_write_deviations, deviations)})
 
 
-def run_check(cfg: ExperimentConfig) -> CliResult:
-    started = time.monotonic()
-    _clear_outputs(cfg, "check_report.json")
+def _check(cfg: ExperimentConfig):
     problem, pair = build_problem(cfg)
     geometry = build_geometry(cfg, problem)
     spec = build_spec(cfg, geometry, problem, pair)
@@ -490,13 +438,7 @@ def run_check(cfg: ExperimentConfig) -> CliResult:
     report = run_condition_checks(geometry, spec, problem,
                                   n_samples=cfg.check_samples, seed=cfg.seed,
                                   x_bar=cfg.check_x_bar)
-    report["config"] = echo_config(cfg)
-    report["wallclock_seconds"] = time.monotonic() - started
-    exit_code = EXIT_OK if not report["refuted"] else EXIT_ERROR
-    report["exit_code"] = exit_code
-    out = resolve_output_dir(cfg)
-    write_json(out / "check_report.json", report)
-    return CliResult(exit_code, report, out)
+    return EXIT_ERROR if report["refuted"] else EXIT_OK, report, {}
 
 
 def _build_members(cfg: ExperimentConfig, problem: VIProblem):
@@ -515,10 +457,7 @@ def _build_members(cfg: ExperimentConfig, problem: VIProblem):
     return members
 
 
-def run_ensemble_cmd(cfg: ExperimentConfig) -> CliResult:
-    started = time.monotonic()
-    _clear_outputs(cfg, "ensemble_trajectory.csv", "reduction_deviations.csv",
-                   "summary.json")
+def _ensemble(cfg: ExperimentConfig):
     if not cfg.ensemble_members:
         raise ConfigurationError("ensemble runs need an ensemble member list")
     if _resolve(cfg)[0].flow_only:
@@ -540,27 +479,93 @@ def run_ensemble_cmd(cfg: ExperimentConfig) -> CliResult:
                           n_steps=cfg.ensemble_steps, dt=dt,
                           stop_residual=cfg.stop_residual,
                           stride=cfg.effective_stride())
-    out = resolve_output_dir(cfg)
-    write_trajectory_csv(out / "ensemble_trajectory.csv", record)
-    summary = _base_summary(cfg, record)
+    summary = _base_summary(record)
     summary["members"] = len(members)
-    summary["outputs"] = {"ensemble_trajectory_csv": "ensemble_trajectory.csv",
-                          "summary_json": "summary.json"}
+    files = {"ensemble_trajectory.csv": (write_trajectory_csv, record)}
     exit_code = EXIT_OK
     if cfg.ensemble_verify:
         report = verify_ensemble_reduction(members, spec, record)
         tol = 1e-9 if members[0].geometry.quadratic_weights is not None else 1e-8
         summary["reduction_max_deviation"] = report.max_deviation
         summary["reduction_tolerance"] = tol
-        _write_deviations(out / "reduction_deviations.csv", report.deviations)
-        summary["outputs"]["reduction_deviations_csv"] = "reduction_deviations.csv"
         summary["synthesized_geometry"] = synthesized_geometry(members).name
+        files["reduction_deviations.csv"] = (_write_deviations, report.deviations)
         if report.max_deviation > tol:
             exit_code = EXIT_ERROR
-    summary["exit_code"] = exit_code
-    summary["wallclock_seconds"] = time.monotonic() - started
-    write_json(out / "summary.json", summary)
-    return CliResult(exit_code, summary, out)
+    return exit_code, summary, files
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help text, the files it may write (its JSON
+    report last), its body run(cfg) -> (exit code, report, {csv file:
+    (writer, data)}) and line(report), its stdout text before "  -> <dir>".
+    Bodies look up what they call by name when they run."""
+
+    help: str
+    files: tuple
+    run: Callable
+    line: Callable
+
+
+COMMANDS = {
+    "solve": Command(
+        "run one experiment", ("trajectory.csv", "summary.json"), _solve,
+        lambda s: (f"{s['termination']}  target_residual={s['final_target_residual']}"
+                   f"  natural_residual={s['final_natural_residual']}")),
+    "compare": Command(
+        "run a preset against its directly coded reference",
+        ("deviations.csv", "summary.json"), _compare,
+        lambda s: (f"max_deviation={s['max_deviation']:.3e} "
+                   f"(tolerance {s['tolerance']:.1e})")),
+    "check": Command(
+        "sampled spot-checks of the design obligations", ("check_report.json",), _check,
+        lambda r: "refuted" if r["refuted"] else "no refutation"),
+    "ensemble": Command(
+        "run a geometric ensemble, optionally verifying its single-run reduction",
+        ("ensemble_trajectory.csv", "reduction_deviations.csv", "summary.json"),
+        _ensemble,
+        lambda s: s["termination"] + (
+            f"  reduction_deviation={s['reduction_max_deviation']:.3e}"
+            if "reduction_max_deviation" in s else "")),
+}
+
+
+def _loaded(cfg) -> ExperimentConfig:
+    return cfg if isinstance(cfg, ExperimentConfig) else load_config(cfg)
+
+
+def run_command(name: str, cfg):
+    """Run COMMANDS[name] on cfg, an ExperimentConfig or a config file, and
+    return (exit code, report, output directory).
+
+    First delete the command's files, and no other, from its output
+    directory (TARGETMD_OUT_DIR, before the config loads, else output.dir),
+    so that a failed command leaves none of an earlier run's outputs.  Once
+    the body has run, create the directory and write the CSVs, then the
+    report with the config echo, the exit code, the wall-clock seconds of
+    the whole command and, when a CSV was written, the files as `outputs`."""
+    started = time.monotonic()
+    command = COMMANDS[name]
+    out = os.environ.get(OUTPUT_DIR_ENV)
+    if not out:
+        cfg = _loaded(cfg)
+        out = cfg.output_dir
+    out = Path(out)
+    for file in command.files:
+        (out / file).unlink(missing_ok=True)
+    cfg = _loaded(cfg)
+    exit_code, report, written = command.run(cfg)
+    out.mkdir(parents=True, exist_ok=True)
+    for file, (writer, data) in written.items():
+        writer(out / file, data)
+    report.update(config=echo_config(cfg), exit_code=exit_code)
+    if written:
+        report["outputs"] = {file.replace(".", "_"): file
+                             for file in (*written, command.files[-1])}
+    report["wallclock_seconds"] = time.monotonic() - started
+    write_json(out / command.files[-1], report)
+    return exit_code, report, out
 
 
 def catalog() -> dict:

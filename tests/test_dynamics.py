@@ -390,6 +390,17 @@ def _count_gaps(monkeypatch):
     return calls
 
 
+def test_ensemble_check_evaluates_no_target_residual(monkeypatch, tmp_path):
+    # the reported run reads ||T(x) - x|| at each of its 2,001 points (2,000
+    # steps at stride 1); the reduction check reads only its states
+    calls = _count_gaps(monkeypatch)
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    config = Path(__file__).resolve().parent.parent / "configs" / "ensemble_entropy.cfg"
+    assert main(["ensemble", str(config)]) == 0
+    rows = (tmp_path / "reduction_deviations.csv").read_text().splitlines()
+    assert calls[0] == len(rows) - 1 == 2001
+
+
 def test_dmd_run_evaluates_the_target_residual_only_at_samples(monkeypatch, tmp_path):
     # run_dmd stops on ||k1||, so ||T(x) - x|| is read only by the recorder:
     # 461 samples of the 4,595 points of 4,594 steps

@@ -14,7 +14,7 @@ from targetmd import (config, echo_config, library_problem, load_config,
 from targetmd import harness
 from targetmd.cli import main
 from targetmd.errors import ConfigurationError
-from targetmd.harness import OUTPUT_DIR_ENV, run_solve
+from targetmd.harness import OUTPUT_DIR_ENV, run_command
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -365,7 +365,7 @@ def test_preset_rejects_step_that_is_not_a_finite_positive_number(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must be a finite positive number" in err and key in err
     with pytest.raises(ConfigurationError):
-        run_solve(parse_config(text))
+        run_command("solve", parse_config(text))
     assert not out.exists()
 
 
@@ -800,6 +800,13 @@ def test_failed_solve_leaves_no_stale_outputs(tmp_path, capsys):
     ("check", "check_eg.cfg", "preset.eta = 0.1", "preset.eta = 20"),
     ("ensemble", "ensemble_quadratic.cfg", "ensemble.verify = true",
      "ensemble.verify = true\nmode = flow\nflow.integrator = rk4"),
+    # configs that fail to load: under TARGETMD_OUT_DIR the directory does
+    # not depend on the config, so the outputs go before the load
+    ("solve", "eg_skew_solve.cfg", "x0 = 1, 0", "x0 = 1, 0\ncompare.steps = 0"),
+    ("compare", "compare_eg.cfg", "compare.steps = 100", "compare.steps = 0"),
+    ("check", "check_eg.cfg", "check.samples = 200", "check.samples = 1"),
+    ("ensemble", "ensemble_quadratic.cfg", "ensemble.verify = true",
+     "ensemble.verify = true\ncompare.steps = 0"),
 ])
 def test_failed_command_clears_only_its_own_outputs(tmp_path, command, name, old,
                                                     new):
@@ -815,17 +822,40 @@ def test_failed_command_clears_only_its_own_outputs(tmp_path, command, name, old
     assert sorted(os.listdir(out)) == expected
 
 
+@pytest.mark.parametrize("command,name", [
+    ("solve", "eg_skew_solve.cfg"), ("compare", "compare_eg.cfg"),
+    ("check", "check_eg.cfg"), ("ensemble", "ensemble_quadratic.cfg")])
+def test_env_dir_leaves_the_configured_dir_alone(tmp_path, monkeypatch, command, name):
+    # the shipped configs write under runs/ in the working directory
+    monkeypatch.chdir(tmp_path)
+    run_cli(command, (CONFIG_DIR / name).read_text(), tmp_path, name,
+            env_dir=tmp_path / "out")
+    assert sorted(os.listdir(tmp_path)) == [name, "out"]
+
+
+def test_zero_stop_residual_solve_runs_its_whole_budget(tmp_path):
+    out = tmp_path / "out"
+    text = (CONFIG_DIR / "eg_skew_solve.cfg").read_text() + "stop.residual = 0\n"
+    assert run_cli("solve", text, tmp_path, env_dir=out) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "budget_exhausted"
+    assert summary["final_step"] == 10_000
+
+
 @pytest.mark.parametrize("command,late_phase", [
     ("solve", "lyapunov_series"),
+    ("compare", "_write_deviations"),
+    ("check", "run_condition_checks"),
     ("ensemble", "verify_ensemble_reduction"),
 ])
 def test_wallclock_covers_the_whole_command(tmp_path, monkeypatch, command,
                                             late_phase):
-    # a clock that moves only while the last phase before the summary runs
+    # a clock that moves only while the last phase before the report runs
     out = tmp_path / "out"
-    text = (BASE_SOLVE.format(steps=50, out=out) if command == "solve" else
-            (CONFIG_DIR / "ensemble_quadratic.cfg").read_text().replace(
-                "runs/ensemble_quadratic", str(out)))
+    name = {"compare": "compare_eg", "check": "check_eg",
+            "ensemble": "ensemble_quadratic"}.get(command)
+    text = (BASE_SOLVE.format(steps=50, out=out) if name is None else
+            (CONFIG_DIR / f"{name}.cfg").read_text().replace(f"runs/{name}", str(out)))
     now = [0.0]
     monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=lambda: now[0]))
     phase = getattr(harness, late_phase)
@@ -836,8 +866,8 @@ def test_wallclock_covers_the_whole_command(tmp_path, monkeypatch, command,
 
     monkeypatch.setattr(harness, late_phase, slow)
     run_cli(command, text, tmp_path)
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["wallclock_seconds"] == 100.0
+    report = json.loads((out / harness.COMMANDS[command].files[-1]).read_text())
+    assert report["wallclock_seconds"] == 100.0
 
 
 def test_ensemble_requires_members(tmp_path):

@@ -15,7 +15,7 @@ from targetmd import (entropy_geometry, euclidean_geometry, flow,
                       whole_space)
 from targetmd.cli import main
 from targetmd.errors import ConfigurationError, FlowDivergenceError
-from targetmd.harness import OUTPUT_DIR_ENV, run_solve
+from targetmd.harness import OUTPUT_DIR_ENV, run_command
 
 
 def run_cli(command, text, tmp_path):
@@ -246,7 +246,7 @@ def test_gains_must_be_finite_positive_numbers(tmp_path, capsys, preset, key, va
     err = one_error_line(capsys)
     assert f"{key} must be a finite positive number" in err
     with pytest.raises(ConfigurationError):
-        run_solve(parse_config(text))
+        run_command("solve", parse_config(text))
     assert not out.exists()
 
 
