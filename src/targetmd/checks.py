@@ -32,7 +32,7 @@ def _surrogate_stability_check(spec, samples, targets, x_bar):
     if x_bar is None:
         return {"skipped": True, "reason": "no reference point available",
                 "refuted": False}
-    on_image = spec.phi_implicit
+    on_image = spec.Phi is None
     worst = np.inf
     witness = None
     for s, tx in zip(samples, targets):

@@ -9,7 +9,9 @@ output.dir must not be empty.  A config file that cannot be read is an
 error `source: reason`.  Parsing is
 strict: every rejected key or value is an error that starts with
 `source:line: key`, and every default is resolved at parse time so the
-echoed configuration is complete.  Each fixed key is one row of `_KEYS`,
+echoed configuration is complete.  output.dir is validated first; an
+error after it has an `output_dir` attribute, the directory (or default)
+the config names.  Each fixed key is one row of `_KEYS`,
 which both parse_config and echo_config walk.
 """
 
@@ -230,21 +232,28 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
     members: dict = {}
     values = {}
-    for key, raw in pairs.items():
-        try:
-            values[key] = _apply(cfg, members, key, raw)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{source}:{order[key]}: {key} {exc}") from None
+    try:
+        # output.dir first: every later error carries the validated
+        # directory as `output_dir`, where the command clears its outputs
+        for key in sorted(pairs, key=lambda key: key != "output.dir"):
+            try:
+                values[key] = _apply(cfg, members, key, pairs[key])
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{source}:{order[key]}: {key} {exc}") from None
 
-    indices = sorted(members)
-    if indices != list(range(1, len(indices) + 1)):
-        raise ConfigurationError(
-            f"{source}: ensemble members must be numbered 1..N; got {indices}")
-    count = values.get("ensemble.count", len(indices))
-    if count != len(indices):
-        raise ConfigurationError(
-            f"{source}:{order['ensemble.count']}: ensemble.count = {count} "
-            f"but {len(indices)} members defined")
+        indices = sorted(members)
+        if indices != list(range(1, len(indices) + 1)):
+            raise ConfigurationError(
+                f"{source}: ensemble members must be numbered 1..N; got {indices}")
+        count = values.get("ensemble.count", len(indices))
+        if count != len(indices):
+            raise ConfigurationError(
+                f"{source}:{order['ensemble.count']}: ensemble.count = {count} "
+                f"but {len(indices)} members defined")
+    except ConfigurationError as exc:
+        if "output.dir" in values or "output.dir" not in pairs:
+            exc.output_dir = cfg.output_dir
+        raise
     cfg.ensemble_members = tuple(MemberConfig(**members[i]) for i in indices)
     return cfg
 

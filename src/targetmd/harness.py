@@ -540,21 +540,26 @@ def run_command(name: str, cfg):
     return (exit code, report, output directory).
 
     First delete the command's files, and no other, from its output
-    directory (TARGETMD_OUT_DIR, before the config loads, else output.dir),
-    so that a failed command leaves none of an earlier run's outputs.  Once
+    directory (TARGETMD_OUT_DIR, else output.dir, also when the config
+    fails to load after that line validated), so that a failed command
+    leaves none of an earlier run's outputs.  Once
     the body has run, create the directory and write the CSVs, then the
     report with the config echo, the exit code, the wall-clock seconds of
     the whole command and, when a CSV was written, the files as `outputs`."""
     started = time.monotonic()
     command = COMMANDS[name]
     out = os.environ.get(OUTPUT_DIR_ENV)
-    if not out:
+    try:
         cfg = _loaded(cfg)
-        out = cfg.output_dir
+    except ConfigurationError as exc:
+        out = out or getattr(exc, "output_dir", None)
+        raise
+    else:
+        out = out or cfg.output_dir
+    finally:
+        for file in command.files if out else ():
+            (Path(out) / file).unlink(missing_ok=True)
     out = Path(out)
-    for file in command.files:
-        (out / file).unlink(missing_ok=True)
-    cfg = _loaded(cfg)
     exit_code, report, written = command.run(cfg)
     out.mkdir(parents=True, exist_ok=True)
     for file, (writer, data) in written.items():

@@ -11,9 +11,10 @@ cone in T makes Im(T) a subset of X, so target points are always feasible.
 
 The presets below reproduce, through this single mechanism, the proximal
 point iteration, extragradient / mirror-prox (including the two-step-size
-variant), Douglas-Rachford and forward-backward splitting, excess-payoff
-game dynamics on the simplex, forward-backward-forward dynamics, and the
-calibrated discounted update.  Each preset is checked against an
+variant; forward-backward-forward is its tuple under the Euclidean
+potential on X), Douglas-Rachford and forward-backward splitting (one
+tuple, with Phi = None), excess-payoff game dynamics on the simplex, and
+the calibrated discounted update.  Each preset is checked against an
 independently coded version of the named method in the test suite.
 """
 
@@ -26,7 +27,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TargetResolutionError
-from .geometry import INTERIOR_FLOOR, MirrorGeometry, entropy_geometry
+from .geometry import (INTERIOR_FLOOR, MirrorGeometry, entropy_geometry,
+                       euclidean_geometry)
 from .problems import (SIMPLEX, WHOLE_SPACE, FeasibleSet, Tridiagonal, VIProblem,
                        box, estimate_lipschitz, sampled_monotonicity)
 
@@ -73,15 +75,14 @@ class ResolventSolve:
     mirror-map fixed point first and stops once the target error is
     certified below tol.  Otherwise, or when that iteration does not
     contract, it runs projected forward iterations, which stop on step
-    length.  modulus / lipschitz, when known, fix their step at
-    modulus / L^2; otherwise it starts at 1e-2 and halves on divergence.
+    length.  Their step starts at `step` when set (preset_ppa sets
+    modulus / L^2 from exact constants), otherwise at 1e-2, and halves on
+    divergence.
     """
 
     tol: float = 1e-10
     max_iter: int = 10_000
     step: Optional[float] = None
-    modulus: Optional[float] = None
-    lipschitz: Optional[float] = None
     grad_h_conj: Optional[Callable[[Vector], Vector]] = None
 
 
@@ -93,9 +94,10 @@ class TargetSpec:
     """The (alpha, beta, S, Phi, T) design tuple plus evaluation strategy.
 
     sigma is the strong-monotonicity modulus of S (analytic bound where
-    available).  phi_implicit marks resolvent-style designs (S = identity,
-    T the resolvent of Phi): Phi cannot be evaluated pointwise there, but
-    Phi(T(x)) = x - T(x) holds exactly and is substituted wherever needed.
+    available).  Phi = None marks the splitting designs (S = identity, T
+    the resolvent of Phi): Phi cannot be evaluated pointwise there, so beta
+    must be 0, but Phi(T(x)) = x - T(x) holds exactly and is substituted
+    wherever needed.
     shadow, when set, maps a governing iterate to the point at which
     solution residuals are meaningful (Douglas-Rachford).  It takes one
     point or a stack of points (rows of an array), returning an array of
@@ -110,7 +112,6 @@ class TargetSpec:
     target: TargetStrategy
     feasible_set: FeasibleSet
     name: str = "custom"
-    phi_implicit: bool = False
     shadow: Optional[Callable[[Vector], Vector]] = None
 
     def __post_init__(self):
@@ -118,16 +119,13 @@ class TargetSpec:
             raise ConfigurationError("alpha and beta must be nonnegative")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ConfigurationError("at least one of alpha, beta must be positive")
-        if self.phi_implicit and self.beta != 0.0:
-            raise ConfigurationError(
-                "implicit Phi cannot be evaluated at the current state; beta must be 0")
         if self.beta > 0.0 and self.Phi is None:
             raise ConfigurationError("beta > 0 requires an explicit Phi")
 
     def phi_at_target(self, x: Vector, tx: Vector) -> Vector:
         """Phi evaluated at the target point; uses the resolvent identity
-        Phi(T(x)) = x - T(x) for implicit designs."""
-        if self.phi_implicit:
+        Phi(T(x)) = x - T(x) for splitting designs (Phi = None)."""
+        if self.Phi is None:
             return np.asarray(x, dtype=float) - np.asarray(tx, dtype=float)
         return self.Phi(tx)
 
@@ -200,12 +198,7 @@ def _norm(v: Vector) -> float:
 
 def _projected_iteration(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
                          anchor: Vector) -> Vector:
-    tau = strategy.step
-    if tau is None:
-        if strategy.modulus and strategy.lipschitz:
-            tau = strategy.modulus / strategy.lipschitz ** 2
-        else:
-            tau = 1e-2
+    tau = 1e-2 if strategy.step is None else strategy.step
     scale = 1.0 + _norm(x)
     last = np.inf
     for _ in range(7):
@@ -334,10 +327,10 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
 
     The target solves the proximal subproblem implicitly.  For linear F
     under the Euclidean potential the inner contraction constants are
-    computed exactly and the projected solver uses them; otherwise the
-    solver runs the certified, Anderson-accelerated mirror-map fixed point
-    of grad_h (about 6 F calls per target on rps_game under entropy at
-    eta = 1), with the projected solver as its fallback.
+    computed exactly and the projected solver steps at modulus / L^2;
+    otherwise the solver runs the certified, Anderson-accelerated mirror-map
+    fixed point of grad_h (about 6 F calls per target on rps_game under
+    entropy at eta = 1), with the projected solver as its fallback.
     inner_tol must be finite and positive, inner_max_iter an integer >= 1.
     """
     eta = _step_size(eta, "eta")
@@ -353,7 +346,7 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     _require_strongly_monotone(combined, problem.feasible_set,
                                "grad_h + eta*F")
 
-    modulus = lipschitz = None
+    step = None
     if problem.linear_terms is not None and geometry.name == "euclidean":
         m, _ = problem.linear_terms
         if isinstance(m, Tridiagonal):
@@ -363,8 +356,8 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
             a = np.eye(m.shape[0]) + eta * m
             modulus = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
             lipschitz = float(np.linalg.norm(a, 2))
-        if modulus <= 0.0:
-            modulus = lipschitz = None
+        if modulus > 0.0:
+            step = modulus / lipschitz ** 2
 
     return TargetSpec(
         alpha=1.0,
@@ -372,10 +365,9 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
         S=geometry.grad_h,
         sigma=geometry.strong_convexity_modulus,
         Phi=lambda x: eta * problem.F(x),
-        target=ResolventSolve(tol=inner_tol, max_iter=inner_max_iter,
-                              modulus=modulus, lipschitz=lipschitz,
+        target=ResolventSolve(tol=inner_tol, max_iter=inner_max_iter, step=step,
                               grad_h_conj=(geometry.grad_h_conj
-                                           if modulus is None else None)),
+                                           if step is None else None)),
         feasible_set=problem.feasible_set,
         name="ppa",
     )
@@ -398,13 +390,13 @@ def preset_eg(geometry: MirrorGeometry, problem: VIProblem, eta1: float,
     sigma = geometry.strong_convexity_modulus - eta1 * lip
     if sigma <= 0.0:
         raise ConfigurationError(
-            f"eta1 = {eta1:g} too large: modulus {geometry.strong_convexity_modulus:g} "
-            f"- eta1 * L ({lip:g}) is not positive")
+            f"step {eta1:g} too large: modulus {geometry.strong_convexity_modulus:g} "
+            f"- step * L ({lip:g}) is not positive")
 
     def S(x):
         return geometry.grad_h(x) - eta1 * problem.F(x)
 
-    _require_strongly_monotone(S, problem.feasible_set, "grad_h - eta1*F")
+    _require_strongly_monotone(S, problem.feasible_set, "grad_h - step*F")
 
     return TargetSpec(
         alpha=eta2 / eta1,
@@ -418,18 +410,27 @@ def preset_eg(geometry: MirrorGeometry, problem: VIProblem, eta1: float,
     )
 
 
+def _splitting(name: str, feasible_set: FeasibleSet, target: Callable[[Vector], Vector],
+               shadow: Optional[Callable[[Vector], Vector]] = None) -> TargetSpec:
+    """The splitting designs' tuple on the whole space: alpha = 1, beta = 0,
+    S = identity (sigma = 1) and the closed-form target T, which serves as
+    the resolvent of Phi, so Phi = None: it is never evaluated directly."""
+    if feasible_set.kind != WHOLE_SPACE:
+        raise ConfigurationError(f"{name.upper()} absorbs constraints into the split "
+                                 "operators; use a whole-space set")
+    return TargetSpec(alpha=1.0, beta=0.0, S=lambda x: np.asarray(x, dtype=float).copy(),
+                      sigma=1.0, Phi=None, target=ClosedForm(target),
+                      feasible_set=feasible_set, name=name, shadow=shadow)
+
+
 def preset_dr(pair: SplitPair, feasible_set: FeasibleSet, eta: float) -> TargetSpec:
-    """Douglas-Rachford design on the whole space: S = identity and the
-    target IS the DR operator, so T serves as the resolvent of Phi and Phi
-    is never evaluated directly.
+    """Douglas-Rachford design: the splitting tuple whose target IS the DR
+    operator.
 
     Solution residuals are meaningful at the shadow point (the B-resolvent
     of the governing iterate), which is exposed via `shadow`.
     """
     eta = _step_size(eta, "eta")
-    if feasible_set.kind != WHOLE_SPACE:
-        raise ConfigurationError(
-            "DR absorbs constraints into the split operators; use a whole-space set")
 
     def jb(x):
         return pair.resolvent_B(eta, x)
@@ -438,39 +439,21 @@ def preset_dr(pair: SplitPair, feasible_set: FeasibleSet, eta: float) -> TargetS
         rb = jb(x)
         return pair.resolvent_A(eta, 2.0 * rb - x) + x - rb
 
-    return TargetSpec(
-        alpha=1.0,
-        beta=0.0,
-        S=lambda x: np.asarray(x, dtype=float).copy(),
-        sigma=1.0,
-        Phi=None,
-        target=ClosedForm(t_dr),
-        feasible_set=feasible_set,
-        name="dr",
-        phi_implicit=True,
-        shadow=jb,
-    )
+    return _splitting("dr", feasible_set, t_dr, shadow=jb)
 
 
-def preset_fb(pair: SplitPair, feasible_set: FeasibleSet, eta: float,
-              strong_modulus: Optional[float] = None,
-              lipschitz: Optional[float] = None) -> TargetSpec:
-    """Forward-backward design: S = identity, target
-    T(x) = J_{eta A}(x - eta B(x)), Phi implicit as with DR.
+def preset_fb(pair: SplitPair, feasible_set: FeasibleSet, eta: float) -> TargetSpec:
+    """Forward-backward design: the splitting tuple with target
+    T(x) = J_{eta A}(x - eta B(x)).
 
-    Requires eta < 4 * modulus(A + B) / lipschitz(B)^2; the constants come
-    from the split pair unless overridden.
+    Requires eta < 4 * modulus(A + B) / lipschitz(B)^2, with the constants
+    of the split pair.
     """
     eta = _step_size(eta, "eta")
-    if feasible_set.kind != WHOLE_SPACE:
-        raise ConfigurationError(
-            "FB absorbs constraints into the split operators; use a whole-space set")
-    strong_modulus = pair.strong_modulus if strong_modulus is None else strong_modulus
-    lipschitz = pair.lipschitz_B if lipschitz is None else lipschitz
-    if strong_modulus is None or lipschitz is None:
+    if pair.strong_modulus is None or pair.lipschitz_B is None:
         raise ConfigurationError(
             "FB needs the strong modulus of A+B and the Lipschitz constant of B")
-    bound = 4.0 * strong_modulus / lipschitz ** 2
+    bound = 4.0 * pair.strong_modulus / pair.lipschitz_B ** 2
     if eta >= bound:
         raise ConfigurationError(
             f"eta = {eta:g} violates the step bound eta < 4*sigma/L^2 = {bound:g}")
@@ -479,17 +462,7 @@ def preset_fb(pair: SplitPair, feasible_set: FeasibleSet, eta: float,
         x = np.asarray(x, dtype=float)
         return pair.resolvent_A(eta, x - eta * pair.B_forward(x))
 
-    return TargetSpec(
-        alpha=1.0,
-        beta=0.0,
-        S=lambda x: np.asarray(x, dtype=float).copy(),
-        sigma=1.0,
-        Phi=None,
-        target=ClosedForm(t_fb),
-        feasible_set=feasible_set,
-        name="fb",
-        phi_implicit=True,
-    )
+    return _splitting("fb", feasible_set, t_fb)
 
 
 def affine_box_split(shift: float = 2.0, lower: float = 0.0,
@@ -618,8 +591,9 @@ def preset_bnn(problem: VIProblem, eta: float = 1.0) -> TargetSpec:
 
 
 def preset_fbf(problem: VIProblem, eta: float) -> TargetSpec:
-    """Forward-backward-forward design: S = I - eta*F, Phi = eta*F,
-    closed-form target T(x) = P(x - eta * F(x)) = P(S(x)).
+    """Forward-backward-forward design (Tseng, SIAM J. Control Optim. 38(2),
+    2000): extragradient's tuple under the Euclidean potential on X,
+    S = I - eta*F, Phi = eta*F and T(x) = P(S(x)).
 
     The primal rate S(T(x)) - S(x) expands to
     T(x) - x + eta * (F(x) - F(T(x))).  Pair with the whole-space
@@ -627,28 +601,8 @@ def preset_fbf(problem: VIProblem, eta: float) -> TargetSpec:
     the target points do.
     """
     eta = _step_size(eta, "eta")
-    lip = estimate_lipschitz(problem)
-    sigma = 1.0 - eta * lip
-    if sigma <= 0.0:
-        raise ConfigurationError(
-            f"eta = {eta:g} too large: 1 - eta * L ({lip:g}) is not positive")
-
-    def S(x):
-        x = np.asarray(x, dtype=float)
-        return x - eta * problem.F(x)
-
-    _require_strongly_monotone(S, problem.feasible_set, "I - eta*F")
-
-    return TargetSpec(
-        alpha=1.0,
-        beta=0.0,
-        S=S,
-        sigma=float(sigma),
-        Phi=lambda x: eta * problem.F(x),
-        target=MirrorOfS(problem.feasible_set.project),
-        feasible_set=problem.feasible_set,
-        name="fbf",
-    )
+    return replace(preset_eg(euclidean_geometry(problem.feasible_set), problem, eta),
+                   name="fbf")
 
 
 def preset_vanilla_md(geometry: MirrorGeometry, problem: VIProblem,
@@ -672,9 +626,7 @@ def preset_vanilla_md(geometry: MirrorGeometry, problem: VIProblem,
 
 
 def preset_dmd_calibrated(geometry: MirrorGeometry, problem: VIProblem,
-                          eta: float, case: int = 1,
-                          inner_tol: float = 1e-10,
-                          inner_max_iter: int = 10_000) -> TargetSpec:
+                          eta: float, case: int = 1) -> TargetSpec:
     """Design tuples whose discounted update equilibrates on true solutions.
 
     Case 1 uses S = grad_h with the proximal-style implicit target; case 2
@@ -686,8 +638,6 @@ def preset_dmd_calibrated(geometry: MirrorGeometry, problem: VIProblem,
     if isinstance(case, bool) or case not in (1, 2):
         raise ConfigurationError(f"case must be 1 or 2, got {case!r}")
     if case == 1:
-        return replace(preset_ppa(geometry, problem, eta, inner_tol=inner_tol,
-                                  inner_max_iter=inner_max_iter),
-                       name="dmd_calibrated")
+        return replace(preset_ppa(geometry, problem, eta), name="dmd_calibrated")
     return replace(preset_eg(geometry, problem, eta), alpha=1.0, beta=1.0,
                    name="dmd_calibrated")

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from targetmd import (box, entropy_geometry, euclidean_geometry,
                       library_problem, make_members, natural_residual,
@@ -220,6 +221,34 @@ def test_reduction_mixed_simplex_family(dt):
     report = _reduction(_mixed_simplex_members(), spec, n_steps=2000, dt=dt)
     assert len(report.deviations) == 2001
     assert report.max_deviation <= 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.floats(0.6, 5.0), min_size=2, max_size=2),
+                          st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)),
+                min_size=1, max_size=4))
+def test_reduction_holds_for_random_quadratic_members(members):
+    # whole-space quadratic members: random weights and z0 offsets.  The
+    # synthesized run is extragradient with probe step 0.1 and move step
+    # 0.1 * mean(1/w), which stays bounded on the skew problem while that
+    # is below 2 * 0.1 / (1 + 0.1^2) = 0.198, so weights start at 0.6; the
+    # tolerance is absolute, and a diverging run's states grow unbounded
+    p, spec = _skew_spec()
+    members = make_members([weighted_quadratic_geometry(w) for w, _ in members],
+                           [z0 for _, z0 in members])
+    assert _reduction(members, spec, n_steps=300).max_deviation <= 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+                min_size=1, max_size=4))
+def test_reduction_holds_for_random_entropy_offsets(offsets):
+    # extragradient, whose discrete runs stay interior: discrete bnn at
+    # eta = 1 reaches the boundary from softmax(0, 0, 1) within 300 steps,
+    # as a single run too
+    spec = preset_eg(entropy_geometry(3), library_problem("rps_game"), 0.1)
+    members = make_members([entropy_geometry(3) for _ in offsets], offsets)
+    assert _reduction(members, spec, n_steps=300).max_deviation <= 1e-8
 
 
 def test_reduction_single_member_is_exact():

@@ -807,19 +807,47 @@ def test_failed_solve_leaves_no_stale_outputs(tmp_path, capsys):
     ("check", "check_eg.cfg", "check.samples = 200", "check.samples = 1"),
     ("ensemble", "ensemble_quadratic.cfg", "ensemble.verify = true",
      "ensemble.verify = true\ncompare.steps = 0"),
+    # the same without TARGETMD_OUT_DIR: the config's output.dir line names
+    # the directory, and a key before that line fails to load
+    ("solve", "eg_skew_solve.cfg", "output.dir = runs/eg_skew",
+     "stop.residual = -1\noutput.dir = {out}"),
+    ("compare", "compare_eg.cfg", "output.dir = runs/compare_eg",
+     "stop.residual = -1\noutput.dir = {out}"),
+    ("check", "check_eg.cfg", "output.dir = runs/check_eg",
+     "stop.residual = -1\noutput.dir = {out}"),
+    ("ensemble", "ensemble_quadratic.cfg", "output.dir = runs/ensemble_quadratic",
+     "stop.residual = -1\noutput.dir = {out}"),
 ])
 def test_failed_command_clears_only_its_own_outputs(tmp_path, command, name, old,
                                                     new):
     out = tmp_path / "out"
-    good = (CONFIG_DIR / name).read_text()
-    assert run_cli(command, good, tmp_path, "good.cfg", env_dir=out) == 0
+    text = (CONFIG_DIR / name).read_text()
+    assert old in text
+    # a case that rewrites the output.dir line runs without TARGETMD_OUT_DIR
+    env_dir = None if old.startswith("output.dir") else out
+    good = text if env_dir else text.replace(old, f"output.dir = {out}")
+    assert run_cli(command, good, tmp_path, "good.cfg", env_dir=env_dir) == 0
     (out / "notes.txt").write_text("not an output\n")
     (out / "trajectory.csv").write_text("another command's output\n")
-    assert old in good
-    bad = good.replace(old, new)
-    assert run_cli(command, bad, tmp_path, "bad.cfg", env_dir=out) == 1
+    bad = text.replace(old, new.format(out=out))
+    assert run_cli(command, bad, tmp_path, "bad.cfg", env_dir=env_dir) == 1
     expected = ["notes.txt"] + (["trajectory.csv"] if command != "solve" else [])
     assert sorted(os.listdir(out)) == expected
+
+
+@pytest.mark.parametrize("old,new", [
+    ("output.dir = {out}", "output.dir ="),  # the directory does not validate
+    ("x0 = 1, 0", "x0 1, 0"),                # a malformed line
+])
+def test_config_failing_before_its_output_dir_validates_deletes_nothing(
+        tmp_path, old, new):
+    out = tmp_path / "out"
+    good = BASE_SOLVE.format(steps=50, out=out)
+    assert run_cli("solve", good, tmp_path, "good.cfg") == 2
+    bad = good.replace(old.format(out=out), new)
+    assert bad != good
+    assert run_cli("solve", bad, tmp_path, "bad.cfg") == 1
+    assert sorted(os.listdir(out)) == ["summary.json", "trajectory.csv"]
 
 
 @pytest.mark.parametrize("command,name", [

@@ -2,10 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_impls as ri
+from test_acceptance import _stepwise_deviation
 from targetmd import (ClosedForm, ResolventSolve, TargetSpec,
                       affine_box_split, aitchison_add, bnn_dual_shift_target,
-                      entropy_geometry, euclidean_geometry, excess_payoff,
+                      dual_rate, entropy_geometry, estimate_lipschitz,
+                      euclidean_geometry, excess_payoff,
                       library_problem, natural_residual, preset_bnn,
                       preset_dmd_calibrated, preset_dr, preset_eg, preset_fb,
                       preset_fbf, preset_ppa, preset_vanilla_md,
@@ -13,6 +17,7 @@ from targetmd import (ClosedForm, ResolventSolve, TargetSpec,
                       whole_space)
 from targetmd.errors import (ConfigurationError, DomainError,
                              TargetResolutionError)
+from targetmd.harness import DISCRETE_COMPARE_TOL, FIELD_COMPARE_TOL
 
 SEED = 4242
 
@@ -27,7 +32,7 @@ def test_resolve_identity_subproblem():
     s = whole_space(2)
     spec = TargetSpec(alpha=1.0, beta=0.0, S=identity, sigma=1.0,
                       Phi=lambda x: np.zeros_like(x),
-                      target=ResolventSolve(modulus=1.0, lipschitz=1.0),
+                      target=ResolventSolve(step=1.0),
                       feasible_set=s)
     assert np.allclose(resolve_target(spec, np.array([2.0, 2.0])), [2.0, 2.0])
 
@@ -38,7 +43,7 @@ def test_resolve_scalar_proximal_equation():
     s = problem.feasible_set
     spec = TargetSpec(alpha=1.0, beta=0.0, S=identity, sigma=1.0,
                       Phi=lambda x: 0.5 * problem.F(x),
-                      target=ResolventSolve(tol=1e-12, modulus=1.5, lipschitz=1.5),
+                      target=ResolventSolve(tol=1e-12, step=1.5 / 1.5 ** 2),
                       feasible_set=s)
     y = resolve_target(spec, np.array([0.0]))
     assert y[0] == pytest.approx(2.0 / 3.0, abs=1e-10)
@@ -71,7 +76,7 @@ def test_spec_validation():
                    target=ClosedForm(identity), feasible_set=s)
     with pytest.raises(ConfigurationError):
         TargetSpec(alpha=1.0, beta=1.0, S=identity, sigma=1.0, Phi=None,
-                   target=ClosedForm(identity), feasible_set=s, phi_implicit=True)
+                   target=ClosedForm(identity), feasible_set=s)
 
 
 # --- proximal preset ------------------------------------------------------
@@ -178,7 +183,7 @@ def test_eg_inner_solver_agrees_with_closed_form():
     # constants the inner iteration lands exactly in one step
     solver = TargetSpec(alpha=closed.alpha, beta=0.0, S=closed.S,
                         sigma=closed.sigma, Phi=closed.Phi,
-                        target=ResolventSolve(tol=1e-12, modulus=1.0, lipschitz=1.0),
+                        target=ResolventSolve(tol=1e-12, step=1.0),
                         feasible_set=closed.feasible_set)
     rng = np.random.default_rng(SEED)
     for x in problem.feasible_set.sample(rng, 50):
@@ -288,9 +293,8 @@ def test_resolver_matches_linear_solve_on_random_strongly_monotone_pairs():
         spec = TargetSpec(
             alpha=1.0, beta=0.0, S=identity, sigma=1.0,
             Phi=lambda x, m=m, q=q, eta=eta: eta * (m @ x + q),
-            target=ResolventSolve(tol=1e-13,
-                                  modulus=float(np.linalg.eigvalsh(sym).min()),
-                                  lipschitz=float(np.linalg.norm(a, 2))),
+            target=ResolventSolve(tol=1e-13, step=float(np.linalg.eigvalsh(sym).min())
+                                  / float(np.linalg.norm(a, 2)) ** 2),
             feasible_set=s)
         x = rng.normal(size=dim)
         y = resolve_target(spec, x)
@@ -420,8 +424,10 @@ def test_fbf_interior_solution_is_fixed_point():
 
 
 def test_fbf_rejects_large_step():
-    with pytest.raises(ConfigurationError):
+    # fbf takes eta, not eta1: the error built by preset_eg names neither
+    with pytest.raises(ConfigurationError, match="step 1.5 too large") as err:
         preset_fbf(library_problem("skew_bilinear"), 1.5)
+    assert "eta1" not in str(err.value)
 
 
 # --- cross-preset invariants -------------------------------------------------
@@ -522,12 +528,12 @@ def test_mirror_route_target_within_tol_of_oracle(eta, tol):
 def test_dmd_calibrated_case_one_mirror_route_within_tol_of_oracle():
     # case 1 resolves the PPA target, so the same oracle applies
     rps = library_problem("rps_game")
-    spec = preset_dmd_calibrated(entropy_geometry(3), rps, 1.0, case=1, inner_tol=1e-11)
+    spec = preset_dmd_calibrated(entropy_geometry(3), rps, 1.0, case=1)
     assert spec.target.grad_h_conj is not None
     rng = np.random.default_rng(SEED + 24)
     for x in rps.feasible_set.sample_interior(rng, 10, margin=0.02):
         y = resolve_target(spec, x)
-        assert np.linalg.norm(y - _rps_oracle(rps, 1.0, x)) <= 1e-11
+        assert np.linalg.norm(y - _rps_oracle(rps, 1.0, x)) <= 1e-10
 
 
 def test_mirror_route_f_calls_per_target():
@@ -601,10 +607,131 @@ def test_ppa_route_selection():
         for spec in (preset_ppa(g, problem, 0.5),
                      preset_dmd_calibrated(g, problem, 0.5, case=1)):
             assert spec.target.grad_h_conj is None
-            assert spec.target.modulus > 0.0 and spec.target.lipschitz > 0.0
+            assert spec.target.step > 0.0
     rps = library_problem("rps_game")
     g3 = entropy_geometry(3)
     for spec in (preset_ppa(g3, rps, 1.0),
                  preset_dmd_calibrated(g3, rps, 1.0, case=1)):
         assert spec.target.grad_h_conj is g3.grad_h_conj
-        assert spec.target.modulus is None
+        assert spec.target.step is None
+
+
+# --- properties: presets against the coded references ----------------------
+# Step sizes are drawn inside each preset's admissible range, points in its
+# set; agreement is asserted at compare's tolerances, over STEPS steps.
+
+FRACTION = st.floats(0.01, 0.95)
+COORDINATE = st.floats(-3.0, 3.0)
+LINEAR = st.sampled_from(["skew_bilinear", "linear_monotone"])
+PROPERTY = settings(max_examples=20, deadline=None)
+STEPS = 20
+
+
+def _simplex_point(weights):
+    w = np.asarray(weights, dtype=float)
+    return w / w.sum()
+
+
+@PROPERTY
+@given(LINEAR, st.integers(2, 6), FRACTION, st.one_of(st.none(), FRACTION),
+       st.lists(COORDINATE, min_size=6, max_size=6))
+def test_eg_matches_coded_euclidean_extragradient(name, dim, frac1, frac2, coords):
+    # sigma = 1 - eta1 * L > 0 bounds eta1; eg_plus moves with eta2 <= eta1
+    problem = library_problem(name, dim=dim)
+    eta1 = frac1 / estimate_lipschitz(problem)
+    eta2 = None if frac2 is None else frac2 * eta1
+    g = euclidean_geometry(problem.feasible_set)
+    spec = preset_eg(g, problem, eta1, eta2)
+    coded = lambda x: ri.eg_step_euclidean(problem.F, problem.feasible_set.project,
+                                           eta1, eta1 if eta2 is None else eta2, x)
+    deviation = _stepwise_deviation(g, spec, coded, coords[:dim], STEPS)
+    assert deviation <= DISCRETE_COMPARE_TOL
+
+
+@PROPERTY
+@given(FRACTION, st.one_of(st.none(), FRACTION),
+       st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+def test_eg_matches_coded_entropy_extragradient(frac1, frac2, weights):
+    rps = library_problem("rps_game")
+    eta1 = frac1 / estimate_lipschitz(rps)
+    eta2 = None if frac2 is None else frac2 * eta1
+    g = entropy_geometry(3)
+    spec = preset_eg(g, rps, eta1, eta2)
+    coded = lambda x: ri.eg_step_entropy(rps.F, eta1, eta1 if eta2 is None else eta2, x)
+    x0 = _simplex_point(weights)
+    assert _stepwise_deviation(g, spec, coded, x0, STEPS) <= DISCRETE_COMPARE_TOL
+
+
+@PROPERTY
+@given(st.sampled_from(["skew_bilinear", "constrained_quadratic"]), FRACTION,
+       st.lists(COORDINATE, min_size=2, max_size=2))
+def test_fbf_field_matches_coded_field(name, frac, coords):
+    problem = library_problem(name)
+    eta = frac / estimate_lipschitz(problem)
+    spec = preset_fbf(problem, eta)
+    x = problem.feasible_set.project(np.array(coords))
+    field = dual_rate(spec, x, resolve_target(spec, x))
+    coded = ri.fbf_field(problem.F, problem.feasible_set.project, eta, x)
+    assert np.linalg.norm(field - coded) <= FIELD_COMPARE_TOL
+
+
+@PROPERTY
+@given(st.floats(-3.0, 3.0), st.floats(0.05, 5.0), st.floats(-5.0, 5.0))
+def test_dr_matches_coded_douglas_rachford(shift, eta, x0):
+    # DR takes every positive eta
+    pair, _ = affine_box_split(shift, 0.0, 1.0)
+    g = euclidean_geometry(whole_space(1))
+    ja = lambda v: np.clip(v, 0.0, 1.0)
+    jb = lambda v: (v + eta * shift) / (1.0 + eta)
+    deviation = _stepwise_deviation(g, preset_dr(pair, g.domain, eta),
+                                    lambda x: ri.dr_step(ja, jb, x), [x0], STEPS)
+    assert deviation <= DISCRETE_COMPARE_TOL
+
+
+@PROPERTY
+@given(st.floats(-3.0, 3.0), FRACTION, st.floats(-5.0, 5.0))
+def test_fb_matches_coded_forward_backward(shift, frac, x0):
+    # eta < 4 * modulus(A + B) / lipschitz(B)^2 = 4 on the affine box split
+    pair, _ = affine_box_split(shift, 0.0, 1.0)
+    eta = 4.0 * frac
+    g = euclidean_geometry(whole_space(1))
+    ja = lambda v: np.clip(v, 0.0, 1.0)
+    b = lambda x: x - shift
+    deviation = _stepwise_deviation(g, preset_fb(pair, g.domain, eta),
+                                    lambda x: ri.fb_step(ja, b, eta, x), [x0], STEPS)
+    assert deviation <= DISCRETE_COMPARE_TOL
+
+
+@PROPERTY
+@given(LINEAR, st.integers(2, 5), st.floats(0.05, 2.0),
+       st.lists(COORDINATE, min_size=5, max_size=5))
+def test_euclidean_linear_ppa_matches_coded_linear_solve(name, dim, eta, coords):
+    # I + eta*M is strongly monotone for every eta > 0 when M is monotone.
+    # The projected route stops on step length, so inner_tol does not bound
+    # the target's error: at the default 1e-10, 20 steps at eta = 2 on
+    # skew_bilinear dim 4 drift 1.1e-9 from the linear solve
+    problem = library_problem(name, dim=dim)
+    m, q = problem.linear_terms
+    g = euclidean_geometry(problem.feasible_set)
+    spec = preset_ppa(g, problem, eta, inner_tol=1e-12)
+    coded = lambda x: ri.ppa_step_linear(m.to_dense(), q, eta, x)
+    deviation = _stepwise_deviation(g, spec, coded, coords[:dim], STEPS)
+    assert deviation <= DISCRETE_COMPARE_TOL
+
+
+@PROPERTY
+@given(st.sampled_from(["skew_bilinear", "constrained_quadratic", "rps_game"]),
+       FRACTION,
+       st.lists(COORDINATE, min_size=3, max_size=3))
+def test_fbf_is_extragradient_under_the_euclidean_potential(name, frac, coords):
+    problem = library_problem(name)
+    eta = frac / estimate_lipschitz(problem)
+    fbf = preset_fbf(problem, eta)
+    eg = preset_eg(euclidean_geometry(problem.feasible_set), problem, eta)
+    assert (fbf.alpha, fbf.beta, fbf.sigma) == (eg.alpha, eg.beta, eg.sigma)
+    x = problem.feasible_set.project(np.array(coords[:problem.feasible_set.dim]))
+    tx = resolve_target(fbf, x)
+    assert np.array_equal(fbf.S(x), eg.S(x))
+    assert np.array_equal(fbf.Phi(x), eg.Phi(x))
+    assert np.array_equal(tx, resolve_target(eg, x))
+    assert np.array_equal(dual_rate(fbf, x, tx), dual_rate(eg, x, tx))
