@@ -214,6 +214,7 @@ class Tridiagonal:
     def __init__(self, dim: int, diag: float, off: float):
         self.dim, self.diag, self.off = int(dim), float(diag), float(off)
         self.shape = (self.dim, self.dim)
+        self._spectrum = self._phase = None  # solve's factors, made on first use
 
     def __matmul__(self, x):
         # off*(x[i+1] - x[i-1]) first, then + diag*x[i]: on the library
@@ -250,22 +251,40 @@ class Tridiagonal:
         return float(np.hypot(self.diag, abs(self.off) * k))
 
     def solve(self, b: Vector) -> Vector:
-        """x with self @ x = b by tridiagonal elimination, for diag != 0: the
-        pivots p_i = diag + off^2/p_{i-1}, p_0 = diag, keep |p_i| >= |diag|."""
-        d, o = self.diag, self.off
-        b = [float(v) for v in b]
-        p, r = [d], [b[0]]
-        for i in range(1, len(b)):
-            p.append(d + o * o / p[-1])
-            r.append(b[i] + o * r[-1] / p[-2])
-        x = [r[-1] / p[-1]]
-        for i in range(len(b) - 2, -1, -1):
-            x.append((r[i] - o * x[-1]) / p[i])
-        return np.array(x[::-1])
+        """x with self @ x = b, for one point or each row of a stack, by the
+        sine eigenbasis: with D = diag(i^j), D^-1 K D = i*T, T = tridiag(1, 0, 1),
+        whose eigenvectors form the type-I sine transform S (orthogonal,
+        S = S^-1) with eigenvalues lam_k = 2cos(k*pi/(n + 1)); so
+        x = D S diag(1/(diag + i*off*lam)) S D^-1 b.  Needs diag != 0,
+        which bounds the condition number by norm()/|diag|."""
+        if self._spectrum is None:
+            if self.diag == 0.0:
+                raise DomainError("Tridiagonal.solve needs diag != 0 "
+                                  "(K alone is singular at odd dim)")
+            n1 = self.dim + 1
+            lam = 2.0 * np.cos(np.arange(1, n1) * (np.pi / n1))
+            # S is sqrt(2/(n + 1)) / (-2i) times _sine_transform: the two
+            # transforms' factor 2/(n + 1) / (-2i)^2 is folded in here
+            self._spectrum = (-0.5 / n1) / (self.diag + 1j * self.off * lam)
+            self._phase = np.array([1.0, 1j, -1.0, -1j])[np.arange(self.dim) % 4]
+        w = _sine_transform(np.asarray(b, dtype=float), self._phase.conj())
+        return (_sine_transform(w, self._spectrum) * self._phase).real
 
     def to_dense(self) -> Vector:
         n = self.dim
         return self.diag * np.eye(n) + self.off * (np.eye(n, k=1) - np.eye(n, k=-1))
+
+
+def _sine_transform(v: Vector, weights: Vector) -> Vector:
+    """-2i * sum_j w[j] * sin((j + 1)*k*pi/(n + 1)) for k = 1..n, along the
+    last axis, with w = weights * v: the FFT of the odd extension
+    (0, w, 0, -reversed w) at 1..n.  numpy.fft loads on first use, so
+    importing the package does not pay for it."""
+    n1 = v.shape[-1] + 1
+    u = np.zeros(v.shape[:-1] + (2 * n1,), dtype=complex)
+    w = np.multiply(v, weights, out=u[..., 1:n1])
+    np.negative(w, out=u[..., :n1:-1])
+    return np.fft.fft(u)[..., 1:n1]
 
 
 def _linear(m, q: Vector) -> Callable[[Vector], Vector]:

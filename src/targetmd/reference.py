@@ -19,16 +19,28 @@ Vector = np.ndarray
 
 def ppa_step(problem: VIProblem, eta: float, x: Vector) -> Vector:
     """Proximal-point step for a linear operator on the whole space under
-    the Euclidean potential: solve (I + eta*M) y = x - eta*q exactly."""
+    the Euclidean potential: solve (I + eta*M) y = x - eta*q exactly.  A
+    Tridiagonal M shifts to d*I + o*K, solved by elimination: its pivots
+    p_i = d + o^2/p_{i-1}, p_0 = d, keep |p_i| >= |d| > 0."""
     if problem.linear_terms is None:
         raise ConfigurationError("reference proximal step needs a linear operator")
     if problem.feasible_set.kind != WHOLE_SPACE:
         raise ConfigurationError("reference proximal step needs a whole-space set")
     m, q = problem.linear_terms
     b = np.asarray(x, dtype=float) - eta * q
-    if isinstance(m, Tridiagonal):
-        return m.shifted(eta).solve(b)
-    return np.linalg.solve(np.eye(m.shape[0]) + eta * m, b)
+    if not isinstance(m, Tridiagonal):
+        return np.linalg.solve(np.eye(m.shape[0]) + eta * m, b)
+    a = m.shifted(eta)
+    d, o = a.diag, a.off
+    b = [float(v) for v in b]
+    p, r = [d], [b[0]]
+    for i in range(1, len(b)):
+        p.append(d + o * o / p[-1])
+        r.append(b[i] + o * r[-1] / p[-2])
+    y = [r[-1] / p[-1]]
+    for i in range(len(b) - 2, -1, -1):
+        y.append((r[i] - o * y[-1]) / p[i])
+    return np.array(y[::-1])
 
 
 def eg_step_euclidean(problem: VIProblem, eta1: float, eta2: float,

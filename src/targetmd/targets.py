@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -76,8 +77,8 @@ class ResolventSolve:
     certified below tol.  Otherwise, or when that iteration does not
     contract, it runs projected forward iterations, which stop on step
     length.  Their step starts at `step` when set (preset_ppa sets
-    modulus / L^2 from exact constants), otherwise at 1e-2, and halves on
-    divergence.
+    modulus / L^2 from exact constants on a constrained X), otherwise at
+    1e-2, and halves on divergence.
     """
 
     tol: float = 1e-10
@@ -325,13 +326,17 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
                inner_tol: float = 1e-10, inner_max_iter: int = 10_000) -> TargetSpec:
     """Proximal-point design: alpha = 1, beta = 0, S = grad_h, Phi = eta*F.
 
-    The target solves the proximal subproblem implicitly.  For linear F
-    under the Euclidean potential the inner contraction constants are
-    computed exactly and the projected solver steps at modulus / L^2;
-    otherwise the solver runs the certified, Anderson-accelerated mirror-map
-    fixed point of grad_h (about 6 F calls per target on rps_game under
-    entropy at eta = 1), with the projected solver as its fallback.
-    inner_tol must be finite and positive, inner_max_iter an integer >= 1.
+    The target solves the proximal subproblem.  For linear F = M x + q
+    under the Euclidean potential on the whole space it is the closed form
+    T(x) = (I + eta*M)^-1 (x - eta*q): a spectral solve of the shifted
+    Tridiagonal, or a product with the dense inverse, formed once; inner_tol
+    and inner_max_iter go unused there.  On a constrained X the projected
+    solver steps at modulus / L^2 from the exact constants of I + eta*M.
+    Otherwise the solver runs the certified, Anderson-accelerated
+    mirror-map fixed point of grad_h (about 6 F calls per target on
+    rps_game under entropy at eta = 1), with the projected solver as its
+    fallback.  inner_tol must be finite and positive, inner_max_iter an
+    integer >= 1.
     """
     eta = _step_size(eta, "eta")
     inner_tol = _step_size(inner_tol, "inner_tol")
@@ -346,18 +351,23 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     _require_strongly_monotone(combined, problem.feasible_set,
                                "grad_h + eta*F")
 
-    step = None
+    target = ResolventSolve(tol=inner_tol, max_iter=inner_max_iter,
+                            grad_h_conj=geometry.grad_h_conj)
     if problem.linear_terms is not None and geometry.name == "euclidean":
-        m, _ = problem.linear_terms
-        if isinstance(m, Tridiagonal):
-            a = m.shifted(eta)
-            modulus, lipschitz = a.diag, a.norm()
+        m, q = problem.linear_terms
+        banded = isinstance(m, Tridiagonal)
+        a = m.shifted(eta) if banded else np.eye(m.shape[0]) + eta * m
+        if problem.feasible_set.kind == WHOLE_SPACE:
+            solve = a.solve if banded else partial(np.matvec, np.linalg.inv(a))
+            target = ClosedForm(lambda x: solve(np.asarray(x, dtype=float) - eta * q))
         else:
-            a = np.eye(m.shape[0]) + eta * m
-            modulus = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
-            lipschitz = float(np.linalg.norm(a, 2))
-        if modulus > 0.0:
-            step = modulus / lipschitz ** 2
+            if banded:
+                modulus, lipschitz = a.diag, a.norm()
+            else:
+                modulus = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
+                lipschitz = float(np.linalg.norm(a, 2))
+            if modulus > 0.0:
+                target = replace(target, step=modulus / lipschitz ** 2, grad_h_conj=None)
 
     return TargetSpec(
         alpha=1.0,
@@ -365,9 +375,7 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
         S=geometry.grad_h,
         sigma=geometry.strong_convexity_modulus,
         Phi=lambda x: eta * problem.F(x),
-        target=ResolventSolve(tol=inner_tol, max_iter=inner_max_iter, step=step,
-                              grad_h_conj=(geometry.grad_h_conj
-                                           if step is None else None)),
+        target=target,
         feasible_set=problem.feasible_set,
         name="ppa",
     )

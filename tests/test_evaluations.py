@@ -151,8 +151,9 @@ def test_extragradient_ensemble_makes_two_f_calls_per_step(monkeypatch):
 
 
 @pytest.mark.parametrize("problem_name,geometry", [
-    ("rps_game", "entropy"),         # certified mirror-map route
-    ("skew_bilinear", "euclidean"),  # projected route with exact constants
+    ("rps_game", "entropy"),                 # certified mirror-map route
+    ("constrained_quadratic", "euclidean"),  # projected route with exact constants
+    ("skew_bilinear", "euclidean"),          # closed form: a linear solve, no F call
 ])
 def test_proximal_point_rate_makes_no_f_call(problem_name, geometry, monkeypatch):
     p = library_problem(problem_name)
@@ -164,18 +165,33 @@ def test_proximal_point_rate_makes_no_f_call(problem_name, geometry, monkeypatch
     run = lambda n: run_discrete(g, spec, problem=p, x0=x0, n_steps=n,
                                  stop_residual=0.0, stride=n)
     outside, inside, resolves = counts.per_step(run)
-    assert outside == 0.0 and resolves == 1.0 and inside > 1.0
+    assert outside == 0.0 and resolves == 1.0
+    if problem_name == "skew_bilinear":
+        assert inside == 0.0
+    else:
+        assert inside > 1.0
 
 
 def test_anchor_is_the_s_of_x_the_rate_would_evaluate():
     p, g = _skew()
     x = np.array([0.3, -0.7])
-    for spec in [make(g, p) for make in PRESETS.values()] + [preset_ppa(g, p, 1.0)]:
-        tx, sx = dynamics.resolve_target(spec, x, with_anchor=True)
-        assert np.array_equal(tx, dynamics.resolve_target(spec, x))
-        assert np.array_equal(sx, spec.S(x))
-        assert np.array_equal(dynamics.dual_rate(spec, x, tx, sx),
-                              dynamics.dual_rate(spec, x, tx))
+    quad = library_problem("constrained_quadratic")
+    rps = library_problem("rps_game")
+    cases = [(make(g, p), x) for make in PRESETS.values()] + [
+        (preset_ppa(euclidean_geometry(quad.feasible_set), quad, 1.0),
+         np.array([0.3, 0.7])),                                   # projected route
+        (preset_ppa(entropy_geometry(3), rps, 1.0), np.array([0.5, 0.3, 0.2]))]
+    for spec, point in cases:
+        tx, sx = dynamics.resolve_target(spec, point, with_anchor=True)
+        assert np.array_equal(tx, dynamics.resolve_target(spec, point))
+        assert np.array_equal(sx, spec.S(point))
+        assert np.array_equal(dynamics.dual_rate(spec, point, tx, sx),
+                              dynamics.dual_rate(spec, point, tx))
+    # a closed-form target hands on no anchor: the rate evaluates S(x)
+    spec = preset_ppa(g, p, 1.0)
+    tx, sx = dynamics.resolve_target(spec, x, with_anchor=True)
+    assert sx is None
+    assert np.array_equal(tx, dynamics.resolve_target(spec, x))
 
 
 @pytest.mark.parametrize("preset", [preset_eg, preset_ppa], ids=["eg", "ppa"])

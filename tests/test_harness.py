@@ -612,6 +612,20 @@ compare.samples = 300
         assert summary["max_deviation"] <= summary["tolerance"], tag
 
 
+def test_compare_ppa_at_a_large_step_holds_the_default_inner_tol(tmp_path):
+    # the whole-space linear target is a closed-form solve: at eta = 2 it
+    # stays within rounding of the coded elimination over 100 steps, where
+    # a projected inner iteration stopping on step length drifted 1.6e-9
+    out = tmp_path / "out"
+    text = ("seed = 0\nproblem.name = skew_bilinear\nproblem.dim = 4\n"
+            "geometry.name = euclidean\npreset.name = ppa\npreset.eta = 2.0\n"
+            f"x0 = 0, 0, 0, 1\ncompare.steps = 100\noutput.dir = {out}\n")
+    assert run_cli("compare", text, tmp_path) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["count"] == 100
+    assert summary["max_deviation"] <= 1e-14
+
+
 def test_solve_dmd_calibrated_case_two(tmp_path):
     out = tmp_path / "out"
     text = f"""
@@ -923,6 +937,19 @@ def test_module_entry_point_in_a_subprocess(tmp_path, argv, first):
     if argv[0] == "solve":
         assert line.endswith(f"-> {tmp_path}")
         assert (tmp_path / "summary.json").is_file()
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # the spectral solve loads numpy.fft on first use, not at import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, targetmd, targetmd.cli; "
+             "print('numpy.fft' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_list_subcommand(capsys):

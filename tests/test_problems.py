@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from targetmd import (VIProblem, box, check_monotonicity, estimate_lipschitz,
-                      euclidean_geometry, library_problem, natural_residual,
-                      preset_eg, preset_ppa, project_simplex, reference,
-                      whole_space)
+from targetmd import (ClosedForm, VIProblem, box, check_monotonicity,
+                      estimate_lipschitz, euclidean_geometry, library_problem,
+                      natural_residual, preset_eg, preset_ppa, project_simplex,
+                      resolve_target, whole_space)
 from targetmd.errors import ConfigurationError, DomainError
 from targetmd.problems import SIMPLEX_MASS_TOL, Tridiagonal
 
@@ -196,19 +196,48 @@ def test_tridiagonal_matches_dense_numpy(dim, diag, off):
     assert m.norm() == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
     assert m.diag == pytest.approx(
         np.linalg.eigvalsh(0.5 * (dense + dense.T)).min(), rel=1e-14)
-    # the pivots stay at least |diag|, so cond(m) <= norm/|diag| <= 81
+    # cond(m) <= norm/|diag| <= 81
     assert np.allclose(m.solve(x), np.linalg.solve(dense, x), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", list(range(2, 41)) + [199, 200, 1023, 1999, 2000])
+def test_spectral_solve_has_a_residual_at_rounding_level(dim):
+    # normwise backward error ||A x - b|| / (||A|| ||x||), negative diag too
+    b = np.random.default_rng(SEED + dim).standard_normal(dim)
+    for diag in (1.0, -1.0, 0.1, -0.1, 4.0):
+        for off in (1.0, -4.0, 0.5, 0.0):
+            m = Tridiagonal(dim, diag, off)
+            x = m.solve(b)
+            assert np.linalg.norm(m @ x - b) <= 1e-15 * m.norm() * np.linalg.norm(x)
+
+
+def test_spectral_solve_takes_a_stack_row_by_row():
+    m = Tridiagonal(7, 1.5, -2.0)
+    stack = np.random.default_rng(SEED).standard_normal((4, 7))
+    assert np.array_equal(m.solve(stack), np.array([m.solve(row) for row in stack]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_solve_rejects_a_zero_diagonal_with_one_line(dim):
+    # K alone is singular at odd dim
+    with pytest.raises(DomainError, match="needs diag != 0") as err:
+        Tridiagonal(dim, 0.0, 1.0).solve(np.ones(dim))
+    assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("name", ["skew_bilinear", "linear_monotone"])
 @pytest.mark.parametrize("dim", [2, 3, 200])
 @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0])
-def test_ppa_constants_of_the_banded_operator_match_a_dense_eigensolve(name, dim, eta):
+def test_ppa_closed_form_target_matches_a_dense_solve(name, dim, eta):
     problem = library_problem(name, dim=dim)
-    inner = preset_ppa(euclidean_geometry(problem.feasible_set), problem, eta).target
-    a = np.eye(dim) + eta * problem.linear_terms[0].to_dense()
-    step = np.linalg.eigvalsh(0.5 * (a + a.T)).min() / np.linalg.norm(a, 2) ** 2
-    assert abs(inner.step - step) <= 4 * np.spacing(step)
+    spec = preset_ppa(euclidean_geometry(problem.feasible_set), problem, eta)
+    assert isinstance(spec.target, ClosedForm)
+    m, q = problem.linear_terms
+    a = np.eye(dim) + eta * m.to_dense()
+    for x in np.random.default_rng(SEED + dim).standard_normal((5, dim)):
+        exact = np.linalg.solve(a, x - eta * q)
+        assert (np.linalg.norm(resolve_target(spec, x) - exact)
+                <= 1e-13 * np.linalg.norm(exact))
 
 
 @pytest.mark.parametrize("name", ["skew_bilinear", "linear_monotone"])
@@ -225,14 +254,13 @@ def test_banded_problems_run_at_a_dimension_no_dense_matrix_fits(name):
     tracemalloc.start()
     try:
         preset_eg(g, problem, 0.1)
-        inner = preset_ppa(g, problem, 0.5).target
+        spec = preset_ppa(g, problem, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16e6
-    assert inner.step is not None
-    # the proximal step y solves y + eta*F(y) = x
-    y = reference.ppa_step(problem, 0.5, x)
+    # the proximal target y solves y + eta*F(y) = x
+    y = resolve_target(spec, x)
     assert np.max(np.abs(y + 0.5 * problem.F(y) - x)) <= 1e-12
 
 

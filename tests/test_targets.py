@@ -255,14 +255,14 @@ def test_resolvents_firmly_nonexpansive_sampled():
 def test_subproblem_optimality_of_solver_output():
     rng = np.random.default_rng(SEED + 3)
     cases = []
-    scalar = library_problem("scalar_shift", a=2.0)
-    cases.append((preset_ppa(euclidean_geometry(scalar.feasible_set), scalar, 0.5),
-                  scalar, np.array([0.0])))
-    linear = library_problem("linear_monotone")
-    cases.append((preset_ppa(euclidean_geometry(linear.feasible_set), linear, 0.5),
-                  linear, np.array([1.0, 1.0])))
+    quad = library_problem("constrained_quadratic")
+    # the projected route with exact constants, from a corner of the box
+    cases.append((preset_ppa(euclidean_geometry(quad.feasible_set), quad, 0.5),
+                  quad, np.array([1.0, 0.0])))
     rps = library_problem("rps_game")
-    entropy_ppa = preset_ppa(entropy_geometry(3), rps, 0.2)
+    entropy_ppa = preset_ppa(entropy_geometry(3), rps, 0.2, inner_tol=1e-12)
+    # the certified mirror-map route
+    cases.append((entropy_ppa, rps, np.array([0.5, 0.25, 0.25])))
     # near-balanced inner step (about 2/(sigma+L) for the interior
     # subproblem) keeps the returned point within a few tol of exact
     entropy_ppa = TargetSpec(
@@ -599,15 +599,19 @@ def test_mirror_route_weighted_quadratic_matches_linear_solve():
 
 
 def test_ppa_route_selection():
-    # exact Euclidean constants for linear F keep the projected route
+    # linear F under the Euclidean potential: a closed-form linear solve on
+    # the whole space, the projected route with exact constants on a box
     for name in ("skew_bilinear", "linear_monotone", "scalar_shift",
                  "constrained_quadratic"):
         problem = library_problem(name)
         g = euclidean_geometry(problem.feasible_set)
         for spec in (preset_ppa(g, problem, 0.5),
                      preset_dmd_calibrated(g, problem, 0.5, case=1)):
-            assert spec.target.grad_h_conj is None
-            assert spec.target.step > 0.0
+            if name == "constrained_quadratic":
+                assert spec.target.grad_h_conj is None
+                assert spec.target.step > 0.0
+            else:
+                assert isinstance(spec.target, ClosedForm)
     rps = library_problem("rps_game")
     g3 = entropy_geometry(3)
     for spec in (preset_ppa(g3, rps, 1.0),
@@ -706,14 +710,11 @@ def test_fb_matches_coded_forward_backward(shift, frac, x0):
 @given(LINEAR, st.integers(2, 5), st.floats(0.05, 2.0),
        st.lists(COORDINATE, min_size=5, max_size=5))
 def test_euclidean_linear_ppa_matches_coded_linear_solve(name, dim, eta, coords):
-    # I + eta*M is strongly monotone for every eta > 0 when M is monotone.
-    # The projected route stops on step length, so inner_tol does not bound
-    # the target's error: at the default 1e-10, 20 steps at eta = 2 on
-    # skew_bilinear dim 4 drift 1.1e-9 from the linear solve
+    # I + eta*M is strongly monotone for every eta > 0 when M is monotone
     problem = library_problem(name, dim=dim)
     m, q = problem.linear_terms
     g = euclidean_geometry(problem.feasible_set)
-    spec = preset_ppa(g, problem, eta, inner_tol=1e-12)
+    spec = preset_ppa(g, problem, eta)
     coded = lambda x: ri.ppa_step_linear(m.to_dense(), q, eta, x)
     deviation = _stepwise_deviation(g, spec, coded, coords[:dim], STEPS)
     assert deviation <= DISCRETE_COMPARE_TOL

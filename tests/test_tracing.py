@@ -53,3 +53,26 @@ def test_tracer_finds_every_layer_and_uninstalls(tmp_path, monkeypatch):
     after = _bindings()[1]
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if value is not before[key]] == []
+
+
+def test_tracer_sees_the_inner_solver_of_an_implicit_target(tmp_path, monkeypatch):
+    # twin of the traced step's inner_iters_per_target gate on `implicit`:
+    # proximal point on rps_game under entropy resolves its targets by the
+    # mirror-map fixed point, whose Phi calls the tracer counts
+    tm, _ = _bindings()
+    tracer = _tracing().Tracer()
+    tracer.install(tm)
+    try:
+        assert tracer.missing == []
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+        config = tmp_path / "ppa_rps.cfg"
+        config.write_text("seed = 0\nproblem.name = rps_game\ngeometry.name = entropy\n"
+                          "preset.name = ppa\npreset.eta = 1.0\nmode = discrete\n"
+                          "budget.steps = 200\nstop.residual = 1e-6\n"
+                          f"x0 = 0.5, 0.3, 0.2\noutput.dir = {tmp_path}\n")
+        assert targetmd.cli.main(["solve", str(config)]) == 0
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["targets.resolve.calls"] > 0
+    assert metrics["targets.inner_iters_per_target"] > 0
