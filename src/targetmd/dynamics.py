@@ -63,9 +63,11 @@ def _finite_point(name: str, value, dim: int) -> Vector:
 def initial_state(geometry: MirrorGeometry, x0=None) -> SolverState:
     """State at z0 = grad_h(x0); default x0 is the domain's analytic
     center (uniform on the simplex, box midpoint, origin on the whole
-    space)."""
+    space).  A given x0 is copied: the run's points are passed on
+    uncopied, and under the Euclidean whole-space geometry z0 and x0 are
+    this copy."""
     x0 = (geometry.domain.center() if x0 is None
-          else _finite_point("x0", x0, geometry.dim))
+          else _finite_point("x0", x0, geometry.dim).copy())
     z0 = geometry.grad_h(x0)
     return SolverState(0, 0.0, z0, geometry.grad_h_conj(z0))
 
@@ -73,8 +75,8 @@ def initial_state(geometry: MirrorGeometry, x0=None) -> SolverState:
 def state_from_dual(geometry: MirrorGeometry, z0) -> SolverState:
     """State at an explicitly chosen dual point (needed when grad_h has no
     closed form, e.g. synthesized ensemble geometries)."""
-    z0 = np.asarray(z0, dtype=float)
-    return SolverState(0, 0.0, z0.copy(), geometry.grad_h_conj(z0))
+    z0 = np.asarray(z0, dtype=float).copy()
+    return SolverState(0, 0.0, z0, geometry.grad_h_conj(z0))
 
 
 def dual_rate(spec: TargetSpec, x: Vector, tx: Vector,
@@ -82,14 +84,19 @@ def dual_rate(spec: TargetSpec, x: Vector, tx: Vector,
     """alpha * (S(T(x)) - S(x)) - beta * Phi(x); sx, when given, is what
     resolving T(x) handed on (see resolve_target): the S(x) used in place
     of S(x), or under ClosedFormGap the gap itself.  With alpha = 0 the
-    rate is 0.0 - beta * Phi(x), which keeps the sign of zeros."""
+    rate is 0.0 - beta * Phi(x), which keeps the sign of zeros; alpha = 1
+    multiplies nothing (1.0 * v is v, bit for bit).  The result may be sx
+    itself (alpha = 1, beta = 0 under ClosedFormGap): callers must not
+    write into it."""
     alpha, beta = spec.alpha, spec.beta
     if alpha == 0.0:
         return 0.0 - beta * spec.Phi(x)
     if isinstance(spec.target, ClosedFormGap):
-        rate = alpha * (spec.target.fn(x)[1] if sx is None else sx)
+        rate = spec.target.fn(x)[1] if sx is None else sx
     else:
-        rate = alpha * (spec.S(tx) - (spec.S(x) if sx is None else sx))
+        rate = spec.S(tx) - (spec.S(x) if sx is None else sx)
+    if alpha != 1.0:
+        rate = alpha * rate
     return rate if beta == 0.0 else rate - beta * spec.Phi(x)
 
 
@@ -149,8 +156,13 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     loop point when stop_on_gap is set (the stop rule reads it), otherwise
     g = None and the recorder computes the gaps it keeps; never at RK4
     stage points.  The rate k1 at the current point is computed once per step,
-    and the run stops once residual(z, x, g, k1) < stop_residual: 0 runs every
-    step, also past an exact fixed point.  A non-finite dual point ends a
+    and the run stops once residual(z, x, g, k1) < stop_residual.  Every
+    residual is a norm, so a stop_residual that is not > 0 (0, negative or
+    NaN) can never stop the run: it runs every step, also past an exact
+    fixed point, and neither the residual nor g is evaluated in the loop.
+    Nothing here copies or writes into the arrays it passes on: rate,
+    pullback and target may return their input (an identity map does), so
+    the final state's x may be its z.  A non-finite dual point ends a
     discrete run with FlowDivergenceError; Euler and RK4 runs restart with
     dt halved, up to max_halvings times, before raising it.  numpy's
     overflow and invalid-value warnings are silenced in the loop, since
@@ -159,6 +171,8 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     dt = _step_size(dt, "dt")
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ConfigurationError(f"t_end must be a finite number >= 0, got {t_end!r}")
+    if not stop_residual > 0.0:
+        residual, stop_on_gap = None, False
     advance = SCHEMES[scheme]
     k0 = state.step_index
     for attempt in range(1 if scheme == "discrete" else max_halvings + 1):
@@ -220,12 +234,13 @@ class RunRecord:
 
 
 class _Recorder:
-    """The samples of one run.  push keeps a sample's step, time, x and
-    ||T(x) - x|| (computed here when g is None; NaN without a spec); finish
-    evaluates the natural residuals (at the shadow points, when the spec
-    has a shadow) and the Bregman values against the reference on the
-    stacked samples, in row blocks of DIAGNOSTIC_BLOCK entries.  Row by row
-    evaluation gives each sample the bits of its own call."""
+    """The samples of one run.  push keeps a sample's step, time, a copy
+    of x and ||T(x) - x|| (computed here when g is None; NaN without a
+    spec); finish evaluates the natural residuals (at the shadow points,
+    when the spec has a shadow) and the Bregman values against the
+    reference on the stacked samples, in row blocks of DIAGNOSTIC_BLOCK
+    entries.  Row by row evaluation gives each sample the bits of its own
+    call."""
 
     def __init__(self, geometry, spec, problem, reference):
         self.geometry = geometry

@@ -48,6 +48,13 @@ def make_members(geometries, z0s) -> List[EnsembleMember]:
             for g, z in zip(geometries, z0s)]
 
 
+def _mean_rows(rows) -> Vector:
+    """np.mean(rows, axis=0), bit for bit (the same sum, divided by the
+    same count), without np.mean's dispatch: the ensemble maps take one
+    such mean per step."""
+    return np.add.reduce(np.array(rows), axis=0) / len(rows)
+
+
 def _shared_dim(members: List[EnsembleMember]) -> int:
     """The members' common dimension; they must also share one domain."""
     if not members:
@@ -80,7 +87,7 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
     dim = _shared_dim(members)
 
     def grad_h_conj(z):
-        return np.mean([m.geometry.grad_h_conj(z + m.z0) for m in members], axis=0)
+        return _mean_rows([m.geometry.grad_h_conj(z + m.z0) for m in members])
 
     if all(m.geometry.quadratic_weights is not None for m in members):
         # conj(z) = a*z + b entrywise; invert for the potential itself.
@@ -136,12 +143,12 @@ def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
     n, dim = len(members), _shared_dim(members)
 
     def mean_of_members(duals):
-        return np.mean([m.geometry.grad_h_conj(z)
-                        for m, z in zip(members, duals.reshape(n, dim))], axis=0)
+        return _mean_rows([m.geometry.grad_h_conj(z)
+                           for m, z in zip(members, duals.reshape(n, dim))])
 
     duals = np.concatenate([m.z0 for m in members])
     together = integrate(
-        lambda zs, x, tx, sx: np.tile(dual_rate(spec, x, tx, sx), n),
+        lambda zs, x, tx, sx: np.concatenate((dual_rate(spec, x, tx, sx),) * n),
         mean_of_members, SolverState(0, 0.0, duals, mean_of_members(duals)),
         record.mode, record.final_state.step_index * record.dt, dt=record.dt,
         target=_target_map(spec), max_halvings=0,

@@ -39,6 +39,9 @@ class MirrorGeometry:
     eval_h and grad_h take one point or a stack of points (rows of an
     array) and act on each row: eval_h returns a float for one point and
     one value per row for a stack, grad_h an array of the input's shape.
+    grad_h and grad_h_conj may return their input itself where they are
+    the identity (the Euclidean geometry does), so callers must not write
+    into what they return, nor into what they pass in.
 
     conj_jacobian, when available, maps a primal point x to the Jacobian
     of grad_h_conj evaluated at the dual image of x; it is used to convert
@@ -62,7 +65,9 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
     """Half squared norm restricted to a set.
 
     grad_h is the identity on the set and the mirror map is the Euclidean
-    projection, so dual vectors land back in the set.
+    projection, so dual vectors land back in the set.  Both identities
+    return their float input itself, not a copy: on the whole space
+    grad_h(x) is x and grad_h_conj(z) is z.
     """
 
     def eval_h(x):
@@ -70,7 +75,7 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
         return 0.5 * np.vecdot(x, x)
 
     def grad_h(x):
-        return np.asarray(x, dtype=float).copy()
+        return np.asarray(x, dtype=float)
 
     jacobian = None
     weights = None

@@ -77,6 +77,8 @@ class FeasibleSet:
     project and contains take one point or a stack of points (rows of an
     array) and act on each row: project returns an array of the input's
     shape, contains a bool for one point and a bool array for a stack.
+    On the whole space project is the identity and returns its float
+    input itself, not a copy; it still rejects NaN with DomainError.
     """
 
     dim: int
@@ -93,7 +95,7 @@ class FeasibleSet:
         # a NaN entry, and nothing else, makes the sum of squares NaN
         if math.isnan(np.vdot(v, v)):
             raise DomainError("cannot project NaN")
-        return v.copy() if self.kind == WHOLE_SPACE else np.clip(v, self.lower, self.upper)
+        return v if self.kind == WHOLE_SPACE else np.clip(v, self.lower, self.upper)
 
     def contains(self, v: Vector, tol: float = 1e-9):
         v = np.asarray(v, dtype=float)

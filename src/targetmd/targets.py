@@ -426,7 +426,7 @@ def _splitting(name: str, feasible_set: FeasibleSet, target: Callable[[Vector], 
     if feasible_set.kind != WHOLE_SPACE:
         raise ConfigurationError(f"{name.upper()} absorbs constraints into the split "
                                  "operators; use a whole-space set")
-    return TargetSpec(alpha=1.0, beta=0.0, S=lambda x: np.asarray(x, dtype=float).copy(),
+    return TargetSpec(alpha=1.0, beta=0.0, S=lambda x: np.asarray(x, dtype=float),
                       sigma=1.0, Phi=None, target=ClosedForm(target),
                       feasible_set=feasible_set, name=name, shadow=shadow)
 
@@ -627,7 +627,7 @@ def preset_vanilla_md(geometry: MirrorGeometry, problem: VIProblem,
         S=geometry.grad_h,
         sigma=geometry.strong_convexity_modulus,
         Phi=lambda x: eta * problem.F(x),
-        target=ClosedForm(lambda x: np.asarray(x, dtype=float).copy()),
+        target=ClosedForm(lambda x: np.asarray(x, dtype=float)),
         feasible_set=problem.feasible_set,
         name="vanilla_md",
     )

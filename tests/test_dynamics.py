@@ -18,6 +18,7 @@ from targetmd.cli import main
 from targetmd.dynamics import dual_rate, violation_band
 from targetmd.errors import ConfigurationError
 from targetmd.harness import OUTPUT_DIR_ENV
+from targetmd.targets import ClosedFormGap
 
 SEED = 999
 
@@ -165,6 +166,37 @@ def test_reduction_fbf_field():
         ours = dual_rate(spec, x, tx)
         theirs = ri.fbf_field(p.F, p.feasible_set.project, 0.1, x)
         assert np.linalg.norm(ours - theirs) <= 1e-10
+
+
+def _rate_cases():
+    p, g = _skew()
+    rps, ent = library_problem("rps_game"), entropy_geometry(3)
+    return {
+        "eg": (preset_eg(g, p, 0.1), p),
+        "eg_plus": (preset_eg(g, p, 0.1, 0.05), p),
+        "bnn_eta1": (preset_bnn(rps, eta=1.0), rps),
+        "bnn_eta2": (preset_bnn(rps, eta=2.0), rps),
+        "ppa_closed_form": (preset_ppa(g, p, 0.5), p),
+        "ppa_entropy": (preset_ppa(ent, rps, 1.0), rps),
+        "vanilla_md": (preset_vanilla_md(g, p, 0.1), p),
+        "dmd_calibrated_case2": (preset_dmd_calibrated(g, p, 0.1, case=2), p),
+    }
+
+
+@pytest.mark.parametrize("name", list(_rate_cases()))
+def test_dual_rate_is_the_literal_formula(name):
+    # alpha = 1 skips its multiply and alpha = 0 its gap; neither may move a
+    # bit.  Under ClosedFormGap the target's gap stands in for
+    # S(T(x)) - S(x), with or without the anchor handed on.
+    spec, p = _rate_cases()[name]
+    rng = np.random.default_rng(SEED + 2)
+    for x in p.feasible_set.sample_interior(rng, 25, margin=0.02):
+        tx, sx = resolve_target(spec, x, with_anchor=True)
+        gap = (spec.target.fn(x)[1] if isinstance(spec.target, ClosedFormGap)
+               else spec.S(tx) - spec.S(x))
+        literal = spec.alpha * gap - spec.beta * spec.Phi(x)
+        assert np.array_equal(dual_rate(spec, x, tx, sx), literal)
+        assert np.array_equal(dual_rate(spec, x, tx), literal)
 
 
 # --- flows -------------------------------------------------------------------
@@ -343,14 +375,15 @@ def test_run_discrete_converges_and_stops_early():
 
 @pytest.mark.parametrize("integrator,stride,n_steps,stop", [
     ("discrete", 1, 50, 0.0),       # every point recorded, budget exhausted
-    ("discrete", 7, 50, 0.0),       # most points only reach the stop rule
+    ("discrete", 7, 50, 0.0),       # no stop rule: only the 9 samples
     ("discrete", 1, 10_000, 1e-8),  # converged: the last point ends the run
     ("rk4", 7, 50, 0.0),            # none at the stage points of RK4
 ])
 def test_target_residual_is_evaluated_once_per_point(monkeypatch, integrator,
                                                       stride, n_steps, stop):
-    # the loop computes one ||T(x) - x|| per point, for the stop rule and
-    # the recorder both
+    # with a stop rule the loop computes one ||T(x) - x|| per point, for the
+    # stop rule and the recorder both; stop_residual = 0 cannot stop a run,
+    # so only the recorder reads it, once per sample
     p, g = _skew()
     spec = preset_eg(g, p, 0.1)
     gaps = []
@@ -367,7 +400,7 @@ def test_target_residual_is_evaluated_once_per_point(monkeypatch, integrator,
     else:
         rec = flow(g, spec, integrator=integrator, dt=0.1, t_end=0.1 * n_steps, **run)
     assert rec.termination == ("converged" if stop else "budget_exhausted")
-    assert len(gaps) == rec.final_state.step_index + 1
+    assert len(gaps) == (rec.final_state.step_index + 1 if stop else len(rec.states))
     assert np.array_equal(gaps[0], resolve_target(spec, rec.states[0]) - rec.states[0])
     end = rec.final_state.x
     assert np.array_equal(gaps[-1], resolve_target(spec, end) - end)
@@ -421,6 +454,64 @@ def test_alpha_zero_run_evaluates_the_target_residual_only_at_samples(monkeypatc
                        n_steps=50, stride=7)
     assert calls[0] == len(rec.states) == 9
     assert np.array_equal(rec.target_residuals, np.zeros(len(rec.states)))
+
+
+def test_zero_stop_residual_evaluates_no_natural_residual_in_the_loop(monkeypatch):
+    # alpha = 0 stops on the natural residual: once per step with a stop
+    # rule, never in the loop without one; the recorder's finish makes one
+    # call on its one block of samples either way
+    calls = [0]
+    residual = dynamics.natural_residual
+
+    def counted(problem, x):
+        calls[0] += 1
+        return residual(problem, x)
+
+    monkeypatch.setattr(dynamics, "natural_residual", counted)
+    p, g = _skew()
+    spec = preset_vanilla_md(g, p, 0.1)
+    runs, counts = [], []
+    for stop in (1e-12, 0.0):
+        calls[0] = 0
+        runs.append(run_discrete(g, spec, problem=p, x0=[1.0, 0.0], n_steps=50,
+                                 stride=7, stop_residual=stop))
+        counts.append(calls[0])
+    assert counts == [50 + 1, 1]
+    assert np.array_equal(runs[0].states, runs[1].states)
+    assert np.array_equal(runs[0].natural_residuals, runs[1].natural_residuals)
+
+
+@pytest.mark.parametrize("n_steps", [0, 3])
+@pytest.mark.parametrize("start", ["run_discrete", "flow", "initial_state",
+                                   "state_from_dual"])
+def test_changing_x0_after_the_call_leaves_the_run_unchanged(start, n_steps):
+    # the loop copies no point, so the run's own copy of x0 is made where
+    # it enters; after 0 steps the final state is the start state, whose z
+    # and x are that copy under the whole-space Euclidean geometry
+    p, g = _skew()
+    spec = preset_eg(g, p, 0.1)
+    run = dict(problem=p, stop_residual=0.0)
+    if start == "flow":
+        def start_from(x0):
+            return flow(g, spec, x0=x0, dt=0.1, t_end=0.1 * n_steps, stride=1, **run)
+    else:
+        def start_from(x0):
+            return run_discrete(g, spec, x0=x0, n_steps=n_steps, **run)
+
+    x0 = np.array([1.0, 0.0])
+    if start in ("initial_state", "state_from_dual"):
+        # grad_h is the identity here, so x0 is also the dual start
+        state = getattr(dynamics, start)(g, x0)
+        x0[:] = 7.0
+        rec = run_discrete(g, spec, state=state, n_steps=n_steps, **run)
+    else:
+        rec = start_from(x0)
+    x0[:] = 7.0
+    want = start_from([1.0, 0.0])
+    assert np.array_equal(rec.states, want.states)
+    end = rec.final_state
+    assert np.array_equal(end.z, want.final_state.z)
+    assert np.array_equal(end.x, want.final_state.x)
 
 
 def test_zero_stop_residual_runs_past_an_exact_fixed_point():

@@ -11,6 +11,7 @@ from targetmd import (box, entropy_geometry, euclidean_geometry,
                       softmax, state_from_dual,
                       synthesized_geometry, verify_ensemble_reduction,
                       weighted_quadratic_geometry, whole_space)
+from targetmd.ensemble import _mean_rows
 from targetmd.errors import ConfigurationError
 
 SEED = 31
@@ -190,6 +191,32 @@ def test_synthesized_modulus_is_the_harmonic_mean():
     stiff = replace(g, strong_convexity_modulus=4.0)
     sg = synthesized_geometry(make_members([g, stiff], [np.zeros(2), np.ones(2)]))
     assert sg.strong_convexity_modulus == pytest.approx(1.0 / np.mean([1.0, 0.25]))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_mean_rows_is_np_mean_bit_for_bit(n, dim, seed):
+    # row lists as the ensemble maps build them: n members' points of dim
+    # entries, with magnitudes far apart so that summation order shows
+    rng = np.random.default_rng(seed)
+    rows = list(rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 9, (n, dim)))
+    assert _same_bits(_mean_rows(rows), np.mean(rows, axis=0))
+
+
+@pytest.mark.parametrize("rows", [
+    [np.array([v]) for v in np.random.default_rng(SEED).standard_normal(9)],
+    [np.array([0.1 * k]) for k in range(16)],
+    [np.array([-0.0, 0.0, -0.0])] * 8,
+    [np.array([-0.0, 0.0])] * 3 + [np.array([0.0, -0.0])],
+])
+def test_mean_rows_keeps_np_mean_bits_on_one_column_and_signed_zeros(rows):
+    # dim 1 with 8 or more members, where pairwise summation could differ
+    # from a plain sum, and zeros of either sign
+    assert _same_bits(_mean_rows(rows), np.mean(rows, axis=0))
 
 
 # --- reduction to a single run ---------------------------------------------------

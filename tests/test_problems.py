@@ -91,6 +91,8 @@ def test_projection_raises_exactly_on_nan(v):
         else:
             x = s.project(v)
             assert x.shape == v.shape
+            # the whole space's projection is the identity: no copy
+            assert (x is v) == (s.kind == "whole_space")
             assert np.array_equal(x, v if s.kind == "whole_space"
                                   else np.clip(v, -1.0, 1.0))
 
