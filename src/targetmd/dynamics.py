@@ -165,8 +165,9 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     the final state's x may be its z.  A non-finite dual point ends a
     discrete run with FlowDivergenceError; Euler and RK4 runs restart with
     dt halved, up to max_halvings times, before raising it.  numpy's
-    overflow and invalid-value warnings are silenced in the loop, since
-    that check reports them.
+    overflow and invalid-value warnings are silenced from the start
+    point's target and gap through the loop, since that check reports
+    them.
     """
     dt = _step_size(dt, "dt")
     if not (math.isfinite(t_end) and t_end >= 0.0):
@@ -180,11 +181,11 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
         h = step * gain
         rec = recorder()
         k, t, z, x = k0, state.time, state.z, state.x
-        tx, sx = target(x)
-        g = _target_gap(tx, x) if stop_on_gap else None
-        rec.push(k, t, x, tx, g)
         termination = BUDGET
         with np.errstate(over="ignore", invalid="ignore"):
+            tx, sx = target(x)
+            g = _target_gap(tx, x) if stop_on_gap else None
+            rec.push(k, t, x, tx, g)
             for _ in range(max(0, int(round(t_end / step)))):
                 k1 = rate(z, x, tx, sx)
                 if residual is not None and residual(z, x, g, k1) < stop_residual:

@@ -16,6 +16,14 @@ for any members that share a domain, and `run_ensemble` is that one run
 (member k's dual is its final_state.z + z_k(0)).  `verify_ensemble_reduction`
 checks the reported run itself: it steps the members in parallel on their
 own duals for the run's steps at its dt and compares each recorded sample.
+
+Both see the member duals as the rows of one (N, d) stack: the check steps
+that stack, and the rate at the averaged state broadcasts into every row.
+`_member_maps` carries the stack to the stack of member points with one
+call per family: whole-space quadratics multiply by their stacked inverse
+weights, entropy members take one row-wise softmax, and other members are
+mapped one by one.  Each row has the bits of its member's own grad_h_conj
+call, and the averaged state is the mean over the rows.
 """
 
 from __future__ import annotations
@@ -27,11 +35,11 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import MirrorGeometry
+from .geometry import MirrorGeometry, softmax
 from .problems import VIProblem
 from .targets import TargetSpec
 from .dynamics import (RunRecord, SolverState, _Recorder, _target_map,
-                       dual_rate, flow, integrate, run_discrete,
+                       _tmd_rate, flow, integrate, run_discrete,
                        state_from_dual, DEFAULT_STOP_RESIDUAL)
 
 Vector = np.ndarray
@@ -48,11 +56,41 @@ def make_members(geometries, z0s) -> List[EnsembleMember]:
             for g, z in zip(geometries, z0s)]
 
 
-def _mean_rows(rows) -> Vector:
-    """np.mean(rows, axis=0), bit for bit (the same sum, divided by the
-    same count), without np.mean's dispatch: the ensemble maps take one
-    such mean per step."""
-    return np.add.reduce(np.array(rows), axis=0) / len(rows)
+def _family(members: List[EnsembleMember]) -> Optional[str]:
+    """"quadratic" when every member is a whole-space quadratic, "entropy"
+    when every member is the entropy geometry, None otherwise.  Read from
+    each geometry's quadratic_weights and name, not from its grad_h_conj,
+    which a wrapper may replace member by member."""
+    if all(m.geometry.quadratic_weights is not None for m in members):
+        return "quadratic"
+    if all(m.geometry.name == "entropy" for m in members):
+        return "entropy"
+    return None
+
+
+def _member_maps(members: List[EnsembleMember]):
+    """The map from the (n, d) stack of member duals to the stack of member
+    points, row k through member k's grad_h_conj and with its bits: one
+    product with the stacked inverse weights for whole-space quadratics
+    (a Euclidean member's weights are 1, and z * 1.0 is z), one row-wise
+    softmax for entropy members, and a loop over the members otherwise."""
+    family = _family(members)
+    if family == "quadratic":
+        inv_weights = 1.0 / np.array([m.geometry.quadratic_weights for m in members])
+        return lambda duals: duals * inv_weights
+    if family == "entropy":
+        return softmax
+    return lambda duals: np.array([m.geometry.grad_h_conj(z)
+                                   for m, z in zip(members, duals)])
+
+
+def _mean_of_members(members: List[EnsembleMember]):
+    """duals -> the members' averaged point at the (n, d) stack of their
+    duals.  The mean is np.mean(points, axis=0) bit for bit (the same sum,
+    divided by the same count), without np.mean's dispatch: the ensemble
+    maps take one such mean per step."""
+    maps, n = _member_maps(members), len(members)
+    return lambda duals: np.add.reduce(maps(duals), axis=0) / n
 
 
 def _shared_dim(members: List[EnsembleMember]) -> int:
@@ -82,18 +120,22 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
     exactly.  Otherwise the potential has no elementary form: eval_h and
     grad_h raise, and runs start from an explicit dual point.  Distinct
     initial duals make the map differ from any single member's map even
-    when the member potentials coincide.
+    when the member potentials coincide.  The map takes one dual point z.
     """
     dim = _shared_dim(members)
+    mean_of_members = _mean_of_members(members)
+    offsets = np.array([m.z0 for m in members])
+    family = _family(members)
 
     def grad_h_conj(z):
-        return _mean_rows([m.geometry.grad_h_conj(z + m.z0) for m in members])
+        return mean_of_members(z + offsets)
 
-    if all(m.geometry.quadratic_weights is not None for m in members):
-        # conj(z) = a*z + b entrywise; invert for the potential itself.
-        inv_weights = [1.0 / m.geometry.quadratic_weights for m in members]
-        a = np.mean(inv_weights, axis=0)
-        b = np.mean([iw * m.z0 for iw, m in zip(inv_weights, members)], axis=0)
+    if family == "quadratic":
+        # conj(z) = a*z + b entrywise, with a the mean inverse weight (the
+        # mean of the members' maps at duals of 1) and b = conj(0); invert
+        # for the potential itself.
+        a = mean_of_members(np.ones_like(offsets))
+        b = mean_of_members(offsets)
 
         def grad_h(x):
             return (np.asarray(x, dtype=float) - b) / a
@@ -108,8 +150,7 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
             domain=members[0].geometry.domain, name="synthesized_quadratic",
             conj_jacobian=lambda x: np.diag(a))
 
-    name = ("synthesized_entropy" if all(m.geometry.name == "entropy" for m in members)
-            else "synthesized")
+    name = "synthesized_entropy" if family == "entropy" else "synthesized"
 
     def unsupported(_x):
         raise ConfigurationError(
@@ -140,16 +181,13 @@ def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
     halving, every step kept and no target residual computed.  Report the
     deviation at each of the record's samples.  Tolerances are the
     caller's business."""
-    n, dim = len(members), _shared_dim(members)
-
-    def mean_of_members(duals):
-        return _mean_rows([m.geometry.grad_h_conj(z)
-                           for m, z in zip(members, duals.reshape(n, dim))])
-
-    duals = np.concatenate([m.z0 for m in members])
+    _shared_dim(members)
+    mean_of_members = _mean_of_members(members)
+    # the rate at the averaged state broadcasts into every row of the stack
+    duals = np.array([m.z0 for m in members])
     together = integrate(
-        lambda zs, x, tx, sx: np.concatenate((dual_rate(spec, x, tx, sx),) * n),
-        mean_of_members, SolverState(0, 0.0, duals, mean_of_members(duals)),
+        _tmd_rate(spec), mean_of_members,
+        SolverState(0, 0.0, duals, mean_of_members(duals)),
         record.mode, record.final_state.step_index * record.dt, dt=record.dt,
         target=_target_map(spec), max_halvings=0,
         recorder=partial(_Recorder, None, None, None, None))

@@ -26,10 +26,13 @@ INTERIOR_FLOOR = 1e-12
 
 
 def softmax(z: Vector) -> Vector:
-    """Normalized exponential with max-subtraction for overflow safety."""
+    """Normalized exponential with max-subtraction for overflow safety,
+    row by row: a stack of dual points maps to the stack of their images,
+    each row with the bits of its own call.  The reductions are the ufuncs'
+    own (what ndarray.max and ndarray.sum call), without the method layer."""
     z = np.asarray(z, dtype=float)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 @dataclass(eq=False)
@@ -39,9 +42,11 @@ class MirrorGeometry:
     eval_h and grad_h take one point or a stack of points (rows of an
     array) and act on each row: eval_h returns a float for one point and
     one value per row for a stack, grad_h an array of the input's shape.
-    grad_h and grad_h_conj may return their input itself where they are
-    the identity (the Euclidean geometry does), so callers must not write
-    into what they return, nor into what they pass in.
+    The grad_h_conj of the geometries built here maps each row of a stack
+    the same way, each row with the bits of its own call (the ensemble
+    maps rely on this).  grad_h and grad_h_conj may return their input itself where
+    they are the identity (the Euclidean geometry does), so callers must
+    not write into what they return, nor into what they pass in.
 
     conj_jacobian, when available, maps a primal point x to the Jacobian
     of grad_h_conj evaluated at the dual image of x; it is used to convert

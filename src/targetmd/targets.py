@@ -562,29 +562,35 @@ def preset_bnn(problem: VIProblem, eta: float = 1.0) -> TargetSpec:
     """Excess-payoff design on the simplex: alpha = 1/eta, beta = 0,
     S = entropy grad_h, and the multiplicative closed-form target
     T(x) = x (+) exp(eta * normalized excess payoff), where (+) is
-    Aitchison addition.  Runs must use the entropy geometry."""
+    Aitchison addition.  Runs must use the entropy geometry.
+
+    The target is computed in log space, from one set of exponentials:
+    with shift = eta * normalized excess payoff, peak the largest entry of
+    log x + shift and e = exp(log x + shift - peak), T(x) = e / sum(e) and
+    the dual gap S(T(x)) - S(x) is shift - (peak + log sum(e)).  Every
+    exponent is at most 0, so T(x) stays finite however large eta * shift
+    grows, and at points hugging the boundary."""
     eta = _step_size(eta, "eta")
     if problem.feasible_set.kind != SIMPLEX:
         raise ConfigurationError("this design lives on the simplex")
     geometry = entropy_geometry(problem.feasible_set.dim)
 
     def target(x):
-        # excess_payoff and aitchison_add inlined: x >= INTERIOR_FLOOR is
-        # checked here, and exp(shift) >= 1 since the excess payoff is >= 0
+        # excess_payoff inlined: x >= INTERIOR_FLOOR is checked here.  The
+        # reductions are the ufuncs' own, without ndarray's method layer.
         x = np.asarray(x, dtype=float)
-        if x.min() < INTERIOR_FLOOR:
+        if np.minimum.reduce(x) < INTERIOR_FLOOR:
             raise DomainError(
                 "excess payoff needs an interior simplex point (entrywise division by x)")
         f = np.asarray(problem.F(x), dtype=float)
-        shift = eta * (np.maximum(-(f - float(np.dot(x, f))), 0.0) / x)
-        # the gap is the log of the Aitchison translation: the dual shift
-        # minus its log-normalizer times the all-ones vector, computed in
-        # log space so targets hugging the boundary stay evaluable
+        shift = np.maximum(float(np.dot(x, f)) - f, 0.0) / x
+        if eta != 1.0:
+            shift = eta * shift
         shifted = np.log(x) + shift
-        peak = shifted.max()
-        log_z = peak + np.log(np.exp(shifted - peak).sum())
-        p = x * np.exp(shift)
-        return p / p.sum(), shift - log_z
+        peak = np.maximum.reduce(shifted)
+        e = np.exp(shifted - peak)
+        total = np.add.reduce(e)
+        return e / total, shift - (peak + np.log(total))
 
     return TargetSpec(
         alpha=1.0 / eta,

@@ -77,6 +77,19 @@ def bnn_lyapunov(F, x):
     return 0.5 * float(np.dot(gain, gain))
 
 
+def bnn_log_gap(F, eta, x):
+    """Dual gap S(T(x)) - S(x) of the excess-payoff target, written out:
+    the dual shift eta * [-(F(x) - <x, F(x)>)]_+ / x minus its log-sum-exp
+    normalizer (with log x) times the all-ones vector."""
+    x = np.asarray(x, dtype=float)
+    f = np.asarray(F(x), dtype=float)
+    shift = eta * (np.maximum(-(f - float(np.dot(x, f))), 0.0) / x)
+    shifted = np.log(x) + shift
+    peak = shifted.max()
+    log_z = peak + np.log(np.exp(shifted - peak).sum())
+    return shift - log_z
+
+
 def fbf_field(F, project, eta, x):
     """Forward-backward-forward vector field."""
     x = np.asarray(x, dtype=float)

@@ -11,7 +11,7 @@ from targetmd import (box, entropy_geometry, euclidean_geometry,
                       softmax, state_from_dual,
                       synthesized_geometry, verify_ensemble_reduction,
                       weighted_quadratic_geometry, whole_space)
-from targetmd.ensemble import _mean_rows
+from targetmd.ensemble import _family, _mean_of_members, _member_maps
 from targetmd.errors import ConfigurationError
 
 SEED = 31
@@ -197,14 +197,46 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_mean_rows_is_np_mean_bit_for_bit(n, dim, seed):
-    # row lists as the ensemble maps build them: n members' points of dim
-    # entries, with magnitudes far apart so that summation order shows
+# _member_maps carries the (n, d) stack of member duals to the stack of
+# member points in one call per family; each row must keep the bits of its
+# member's own grad_h_conj call, and the averaged point the bits of np.mean
+# over those rows.  The duals' magnitudes lie far apart so that any change
+# of summation order shows.
+
+def _family_geometries(family, n, dim, rng):
+    if family == "entropy":
+        return [entropy_geometry(dim) for _ in range(n)]
+    if family == "quadratic":  # Euclidean members are the weights-1 case
+        return [euclidean_geometry(whole_space(dim)) if rng.random() < 0.4
+                else weighted_quadratic_geometry(rng.uniform(0.1, 10.0, dim))
+                for _ in range(n)]
+    # the entropy and simplex-projection mix falls back to the member loop
+    return [entropy_geometry(dim) if k % 2 == 0 else euclidean_geometry(simplex(dim))
+            for k in range(n)]
+
+
+def _wide_duals(rng, n, dim):
+    return rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 9, (n, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["entropy", "quadratic", "mixed"]), st.integers(1, 9),
+       st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_stacked_member_maps_are_the_member_loop_bit_for_bit(family, n, dim, seed):
     rng = np.random.default_rng(seed)
-    rows = list(rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 9, (n, dim)))
-    assert _same_bits(_mean_rows(rows), np.mean(rows, axis=0))
+    n = max(n, 2) if family == "mixed" else n
+    members = make_members(_family_geometries(family, n, dim, rng),
+                           _wide_duals(rng, n, dim))
+    assert _family(members) == (None if family == "mixed" else family)
+    duals = _wide_duals(rng, n, dim)
+    points = np.array([m.geometry.grad_h_conj(z) for m, z in zip(members, duals)])
+    assert _same_bits(_member_maps(members)(duals), points)
+    assert _same_bits(_mean_of_members(members)(duals), np.mean(points, axis=0))
+    # the synthesized map is the same mean at the shared dual plus each offset
+    z = _wide_duals(rng, 1, dim)[0]
+    shifted = [m.geometry.grad_h_conj(z + m.z0) for m in members]
+    assert _same_bits(synthesized_geometry(members).grad_h_conj(z),
+                      np.mean(shifted, axis=0))
 
 
 @pytest.mark.parametrize("rows", [
@@ -213,10 +245,13 @@ def test_mean_rows_is_np_mean_bit_for_bit(n, dim, seed):
     [np.array([-0.0, 0.0, -0.0])] * 8,
     [np.array([-0.0, 0.0])] * 3 + [np.array([0.0, -0.0])],
 ])
-def test_mean_rows_keeps_np_mean_bits_on_one_column_and_signed_zeros(rows):
+def test_member_mean_keeps_np_mean_bits_on_one_column_and_signed_zeros(rows):
     # dim 1 with 8 or more members, where pairwise summation could differ
-    # from a plain sum, and zeros of either sign
-    assert _same_bits(_mean_rows(rows), np.mean(rows, axis=0))
+    # from a plain sum, and zeros of either sign, through Euclidean members
+    # whose map keeps every bit of its dual
+    members = make_members([euclidean_geometry(whole_space(len(rows[0])))] * len(rows),
+                           [np.zeros(len(rows[0]))] * len(rows))
+    assert _same_bits(_mean_of_members(members)(np.array(rows)), np.mean(rows, axis=0))
 
 
 # --- reduction to a single run ---------------------------------------------------

@@ -9,7 +9,7 @@ from targetmd import (DomainError, bregman, entropy_geometry,
                       euclidean_geometry, simplex, weighted_quadratic_geometry,
                       whole_space)
 from targetmd.errors import ConfigurationError
-from targetmd.geometry import INTERIOR_FLOOR
+from targetmd.geometry import INTERIOR_FLOOR, softmax
 
 from reference_impls import brute_force_simplex_projection_2d
 
@@ -149,6 +149,29 @@ def test_softmax_normalization_and_positivity():
         x = g.grad_h_conj(z)
         assert abs(x.sum() - 1.0) <= 1e-12
         assert np.all(x > 0.0)
+
+
+def _rows_as_own_calls(stack):
+    rows = softmax(stack)
+    return rows.shape == stack.shape and all(
+        rows[k].tobytes() == softmax(stack[k]).tobytes() for k in range(len(stack)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_softmax_maps_each_row_of_a_stack_as_its_own_call(n, dim, seed):
+    # rows far apart in scale, so that one normalizer for the whole stack
+    # would show; dims past 8 and 128 reach numpy's pairwise summation
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 3, (n, 1))
+    assert _rows_as_own_calls(stack)
+    assert np.all(np.abs(softmax(stack).sum(axis=-1) - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(8, 100_001), (3, 1000)])
+def test_softmax_rows_keep_their_bits_at_large_dims(shape):
+    stack = np.random.default_rng(SEED + 7).standard_normal(shape) * 5.0
+    assert _rows_as_own_calls(stack)
 
 
 def test_conjugate_matches_grid_argmax_entropy():

@@ -3,6 +3,7 @@ non-finite policy, and the boundary checks every runner passes through."""
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,45 @@ def test_discrete_divergence_is_a_typed_error(tmp_path, capsys):
     with pytest.raises(FlowDivergenceError, match="non-finite at step"):
         run_discrete(g, preset_vanilla_md(g, p, 1.0), problem=p, x0=[1.0, 0.0],
                      n_steps=5000)
+
+
+def _runtime_warnings(run):
+    """run()'s result and the RuntimeWarnings it raised, each recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_start_gap_leaves_only_the_error_line(tmp_path, capsys):
+    # ||T(x0) - x0|| overflows at x0 = (1e308, 1e308); the start point's
+    # gap is evaluated inside the loop's errstate block, so only the
+    # divergence error reaches stderr
+    out = tmp_path / "o"
+    text = ("problem.name = skew_bilinear\ngeometry.name = euclidean\n"
+            f"preset.name = eg\nx0 = 1e308, 1e308\noutput.dir = {out}\n")
+    code, caught = _runtime_warnings(lambda: run_cli("solve", text, tmp_path))
+    assert code == 1 and caught == []
+    assert "non-finite at step 1" in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_bnn_flow_at_a_huge_step_keeps_finite_target_residuals(tmp_path, capsys):
+    # x * exp(eta * excess / x) overflows at eta = 1e10; the log-space
+    # target stays finite, so every sample reports its target residual
+    out = tmp_path / "o"
+    text = ("problem.name = rps_game\ngeometry.name = entropy\npreset.name = bnn\n"
+            "preset.eta = 1e10\nmode = flow\nflow.integrator = euler\n"
+            f"budget.t_end = 1.0\nx0 = 0.6, 0.3, 0.1\noutput.dir = {out}\n")
+    code, caught = _runtime_warnings(lambda: run_cli("solve", text, tmp_path))
+    assert code == 2 and caught == []
+    assert capsys.readouterr().err == ""
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()
+    column = rows[0].split(",").index("residual_target")
+    cells = [row.split(",")[column] for row in rows[1:]]
+    assert len(cells) == 11 and all(np.isfinite(float(c)) for c in cells), cells
+    summary = json.loads((out / "summary.json").read_text())
+    assert np.isfinite(summary["final_target_residual"])
 
 
 def test_ensemble_flow_divergence_is_a_typed_error(tmp_path, capsys):

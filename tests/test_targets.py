@@ -366,18 +366,6 @@ def test_bnn_target_value_and_cross_check():
     assert np.linalg.norm(dual_route(x) - tx) <= 1e-10
 
 
-def test_bnn_two_routes_agree_on_samples():
-    rps = library_problem("rps_game")
-    spec = preset_bnn(rps, eta=1.0)
-    dual_route = bnn_dual_shift_target(rps, 1.0)
-    rng = np.random.default_rng(SEED + 5)
-    # margin keeps the normalized excess payoff inside exp's range so the
-    # literal product form stays evaluable alongside the dual-shift form
-    for x in rps.feasible_set.sample_interior(rng, 1000, margin=0.02):
-        a = resolve_target(spec, x)
-        assert np.linalg.norm(dual_route(x) - a) <= 1e-10
-
-
 def test_bnn_correction_is_excess_payoff_up_to_uniform_shift():
     # the dual gap equals the normalized excess payoff plus a multiple of
     # the all-ones vector (the Aitchison renormalizer), which the mirror
@@ -400,6 +388,54 @@ def test_bnn_correction_is_excess_payoff_up_to_uniform_shift():
 def test_bnn_requires_simplex():
     with pytest.raises(ConfigurationError):
         preset_bnn(library_problem("skew_bilinear"), 1.0)
+
+
+# The closed form computes T(x) = e / sum(e) from the exponentials of its
+# log-space gap.  The gap keeps the bits of the written-out formula
+# (reference_impls.bnn_log_gap), so runs keep their trajectories; T(x)
+# agrees with the dual-shift route to a few units in the last place of 1,
+# the largest entry of a simplex point.
+
+BNN_PROBLEM = st.sampled_from(["rps_game", "vertex_cost_simplex"])
+BNN_ETA = st.sampled_from([1.0, 0.5, 2.0, 10.0, 1e3, 1e10])
+TARGET_ULPS = 4 * np.spacing(1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(BNN_PROBLEM, BNN_ETA, st.integers(0, 2**32 - 1))
+def test_bnn_gap_keeps_the_bits_of_the_written_out_formula(name, eta, seed):
+    problem = library_problem(name)
+    spec = preset_bnn(problem, eta)
+    rng = np.random.default_rng(seed)
+    for x in problem.feasible_set.sample_interior(rng, 50, margin=1e-9):
+        gap = spec.target.fn(x)[1]
+        oracle = ri.bnn_log_gap(problem.F, eta, x)
+        assert gap.tobytes() == oracle.tobytes(), (x, gap, oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(BNN_PROBLEM, st.sampled_from([1.0, 0.5, 2.0, 10.0]), st.integers(0, 2**32 - 1))
+def test_bnn_two_routes_agree_on_samples(name, eta, seed):
+    problem = library_problem(name)
+    spec = preset_bnn(problem, eta)
+    dual_route = bnn_dual_shift_target(problem, eta)
+    rng = np.random.default_rng(seed)
+    for x in problem.feasible_set.sample_interior(rng, 50, margin=1e-9):
+        tx = resolve_target(spec, x)
+        assert np.abs(tx - dual_route(x)).max() <= TARGET_ULPS
+        assert abs(tx.sum() - 1.0) <= TARGET_ULPS
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eta", [1.0, 1e5, 1e10])
+@pytest.mark.parametrize("x", [[1e-12, 0.5, 0.5 - 1e-12], [0.5 - 1e-12, 1e-12, 0.5],
+                               [0.6, 0.4 - 1e-12, 1e-12]])
+def test_bnn_target_stays_finite_at_the_floor_and_large_steps(x, eta):
+    # x * exp(eta * excess / x) overflows here; the log-space target does not
+    spec = preset_bnn(library_problem("rps_game"), eta)
+    tx, gap = spec.target.fn(np.array(x))
+    assert np.all(np.isfinite(tx)) and np.all(np.isfinite(gap))
+    assert np.all(tx >= 0.0) and abs(tx.sum() - 1.0) <= TARGET_ULPS
 
 
 # --- forward-backward-forward preset ----------------------------------------
