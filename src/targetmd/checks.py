@@ -147,7 +147,7 @@ def run_condition_checks(geometry: MirrorGeometry, spec: TargetSpec,
     if x_bar is None:
         x_bar = problem.known_solution
     if x_bar is not None:
-        x_bar = _finite_point("x_bar", x_bar, geometry.dim)
+        x_bar = _finite_point("reference", x_bar, geometry.dim)
     targets = _resolve_samples(spec, samples)
     report = {
         "seed": seed,

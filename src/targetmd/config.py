@@ -13,6 +13,11 @@ echoed configuration is complete.  output.dir is validated first; an
 error after it has an `output_dir` attribute, the directory (or default)
 the config names.  Each fixed key is one row of `_KEYS`,
 which both parse_config and echo_config walk.
+
+Each setting has one key, which every command that uses it reads: the
+budget (budget.steps, or budget.t_end in flow mode), the reference point
+(lyapunov.reference) and the design geometry (geometry.name).  An
+ensemble has as many members as it lists.
 """
 
 from __future__ import annotations
@@ -53,13 +58,10 @@ class ExperimentConfig:
     stop_residual: float = 1e-8
     output_dir: str = "runs"
     stride: Optional[int] = None
-    compare_steps: int = 100
     compare_samples: int = 1000
     check_samples: int = 200
-    check_x_bar: Optional[tuple] = None
     ensemble_members: tuple = ()
     ensemble_verify: bool = True
-    ensemble_steps: int = 1000
 
     def effective_stride(self) -> int:
         if self.stride is not None:
@@ -148,8 +150,7 @@ _NAME = _typed(str, "a name")
 _FINITE_NONNEGATIVE = _number("a finite number >= 0", lambda v: v >= 0.0)
 
 # The fixed keys: key -> (ExperimentConfig field, value parser).  Both
-# parse_config and echo_config walk this table.  ensemble.count has no
-# field: it is checked against the member list, and echoed as its length.
+# parse_config and echo_config walk this table.
 _KEYS = {
     "seed": ("seed", _integer(0)),
     "problem.name": ("problem", _NAME),
@@ -165,13 +166,9 @@ _KEYS = {
     "output.dir": ("output_dir", _directory),
     "output.stride": ("stride", _integer(1)),
     "lyapunov.reference": ("lyapunov_reference", _vector),
-    "compare.steps": ("compare_steps", _integer(1)),
     "compare.samples": ("compare_samples", _integer(1)),
     "check.samples": ("check_samples", _integer(2)),
-    "check.x_bar": ("check_x_bar", _vector),
-    "ensemble.count": (None, _integer(0)),
     "ensemble.verify": ("ensemble_verify", _typed(bool, "true/false")),
-    "ensemble.steps": ("ensemble_steps", _integer(1)),
 }
 
 # ensemble.memberN.<key> -> value parser; each key is a MemberConfig field.
@@ -187,15 +184,12 @@ def _convert(parse, raw: str):
 
 
 def _apply(cfg, members: dict, key: str, raw: str):
-    """Store the value of one `key = raw` line and return it."""
+    """Store the value of one `key = raw` line."""
     parts = key.split(".")
     if key in _KEYS:
         name, parse = _KEYS[key]
-        value = _convert(parse, raw)
-        if name is not None:
-            setattr(cfg, name, value)
-        return value
-    if len(parts) == 2 and parts[0] in _PARAM_SECTIONS:
+        setattr(cfg, name, _convert(parse, raw))
+    elif len(parts) == 2 and parts[0] in _PARAM_SECTIONS:
         getattr(cfg, f"{parts[0]}_params")[parts[1]] = _parse_value(raw)
     elif len(parts) == 3 and parts[0] == "ensemble" and parts[1].startswith("member"):
         index = parts[1][len("member"):]
@@ -231,27 +225,23 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
 
     cfg = ExperimentConfig()
     members: dict = {}
-    values = {}
+    applied = set()
     try:
         # output.dir first: every later error carries the validated
         # directory as `output_dir`, where the command clears its outputs
         for key in sorted(pairs, key=lambda key: key != "output.dir"):
             try:
-                values[key] = _apply(cfg, members, key, pairs[key])
+                _apply(cfg, members, key, pairs[key])
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{source}:{order[key]}: {key} {exc}") from None
+            applied.add(key)
 
         indices = sorted(members)
         if indices != list(range(1, len(indices) + 1)):
             raise ConfigurationError(
                 f"{source}: ensemble members must be numbered 1..N; got {indices}")
-        count = values.get("ensemble.count", len(indices))
-        if count != len(indices):
-            raise ConfigurationError(
-                f"{source}:{order['ensemble.count']}: ensemble.count = {count} "
-                f"but {len(indices)} members defined")
     except ConfigurationError as exc:
-        if "output.dir" in values or "output.dir" not in pairs:
+        if "output.dir" in applied or "output.dir" not in pairs:
             exc.output_dir = cfg.output_dir
         raise
     cfg.ensemble_members = tuple(MemberConfig(**members[i]) for i in indices)
@@ -283,13 +273,11 @@ def echo_config(cfg: ExperimentConfig) -> list:
     """Canonical, complete (defaults included) line rendering; parsing the
     echo reproduces an equivalent configuration.  Unset optional values
     (None, or an empty z0) are left out."""
-    lines = {key: getattr(cfg, name) for key, (name, _) in _KEYS.items() if name}
+    lines = {key: getattr(cfg, name) for key, (name, _) in _KEYS.items()}
     lines["output.stride"] = cfg.effective_stride()
     for section in _PARAM_SECTIONS:
         for key, value in getattr(cfg, f"{section}_params").items():
             lines[f"{section}.{key}"] = value
-    if cfg.ensemble_members:
-        lines["ensemble.count"] = len(cfg.ensemble_members)
     for i, member in enumerate(cfg.ensemble_members, start=1):
         for key in _MEMBER_KEYS:
             lines[f"ensemble.member{i}.{key}"] = getattr(member, key)

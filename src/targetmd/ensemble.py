@@ -122,7 +122,7 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
     initial duals make the map differ from any single member's map even
     when the member potentials coincide.  The map takes one dual point z.
     """
-    dim = _shared_dim(members)
+    _shared_dim(members)
     mean_of_members = _mean_of_members(members)
     offsets = np.array([m.z0 for m in members])
     family = _family(members)
@@ -145,7 +145,7 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
             return 0.5 * np.sum(d * d / a, axis=-1)
 
         return MirrorGeometry(
-            dim=dim, eval_h=eval_h, grad_h=grad_h, grad_h_conj=grad_h_conj,
+            eval_h=eval_h, grad_h=grad_h, grad_h_conj=grad_h_conj,
             strong_convexity_modulus=float(1.0 / a.max()),
             domain=members[0].geometry.domain, name="synthesized_quadratic",
             conj_jacobian=lambda x: np.diag(a))
@@ -158,7 +158,7 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
             "start runs from an explicit dual point")
 
     return MirrorGeometry(
-        dim=dim, eval_h=unsupported, grad_h=unsupported, grad_h_conj=grad_h_conj,
+        eval_h=unsupported, grad_h=unsupported, grad_h_conj=grad_h_conj,
         strong_convexity_modulus=float(1.0 / np.mean(
             [1.0 / m.geometry.strong_convexity_modulus for m in members])),
         domain=members[0].geometry.domain, name=name)

@@ -52,10 +52,10 @@ class MirrorGeometry:
     of grad_h_conj evaluated at the dual image of x; it is used to convert
     dual-space rates into primal vector fields.  quadratic_weights marks
     members of the pure quadratic family (h = 0.5 * sum w_i x_i^2 on the
-    whole space), for which ensemble synthesis has a closed form.
+    whole space), for which ensemble synthesis has a closed form.  dim is
+    the domain's dimension.
     """
 
-    dim: int
     eval_h: Callable[[Vector], float]
     grad_h: Callable[[Vector], Vector]
     grad_h_conj: Callable[[Vector], Vector]
@@ -64,6 +64,8 @@ class MirrorGeometry:
     name: str = "custom"
     conj_jacobian: Optional[Callable[[Vector], Vector]] = None
     quadratic_weights: Optional[Vector] = None
+
+    dim = property(lambda self: self.domain.dim)
 
 
 def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
@@ -94,7 +96,6 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
         weights = np.ones(feasible_set.dim)
 
     return MirrorGeometry(
-        dim=feasible_set.dim,
         eval_h=eval_h,
         grad_h=grad_h,
         grad_h_conj=feasible_set.project,
@@ -144,7 +145,6 @@ def entropy_geometry(dim: int) -> MirrorGeometry:
         return np.diag(x) - np.outer(x, x)
 
     return MirrorGeometry(
-        dim=dim,
         eval_h=eval_h,
         grad_h=grad_h,
         grad_h_conj=softmax,
@@ -184,7 +184,6 @@ def weighted_quadratic_geometry(weights) -> MirrorGeometry:
         return np.diag(inv_w)
 
     return MirrorGeometry(
-        dim=w.size,
         eval_h=eval_h,
         grad_h=grad_h,
         grad_h_conj=grad_h_conj,

@@ -27,8 +27,8 @@ from .config import ExperimentConfig, echo_config, load_config
 from .dynamics import (CONVERGED, RunRecord, dual_rate, flow, lyapunov_series,
                        primal_vector_field, run_discrete, run_dmd,
                        run_higher_order, run_vanilla_dmd)
-from .ensemble import (EnsembleMember, run_ensemble, synthesized_geometry,
-                       verify_ensemble_reduction)
+from .ensemble import (EnsembleMember, _family, run_ensemble,
+                       synthesized_geometry, verify_ensemble_reduction)
 from .errors import ConfigurationError
 from .geometry import (MirrorGeometry, entropy_geometry, euclidean_geometry,
                        weighted_quadratic_geometry)
@@ -63,15 +63,11 @@ GEOMETRIES = {
 # The preset table
 # ---------------------------------------------------------------------------
 
-REQUIRED = object()  # parameter default: the preset cannot run without it
-
-
 @dataclass(frozen=True)
 class Preset:
     """Everything the harness knows about one preset.
 
-    params maps each preset.<key> to its default; aliases holds (alias,
-    key) pairs, of which a config gives at most one.  build(geometry,
+    params maps each preset.<key> to its default.  build(geometry,
     problem, pair, p) returns the design tuple for the resolved parameters
     p.  Discrete mode runs run_discrete; flow mode runs the dynamics' flow,
     or flow(geometry, problem, spec, p, integrator=..., **run) when the row
@@ -91,7 +87,6 @@ class Preset:
     ambient: bool = False
     coded_step: Optional[Callable] = None
     coded_field: Optional[Callable] = None
-    aliases: tuple = ()   # (alias, key) pairs
     flow_only = property(lambda self: self.flow is not None)
 
 
@@ -123,8 +118,8 @@ def _on_base(geometry, problem, pair, p):
 def _eg_step(geometry, problem, pair, spec, p, x):
     coded = (reference.eg_step_entropy if geometry.name == "entropy"
              else reference.eg_step_euclidean)
-    eta2 = p["eta1"] if p["eta2"] is None else p["eta2"]
-    return coded(problem, p["eta1"], eta2, x)
+    eta2 = p["eta"] if p["eta2"] is None else p["eta2"]
+    return coded(problem, p["eta"], eta2, x)
 
 
 PRESETS = {
@@ -134,14 +129,10 @@ PRESETS = {
         build=lambda g, pb, pair, p: preset_ppa(g, pb, **p),
         coded_step=lambda g, pb, pair, spec, p, x: reference.ppa_step(pb, p["eta"], x)),
     "eg": Preset(
-        "extragradient / mirror-prox (eta1 = eta2)", {"eta1": 0.1, "eta2": None},
-        build=lambda g, pb, pair, p: preset_eg(g, pb, **p), coded_step=_eg_step,
-        aliases=(("eta", "eta1"),)),
-    "eg_plus": Preset(
-        "extragradient with distinct probe/move step sizes",
-        {"eta1": 0.1, "eta2": REQUIRED},
-        build=lambda g, pb, pair, p: preset_eg(g, pb, **p), coded_step=_eg_step,
-        aliases=(("eta", "eta1"),)),
+        "extragradient / mirror-prox (eta2 defaults to eta)",
+        {"eta": 0.1, "eta2": None},
+        build=lambda g, pb, pair, p: preset_eg(g, pb, p["eta"], p["eta2"]),
+        coded_step=_eg_step),
     "dr": Preset(
         "Douglas-Rachford splitting (needs box_affine_split)", {"eta": 1.0},
         build=lambda g, pb, pair, p: preset_dr(_split(pair, "dr"), g.domain, **p),
@@ -190,22 +181,11 @@ def _resolve(cfg: ExperimentConfig):
     if row is None:
         raise ConfigurationError(
             f"unknown preset {cfg.preset!r}; available: {', '.join(PRESETS)}")
-    given = dict(cfg.preset_params)
-    for alias, key in row.aliases:
-        if alias in given:
-            if key in given:
-                raise ConfigurationError(f"preset {cfg.preset!r} takes "
-                                         f"preset.{alias} or preset.{key}, not both")
-            given[key] = given.pop(alias)
-    unknown = sorted(set(given) - set(row.params))
+    unknown = sorted(set(cfg.preset_params) - set(row.params))
     if unknown and "base" not in row.params:
         raise ConfigurationError(
             f"preset {cfg.preset!r} does not accept parameter(s) {unknown}")
-    p = {**row.params, **given}
-    missing = [key for key, value in p.items() if value is REQUIRED]
-    if missing:
-        raise ConfigurationError(f"{cfg.preset} needs preset.{missing[0]}")
-    return row, p
+    return row, {**row.params, **cfg.preset_params}
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -414,8 +394,10 @@ def _compare(cfg: ExperimentConfig):
                       for x in samples]
     else:
         kind, tol = "per_step", DISCRETE_COMPARE_TOL
+        if cfg.steps < 1:
+            raise ConfigurationError("a per-step compare needs budget.steps >= 1")
         # stop_residual = 0 runs every step, also past an exact fixed point
-        record = run_discrete(geometry, spec, x0=cfg.x0, n_steps=cfg.compare_steps,
+        record = run_discrete(geometry, spec, x0=cfg.x0, n_steps=cfg.steps,
                               stop_residual=0.0)
         x_ref, deviations = record.states[0], []
         for x in record.states[1:]:
@@ -437,7 +419,7 @@ def _check(cfg: ExperimentConfig):
         raise ConfigurationError(f"preset {cfg.preset!r} has no design tuple to check")
     report = run_condition_checks(geometry, spec, problem,
                                   n_samples=cfg.check_samples, seed=cfg.seed,
-                                  x_bar=cfg.check_x_bar)
+                                  x_bar=cfg.lyapunov_reference)
     return EXIT_ERROR if report["refuted"] else EXIT_OK, report, {}
 
 
@@ -466,17 +448,17 @@ def _ensemble(cfg: ExperimentConfig):
         raise ConfigurationError(f"flow.integrator = {cfg.integrator}: ensemble "
                                  "flows integrate with euler only")
     problem, pair = build_problem(cfg)
-    # The design tuple is evaluated at the averaged state; ensembles carry
-    # per-member run geometries, so the tuple is built against a design
-    # geometry matching the member family's domain.
-    design = "entropy" if cfg.ensemble_members[0].geometry == "entropy" else "euclidean"
-    spec = build_spec(cfg, _geometry(design, None, whole_space(problem.feasible_set.dim)),
-                      problem, pair)
+    # The design tuple is evaluated at the averaged state, on the config's
+    # geometry; the members bring their own run geometries.
+    spec = build_spec(cfg, build_geometry(cfg, problem), problem, pair)
     members = _build_members(cfg, problem)
-    dt = cfg.dt if cfg.mode == "flow" else None
+    # the budget of solve: budget.steps, or budget.t_end in flow mode
+    if cfg.mode == "flow":
+        dt, n_steps = cfg.dt, round(cfg.t_end / cfg.dt)
+    else:
+        dt, n_steps = None, cfg.steps
 
-    record = run_ensemble(members, spec, problem=problem,
-                          n_steps=cfg.ensemble_steps, dt=dt,
+    record = run_ensemble(members, spec, problem=problem, n_steps=n_steps, dt=dt,
                           stop_residual=cfg.stop_residual,
                           stride=cfg.effective_stride())
     summary = _base_summary(record)
@@ -485,7 +467,9 @@ def _ensemble(cfg: ExperimentConfig):
     exit_code = EXIT_OK
     if cfg.ensemble_verify:
         report = verify_ensemble_reduction(members, spec, record)
-        tol = 1e-9 if members[0].geometry.quadratic_weights is not None else 1e-8
+        # relative to the states' scale: a diverging run's rounding grows with it
+        tol = ((1e-9 if _family(members) == "quadratic" else 1e-8)
+               * max(1.0, float(np.abs(record.states).max())))
         summary["reduction_max_deviation"] = report.max_deviation
         summary["reduction_tolerance"] = tol
         summary["synthesized_geometry"] = synthesized_geometry(members).name

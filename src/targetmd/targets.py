@@ -391,7 +391,7 @@ def preset_eg(geometry: MirrorGeometry, problem: VIProblem, eta1: float,
     two-step-size variant.  sigma is the conservative analytic bound
     modulus(h) - eta1 * L, backed by a sampled refutation check.
     """
-    eta1 = _step_size(eta1, "eta1")
+    eta1 = _step_size(eta1, "eta")
     eta2 = eta1 if eta2 is None else _step_size(eta2, "eta2")
 
     lip = estimate_lipschitz(problem)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,8 +82,8 @@ def test_parse_ensemble_members():
     assert len(cfg.ensemble_members) == 3
     assert cfg.ensemble_members[0].weights == (1.0, 2.0)
     assert cfg.ensemble_members[2].geometry == "euclidean"
-    with pytest.raises(ConfigurationError):
-        parse_config("ensemble.count = 2\nensemble.member1.z0 = 0, 0\n")
+    with pytest.raises(ConfigurationError, match="numbered 1..N"):
+        parse_config("ensemble.member2.z0 = 0, 0\n")
 
 
 def test_parser_junk_raises_only_config_errors():
@@ -114,13 +115,9 @@ stop.residual = 0
 output.dir = runs/every_key
 output.stride = 3
 lyapunov.reference = 0.3, 0.3, 0.4
-compare.steps = 1
 compare.samples = 1
 check.samples = 2
-check.x_bar = 0.3, 0.3, 0.4
-ensemble.count = 2
 ensemble.verify = false
-ensemble.steps = 1
 ensemble.member1.geometry = weighted_quadratic
 ensemble.member1.weights = 1, 2, 3
 ensemble.member1.z0 = 0, 1, 0
@@ -140,14 +137,45 @@ def test_echo_round_trip_is_a_fixed_point():
     assert set(config._KEYS) <= {line.split(" = ")[0] for line in echoed}
 
 
+def test_readme_key_table_lists_exactly_the_fixed_keys():
+    # the first cell of each row of README's key table names its keys;
+    # problem/geometry/preset parameters and member keys are not fixed keys
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | meaning (default) |\n", 1)[1].split("\n\n", 1)[0]
+    named = set()
+    for row in table.splitlines()[1:]:
+        named.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    fixed = {key for key in named if not key.startswith("ensemble.member")
+             and (key.split(".")[0] not in config._PARAM_SECTIONS
+                  or key.endswith(".name"))}
+    assert fixed == set(config._KEYS)
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("ensemble", "ensemble.count", "1"),
+    ("ensemble", "ensemble.steps", "10"),
+    ("compare", "compare.steps", "10"),
+    ("check", "check.x_bar", "0, 0"),
+])
+def test_removed_keys_are_unknown_keys(tmp_path, capsys, command, key, value):
+    # each setting has one key: budget.steps / budget.t_end, lyapunov.reference,
+    # and the member list's length
+    out = tmp_path / "o"
+    text = (f"preset.name = eg\noutput.dir = {out}\n{key} = {value}\n"
+            "ensemble.member1.z0 = 0, 1\n")
+    assert run_cli(command, text, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'exp.cfg'}:3: {key} is not a known key\n"
+    assert not out.exists()
+
+
 # a value of the wrong type for each key that has a rule
 WRONG_TYPE = {
     "seed": "abc", "problem.name": "1.5", "geometry.name": "2", "preset.name": "1, 2",
     "mode": "3", "x0": "abc", "flow.integrator": "true", "flow.dt": "abc",
     "budget.steps": "2.5", "budget.t_end": "abc", "stop.residual": "fast",
-    "output.stride": "1.5", "lyapunov.reference": "abc", "compare.steps": "true",
-    "compare.samples": "1, 2", "check.samples": "2.0", "check.x_bar": "false",
-    "ensemble.count": "abc", "ensemble.verify": "1", "ensemble.steps": "1e3",
+    "output.stride": "1.5", "lyapunov.reference": "abc",
+    "compare.samples": "1, 2", "check.samples": "2.0", "ensemble.verify": "1",
     "ensemble.member1.weights": "abc", "ensemble.member1.z0": "1, x",
 }
 ROWS = sorted(config._KEYS) + [f"ensemble.member1.{key}" for key in config._MEMBER_KEYS]
@@ -164,11 +192,11 @@ def test_every_key_rejects_a_wrong_type_with_file_and_line(key):
 
 
 @pytest.mark.parametrize("command,key,value,rule", [
-    ("compare", "compare.steps", "0", "must be at least 1"),
     ("compare", "compare.samples", "0", "must be at least 1"),
     ("check", "check.samples", "1", "must be at least 2"),
-    ("ensemble", "ensemble.steps", "0", "must be at least 1"),
     ("solve", "budget.steps", "-1", "must be at least 0"),
+    ("compare", "budget.steps", "-1", "must be at least 0"),
+    ("ensemble", "budget.steps", "-1", "must be at least 0"),
     ("compare", "seed", "-1", "must be at least 0"),
     ("check", "seed", "-1", "must be at least 0"),
     ("solve", "stop.residual", "nan", "must be a finite number >= 0"),
@@ -340,8 +368,7 @@ STEP_CASES = [
     # (preset, problem, geometry, step key, extra lines)
     ("ppa", "skew_bilinear", "euclidean", "eta", ""),
     ("eg", "skew_bilinear", "euclidean", "eta", ""),
-    ("eg", "skew_bilinear", "euclidean", "eta1", ""),
-    ("eg_plus", "skew_bilinear", "euclidean", "eta2", "preset.eta1 = 0.1\n"),
+    ("eg", "skew_bilinear", "euclidean", "eta2", ""),
     ("dr", "box_affine_split", "euclidean", "eta", ""),
     ("fb", "box_affine_split", "euclidean", "eta", ""),
     ("bnn", "rps_game", "entropy", "eta", ""),
@@ -390,12 +417,13 @@ REJECTED = [
      "preset.gamma = 7\n" + ENSEMBLE_MEMBERS, "ensemble"),
     ("ensemble", "higher_order", "skew_bilinear", "euclidean",
      "preset.gamma1 = 3\n" + ENSEMBLE_MEMBERS, "ensemble"),
-    ("solve", "eg", "skew_bilinear", "euclidean",
-     "preset.eta = fast\npreset.eta1 = 0.1\n", "not both"),
+    # eg takes preset.eta and preset.eta2 only, and eg_plus is no preset row
+    ("solve", "eg", "skew_bilinear", "euclidean", "preset.eta1 = 0.1\n",
+     "does not accept parameter(s) ['eta1']"),
     ("compare", "eg", "skew_bilinear", "euclidean",
-     "preset.eta = fast\npreset.eta1 = 0.1\n", "not both"),
+     "preset.eta = 0.1\npreset.eta1 = 0.1\n", "does not accept parameter(s) ['eta1']"),
     ("solve", "eg_plus", "skew_bilinear", "euclidean",
-     "preset.eta = 0.1\npreset.eta1 = 0.1\npreset.eta2 = 0.05\n", "not both"),
+     "preset.eta = 0.1\npreset.eta2 = 0.05\n", "unknown preset 'eg_plus'"),
     ("solve", "ppa", "skew_bilinear", "euclidean",
      "preset.inner_max_iter = abc\n", "inner_max_iter"),
     ("solve", "ppa", "skew_bilinear", "euclidean",
@@ -501,21 +529,18 @@ def test_solve_writes_to_the_output_dir_as_written(tmp_path, monkeypatch):
     assert not (tmp_path / "7").exists()
 
 
-@pytest.mark.parametrize("command,key,name", [
-    ("solve", "lyapunov.reference", "reference"),
-    ("check", "check.x_bar", "x_bar"),
-])
+@pytest.mark.parametrize("command", ["solve", "check"])
 @pytest.mark.parametrize("value,message", [
     ("1, 2, 3", "has 3 entries; the problem has dimension 2"),
     ("nan, 0", "must be finite"),
 ])
-def test_reference_points_are_checked_like_x0(tmp_path, capsys, command, key, name,
-                                               value, message):
+def test_reference_points_are_checked_like_x0(tmp_path, capsys, command, value,
+                                               message):
     out = tmp_path / "o"
-    text = BASE_SOLVE.format(steps=10, out=out) + f"{key} = {value}\n"
+    text = BASE_SOLVE.format(steps=10, out=out) + f"lyapunov.reference = {value}\n"
     assert run_cli(command, text, tmp_path) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} {message}") and err.count("\n") == 1
+    assert err.startswith(f"error: reference {message}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -540,7 +565,7 @@ def test_compare_subcommand(tmp_path, name, expected_kind):
     assert (out / "deviations.csv").exists()
     # every step (or sample) is compared; none is cut by a stop rule
     cfg = load_config(CONFIG_DIR / name)
-    expected = cfg.compare_steps if expected_kind == "per_step" else cfg.compare_samples
+    expected = cfg.steps if expected_kind == "per_step" else cfg.compare_samples
     assert summary["count"] == expected
     assert len((out / "deviations.csv").read_text().splitlines()) == expected + 1
 
@@ -550,7 +575,7 @@ def test_compare_overflowing_iterate_ends_in_one_error_line(tmp_path, capsys):
     # a move step of 1e300 overflows the second iterate; the driver's
     # non-finite policy reports it before the coded reference runs
     out = tmp_path / "o"
-    text = ("problem.name = skew_bilinear\npreset.name = eg_plus\n"
+    text = ("problem.name = skew_bilinear\npreset.name = eg\n"
             f"preset.eta2 = 1e300\nx0 = 1, 0\noutput.dir = {out}\n")
     assert run_cli("compare", text, tmp_path) == 1
     err = capsys.readouterr().err
@@ -567,16 +592,7 @@ geometry.name = euclidean
 preset.name = ppa
 preset.eta = 0.5
 preset.inner_tol = 1e-13
-compare.steps = 100
-x0 = 1, 0
-""",
-        "eg_plus": """
-problem.name = skew_bilinear
-geometry.name = euclidean
-preset.name = eg_plus
-preset.eta1 = 0.1
-preset.eta2 = 0.05
-compare.steps = 100
+budget.steps = 100
 x0 = 1, 0
 """,
         "eg-entropy": """
@@ -584,7 +600,7 @@ problem.name = rps_game
 geometry.name = entropy
 preset.name = eg
 preset.eta = 0.1
-compare.steps = 100
+budget.steps = 100
 x0 = 0.5, 0.25, 0.25
 """,
         "fb": """
@@ -592,7 +608,7 @@ problem.name = box_affine_split
 geometry.name = euclidean
 preset.name = fb
 preset.eta = 0.5
-compare.steps = 100
+budget.steps = 100
 x0 = -2.0
 """,
         "fbf": """
@@ -619,7 +635,7 @@ def test_compare_ppa_at_a_large_step_holds_the_default_inner_tol(tmp_path):
     out = tmp_path / "out"
     text = ("seed = 0\nproblem.name = skew_bilinear\nproblem.dim = 4\n"
             "geometry.name = euclidean\npreset.name = ppa\npreset.eta = 2.0\n"
-            f"x0 = 0, 0, 0, 1\ncompare.steps = 100\noutput.dir = {out}\n")
+            f"x0 = 0, 0, 0, 1\nbudget.steps = 100\noutput.dir = {out}\n")
     assert run_cli("compare", text, tmp_path) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["count"] == 100
@@ -647,6 +663,40 @@ output.dir = {out}
     rows = (out / "trajectory.csv").read_text().strip().splitlines()
     final_x = float(rows[-1].split(",")[2])
     assert abs(final_x - 2.0) <= 1e-6
+
+
+@pytest.mark.parametrize("budget,count", [(None, 1000), (37, 37), (0, None)])
+def test_per_step_compare_runs_budget_steps(tmp_path, capsys, budget, count):
+    out = tmp_path / "out"
+    text = ("problem.name = skew_bilinear\npreset.name = eg\nx0 = 1, 0\n"
+            f"output.dir = {out}\n")
+    if budget is not None:
+        text += f"budget.steps = {budget}\n"
+    if count is None:
+        assert run_cli("compare", text, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a per-step compare needs budget.steps >= 1\n"
+        return
+    assert run_cli("compare", text, tmp_path) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["comparison"] == "per_step" and summary["count"] == count
+
+
+@pytest.mark.parametrize("eta2,name", [(None, "eg"), (0.1, "eg"), (0.05, "eg_plus")])
+def test_eg_with_a_distinct_eta2_is_eg_plus(tmp_path, eta2, name):
+    out = tmp_path / "out"
+    text = ("problem.name = skew_bilinear\npreset.name = eg\npreset.eta = 0.1\n"
+            f"x0 = 1, 0\nbudget.steps = 100\noutput.dir = {out}\n")
+    if eta2 is not None:
+        text += f"preset.eta2 = {eta2}\n"
+    cfg = parse_config(text)
+    problem, pair = harness.build_problem(cfg)
+    spec = harness.build_spec(cfg, harness.build_geometry(cfg, problem), problem, pair)
+    assert spec.name == name
+    assert spec.alpha == (1.0 if eta2 is None else eta2 / 0.1)
+    assert run_cli("compare", text, tmp_path) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["max_deviation"] <= summary["tolerance"]
 
 
 def test_compare_rejects_presets_without_reference(tmp_path):
@@ -679,7 +729,7 @@ geometry.name = euclidean
 preset.name = vanilla_md
 preset.eta = 1.0
 check.samples = 100
-check.x_bar = 5.0
+lyapunov.reference = 5.0
 output.dir = {out}
 """.format(out=out)
     code = run_cli("check", text, tmp_path)
@@ -687,6 +737,20 @@ output.dir = {out}
     report = json.loads((out / "check_report.json").read_text())
     assert report["surrogate_stability"]["refuted"] is True
     assert report["surrogate_stability"]["witness"] is not None
+
+
+@pytest.mark.parametrize("reference,expected", [(None, [0.0, 0.0]),
+                                                ("0.5, -0.25", [0.5, -0.25])])
+def test_check_reads_lyapunov_reference(tmp_path, reference, expected):
+    # the known solution of skew_bilinear is 0, the default reference
+    out = tmp_path / "out"
+    text = (CONFIG_DIR / "check_eg.cfg").read_text().replace(
+        "runs/check_eg", str(out)).replace("lyapunov.reference = 0, 0\n", "")
+    if reference is not None:
+        text += f"lyapunov.reference = {reference}\n"
+    run_cli("check", text, tmp_path)
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["surrogate_stability"]["reference"] == expected
 
 
 def test_check_api_anti_monotone_surrogate_refuted():
@@ -727,6 +791,12 @@ def test_check_api_skew_surrogate_not_refuted():
 
 # --- ensemble -----------------------------------------------------------------------
 
+def _states(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    columns = [i for i, label in enumerate(rows[0]) if label.startswith("x_")]
+    return np.array([[float(row[i]) for i in columns] for row in rows[1:]])
+
+
 @pytest.mark.parametrize("name,tol", [
     ("ensemble_quadratic.cfg", 1e-9),
     ("ensemble_entropy.cfg", 1e-8),
@@ -740,7 +810,11 @@ def test_ensemble_subcommand(tmp_path, name, tol):
     code = run_cli("ensemble", text, tmp_path, name)
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["reduction_max_deviation"] <= tol
+    # the tolerance scales with the largest state entry when that exceeds 1
+    scale = max(1.0, np.abs(_states(out / "ensemble_trajectory.csv")).max())
+    assert (scale > 1.0) == (name == "ensemble_quadratic.cfg")
+    assert summary["reduction_tolerance"] == tol * scale
+    assert summary["reduction_max_deviation"] <= summary["reduction_tolerance"]
     assert (out / "reduction_deviations.csv").exists()
     assert (out / "ensemble_trajectory.csv").exists()
 
@@ -750,7 +824,7 @@ def test_ensemble_verify_off_exits_zero(tmp_path):
     text = (CONFIG_DIR / "ensemble_quadratic.cfg").read_text().replace(
         "runs/ensemble_quadratic", str(out)).replace(
         "ensemble.verify = true", "ensemble.verify = false").replace(
-        "ensemble.steps = 10000", "ensemble.steps = 50")
+        "budget.steps = 10000", "budget.steps = 50")
     code = run_cli("ensemble", text, tmp_path)
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -761,7 +835,7 @@ def test_ensemble_verify_off_exits_zero(tmp_path):
 def test_alpha_zero_ensemble_runs_its_budget(tmp_path):
     out = tmp_path / "out"
     text = ("problem.name = skew_bilinear\ngeometry.name = euclidean\n"
-            "preset.name = vanilla_md\npreset.eta = 0.05\nensemble.steps = 500\n"
+            "preset.name = vanilla_md\npreset.eta = 0.05\nbudget.steps = 500\n"
             f"{ENSEMBLE_MEMBERS}output.dir = {out}\n")
     assert run_cli("ensemble", text, tmp_path) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -816,11 +890,11 @@ def test_failed_solve_leaves_no_stale_outputs(tmp_path, capsys):
      "ensemble.verify = true\nmode = flow\nflow.integrator = rk4"),
     # configs that fail to load: under TARGETMD_OUT_DIR the directory does
     # not depend on the config, so the outputs go before the load
-    ("solve", "eg_skew_solve.cfg", "x0 = 1, 0", "x0 = 1, 0\ncompare.steps = 0"),
-    ("compare", "compare_eg.cfg", "compare.steps = 100", "compare.steps = 0"),
+    ("solve", "eg_skew_solve.cfg", "x0 = 1, 0", "x0 = 1, 0\ncheck.samples = 1"),
+    ("compare", "compare_eg.cfg", "budget.steps = 100", "budget.steps = -1"),
     ("check", "check_eg.cfg", "check.samples = 200", "check.samples = 1"),
     ("ensemble", "ensemble_quadratic.cfg", "ensemble.verify = true",
-     "ensemble.verify = true\ncompare.steps = 0"),
+     "ensemble.verify = true\ncheck.samples = 1"),
     # the same without TARGETMD_OUT_DIR: the config's output.dir line names
     # the directory, and a key before that line fails to load
     ("solve", "eg_skew_solve.cfg", "output.dir = runs/eg_skew",
@@ -912,6 +986,68 @@ def test_wallclock_covers_the_whole_command(tmp_path, monkeypatch, command,
     assert report["wallclock_seconds"] == 100.0
 
 
+DIVERGING_ENSEMBLE = """problem.name = skew_bilinear
+preset.name = eg
+preset.eta = 0.1
+budget.steps = 300
+ensemble.member1.geometry = weighted_quadratic
+ensemble.member1.weights = 0.2, 0.2
+ensemble.member1.z0 = 0, 1
+"""
+
+
+def test_diverging_ensemble_passes_its_reduction_check(tmp_path):
+    # the run grows to about 8e9; its rounding, about 2e-5, is far below
+    # 1e-9 of the states' scale, but above the absolute 1e-9
+    out = tmp_path / "out"
+    assert run_cli("ensemble", DIVERGING_ENSEMBLE, tmp_path, env_dir=out) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    scale = np.abs(_states(out / "ensemble_trajectory.csv")).max()
+    assert scale > 1e9 and summary["final_step"] == 300
+    assert summary["reduction_tolerance"] == 1e-9 * scale
+    assert 1e-9 < summary["reduction_max_deviation"] <= summary["reduction_tolerance"]
+
+
+def test_flow_ensemble_ends_at_budget_t_end(tmp_path):
+    # the horizon of solve: round(t_end / dt) steps of flow.dt
+    flow = ("problem.name = skew_bilinear\npreset.name = eg\nmode = flow\n"
+            "flow.dt = 0.01\nbudget.t_end = 0.5\nstop.residual = 0\n")
+    ensemble, solve = tmp_path / "ensemble", tmp_path / "solve"
+    assert run_cli("ensemble", flow + "ensemble.member1.z0 = 1, 0\n", tmp_path,
+                   env_dir=ensemble) == 0
+    assert run_cli("solve", flow + "x0 = 1, 0\n", tmp_path, env_dir=solve) == 2
+    summaries = [json.loads((out / "summary.json").read_text())
+                 for out in (ensemble, solve)]
+    for summary in summaries:
+        assert summary["final_step"] == 50
+        assert summary["final_time"] == pytest.approx(0.5, rel=1e-12)
+    assert summaries[0]["final_time"] == summaries[1]["final_time"]
+
+
+@pytest.mark.parametrize("geometry,design", [
+    ("entropy", lambda x: np.log(x) + 1.0), ("euclidean", lambda x: x)])
+def test_ensemble_design_follows_geometry_name(tmp_path, monkeypatch, geometry, design):
+    # entropy members under either design geometry: the tuple is built on
+    # geometry.name, whatever the members' own geometries
+    specs = []
+    run_ensemble = harness.run_ensemble
+
+    def capture(members, spec, **kwargs):
+        specs.append(spec)
+        return run_ensemble(members, spec, **kwargs)
+
+    monkeypatch.setattr(harness, "run_ensemble", capture)
+    text = (CONFIG_DIR / "ensemble_entropy.cfg").read_text().replace(
+        "geometry.name = entropy", f"geometry.name = {geometry}").replace(
+        "preset.name = bnn", "preset.name = eg").replace(
+        "preset.eta = 1.0", "preset.eta = 0.1").replace(
+        "budget.steps = 2000", "budget.steps = 20")
+    assert run_cli("ensemble", text, tmp_path, env_dir=tmp_path / "out") == 0
+    x = np.array([0.5, 0.3, 0.2])
+    rps = library_problem("rps_game")
+    assert np.array_equal(specs[0].S(x), design(x) - 0.1 * rps.F(x))
+
+
 def test_ensemble_requires_members(tmp_path):
     assert run_cli("ensemble", BASE_SOLVE.format(steps=10, out=tmp_path / "o"),
                    tmp_path) == 1
@@ -955,6 +1091,7 @@ def test_import_leaves_numpy_fft_unloaded():
 def test_list_subcommand(capsys):
     assert main(["list"]) == 0
     text = capsys.readouterr().out
-    for expected in ("skew_bilinear", "rps_game", "entropy", "eg_plus",
-                     "dmd_calibrated", "box_affine_split"):
+    for expected in ("skew_bilinear", "rps_game", "entropy", "dmd_calibrated",
+                     "box_affine_split"):
         assert expected in text
+    assert "eg_plus" not in text

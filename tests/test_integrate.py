@@ -62,7 +62,7 @@ preset.name = eg
 preset.eta = 0.1
 mode = flow
 flow.dt = 1e100
-ensemble.count = 1
+budget.t_end = 1e103
 ensemble.member1.geometry = euclidean
 ensemble.member1.z0 = 1, 0
 output.dir = {out}

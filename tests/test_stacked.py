@@ -120,7 +120,7 @@ def test_a_problem_whose_operator_ignores_the_stack_is_rejected():
 
 def test_a_geometry_whose_potential_ignores_the_stack_is_rejected():
     plain = euclidean_geometry(whole_space(2))
-    scalar_h = MirrorGeometry(dim=2, eval_h=lambda x: 0.5 * float(np.sum(x * x)),
+    scalar_h = MirrorGeometry(eval_h=lambda x: 0.5 * float(np.sum(x * x)),
                               grad_h=plain.grad_h, grad_h_conj=plain.grad_h_conj,
                               strong_convexity_modulus=1.0, domain=plain.domain)
     assert bregman(scalar_h, np.zeros(2), np.ones(2)) == pytest.approx(1.0)
