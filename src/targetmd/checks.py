@@ -89,7 +89,7 @@ def _resolve_samples(spec, samples):
     targets = []
     for s in samples:
         try:
-            targets.append(resolve_target(spec, s))
+            targets.append(resolve_target(spec, s)[0])
         except TargetMDError:
             targets.append(None)
     return targets

@@ -45,7 +45,7 @@ class ExperimentConfig:
     problem: str = "skew_bilinear"
     problem_params: dict = field(default_factory=dict)
     geometry: str = "euclidean"
-    geometry_params: dict = field(default_factory=dict)
+    geometry_weights: Optional[tuple] = None
     preset: str = "eg"
     preset_params: dict = field(default_factory=dict)
     mode: str = "discrete"
@@ -155,6 +155,7 @@ _KEYS = {
     "seed": ("seed", _integer(0)),
     "problem.name": ("problem", _NAME),
     "geometry.name": ("geometry", _NAME),
+    "geometry.weights": ("geometry_weights", _vector),
     "preset.name": ("preset", _NAME),
     "mode": ("mode", _choice(MODES)),
     "x0": ("x0", _vector),
@@ -175,7 +176,7 @@ _KEYS = {
 _MEMBER_KEYS = {"geometry": str, "weights": _vector, "z0": _vector}
 
 # Sections whose other sub-keys name free parameters validated downstream.
-_PARAM_SECTIONS = ("problem", "geometry", "preset")
+_PARAM_SECTIONS = ("problem", "preset")
 
 
 def _convert(parse, raw: str):

@@ -80,19 +80,19 @@ def state_from_dual(geometry: MirrorGeometry, z0) -> SolverState:
 
 
 def dual_rate(spec: TargetSpec, x: Vector, tx: Vector,
-              sx: Optional[Vector] = None) -> Vector:
-    """alpha * (S(T(x)) - S(x)) - beta * Phi(x); sx, when given, is what
-    resolving T(x) handed on (see resolve_target): the S(x) used in place
-    of S(x), or under ClosedFormGap the gap itself.  With alpha = 0 the
-    rate is 0.0 - beta * Phi(x), which keeps the sign of zeros; alpha = 1
-    multiplies nothing (1.0 * v is v, bit for bit).  The result may be sx
-    itself (alpha = 1, beta = 0 under ClosedFormGap): callers must not
-    write into it."""
+              sx: Optional[Vector]) -> Vector:
+    """alpha * (S(T(x)) - S(x)) - beta * Phi(x), with (tx, sx) what
+    resolve_target(spec, x) returned: sx is the S(x) used in place of S(x)
+    (None: evaluate S(x) here), or under ClosedFormGap the gap (not None).
+    With alpha = 0 the rate is 0.0 - beta * Phi(x), which keeps the sign of
+    zeros; alpha = 1 multiplies nothing (1.0 * v is v, bit for bit).  The
+    result may be sx itself (alpha = 1, beta = 0 under ClosedFormGap):
+    callers must not write into it."""
     alpha, beta = spec.alpha, spec.beta
     if alpha == 0.0:
         return 0.0 - beta * spec.Phi(x)
     if isinstance(spec.target, ClosedFormGap):
-        rate = spec.target.fn(x)[1] if sx is None else sx
+        rate = sx
     else:
         rate = spec.S(tx) - (spec.S(x) if sx is None else sx)
     if alpha != 1.0:
@@ -102,11 +102,6 @@ def dual_rate(spec: TargetSpec, x: Vector, tx: Vector,
 
 def _tmd_rate(spec):
     return lambda z, x, tx, sx: dual_rate(spec, x, tx, sx)
-
-
-def _target_map(spec):
-    """x -> (T(x), S(x) or None), from one resolve_target call."""
-    return lambda x: resolve_target(spec, x, with_anchor=True)
 
 
 # A scheme maps (rate, pullback, target, z, k1, h) to the next dual point;
@@ -167,7 +162,7 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     dt halved, up to max_halvings times, before raising it.  numpy's
     overflow and invalid-value warnings are silenced from the start
     point's target and gap through the loop, since that check reports
-    them.
+    them.  A t_end / dt that is not finite is a ConfigurationError.
     """
     dt = _step_size(dt, "dt")
     if not (math.isfinite(t_end) and t_end >= 0.0):
@@ -178,6 +173,10 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     k0 = state.step_index
     for attempt in range(1 if scheme == "discrete" else max_halvings + 1):
         step = dt * 0.5 ** attempt
+        n_steps = t_end / step
+        if not math.isfinite(n_steps):
+            raise ConfigurationError(
+                f"t_end / dt = {t_end!r} / {step!r} is not a finite number of steps")
         h = step * gain
         rec = recorder()
         k, t, z, x = k0, state.time, state.z, state.x
@@ -186,7 +185,7 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
             tx, sx = target(x)
             g = _target_gap(tx, x) if stop_on_gap else None
             rec.push(k, t, x, tx, g)
-            for _ in range(max(0, int(round(t_end / step)))):
+            for _ in range(max(0, int(round(n_steps)))):
                 k1 = rate(z, x, tx, sx)
                 if residual is not None and residual(z, x, g, k1) < stop_residual:
                     termination = CONVERGED
@@ -326,7 +325,8 @@ def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
         pullback = lambda y: geometry.grad_h_conj(y[:dim])
     record = integrate(rate, pullback, state, scheme, t_end,
                        dt=1.0 if scheme == "discrete" else dt, gain=gain,
-                       target=(lambda x: (None, None)) if spec is None else _target_map(spec),
+                       target=((lambda x: (None, None)) if spec is None
+                               else lambda x: resolve_target(spec, x)),
                        residual=residual, stop_on_gap=stop_on_gap,
                        stop_residual=stop_residual, stride=stride,
                        recorder=partial(_Recorder, geometry, spec, problem, reference),
@@ -503,7 +503,7 @@ def relaxed_condition_value(spec: TargetSpec, x, x_bar, tx=None) -> float:
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
     if tx is None:
-        tx = resolve_target(spec, x)
+        tx = resolve_target(spec, x)[0]
     gap = tx - x
     value = spec.alpha * (spec.sigma * float(np.dot(gap, gap))
                           + float(np.dot(spec.phi_at_target(x, tx), tx - x_bar)))
@@ -524,5 +524,4 @@ def primal_vector_field(geometry: MirrorGeometry, spec: TargetSpec, x) -> Vector
         raise ConfigurationError(
             f"geometry {geometry.name!r} has no closed-form mirror-map Jacobian")
     x = np.asarray(x, dtype=float)
-    return geometry.conj_jacobian(x) @ dual_rate(
-        spec, x, *resolve_target(spec, x, with_anchor=True))
+    return geometry.conj_jacobian(x) @ dual_rate(spec, x, *resolve_target(spec, x))

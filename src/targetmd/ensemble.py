@@ -36,11 +36,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import MirrorGeometry, softmax
-from .problems import VIProblem
-from .targets import TargetSpec
-from .dynamics import (RunRecord, SolverState, _Recorder, _target_map,
-                       _tmd_rate, flow, integrate, run_discrete,
-                       state_from_dual, DEFAULT_STOP_RESIDUAL)
+from .targets import TargetSpec, resolve_target
+from .dynamics import (RunRecord, SolverState, _Recorder, _tmd_rate, flow,
+                       integrate, run_discrete, state_from_dual)
 
 Vector = np.ndarray
 
@@ -54,6 +52,11 @@ class EnsembleMember:
 def make_members(geometries, z0s) -> List[EnsembleMember]:
     return [EnsembleMember(g, np.asarray(z, dtype=float))
             for g, z in zip(geometries, z0s)]
+
+
+# The synthesized map's name per family.
+_SYNTHESIZED_NAMES = {"quadratic": "synthesized_quadratic",
+                      "entropy": "synthesized_entropy", None: "synthesized"}
 
 
 def _family(members: List[EnsembleMember]) -> Optional[str]:
@@ -126,6 +129,7 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
     mean_of_members = _mean_of_members(members)
     offsets = np.array([m.z0 for m in members])
     family = _family(members)
+    name = _SYNTHESIZED_NAMES[family]
 
     def grad_h_conj(z):
         return mean_of_members(z + offsets)
@@ -147,10 +151,8 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
         return MirrorGeometry(
             eval_h=eval_h, grad_h=grad_h, grad_h_conj=grad_h_conj,
             strong_convexity_modulus=float(1.0 / a.max()),
-            domain=members[0].geometry.domain, name="synthesized_quadratic",
+            domain=members[0].geometry.domain, name=name,
             conj_jacobian=lambda x: np.diag(a))
-
-    name = "synthesized_entropy" if family == "entropy" else "synthesized"
 
     def unsupported(_x):
         raise ConfigurationError(
@@ -167,21 +169,27 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
 @dataclass(eq=False)
 class ReductionReport:
     """Per-sample distance between the averaged ensemble state and the
-    synthesized run's samples, plus the worst case over the run."""
+    synthesized run's samples, the worst case over the run, the tolerance
+    it is held to and the name of the synthesized map."""
 
     max_deviation: float
     deviations: Vector
+    tolerance: float
+    geometry_name: str
 
 
 def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
                               record: RunRecord) -> ReductionReport:
     """Check `record`, a run_ensemble run of these members, against the
     members run in parallel on their own duals, each moved by the rate at
-    their averaged state: the same steps and scheme at the record's dt, no
-    halving, every step kept and no target residual computed.  Report the
-    deviation at each of the record's samples.  Tolerances are the
-    caller's business."""
+    their averaged state: the same steps and scheme (discrete, euler or
+    rk4) at the record's dt, no halving, every step kept and no target
+    residual computed.  Report the deviation at each of the record's
+    samples, and the tolerance: 1e-9 for the quadratic family, 1e-8
+    otherwise, relative to the states' scale (a diverging run's rounding
+    grows with it), that is times max(1, largest |entry| of record.states)."""
     _shared_dim(members)
+    family = _family(members)
     mean_of_members = _mean_of_members(members)
     # the rate at the averaged state broadcasts into every row of the stack
     duals = np.array([m.z0 for m in members])
@@ -189,24 +197,24 @@ def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
         _tmd_rate(spec), mean_of_members,
         SolverState(0, 0.0, duals, mean_of_members(duals)),
         record.mode, record.final_state.step_index * record.dt, dt=record.dt,
-        target=_target_map(spec), max_halvings=0,
+        target=lambda x: resolve_target(spec, x), max_halvings=0,
         recorder=partial(_Recorder, None, None, None, None))
     deviations = np.linalg.norm(together.states[record.steps] - record.states, axis=1)
+    tolerance = ((1e-9 if family == "quadratic" else 1e-8)
+                 * max(1.0, float(np.abs(record.states).max())))
     return ReductionReport(max_deviation=float(deviations.max()),
-                           deviations=deviations)
+                           deviations=deviations, tolerance=tolerance,
+                           geometry_name=_SYNTHESIZED_NAMES[family])
 
 
 def run_ensemble(members: List[EnsembleMember], spec: TargetSpec,
-                 problem: Optional[VIProblem] = None, n_steps: int = 1000,
-                 dt: Optional[float] = None,
-                 stop_residual: float = DEFAULT_STOP_RESIDUAL,
-                 stride: int = 1) -> RunRecord:
+                 dt: Optional[float] = None, **run) -> RunRecord:
     """The averaged state as one single run through the synthesized map from
-    dual 0: n_steps discrete steps, or with dt an Euler flow to n_steps*dt."""
+    dual 0: run_discrete(..., **run), or with dt flow(..., dt=dt, **run).
+    `run` holds that runner's own keywords (problem, n_steps, or integrator
+    and t_end; stop_residual, stride, ...), and its defaults apply."""
     geometry = synthesized_geometry(members)
     state = state_from_dual(geometry, np.zeros(geometry.dim))
     if dt is None:
-        return run_discrete(geometry, spec, problem=problem, n_steps=n_steps,
-                            stop_residual=stop_residual, stride=stride, state=state)
-    return flow(geometry, spec, state=state, dt=dt, t_end=n_steps * dt,
-                problem=problem, stop_residual=stop_residual, stride=stride)
+        return run_discrete(geometry, spec, state=state, **run)
+    return flow(geometry, spec, state=state, dt=dt, **run)

@@ -27,8 +27,7 @@ from .config import ExperimentConfig, echo_config, load_config
 from .dynamics import (CONVERGED, RunRecord, dual_rate, flow, lyapunov_series,
                        primal_vector_field, run_discrete, run_dmd,
                        run_higher_order, run_vanilla_dmd)
-from .ensemble import (EnsembleMember, _family, run_ensemble,
-                       synthesized_geometry, verify_ensemble_reduction)
+from .ensemble import EnsembleMember, run_ensemble, verify_ensemble_reduction
 from .errors import ConfigurationError
 from .geometry import (MirrorGeometry, entropy_geometry, euclidean_geometry,
                        weighted_quadratic_geometry)
@@ -152,7 +151,7 @@ PRESETS = {
         "forward-backward-forward dynamics", {"eta": 0.1},
         build=lambda g, pb, pair, p: preset_fbf(pb, **p), ambient=True,
         coded_field=lambda g, pb, pair, spec, p, x: (
-            dual_rate(spec, x, resolve_target(spec, x))
+            dual_rate(spec, x, *resolve_target(spec, x))
             - reference.fbf_field(pb, p["eta"], x))),
     "vanilla_md": Preset(
         "plain mirror descent baseline (no correction)", {"eta": 0.1},
@@ -225,15 +224,10 @@ def _geometry(name: str, weights, domain) -> MirrorGeometry:
 
 
 def build_geometry(cfg: ExperimentConfig, problem: VIProblem) -> MirrorGeometry:
-    params = dict(cfg.geometry_params)
-    weights = params.pop("weights", None)
-    if params:
-        raise ConfigurationError(
-            f"geometry {cfg.geometry!r} does not accept parameter(s) {sorted(params)}")
     domain = problem.feasible_set
     if _resolve(cfg)[0].ambient:
         domain = whole_space(domain.dim)  # the constraint lives inside the target
-    return _geometry(cfg.geometry, weights, domain)
+    return _geometry(cfg.geometry, cfg.geometry_weights, domain)
 
 
 def build_spec(cfg: ExperimentConfig, geometry: MirrorGeometry,
@@ -329,6 +323,14 @@ def _base_summary(record) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _budget(cfg: ExperimentConfig) -> dict:
+    """The runner keywords of the budget: budget.steps, or in flow mode the
+    integrator, flow.dt and budget.t_end."""
+    if cfg.mode == "discrete":
+        return {"n_steps": cfg.steps}
+    return {"integrator": cfg.integrator, "dt": cfg.dt, "t_end": cfg.t_end}
+
+
 def _solve(cfg: ExperimentConfig):
     row, p = _resolve(cfg)
     problem, pair = build_problem(cfg)
@@ -343,12 +345,11 @@ def _solve(cfg: ExperimentConfig):
         # for the governing sequence, so it must be given explicitly.
         reference_point = problem.known_solution
 
-    run = dict(x0=cfg.x0, reference=reference_point,
-               stop_residual=cfg.stop_residual, stride=cfg.effective_stride())
+    run = dict(x0=cfg.x0, reference=reference_point, stop_residual=cfg.stop_residual,
+               stride=cfg.effective_stride(), **_budget(cfg))
     if cfg.mode == "discrete":
-        record = run_discrete(geometry, spec, problem=problem, n_steps=cfg.steps, **run)
+        record = run_discrete(geometry, spec, problem=problem, **run)
     else:
-        run.update(integrator=cfg.integrator, dt=cfg.dt, t_end=cfg.t_end)
         record = (row.flow(geometry, problem, spec, p, **run) if row.flow_only
                   else flow(geometry, spec, problem=problem, **run))
 
@@ -444,37 +445,25 @@ def _ensemble(cfg: ExperimentConfig):
         raise ConfigurationError("ensemble runs need an ensemble member list")
     if _resolve(cfg)[0].flow_only:
         raise ConfigurationError(f"preset {cfg.preset!r} cannot drive an ensemble")
-    if cfg.mode == "flow" and cfg.integrator != "euler":
-        raise ConfigurationError(f"flow.integrator = {cfg.integrator}: ensemble "
-                                 "flows integrate with euler only")
     problem, pair = build_problem(cfg)
     # The design tuple is evaluated at the averaged state, on the config's
     # geometry; the members bring their own run geometries.
     spec = build_spec(cfg, build_geometry(cfg, problem), problem, pair)
     members = _build_members(cfg, problem)
-    # the budget of solve: budget.steps, or budget.t_end in flow mode
-    if cfg.mode == "flow":
-        dt, n_steps = cfg.dt, round(cfg.t_end / cfg.dt)
-    else:
-        dt, n_steps = None, cfg.steps
-
-    record = run_ensemble(members, spec, problem=problem, n_steps=n_steps, dt=dt,
+    record = run_ensemble(members, spec, problem=problem,
                           stop_residual=cfg.stop_residual,
-                          stride=cfg.effective_stride())
+                          stride=cfg.effective_stride(), **_budget(cfg))
     summary = _base_summary(record)
     summary["members"] = len(members)
     files = {"ensemble_trajectory.csv": (write_trajectory_csv, record)}
     exit_code = EXIT_OK
     if cfg.ensemble_verify:
         report = verify_ensemble_reduction(members, spec, record)
-        # relative to the states' scale: a diverging run's rounding grows with it
-        tol = ((1e-9 if _family(members) == "quadratic" else 1e-8)
-               * max(1.0, float(np.abs(record.states).max())))
         summary["reduction_max_deviation"] = report.max_deviation
-        summary["reduction_tolerance"] = tol
-        summary["synthesized_geometry"] = synthesized_geometry(members).name
+        summary["reduction_tolerance"] = report.tolerance
+        summary["synthesized_geometry"] = report.geometry_name
         files["reduction_deviations.csv"] = (_write_deviations, report.deviations)
-        if report.max_deviation > tol:
+        if report.max_deviation > report.tolerance:
             exit_code = EXIT_ERROR
     return exit_code, summary, files
 

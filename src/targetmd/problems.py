@@ -270,7 +270,8 @@ class Tridiagonal:
             self._spectrum = (-0.5 / n1) / (self.diag + 1j * self.off * lam)
             self._phase = np.array([1.0, 1j, -1.0, -1j])[np.arange(self.dim) % 4]
         w = _sine_transform(np.asarray(b, dtype=float), self._phase.conj())
-        return (_sine_transform(w, self._spectrum) * self._phase).real
+        # a contiguous copy, not a strided .real view holding the complex buffer
+        return (_sine_transform(w, self._spectrum) * self._phase).real.copy()
 
     def to_dense(self) -> Vector:
         n = self.dim

@@ -148,8 +148,11 @@ class SplitPair:
     lipschitz_B: Optional[float] = None
 
 
-def resolve_target(spec: TargetSpec, x: Vector, *, with_anchor: bool = False):
-    """Evaluate the target point T(x).
+def resolve_target(spec: TargetSpec, x: Vector):
+    """Evaluate the target point T(x), and return (T(x), a), with a what
+    the dual rate reuses rather than evaluate again: the anchor S(x) the
+    resolution evaluated (None for ClosedForm), or ClosedFormGap's gap
+    S(T(x)) - S(x).
 
     Closed-form strategies apply their stored formula; MirrorOfS maps S(x)
     through its mirror.  Solver strategies with a mirror map solve
@@ -164,10 +167,6 @@ def resolve_target(spec: TargetSpec, x: Vector, *, with_anchor: bool = False):
     contraction for small enough tau, and divergence (including domain
     violations of S or Phi) triggers geometric backoff of tau, at most 6
     halvings.
-
-    with_anchor=True returns (T(x), a) instead, with a what the dual rate
-    reuses rather than evaluate again: the anchor S(x) the resolution
-    evaluated (None for ClosedForm), or ClosedFormGap's gap S(T(x)) - S(x).
     """
     x = np.asarray(x, dtype=float)
     strategy = spec.target
@@ -188,7 +187,7 @@ def resolve_target(spec: TargetSpec, x: Vector, *, with_anchor: bool = False):
             tx = _mirror_fixed_point(spec, strategy, x, anchor)
         if tx is None:
             tx = _projected_iteration(spec, strategy, x, anchor)
-    return (tx, anchor) if with_anchor else tx
+    return tx, anchor
 
 
 def _norm(v: Vector) -> float:

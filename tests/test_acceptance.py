@@ -89,9 +89,8 @@ def test_criterion_1_reduction_equivalence():
     fbf = preset_fbf(skew, 0.1)
     worst_fbf = 0.0
     for x in skew.feasible_set.sample(rng, 1000):
-        tx = resolve_target(fbf, x)
         worst_fbf = max(worst_fbf, float(np.linalg.norm(
-            dual_rate(fbf, x, tx)
+            dual_rate(fbf, x, *resolve_target(fbf, x))
             - ri.fbf_field(skew.F, skew.feasible_set.project, 0.1, x))))
     field_ok = worst_bnn <= 1e-10 and worst_fbf <= 1e-10
 
@@ -202,7 +201,7 @@ def test_criterion_4_simplex_game_dynamics():
     dual_route = bnn_dual_shift_target(rps, 1.0)
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     worst_gap = max(
-        float(np.linalg.norm(resolve_target(spec, x)
+        float(np.linalg.norm(resolve_target(spec, x)[0]
                              - dual_route(x)))
         for x in rps.feasible_set.sample_interior(rng, 1000, margin=0.02))
     forms_ok = worst_gap <= 1e-10

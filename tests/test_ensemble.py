@@ -256,10 +256,10 @@ def test_member_mean_keeps_np_mean_bits_on_one_column_and_signed_zeros(rows):
 
 # --- reduction to a single run ---------------------------------------------------
 # verify_ensemble_reduction checks a run_ensemble record; stop_residual = 0
-# makes the record run all n_steps.
+# makes the record run its whole budget.
 
-def _reduction(members, spec, n_steps, dt=None):
-    record = run_ensemble(members, spec, n_steps=n_steps, dt=dt, stop_residual=0.0)
+def _reduction(members, spec, **budget):
+    record = run_ensemble(members, spec, stop_residual=0.0, **budget)
     return verify_ensemble_reduction(members, spec, record)
 
 
@@ -280,7 +280,9 @@ def test_reduction_entropy_family():
 def test_reduction_mixed_simplex_family(dt):
     p = library_problem("rps_game")
     spec = preset_eg(entropy_geometry(3), p, 0.1)
-    report = _reduction(_mixed_simplex_members(), spec, n_steps=2000, dt=dt)
+    budget = ({"n_steps": 2000} if dt is None
+              else {"dt": dt, "t_end": 2000 * dt, "stride": 1})
+    report = _reduction(_mixed_simplex_members(), spec, **budget)
     assert len(report.deviations) == 2001
     assert report.max_deviation <= 1e-9
 
@@ -321,10 +323,12 @@ def test_reduction_single_member_is_exact():
     assert report.max_deviation <= 1e-12
 
 
-def test_reduction_flow_mode():
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_reduction_flow_mode(integrator):
     p = library_problem("skew_bilinear")
     spec = preset_fbf(p, 0.1)
-    report = _reduction(_quadratic_members(), spec, n_steps=1000, dt=1e-2)
+    report = _reduction(_quadratic_members(), spec, integrator=integrator, dt=1e-2,
+                        t_end=10.0)
     assert report.max_deviation <= 1e-9
 
 
@@ -360,7 +364,7 @@ def test_alpha_zero_ensemble_stops_on_the_natural_residual():
 def test_ensemble_mean_stays_feasible_on_simplex():
     p = library_problem("rps_game")
     spec = preset_bnn(p, eta=1.0)
-    rec = run_ensemble(_entropy_members(), spec, n_steps=200, dt=0.05,
+    rec = run_ensemble(_entropy_members(), spec, dt=0.05, t_end=10.0, stride=1,
                        stop_residual=0.0)
     assert len(rec.states) == 201 and rec.dt == 0.05
     for x_en in rec.states[1:]:

@@ -182,16 +182,16 @@ def test_anchor_is_the_s_of_x_the_rate_would_evaluate():
          np.array([0.3, 0.7])),                                   # projected route
         (preset_ppa(entropy_geometry(3), rps, 1.0), np.array([0.5, 0.3, 0.2]))]
     for spec, point in cases:
-        tx, sx = dynamics.resolve_target(spec, point, with_anchor=True)
-        assert np.array_equal(tx, dynamics.resolve_target(spec, point))
+        tx, sx = dynamics.resolve_target(spec, point)
+        assert np.array_equal(tx, dynamics.resolve_target(spec, point)[0])
         assert np.array_equal(sx, spec.S(point))
         assert np.array_equal(dynamics.dual_rate(spec, point, tx, sx),
-                              dynamics.dual_rate(spec, point, tx))
+                              dynamics.dual_rate(spec, point, tx, None))
     # a closed-form target hands on no anchor: the rate evaluates S(x)
     spec = preset_ppa(g, p, 1.0)
-    tx, sx = dynamics.resolve_target(spec, x, with_anchor=True)
+    tx, sx = dynamics.resolve_target(spec, x)
     assert sx is None
-    assert np.array_equal(tx, dynamics.resolve_target(spec, x))
+    assert np.array_equal(tx, dynamics.resolve_target(spec, x)[0])
 
 
 @pytest.mark.parametrize("preset", [preset_eg, preset_ppa], ids=["eg", "ppa"])

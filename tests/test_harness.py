@@ -139,7 +139,7 @@ def test_echo_round_trip_is_a_fixed_point():
 
 def test_readme_key_table_lists_exactly_the_fixed_keys():
     # the first cell of each row of README's key table names its keys;
-    # problem/geometry/preset parameters and member keys are not fixed keys
+    # problem/preset parameters and member keys are not fixed keys
     readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("| key | meaning (default) |\n", 1)[1].split("\n\n", 1)[0]
     named = set()
@@ -156,10 +156,11 @@ def test_readme_key_table_lists_exactly_the_fixed_keys():
     ("ensemble", "ensemble.steps", "10"),
     ("compare", "compare.steps", "10"),
     ("check", "check.x_bar", "0, 0"),
+    ("solve", "geometry.scale", "2"),
 ])
 def test_removed_keys_are_unknown_keys(tmp_path, capsys, command, key, value):
     # each setting has one key: budget.steps / budget.t_end, lyapunov.reference,
-    # and the member list's length
+    # and the member list's length; geometry.weights is the one geometry key
     out = tmp_path / "o"
     text = (f"preset.name = eg\noutput.dir = {out}\n{key} = {value}\n"
             "ensemble.member1.z0 = 0, 1\n")
@@ -797,19 +798,24 @@ def _states(path):
     return np.array([[float(row[i]) for i in columns] for row in rows[1:]])
 
 
-@pytest.mark.parametrize("name,tol", [
-    ("ensemble_quadratic.cfg", 1e-9),
-    ("ensemble_entropy.cfg", 1e-8),
+@pytest.mark.parametrize("budget", [
+    "", "mode = flow\nflow.integrator = rk4\nflow.dt = 0.05\nbudget.t_end = 50\n"],
+    ids=["discrete", "rk4"])
+@pytest.mark.parametrize("name,tol,geometry", [
+    ("ensemble_quadratic.cfg", 1e-9, "synthesized_quadratic"),
+    ("ensemble_entropy.cfg", 1e-8, "synthesized_entropy"),
 ])
-def test_ensemble_subcommand(tmp_path, name, tol):
+def test_ensemble_subcommand(tmp_path, name, tol, geometry, budget):
     out = tmp_path / "out"
     text = (CONFIG_DIR / name).read_text()
     text = "\n".join(line for line in text.splitlines()
                      if not line.startswith("output.dir"))
-    text += f"\noutput.dir = {out}\n"
+    text += f"\noutput.dir = {out}\n{budget}"
     code = run_cli("ensemble", text, tmp_path, name)
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
+    assert summary["mode"] == ("rk4" if budget else "discrete")
+    assert summary["synthesized_geometry"] == geometry
     # the tolerance scales with the largest state entry when that exceeds 1
     scale = max(1.0, np.abs(_states(out / "ensemble_trajectory.csv")).max())
     assert (scale > 1.0) == (name == "ensemble_quadratic.cfg")
@@ -844,16 +850,6 @@ def test_alpha_zero_ensemble_runs_its_budget(tmp_path):
     assert summary["final_natural_residual"] > 1e-3
 
 
-def test_ensemble_rejects_rk4(tmp_path, capsys):
-    out = tmp_path / "out"
-    text = (CONFIG_DIR / "ensemble_quadratic.cfg").read_text().replace(
-        "runs/ensemble_quadratic", str(out))
-    text += "mode = flow\nflow.integrator = rk4\n"
-    assert run_cli("ensemble", text, tmp_path) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "flow.integrator = rk4" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,name", [
@@ -887,7 +883,7 @@ def test_failed_solve_leaves_no_stale_outputs(tmp_path, capsys):
     ("compare", "compare_eg.cfg", "preset.name = eg", "preset.name = vanilla_md"),
     ("check", "check_eg.cfg", "preset.eta = 0.1", "preset.eta = 20"),
     ("ensemble", "ensemble_quadratic.cfg", "ensemble.verify = true",
-     "ensemble.verify = true\nmode = flow\nflow.integrator = rk4"),
+     "ensemble.verify = true\nmode = flow\nflow.dt = 1e-300\nbudget.t_end = 1e300"),
     # configs that fail to load: under TARGETMD_OUT_DIR the directory does
     # not depend on the config, so the outputs go before the load
     ("solve", "eg_skew_solve.cfg", "x0 = 1, 0", "x0 = 1, 0\ncheck.samples = 1"),

@@ -176,7 +176,21 @@ def test_ensemble_flow_divergence_is_a_typed_error(tmp_path, capsys):
     spec = preset_eg(euclidean_geometry(whole_space(2)), p, 0.1)
     members = make_members([euclidean_geometry(whole_space(2))], [np.array([1.0, 0.0])])
     with pytest.raises(FlowDivergenceError):
-        run_ensemble(members, spec, problem=p, n_steps=1000, dt=1e100)
+        run_ensemble(members, spec, problem=p, dt=1e100, t_end=1e103)
+
+
+@pytest.mark.parametrize("command", ["solve", "ensemble"])
+def test_flow_budget_of_infinitely_many_steps_is_one_error_line(tmp_path, capsys,
+                                                                command):
+    # budget.t_end / flow.dt overflows to inf: there is no step count to run
+    out = tmp_path / "o"
+    text = HUGE_STEP_ENSEMBLE.format(out=out).replace(
+        "flow.dt = 1e100", "flow.dt = 1e-300").replace(
+        "budget.t_end = 1e103", "budget.t_end = 1e300")
+    assert run_cli(command, text, tmp_path) == 1
+    err = one_error_line(capsys)
+    assert "t_end / dt = 1e+300 / 1e-300 is not a finite number" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dt", [None, 0.1])
@@ -185,8 +199,8 @@ def test_reduction_check_that_overflows_is_a_typed_error(dt):
     p = library_problem("skew_bilinear")
     g = euclidean_geometry(whole_space(2))
     members = make_members([g], [np.array([1.0, 0.0])])
-    record = run_ensemble(members, preset_eg(g, p, 0.1), n_steps=100, dt=dt,
-                          stop_residual=0.0)
+    budget = {"n_steps": 100} if dt is None else {"dt": dt, "t_end": 100 * dt}
+    record = run_ensemble(members, preset_eg(g, p, 0.1), stop_residual=0.0, **budget)
     assert np.all(np.isfinite(record.states))
     with pytest.raises(FlowDivergenceError, match="non-finite"):
         verify_ensemble_reduction(members, preset_vanilla_md(g, p, 1e300), record)
@@ -199,7 +213,7 @@ def test_ensemble_flow_halves_like_a_single_flow():
     members = make_members([g], [np.array([10.0])])
     # Euler on the extragradient flow z' = -(x - 2)/4 grows by 5 per step
     # at dt = 24 and by 2 at dt = 12; it contracts by 1/2 at dt = 6
-    rec = run_ensemble(members, spec, problem=p, n_steps=1000, dt=24.0)
+    rec = run_ensemble(members, spec, problem=p, dt=24.0, t_end=24_000.0, stride=1)
     assert rec.dt == 6.0 and rec.termination == "converged"
     # the check steps at the halved dt and keeps every one of the record's steps
     report = verify_ensemble_reduction(members, spec, rec)
@@ -212,7 +226,7 @@ def test_reduction_check_follows_a_strided_halved_record():
     g = euclidean_geometry(whole_space(1))
     spec = preset_eg(g, p, 0.5)
     members = make_members([g], [np.array([10.0])])
-    rec = run_ensemble(members, spec, problem=p, n_steps=1000, dt=24.0, stride=10)
+    rec = run_ensemble(members, spec, problem=p, dt=24.0, t_end=24_000.0, stride=10)
     assert rec.dt == 6.0 and rec.termination == "converged"
     assert rec.final_state.step_index % 10 != 0   # the end sample is off-stride
     report = verify_ensemble_reduction(members, spec, rec)

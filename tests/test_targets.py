@@ -34,7 +34,7 @@ def test_resolve_identity_subproblem():
                       Phi=lambda x: np.zeros_like(x),
                       target=ResolventSolve(step=1.0),
                       feasible_set=s)
-    assert np.allclose(resolve_target(spec, np.array([2.0, 2.0])), [2.0, 2.0])
+    assert np.allclose(resolve_target(spec, np.array([2.0, 2.0]))[0], [2.0, 2.0])
 
 
 def test_resolve_scalar_proximal_equation():
@@ -45,7 +45,7 @@ def test_resolve_scalar_proximal_equation():
                       Phi=lambda x: 0.5 * problem.F(x),
                       target=ResolventSolve(tol=1e-12, step=1.5 / 1.5 ** 2),
                       feasible_set=s)
-    y = resolve_target(spec, np.array([0.0]))
+    y = resolve_target(spec, np.array([0.0]))[0]
     assert y[0] == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
@@ -53,7 +53,7 @@ def test_resolve_eg_closed_form():
     problem = library_problem("skew_bilinear")
     g = euclidean_geometry(problem.feasible_set)
     spec = preset_eg(g, problem, 0.1)
-    y = resolve_target(spec, np.array([1.0, 0.0]))
+    y = resolve_target(spec, np.array([1.0, 0.0]))[0]
     assert np.allclose(y, [1.0, 0.1])
 
 
@@ -85,7 +85,7 @@ def test_ppa_scalar_example():
     problem = library_problem("scalar_shift", a=2.0)
     g = euclidean_geometry(problem.feasible_set)
     spec = preset_ppa(g, problem, 1.0)
-    y = resolve_target(spec, np.array([0.0]))
+    y = resolve_target(spec, np.array([0.0]))[0]
     assert y[0] == pytest.approx(1.0, abs=1e-9)  # solves 2y = 2
 
 
@@ -96,7 +96,7 @@ def test_ppa_fixed_point_at_solution():
         g = geometry_of(problem.feasible_set)
         spec = preset_ppa(g, problem, 0.5)
         star = problem.known_solution
-        y = resolve_target(spec, star)
+        y = resolve_target(spec, star)[0]
         assert np.linalg.norm(y - star) <= 1e-9
 
 
@@ -109,7 +109,7 @@ def test_ppa_entropy_prox_matches_multiplicative_closed_form():
     x = np.array([0.5, 0.5])
     oracle = x * np.exp(-1.0 * np.array([1.0, 2.0]))
     oracle = oracle / oracle.sum()
-    y = resolve_target(spec, x)
+    y = resolve_target(spec, x)[0]
     assert np.linalg.norm(y - oracle) <= 1e-9
 
 
@@ -151,7 +151,7 @@ def test_eg_correction_example():
     g = euclidean_geometry(problem.feasible_set)
     spec = preset_eg(g, problem, 0.1)
     x = np.array([1.0, 0.0])
-    tx = resolve_target(spec, x)
+    tx = resolve_target(spec, x)[0]
     correction = spec.alpha * (spec.S(tx) - spec.S(x))
     assert np.allclose(correction, [-0.01, 0.1], atol=1e-15)
     x_next = x + correction
@@ -164,7 +164,7 @@ def test_eg_stationary_at_solution():
     g = euclidean_geometry(problem.feasible_set)
     spec = preset_eg(g, problem, 0.1)
     star = np.zeros(2)
-    tx = resolve_target(spec, star)
+    tx = resolve_target(spec, star)[0]
     assert np.linalg.norm(tx - star) == 0.0
 
 
@@ -187,8 +187,8 @@ def test_eg_inner_solver_agrees_with_closed_form():
                         feasible_set=closed.feasible_set)
     rng = np.random.default_rng(SEED)
     for x in problem.feasible_set.sample(rng, 50):
-        a = resolve_target(closed, x)
-        b = resolve_target(solver, x)
+        a = resolve_target(closed, x)[0]
+        b = resolve_target(solver, x)[0]
         assert np.linalg.norm(a - b) <= 1e-12
 
 
@@ -201,7 +201,7 @@ def test_ppa_inner_solver_agrees_with_linear_solve():
     rng = np.random.default_rng(SEED + 1)
     for x in problem.feasible_set.sample(rng, 50):
         direct = np.linalg.solve(a, x - 0.5 * q)
-        y = resolve_target(spec, x)
+        y = resolve_target(spec, x)[0]
         assert np.linalg.norm(y - direct) <= 1e-10
 
 
@@ -210,7 +210,7 @@ def test_ppa_inner_solver_agrees_with_linear_solve():
 def test_dr_scalar_examples():
     pair, problem = affine_box_split(2.0, 0.0, 1.0)
     spec = preset_dr(pair, whole_space(1), 1.0)
-    t = lambda v: resolve_target(spec, np.array([v]))[0]
+    t = lambda v: resolve_target(spec, np.array([v]))[0][0]
     assert t(0.0) == pytest.approx(0.0)
     assert t(2.0) == pytest.approx(1.0)
     assert t(1.0) == pytest.approx(0.5)
@@ -228,7 +228,7 @@ def test_dr_needs_whole_space():
 def test_fb_scalar_examples():
     pair, _ = affine_box_split(2.0, 0.0, 1.0)
     spec = preset_fb(pair, whole_space(1), 0.5)
-    t = lambda v: resolve_target(spec, np.array([v]))[0]
+    t = lambda v: resolve_target(spec, np.array([v]))[0][0]
     assert t(0.0) == pytest.approx(1.0)
     assert t(1.0) == pytest.approx(1.0)
     assert t(-2.0) == pytest.approx(0.0)
@@ -271,7 +271,7 @@ def test_subproblem_optimality_of_solver_output():
         feasible_set=entropy_ppa.feasible_set)
     cases.append((entropy_ppa, rps, np.array([0.5, 0.25, 0.25])))
     for spec, problem, x in cases:
-        y = resolve_target(spec, x)
+        y = resolve_target(spec, x)[0]
         g = spec.S(y) + spec.Phi(y) - spec.S(x)
         for u in problem.feasible_set.sample_interior(rng, 100):
             assert float(np.dot(g, u - y)) >= -10.0 * spec.target.tol
@@ -297,7 +297,7 @@ def test_resolver_matches_linear_solve_on_random_strongly_monotone_pairs():
                                   / float(np.linalg.norm(a, 2)) ** 2),
             feasible_set=s)
         x = rng.normal(size=dim)
-        y = resolve_target(spec, x)
+        y = resolve_target(spec, x)[0]
         assert np.linalg.norm(y - np.linalg.solve(a, x - eta * q)) <= 1e-9
 
 
@@ -349,7 +349,7 @@ def test_bnn_uniform_is_fixed():
     rps = library_problem("rps_game")
     spec = preset_bnn(rps, eta=1.0)
     uniform = np.full(3, 1.0 / 3.0)
-    assert np.allclose(resolve_target(spec, uniform), uniform)
+    assert np.allclose(resolve_target(spec, uniform)[0], uniform)
 
 
 def test_bnn_target_value_and_cross_check():
@@ -359,7 +359,7 @@ def test_bnn_target_value_and_cross_check():
     # oracle: products (0.5, 0.25*e, 0.25) renormalized
     products = x * np.exp(np.array([0.0, 1.0, 0.0]))
     oracle = products / products.sum()
-    tx = resolve_target(spec, x)
+    tx = resolve_target(spec, x)[0]
     assert np.allclose(tx, oracle, atol=1e-14)
     assert np.allclose(tx, [0.349755, 0.475367, 0.174877], atol=1e-5)
     dual_route = bnn_dual_shift_target(rps, 1.0)
@@ -376,7 +376,7 @@ def test_bnn_correction_is_excess_payoff_up_to_uniform_shift():
     # the target amplifies payoff ratios exponentially, so keep samples far
     # enough inside that S remains evaluable at the target as well
     for x in rps.feasible_set.sample_interior(rng, 200, margin=0.1):
-        tx, gap = resolve_target(spec, x, with_anchor=True)
+        tx, gap = resolve_target(spec, x)
         literal = spec.alpha * (spec.S(tx) - spec.S(x))
         stable = spec.alpha * gap
         assert np.linalg.norm(literal - stable) <= 1e-10
@@ -421,7 +421,7 @@ def test_bnn_two_routes_agree_on_samples(name, eta, seed):
     dual_route = bnn_dual_shift_target(problem, eta)
     rng = np.random.default_rng(seed)
     for x in problem.feasible_set.sample_interior(rng, 50, margin=1e-9):
-        tx = resolve_target(spec, x)
+        tx = resolve_target(spec, x)[0]
         assert np.abs(tx - dual_route(x)).max() <= TARGET_ULPS
         assert abs(tx.sum() - 1.0) <= TARGET_ULPS
 
@@ -444,11 +444,11 @@ def test_fbf_rate_example():
     problem = library_problem("skew_bilinear")
     spec = preset_fbf(problem, 0.1)
     x = np.array([1.0, 0.0])
-    tx = resolve_target(spec, x)
+    tx = resolve_target(spec, x)[0]
     rate = spec.S(tx) - spec.S(x)
     assert np.allclose(rate, [-0.01, 0.1], atol=1e-15)
     star = np.zeros(2)
-    tstar = resolve_target(spec, star)
+    tstar = resolve_target(spec, star)[0]
     assert np.allclose(spec.S(tstar) - spec.S(star), 0.0)
 
 
@@ -456,7 +456,7 @@ def test_fbf_interior_solution_is_fixed_point():
     problem = library_problem("constrained_quadratic")
     spec = preset_fbf(problem, 0.2)
     star = problem.known_solution
-    assert np.linalg.norm(resolve_target(spec, star) - star) <= 1e-12
+    assert np.linalg.norm(resolve_target(spec, star)[0] - star) <= 1e-12
 
 
 def test_fbf_rejects_large_step():
@@ -498,7 +498,7 @@ def test_solutions_are_target_fixed_points():
         if spec.name in ("bnn",) or "entropy" in getattr(spec, "name", ""):
             pass
         try:
-            tx = resolve_target(spec, star)
+            tx = resolve_target(spec, star)[0]
         except DomainError:
             continue  # boundary solution under an interior-only map
         tol = spec.target.tol if isinstance(spec.target, ResolventSolve) else 1e-10
@@ -509,7 +509,7 @@ def test_target_image_stays_feasible():
     rng = np.random.default_rng(SEED + 7)
     for spec, problem in _matrix():
         for x in problem.feasible_set.sample_interior(rng, 25, margin=0.05):
-            tx = resolve_target(spec, x)
+            tx = resolve_target(spec, x)[0]
             assert problem.feasible_set.contains(tx, tol=1e-8)
 
 
@@ -519,7 +519,7 @@ def test_vanilla_md_spec_shape():
     spec = preset_vanilla_md(g, problem, 0.1)
     assert spec.alpha == 0.0 and spec.beta == 1.0
     x = np.array([1.0, 0.0])
-    assert np.allclose(resolve_target(spec, x), x)
+    assert np.allclose(resolve_target(spec, x)[0], x)
 
 
 # --- mirror-map route of implicit targets ------------------------------------
@@ -557,7 +557,7 @@ def test_mirror_route_target_within_tol_of_oracle(eta, tol):
     assert spec.target.grad_h_conj is not None
     rng = np.random.default_rng(SEED + 20)
     for x in rps.feasible_set.sample_interior(rng, 10, margin=0.02):
-        y = resolve_target(spec, x)
+        y = resolve_target(spec, x)[0]
         assert np.linalg.norm(y - _rps_oracle(rps, eta, x)) <= tol
 
 
@@ -568,7 +568,7 @@ def test_dmd_calibrated_case_one_mirror_route_within_tol_of_oracle():
     assert spec.target.grad_h_conj is not None
     rng = np.random.default_rng(SEED + 24)
     for x in rps.feasible_set.sample_interior(rng, 10, margin=0.02):
-        y = resolve_target(spec, x)
+        y = resolve_target(spec, x)[0]
         assert np.linalg.norm(y - _rps_oracle(rps, 1.0, x)) <= 1e-10
 
 
@@ -614,9 +614,9 @@ def test_mirror_route_falls_back_to_projected_solve():
     rng = np.random.default_rng(SEED + 22)
     for x in rps.feasible_set.sample_interior(rng, 3, margin=0.05):
         tried[0] = 0
-        y = resolve_target(mirror, x)
+        y = resolve_target(mirror, x)[0]
         assert 0 < tried[0] < 20
-        assert np.array_equal(y, resolve_target(projected, x))
+        assert np.array_equal(y, resolve_target(projected, x)[0])
 
 
 def test_mirror_route_weighted_quadratic_matches_linear_solve():
@@ -629,7 +629,7 @@ def test_mirror_route_weighted_quadratic_matches_linear_solve():
     w = np.diag([1.0, 2.0])
     rng = np.random.default_rng(SEED + 23)
     for x in rng.normal(size=(10, 2)):
-        y = resolve_target(spec, x)
+        y = resolve_target(spec, x)[0]
         exact = np.linalg.solve(w + 0.5 * m.to_dense(), w @ x - 0.5 * q)
         assert np.linalg.norm(y - exact) <= 1e-12
 
@@ -710,7 +710,7 @@ def test_fbf_field_matches_coded_field(name, frac, coords):
     eta = frac / estimate_lipschitz(problem)
     spec = preset_fbf(problem, eta)
     x = problem.feasible_set.project(np.array(coords))
-    field = dual_rate(spec, x, resolve_target(spec, x))
+    field = dual_rate(spec, x, *resolve_target(spec, x))
     coded = ri.fbf_field(problem.F, problem.feasible_set.project, eta, x)
     assert np.linalg.norm(field - coded) <= FIELD_COMPARE_TOL
 
@@ -767,8 +767,8 @@ def test_fbf_is_extragradient_under_the_euclidean_potential(name, frac, coords):
     eg = preset_eg(euclidean_geometry(problem.feasible_set), problem, eta)
     assert (fbf.alpha, fbf.beta, fbf.sigma) == (eg.alpha, eg.beta, eg.sigma)
     x = problem.feasible_set.project(np.array(coords[:problem.feasible_set.dim]))
-    tx = resolve_target(fbf, x)
+    tx, sx = resolve_target(fbf, x)
     assert np.array_equal(fbf.S(x), eg.S(x))
     assert np.array_equal(fbf.Phi(x), eg.Phi(x))
-    assert np.array_equal(tx, resolve_target(eg, x))
-    assert np.array_equal(dual_rate(fbf, x, tx), dual_rate(eg, x, tx))
+    assert np.array_equal(tx, resolve_target(eg, x)[0])
+    assert np.array_equal(dual_rate(fbf, x, tx, sx), dual_rate(eg, x, tx, sx))
