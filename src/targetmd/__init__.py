@@ -4,8 +4,8 @@ landmark-algorithm presets expressed through one design tuple, and
 geometric ensembles of mirror maps with a verified single-run reduction.
 """
 
-from .errors import (ConfigurationError, DomainError, FlowDivergenceError,
-                     TargetMDError, TargetResolutionError)
+from .errors import (ConfigurationError, DomainError, TargetMDError,
+                     TargetResolutionError)
 from .problems import (FeasibleSet, Tridiagonal, VIProblem, box,
                        check_monotonicity, estimate_lipschitz, library_problem,
                        natural_residual, project_simplex, simplex, whole_space)

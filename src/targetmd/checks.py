@@ -70,7 +70,7 @@ def _fixed_point_check(geometry, spec, problem, budget=5000):
                 "note": f"solver run failed: {exc}"}
     if record.termination != "converged":
         return {"skipped": False, "converged": False, "refuted": False,
-                "note": "no fixed point located within the budget"}
+                "note": f"no fixed point located: the run ended {record.termination}"}
     point = record.final_state.x
     residual_point = spec.shadow(point) if spec.shadow is not None else point
     res = natural_residual(problem, residual_point)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .dynamics import DIVERGED
 from .errors import TargetMDError
 from .harness import COMMANDS, catalog, run_command
 
@@ -34,7 +35,11 @@ def main(argv=None) -> int:
     except (TargetMDError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"{COMMANDS[args.command].line(report)}  -> {out}")
+    if report.get("termination") == DIVERGED:
+        print(f"error: the dual point turned non-finite at step "
+              f"{report['final_step'] + 1}; the run diverges", file=sys.stderr)
+    else:
+        print(f"{COMMANDS[args.command].line(report)}  -> {out}")
     return exit_code
 
 

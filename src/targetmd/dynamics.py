@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, FlowDivergenceError
+from .errors import ConfigurationError
 from .geometry import MirrorGeometry, bregman
 from .problems import VIProblem, natural_residual
 from .targets import ClosedFormGap, TargetSpec, _norm, _step_size, resolve_target
@@ -35,6 +35,7 @@ DEFAULT_STOP_RESIDUAL = 1e-8
 DIAGNOSTIC_BLOCK = 1 << 16
 CONVERGED = "converged"
 BUDGET = "budget_exhausted"
+DIVERGED = "diverged"
 
 
 @dataclass(eq=False)
@@ -137,8 +138,7 @@ def _target_gap(tx, x) -> float:
 def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
               target, recorder, dt: float = 1.0, gain=1.0, residual=None,
               stop_on_gap: bool = False,
-              stop_residual: float = DEFAULT_STOP_RESIDUAL, stride: int = 1,
-              max_halvings: int = 8):
+              stop_residual: float = DEFAULT_STOP_RESIDUAL, stride: int = 1):
     """The one stepping loop of the package.
 
     Step z' = gain * rate(z, x, T(x), S(x)), x = pullback(z), from `state`
@@ -157,60 +157,50 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     fixed point, and neither the residual nor g is evaluated in the loop.
     Nothing here copies or writes into the arrays it passes on: rate,
     pullback and target may return their input (an identity map does), so
-    the final state's x may be its z.  A non-finite dual point ends a
-    discrete run with FlowDivergenceError; Euler and RK4 runs restart with
-    dt halved, up to max_halvings times, before raising it.  numpy's
-    overflow and invalid-value warnings are silenced from the start
-    point's target and gap through the loop, since that check reports
-    them.  A t_end / dt that is not finite is a ConfigurationError.
+    the final state's x may be its z.  The run makes one attempt, whatever
+    the scheme: a non-finite dual point ends it as DIVERGED, with the
+    samples up to the last finite point recorded and that point as its
+    final state.  numpy's overflow and invalid-value warnings are silenced
+    from the start point's target and gap through the loop and the
+    recorder's diagnostics, since that check reports them.  A t_end / dt
+    that is not finite is a ConfigurationError.
     """
     dt = _step_size(dt, "dt")
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ConfigurationError(f"t_end must be a finite number >= 0, got {t_end!r}")
+    n_steps = t_end / dt
+    if not math.isfinite(n_steps):
+        raise ConfigurationError(
+            f"t_end / dt = {t_end!r} / {dt!r} is not a finite number of steps")
     if not stop_residual > 0.0:
         residual, stop_on_gap = None, False
     advance = SCHEMES[scheme]
+    h = dt * gain
+    rec = recorder()
     k0 = state.step_index
-    for attempt in range(1 if scheme == "discrete" else max_halvings + 1):
-        step = dt * 0.5 ** attempt
-        n_steps = t_end / step
-        if not math.isfinite(n_steps):
-            raise ConfigurationError(
-                f"t_end / dt = {t_end!r} / {step!r} is not a finite number of steps")
-        h = step * gain
-        rec = recorder()
-        k, t, z, x = k0, state.time, state.z, state.x
-        termination = BUDGET
-        with np.errstate(over="ignore", invalid="ignore"):
+    k, t, z, x = k0, state.time, state.z, state.x
+    termination = BUDGET
+    with np.errstate(over="ignore", invalid="ignore"):
+        tx, sx = target(x)
+        g = _target_gap(tx, x) if stop_on_gap else None
+        rec.push(k, t, x, tx, g)
+        for _ in range(max(0, int(round(n_steps)))):
+            k1 = rate(z, x, tx, sx)
+            if residual is not None and residual(z, x, g, k1) < stop_residual:
+                termination = CONVERGED
+                break
+            z1 = advance(rate, pullback, target, z, k1, h)
+            if not math.isfinite(z1.sum()):
+                termination = DIVERGED
+                break
+            k, t, z, x = k + 1, t + dt, z1, pullback(z1)
             tx, sx = target(x)
             g = _target_gap(tx, x) if stop_on_gap else None
-            rec.push(k, t, x, tx, g)
-            for _ in range(max(0, int(round(n_steps)))):
-                k1 = rate(z, x, tx, sx)
-                if residual is not None and residual(z, x, g, k1) < stop_residual:
-                    termination = CONVERGED
-                    break
-                z1 = advance(rate, pullback, target, z, k1, h)
-                if not math.isfinite(z1.sum()):
-                    termination = None
-                    break
-                k, t, z, x = k + 1, t + step, z1, pullback(z1)
-                tx, sx = target(x)
-                g = _target_gap(tx, x) if stop_on_gap else None
-                if k % stride == 0:
-                    rec.push(k, t, x, tx, g)
-        if termination is not None:
-            if k != k0 and k % stride:
+            if k % stride == 0:
                 rec.push(k, t, x, tx, g)
-            return rec.finish(termination, scheme, step,
-                              SolverState(k, t, z, x, state.xi))
-        if scheme == "discrete":
-            raise FlowDivergenceError(
-                f"the dual point turned non-finite at step {k + 1}; "
-                "the iteration diverges")
-    raise FlowDivergenceError(
-        f"trajectory stayed non-finite down to dt = {step:g}; "
-        "the dynamics appear to diverge")
+        if k != k0 and k % stride:
+            rec.push(k, t, x, tx, g)
+        return rec.finish(termination, scheme, dt, SolverState(k, t, z, x, state.xi))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +296,7 @@ def _stationarity(spec, problem):
 
 def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
          gain=1.0, x0=None, state=None, reference=None, stacked=False,
-         stop_residual=DEFAULT_STOP_RESIDUAL, stride=1, max_halvings=8,
-         stop_on_gap=False):
+         stop_residual=DEFAULT_STOP_RESIDUAL, stride=1, stop_on_gap=False):
     """What every runner shares around its rate, stop residual and gain: the
     start state, the target map (none without a spec), the recorder and the
     integrate call.  A flow (dt given) integrates with euler or rk4.  stacked
@@ -329,8 +318,7 @@ def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
                                else lambda x: resolve_target(spec, x)),
                        residual=residual, stop_on_gap=stop_on_gap,
                        stop_residual=stop_residual, stride=stride,
-                       recorder=partial(_Recorder, geometry, spec, problem, reference),
-                       max_halvings=max_halvings)
+                       recorder=partial(_Recorder, geometry, spec, problem, reference))
     if stacked:
         end = record.final_state
         record.final_state = SolverState(end.step_index, end.time, end.z[:dim],
@@ -355,14 +343,13 @@ def flow(geometry: MirrorGeometry, spec: TargetSpec,
          state: Optional[SolverState] = None, integrator: str = "euler",
          dt: float = 1e-2, t_end: float = 10.0,
          problem: Optional[VIProblem] = None, x0=None, reference=None,
-         stop_residual: float = DEFAULT_STOP_RESIDUAL, stride: int = 10,
-         max_halvings: int = 8) -> RunRecord:
-    """Integrate z' = alpha*(S o T - S)(x) - beta*Phi(x), x = grad_h_conj(z);
-    a non-finite state halves dt, up to max_halvings times (see integrate)."""
+         stop_residual: float = DEFAULT_STOP_RESIDUAL, stride: int = 10) -> RunRecord:
+    """Integrate z' = alpha*(S o T - S)(x) - beta*Phi(x), x = grad_h_conj(z),
+    with steps of dt; a non-finite dual point ends the run as diverged
+    (see integrate)."""
     return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
                 integrator, t_end, dt=dt, x0=x0, state=state, reference=reference,
-                stop_residual=stop_residual, stride=stride, max_halvings=max_halvings,
-                stop_on_gap=spec.alpha > 0.0)
+                stop_residual=stop_residual, stride=stride, stop_on_gap=spec.alpha > 0.0)
 
 
 def _mismatch_norm(z, x, g, k1):

@@ -183,11 +183,12 @@ def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
     """Check `record`, a run_ensemble run of these members, against the
     members run in parallel on their own duals, each moved by the rate at
     their averaged state: the same steps and scheme (discrete, euler or
-    rk4) at the record's dt, no halving, every step kept and no target
-    residual computed.  Report the deviation at each of the record's
-    samples, and the tolerance: 1e-9 for the quadratic family, 1e-8
-    otherwise, relative to the states' scale (a diverging run's rounding
-    grows with it), that is times max(1, largest |entry| of record.states)."""
+    rk4) at the record's dt, every step kept and no target residual
+    computed.  Report the deviation at each of the record's samples (inf
+    at a sample the check's run did not reach because it diverged first),
+    and the tolerance: 1e-9 for the quadratic family, 1e-8 otherwise,
+    relative to the states' scale (a diverging run's rounding grows with
+    it), that is times max(1, largest |entry| of record.states)."""
     _shared_dim(members)
     family = _family(members)
     mean_of_members = _mean_of_members(members)
@@ -197,9 +198,13 @@ def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
         _tmd_rate(spec), mean_of_members,
         SolverState(0, 0.0, duals, mean_of_members(duals)),
         record.mode, record.final_state.step_index * record.dt, dt=record.dt,
-        target=lambda x: resolve_target(spec, x), max_halvings=0,
+        target=lambda x: resolve_target(spec, x),
         recorder=partial(_Recorder, None, None, None, None))
-    deviations = np.linalg.norm(together.states[record.steps] - record.states, axis=1)
+    reached = record.steps <= together.final_state.step_index
+    deviations = np.full(len(record.steps), np.inf)
+    with np.errstate(over="ignore"):  # a deviation past the float range reads inf
+        deviations[reached] = np.linalg.norm(
+            together.states[record.steps[reached]] - record.states[reached], axis=1)
     tolerance = ((1e-9 if family == "quadratic" else 1e-8)
                  * max(1.0, float(np.abs(record.states).max())))
     return ReductionReport(max_deviation=float(deviations.max()),

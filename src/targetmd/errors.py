@@ -24,7 +24,3 @@ class TargetResolutionError(TargetMDError, RuntimeError):
     def __init__(self, message, last_residual=None):
         super().__init__(message)
         self.last_residual = last_residual
-
-
-class FlowDivergenceError(TargetMDError, RuntimeError):
-    """A trajectory became non-finite even after step-size reduction."""

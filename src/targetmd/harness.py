@@ -6,7 +6,8 @@ File contract: trajectories are CSV with header
 step,time,x_0..x_{n-1},residual_target,residual_natural,lyapunov, floats
 serialized with 17 significant digits, missing diagnostics left empty;
 summaries and check reports are JSON.  Exit codes: 0 converged / within
-tolerance, 2 budget exhausted, 1 error or refutation.
+tolerance, 2 budget exhausted, 1 error, refutation or a diverged run (a
+non-finite dual point).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 from . import reference
 from .checks import run_condition_checks
 from .config import ExperimentConfig, echo_config, load_config
-from .dynamics import (CONVERGED, RunRecord, dual_rate, flow, lyapunov_series,
-                       primal_vector_field, run_discrete, run_dmd,
-                       run_higher_order, run_vanilla_dmd)
+from .dynamics import (CONVERGED, DIVERGED, RunRecord, dual_rate, flow,
+                       lyapunov_series, primal_vector_field, run_discrete,
+                       run_dmd, run_higher_order, run_vanilla_dmd)
 from .ensemble import EnsembleMember, run_ensemble, verify_ensemble_reduction
 from .errors import ConfigurationError
 from .geometry import (MirrorGeometry, entropy_geometry, euclidean_geometry,
@@ -42,6 +43,8 @@ OUTPUT_DIR_ENV = "TARGETMD_OUT_DIR"
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
+# solve's exit code by termination; any other termination exits EXIT_BUDGET
+EXIT_CODES = {CONVERGED: EXIT_OK, DIVERGED: EXIT_ERROR}
 
 # Acceptance tolerances of compare: per-step iterations, sampled vector fields.
 DISCRETE_COMPARE_TOL = 1e-9
@@ -370,7 +373,7 @@ def _solve(cfg: ExperimentConfig):
         final_x = record.final_state.x
         summary["final_point"] = [float(v) for v in final_x]
         summary["final_shadow_point"] = [float(v) for v in spec.shadow(final_x)]
-    exit_code = EXIT_OK if record.termination == CONVERGED else EXIT_BUDGET
+    exit_code = EXIT_CODES.get(record.termination, EXIT_BUDGET)
     return exit_code, summary, {"trajectory.csv": (write_trajectory_csv, record)}
 
 
@@ -400,6 +403,8 @@ def _compare(cfg: ExperimentConfig):
         # stop_residual = 0 runs every step, also past an exact fixed point
         record = run_discrete(geometry, spec, x0=cfg.x0, n_steps=cfg.steps,
                               stop_residual=0.0)
+        if record.termination == DIVERGED:
+            return EXIT_ERROR, _base_summary(record), {}
         x_ref, deviations = record.states[0], []
         for x in record.states[1:]:
             x_ref = row.coded_step(geometry, problem, pair, spec, p, x_ref)
@@ -456,7 +461,7 @@ def _ensemble(cfg: ExperimentConfig):
     summary = _base_summary(record)
     summary["members"] = len(members)
     files = {"ensemble_trajectory.csv": (write_trajectory_csv, record)}
-    exit_code = EXIT_OK
+    exit_code = EXIT_ERROR if record.termination == DIVERGED else EXIT_OK
     if cfg.ensemble_verify:
         report = verify_ensemble_reduction(members, spec, record)
         summary["reduction_max_deviation"] = report.max_deviation

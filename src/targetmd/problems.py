@@ -485,21 +485,14 @@ def check_monotonicity(problem: VIProblem, n_samples: int = 200,
 
 def estimate_lipschitz(problem: VIProblem, n_samples: int = 64,
                        rng_seed: int = 0) -> float:
-    """Lipschitz constant for F: the user hint when present, the spectral
-    norm of M (50 power iterations) for linear operators, else a sampled
+    """Lipschitz constant for F: the user hint when present, the exact
+    spectral norm of M for linear operators, else a sampled
     difference-quotient bound with a 2x safety factor."""
     if problem.lipschitz_hint is not None:
         return float(problem.lipschitz_hint)
     if problem.linear_terms is not None:
         m, _ = problem.linear_terms
-        v = np.ones(m.shape[0]) / np.sqrt(m.shape[0])
-        for _ in range(50):
-            w = m.T @ (m @ v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-        return float(np.sqrt(v @ (m.T @ (m @ v))))
+        return m.norm() if isinstance(m, Tridiagonal) else float(np.linalg.norm(m, 2))
     rng = np.random.default_rng(rng_seed)
     xs = problem.feasible_set.sample(rng, n_samples)
     ys = problem.feasible_set.sample(rng, n_samples)

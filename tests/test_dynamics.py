@@ -645,9 +645,8 @@ def test_higher_order_rejects_bad_gains():
 
 # --- divergence handling ----------------------------------------------------------------
 
-def test_flow_raises_after_exhausting_halvings():
+def test_explosive_flow_ends_diverged_at_the_last_finite_point():
     from targetmd import TargetSpec, ClosedForm, whole_space
-    from targetmd.errors import FlowDivergenceError
     ws = whole_space(1)
     g = euclidean_geometry(ws)
     # surrogate -x makes the dual flow exponentially explosive at any dt
@@ -656,21 +655,12 @@ def test_flow_raises_after_exhausting_halvings():
                            Phi=lambda x: -np.asarray(x, dtype=float),
                            target=ClosedForm(lambda x: np.asarray(x, float).copy()),
                            feasible_set=ws)
-    with pytest.raises(FlowDivergenceError), np.errstate(over="ignore", invalid="ignore"):
-        flow(g, explosive, x0=[1.0], dt=1.0, t_end=1200.0,
-             stop_residual=0.0, max_halvings=2)
-
-
-def test_flow_halves_dt_until_finite():
-    p = library_problem("scalar_shift", a=2.0)
-    g = euclidean_geometry(p.feasible_set)
-    spec = preset_vanilla_md(g, p, 1.0)
-    # Euler on the decay flow is unstable at dt = 4; two halvings stabilize
-    with np.errstate(over="ignore", invalid="ignore"):
-        rec = flow(g, spec, x0=[10.0], dt=4.0, t_end=4000.0,
-                   stop_residual=0.0, max_halvings=8)
-    assert rec.dt < 4.0
-    assert np.all(np.isfinite(rec.states))
+    rec = flow(g, explosive, x0=[1.0], dt=1.0, t_end=1200.0, stop_residual=0.0)
+    # an Euler step of 1 doubles z, and 2**1024 overflows
+    assert (rec.termination, rec.dt) == ("diverged", 1.0)
+    assert rec.final_state.step_index == 1023
+    assert rec.final_state.z.tolist() == [2.0 ** 1023]
+    assert rec.steps[-1] == 1023 and rec.steps[-2] == 1020   # stride 10, then the end
 
 
 def test_target_failure_propagates_through_steps():

@@ -572,17 +572,19 @@ def test_compare_subcommand(tmp_path, name, expected_kind):
 
 
 @pytest.mark.filterwarnings("error")
-def test_compare_overflowing_iterate_ends_in_one_error_line(tmp_path, capsys):
-    # a move step of 1e300 overflows the second iterate; the driver's
-    # non-finite policy reports it before the coded reference runs
+def test_compare_diverging_driver_exits_before_its_reference(tmp_path, capsys):
+    # a move step of 1e300 overflows the second iterate; the driver's run
+    # ends diverged and the coded reference never runs
     out = tmp_path / "o"
     text = ("problem.name = skew_bilinear\npreset.name = eg\n"
             f"preset.eta2 = 1e300\nx0 = 1, 0\noutput.dir = {out}\n")
     assert run_cli("compare", text, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "dual point turned non-finite" in err
-    assert not out.exists()
+    assert "dual point turned non-finite at step 2;" in err
+    assert sorted(os.listdir(out)) == ["summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["termination"], summary["final_step"]) == ("diverged", 1)
 
 
 def test_compare_every_referenced_preset(tmp_path):
@@ -867,16 +869,34 @@ def test_outputs_name_every_file_written(tmp_path, command, name):
 
 
 def test_failed_solve_leaves_no_stale_outputs(tmp_path, capsys):
-    # a converged solve, then a diverging one into the same directory
+    # a converged solve, then one whose implicit target stalls (ppa on
+    # rps_game under entropy at eta = 50) into the same directory
     out = tmp_path / "out"
     good = (CONFIG_DIR / "eg_skew_solve.cfg").read_text()
     assert run_cli("solve", good, tmp_path, "good.cfg", env_dir=out) == 0
     (out / "notes.txt").write_text("not an output\n")
+    bad = ("problem.name = rps_game\ngeometry.name = entropy\npreset.name = ppa\n"
+           "preset.eta = 50\nx0 = 0.6, 0.3, 0.1\n")
+    assert run_cli("solve", bad, tmp_path, "bad.cfg", env_dir=out) == 1
+    assert "target subproblem stalled" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["notes.txt"]
+
+
+def test_diverged_solve_replaces_the_earlier_outputs(tmp_path, capsys):
+    out = tmp_path / "out"
+    good = (CONFIG_DIR / "eg_skew_solve.cfg").read_text()
+    assert run_cli("solve", good, tmp_path, "good.cfg", env_dir=out) == 0
     bad = (CONFIG_DIR / "vanilla_md_skew.cfg").read_text().replace(
         "preset.eta = 0.1", "preset.eta = 5.0")
     assert run_cli("solve", bad, tmp_path, "bad.cfg", env_dir=out) == 1
-    assert "non-finite at step 436" in capsys.readouterr().err
-    assert sorted(os.listdir(out)) == ["notes.txt"]
+    err = capsys.readouterr().err
+    assert err == "error: the dual point turned non-finite at step 436; the run diverges\n"
+    assert sorted(os.listdir(out)) == ["summary.json", "trajectory.csv"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["termination"], summary["final_step"]) == ("diverged", 435)
+    assert "preset.eta = 5.0" in summary["config"]
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert rows[-1].startswith("435,") and len(rows) == 437
 
 
 @pytest.mark.parametrize("command,name,old,new", [

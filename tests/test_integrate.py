@@ -15,7 +15,7 @@ from targetmd import (entropy_geometry, euclidean_geometry, flow,
                       preset_dmd_calibrated, verify_ensemble_reduction,
                       whole_space)
 from targetmd.cli import main
-from targetmd.errors import ConfigurationError, FlowDivergenceError
+from targetmd.errors import ConfigurationError
 from targetmd.harness import OUTPUT_DIR_ENV, run_command
 
 
@@ -99,34 +99,6 @@ def test_stride_samples_start_multiples_and_end():
 
 # --- non-finite policy ----------------------------------------------------------
 
-@pytest.mark.parametrize("preset,equilibrium", [
-    # the uncalibrated baseline settles at x = 1, not at the solution x = 2
-    ("dmd_vanilla", 1.0),
-    ("higher_order", 2.0),
-])
-def test_discounted_and_higher_order_flows_halve_dt(tmp_path, preset, equilibrium):
-    out = tmp_path / "o"
-    assert run_cli("solve", SCALAR_FLOW.format(preset=preset, out=out), tmp_path) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["termination"] == "converged"
-    assert summary["dt"] < 10.0
-    last = (out / "trajectory.csv").read_text().strip().splitlines()[-1]
-    assert float(last.split(",")[2]) == pytest.approx(equilibrium, abs=1e-6)
-
-
-def test_discrete_divergence_is_a_typed_error(tmp_path, capsys):
-    out = tmp_path / "o"
-    assert run_cli("solve", VANILLA_MD_DIVERGES.format(out=out), tmp_path) == 1
-    err = one_error_line(capsys)
-    assert "non-finite at step" in err and "NaN" not in err
-    assert not out.exists()
-    p = library_problem("skew_bilinear")
-    g = euclidean_geometry(p.feasible_set)
-    with pytest.raises(FlowDivergenceError, match="non-finite at step"):
-        run_discrete(g, preset_vanilla_md(g, p, 1.0), problem=p, x0=[1.0, 0.0],
-                     n_steps=5000)
-
-
 def _runtime_warnings(run):
     """run()'s result and the RuntimeWarnings it raised, each recorded."""
     with warnings.catch_warnings(record=True) as caught:
@@ -135,17 +107,109 @@ def _runtime_warnings(run):
     return result, [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_overflowing_start_gap_leaves_only_the_error_line(tmp_path, capsys):
+# Every runner driven to overflow on skew_bilinear from (1, 0): vanilla_md at
+# eta = 1 doubles |x|^2 per step, the flows take steps of 1e100, and the
+# discounted flows' gain of 1e200 overflows their dual in a few steps.
+X0 = [1.0, 0.0]
+HUGE_STEPS = {"dt": 1e100, "t_end": 1e104}
+HUGE_GAIN = {"gamma": 1e200, "dt": 1.0, "t_end": 1000.0}
+
+
+def _ensemble(g, spec, p, **budget):
+    members = make_members([g], [np.array(X0)])
+    return run_ensemble(members, spec, problem=p, stop_residual=0.0, **budget)
+
+
+DIVERGING_RUNS = {
+    "run_discrete": lambda g, spec, p: run_discrete(g, spec, problem=p, x0=X0,
+                                                    n_steps=5000),
+    "flow-euler": lambda g, spec, p: flow(g, spec, problem=p, x0=X0, **HUGE_STEPS),
+    "flow-rk4": lambda g, spec, p: flow(g, spec, integrator="rk4", problem=p,
+                                        x0=X0, **HUGE_STEPS),
+    "run_dmd": lambda g, spec, p: run_dmd(g, preset_dmd_calibrated(g, p, 0.1, 2),
+                                          problem=p, x0=X0, **HUGE_GAIN),
+    "run_vanilla_dmd": lambda g, spec, p: run_vanilla_dmd(g, p, x0=X0, **HUGE_GAIN),
+    "run_higher_order": lambda g, spec, p: run_higher_order(g, spec, problem=p,
+                                                            x0=X0, **HUGE_STEPS),
+    "run_ensemble-discrete": lambda g, spec, p: _ensemble(g, spec, p, n_steps=5000),
+    "run_ensemble-flow": lambda g, spec, p: _ensemble(g, spec, p, **HUGE_STEPS),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(DIVERGING_RUNS))
+def test_every_runner_ends_diverged_with_its_finite_prefix(runner):
+    p = library_problem("skew_bilinear")
+    g = euclidean_geometry(p.feasible_set)
+    spec = preset_vanilla_md(g, p, 1.0)
+    record, caught = _runtime_warnings(lambda: DIVERGING_RUNS[runner](g, spec, p))
+    assert caught == []
+    assert record.termination == "diverged"
+    assert len(record.steps) >= 1 and np.all(np.isfinite(record.states))
+    assert record.steps[-1] == record.final_state.step_index
+    assert np.array_equal(record.states[-1], record.final_state.x)
+    assert np.all(np.isfinite(record.final_state.z))
+
+
+@pytest.mark.parametrize("preset,equilibrium", [
+    # the uncalibrated baseline settles at x = 1, not at the solution x = 2
+    ("dmd_vanilla", 1.0),
+    ("higher_order", 2.0),
+])
+def test_discounted_and_higher_order_flows_settle_at_a_stable_dt(tmp_path, preset,
+                                                                 equilibrium):
+    out = tmp_path / "o"
+    text = SCALAR_FLOW.format(preset=preset, out=out).replace(
+        "flow.dt = 10", "flow.dt = 0.625")
+    assert run_cli("solve", text, tmp_path) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "converged"
+    assert summary["dt"] == 0.625
+    last = (out / "trajectory.csv").read_text().strip().splitlines()[-1]
+    assert float(last.split(",")[2]) == pytest.approx(equilibrium, abs=1e-6)
+
+
+def test_an_unstable_euler_step_diverges_at_its_own_dt():
+    # Euler on the decay flow z' = -(z - 2) is unstable at dt = 4; the run
+    # makes one attempt and keeps its dt
+    p = library_problem("scalar_shift", a=2.0)
+    g = euclidean_geometry(p.feasible_set)
+    rec = flow(g, preset_vanilla_md(g, p, 1.0), x0=[10.0], dt=4.0, t_end=4000.0,
+               stop_residual=0.0)
+    assert rec.dt == 4.0 and rec.termination == "diverged"
+    assert rec.final_state.step_index < 1000
+    assert np.all(np.isfinite(rec.states))
+
+
+def _summary(out):
+    return json.loads((out / "summary.json").read_text())
+
+
+def test_discrete_divergence_writes_its_outputs_and_one_error_line(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("solve", VANILLA_MD_DIVERGES.format(out=out), tmp_path) == 1
+    err = one_error_line(capsys)
+    summary = _summary(out)
+    assert summary["termination"] == "diverged" and summary["exit_code"] == 1
+    assert err == ("error: the dual point turned non-finite at step "
+                   f"{summary['final_step'] + 1}; the run diverges\n")
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()
+    assert len(rows) == summary["final_step"] + 2   # header, steps 0..final
+    assert rows[-1].startswith(f"{summary['final_step']},")
+
+
+def test_overflowing_start_gap_diverges_at_step_1(tmp_path, capsys):
     # ||T(x0) - x0|| overflows at x0 = (1e308, 1e308); the start point's
-    # gap is evaluated inside the loop's errstate block, so only the
-    # divergence error reaches stderr
+    # gap and its diagnostics are evaluated inside the loop's errstate
+    # block, so only the divergence line reaches stderr
     out = tmp_path / "o"
     text = ("problem.name = skew_bilinear\ngeometry.name = euclidean\n"
             f"preset.name = eg\nx0 = 1e308, 1e308\noutput.dir = {out}\n")
     code, caught = _runtime_warnings(lambda: run_cli("solve", text, tmp_path))
     assert code == 1 and caught == []
-    assert "non-finite at step 1" in one_error_line(capsys)
-    assert not out.exists()
+    assert "non-finite at step 1;" in one_error_line(capsys)
+    summary = _summary(out)
+    assert (summary["termination"], summary["final_step"], summary["samples"]) == (
+        "diverged", 0, 1)
 
 
 def test_bnn_flow_at_a_huge_step_keeps_finite_target_residuals(tmp_path, capsys):
@@ -166,17 +230,20 @@ def test_bnn_flow_at_a_huge_step_keeps_finite_target_residuals(tmp_path, capsys)
     assert np.isfinite(summary["final_target_residual"])
 
 
-def test_ensemble_flow_divergence_is_a_typed_error(tmp_path, capsys):
+@pytest.mark.parametrize("verify", ["false", "true"])
+def test_ensemble_flow_divergence_writes_its_outputs(tmp_path, capsys, verify):
     out = tmp_path / "o"
-    assert run_cli("ensemble", HUGE_STEP_ENSEMBLE.format(out=out), tmp_path) == 1
+    text = HUGE_STEP_ENSEMBLE.format(out=out) + f"ensemble.verify = {verify}\n"
+    code, caught = _runtime_warnings(lambda: run_cli("ensemble", text, tmp_path))
+    assert code == 1 and caught == []
     err = one_error_line(capsys)
-    assert "non-finite" in err and "NaN" not in err
-    assert not out.exists()
-    p = library_problem("skew_bilinear")
-    spec = preset_eg(euclidean_geometry(whole_space(2)), p, 0.1)
-    members = make_members([euclidean_geometry(whole_space(2))], [np.array([1.0, 0.0])])
-    with pytest.raises(FlowDivergenceError):
-        run_ensemble(members, spec, problem=p, dt=1e100, t_end=1e103)
+    summary = _summary(out)
+    assert summary["termination"] == "diverged"
+    assert f"non-finite at step {summary['final_step'] + 1};" in err
+    assert (out / "ensemble_trajectory.csv").exists()
+    # the check follows the finite prefix it was handed
+    assert ("reduction_max_deviation" in summary) == (verify == "true")
+    assert (out / "reduction_deviations.csv").exists() == (verify == "true")
 
 
 @pytest.mark.parametrize("command", ["solve", "ensemble"])
@@ -194,39 +261,44 @@ def test_flow_budget_of_infinitely_many_steps_is_one_error_line(tmp_path, capsys
 
 
 @pytest.mark.parametrize("dt", [None, 0.1])
-def test_reduction_check_that_overflows_is_a_typed_error(dt):
-    # the parallel run of the check steps at the record's dt with no halving
+def test_reduction_check_that_overflows_counts_unreached_samples_as_infinite(dt):
+    # the check's run diverges at once while the record stays finite: every
+    # sample it did not reach deviates by inf, and the reduction fails
     p = library_problem("skew_bilinear")
     g = euclidean_geometry(whole_space(2))
     members = make_members([g], [np.array([1.0, 0.0])])
     budget = {"n_steps": 100} if dt is None else {"dt": dt, "t_end": 100 * dt}
     record = run_ensemble(members, preset_eg(g, p, 0.1), stop_residual=0.0, **budget)
     assert np.all(np.isfinite(record.states))
-    with pytest.raises(FlowDivergenceError, match="non-finite"):
-        verify_ensemble_reduction(members, preset_vanilla_md(g, p, 1e300), record)
+    report, caught = _runtime_warnings(lambda: verify_ensemble_reduction(
+        members, preset_vanilla_md(g, p, 1e300), record))
+    assert caught == []
+    assert len(report.deviations) == len(record.steps)
+    assert report.deviations[0] == 0.0
+    assert np.all(report.deviations[-5:] == np.inf)
+    assert report.max_deviation == np.inf > report.tolerance
 
 
-def test_ensemble_flow_halves_like_a_single_flow():
+def _scalar_ensemble():
     p = library_problem("scalar_shift", a=2.0)
     g = euclidean_geometry(whole_space(1))
-    spec = preset_eg(g, p, 0.5)
-    members = make_members([g], [np.array([10.0])])
-    # Euler on the extragradient flow z' = -(x - 2)/4 grows by 5 per step
-    # at dt = 24 and by 2 at dt = 12; it contracts by 1/2 at dt = 6
-    rec = run_ensemble(members, spec, problem=p, dt=24.0, t_end=24_000.0, stride=1)
+    return p, preset_eg(g, p, 0.5), make_members([g], [np.array([10.0])])
+
+
+def test_ensemble_flow_at_a_non_unit_dt_keeps_every_step():
+    p, spec, members = _scalar_ensemble()
+    # Euler on the extragradient flow z' = -(x - 2)/4 contracts by 1/2 at dt = 6
+    rec = run_ensemble(members, spec, problem=p, dt=6.0, t_end=6_000.0, stride=1)
     assert rec.dt == 6.0 and rec.termination == "converged"
-    # the check steps at the halved dt and keeps every one of the record's steps
+    # the check steps at the record's dt and keeps every one of its steps
     report = verify_ensemble_reduction(members, spec, rec)
     assert len(report.deviations) == rec.final_state.step_index + 1
     assert report.max_deviation <= 1e-12
 
 
-def test_reduction_check_follows_a_strided_halved_record():
-    p = library_problem("scalar_shift", a=2.0)
-    g = euclidean_geometry(whole_space(1))
-    spec = preset_eg(g, p, 0.5)
-    members = make_members([g], [np.array([10.0])])
-    rec = run_ensemble(members, spec, problem=p, dt=24.0, t_end=24_000.0, stride=10)
+def test_reduction_check_follows_a_strided_record_at_a_non_unit_dt():
+    p, spec, members = _scalar_ensemble()
+    rec = run_ensemble(members, spec, problem=p, dt=6.0, t_end=6_000.0, stride=10)
     assert rec.dt == 6.0 and rec.termination == "converged"
     assert rec.final_state.step_index % 10 != 0   # the end sample is off-stride
     report = verify_ensemble_reduction(members, spec, rec)

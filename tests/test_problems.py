@@ -356,12 +356,23 @@ def test_lipschitz_hint_passthrough():
     assert estimate_lipschitz(problem) == pytest.approx(1.0)
 
 
-def test_lipschitz_power_iteration_matches_spectral_norm():
+def test_lipschitz_of_a_linear_operator_is_its_spectral_norm():
     problem = library_problem("linear_monotone", dim=4)
     problem.lipschitz_hint = None
     m, _ = problem.linear_terms
     assert estimate_lipschitz(problem) == pytest.approx(np.linalg.norm(m.to_dense(), 2),
-                                                        rel=1e-6)
+                                                        rel=1e-12)
+
+
+def test_lipschitz_of_a_matrix_whose_null_space_holds_the_ones_vector():
+    # M = [[1, -1], [-1, 1]] annihilates (1, 1) and has norm 2; EG's margin
+    # is then 1 - 2*eta
+    m = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    problem = VIProblem(feasible_set=whole_space(2), F=lambda x: m @ x,
+                        linear_terms=(m, np.zeros(2)))
+    assert estimate_lipschitz(problem) == pytest.approx(2.0, rel=1e-14)
+    g = euclidean_geometry(problem.feasible_set)
+    assert preset_eg(g, problem, 0.4).sigma == pytest.approx(1.0 - 2 * 0.4, rel=1e-14)
 
 
 def test_lipschitz_sampled_fallback_overestimates():
