@@ -190,7 +190,7 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
                 termination = CONVERGED
                 break
             z1 = advance(rate, pullback, target, z, k1, h)
-            if not math.isfinite(z1.sum()):
+            if not math.isfinite(np.add.reduce(z1, axis=None)):
                 termination = DIVERGED
                 break
             k, t, z, x = k + 1, t + dt, z1, pullback(z1)
@@ -502,8 +502,9 @@ def relaxed_condition_value(spec: TargetSpec, x, x_bar, tx=None) -> float:
 def primal_vector_field(geometry: MirrorGeometry, spec: TargetSpec, x) -> Vector:
     """dx/dt at x: the dual rate pushed through the mirror map's Jacobian.
 
-    Only available for geometries with a smooth conjugate (whole-space
-    quadratics, entropy).  For the entropy geometry the Jacobian
+    Needs a conj_jacobian, which every built-in geometry has; for a
+    projection onto a box or the simplex it is an element of the generalized
+    Jacobian (see MirrorGeometry).  For the entropy geometry the Jacobian
     annihilates constant dual shifts, which is what makes simplex flows
     insensitive to normalization constants in the dual update.
     """

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .problems import WHOLE_SPACE, FeasibleSet, simplex, whole_space
+from .problems import BOX, SIMPLEX, WHOLE_SPACE, FeasibleSet, simplex, whole_space
 
 Vector = np.ndarray
 
@@ -50,7 +50,10 @@ class MirrorGeometry:
 
     conj_jacobian, when available, maps a primal point x to the Jacobian
     of grad_h_conj evaluated at the dual image of x; it is used to convert
-    dual-space rates into primal vector fields.  quadratic_weights marks
+    dual-space rates into primal vector fields, and in the Newton matrix of
+    implicit targets.  Where grad_h_conj projects onto a box or the simplex
+    it is an element of the projection's generalized Jacobian, read from
+    x.  quadratic_weights marks
     members of the pure quadratic family (h = 0.5 * sum w_i x_i^2 on the
     whole space), for which ensemble synthesis has a closed form.  dim is
     the domain's dimension.
@@ -74,7 +77,8 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
     grad_h is the identity on the set and the mirror map is the Euclidean
     projection, so dual vectors land back in the set.  Both identities
     return their float input itself, not a copy: on the whole space
-    grad_h(x) is x and grad_h_conj(z) is z.
+    grad_h(x) is x and grad_h_conj(z) is z.  conj_jacobian(x) is I, on a
+    box diag(free coordinates of x), on the simplex I_S - 1_S 1_S^T / |S|.
     """
 
     def eval_h(x):
@@ -84,16 +88,22 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
     def grad_h(x):
         return np.asarray(x, dtype=float)
 
-    jacobian = None
-    weights = None
+    jacobian = weights = None
+    dim = feasible_set.dim
     if feasible_set.kind == WHOLE_SPACE:
         # Projection is the identity; the conjugate is globally smooth.
-        dim = feasible_set.dim
-
         def jacobian(x):
             return np.eye(dim)
 
-        weights = np.ones(feasible_set.dim)
+        weights = np.ones(dim)
+    elif feasible_set.kind == BOX:
+        def jacobian(x):
+            free = (x > feasible_set.lower) & (x < feasible_set.upper)
+            return np.diag(free * 1.0)
+    elif feasible_set.kind == SIMPLEX:
+        def jacobian(x):
+            support = (x > 0.0) * 1.0
+            return np.diag(support) - np.outer(support, support / support.sum())
 
     return MirrorGeometry(
         eval_h=eval_h,

@@ -127,7 +127,7 @@ def _eg_step(geometry, problem, pair, spec, p, x):
 PRESETS = {
     "ppa": Preset(
         "proximal point: implicit target through grad_h + eta*F",
-        {"eta": 0.1, "inner_tol": 1e-10, "inner_max_iter": 10_000},
+        {"eta": 0.1, "inner_tol": 1e-10},
         build=lambda g, pb, pair, p: preset_ppa(g, pb, **p),
         coded_step=lambda g, pb, pair, spec, p, x: reference.ppa_step(pb, p["eta"], x)),
     "eg": Preset(

@@ -173,7 +173,8 @@ class VIProblem:
 
 def natural_residual(problem: VIProblem, x: Vector):
     """|| x - P(x - F(x)) ||; zero exactly at solutions.  A float for one
-    point, an array of one residual per row for a stack of points."""
+    point, an array of one residual per row for a stack of points.  Only
+    rows whose plain sum of squares overflows are recomputed, scaled."""
     x = np.asarray(x, dtype=float)
     f = problem.F(x)
     if x.ndim > 1 and np.shape(f) != x.shape:
@@ -182,7 +183,23 @@ def natural_residual(problem: VIProblem, x: Vector):
             f"for points of shape {x.shape}; F must map each row of a stack")
     r = x - problem.feasible_set.project(x - f)
     norms = np.sqrt(np.vecdot(r, r))
-    return float(norms) if x.ndim == 1 else norms
+    if x.ndim == 1:
+        return _overflowed_norm(problem, f, r) if norms == math.inf else float(norms)
+    for i in np.flatnonzero(norms == math.inf):
+        norms[i] = _overflowed_norm(problem, f[i], r[i])
+    return norms
+
+
+def _overflowed_norm(problem: VIProblem, f: Vector, r: Vector) -> float:
+    """||r|| where r.r overflows (|r| past about 1.3e154): peak * ||r / peak||,
+    peak the largest |entry|.  On the whole space r = x - (x - f) is f, which
+    stays finite where x - f overflows."""
+    if problem.feasible_set.kind == WHOLE_SPACE:
+        r = f
+    peak = float(np.max(np.abs(r)))
+    if peak == math.inf:
+        return peak
+    return peak * math.sqrt(float(np.vecdot(r / peak, r / peak)))
 
 
 # ---------------------------------------------------------------------------

@@ -71,20 +71,18 @@ class MirrorOfS:
 class ResolventSolve:
     """Evaluate the target by solving its strongly monotone subproblem.
 
-    grad_h_conj, when set, is the mirror map of a design with S = grad_h
-    and monotone Phi: the solver then runs the Anderson-accelerated
-    mirror-map fixed point first and stops once the target error is
-    certified below tol.  Otherwise, or when that iteration does not
-    contract, it runs projected forward iterations, which stop on step
-    length.  Their step starts at `step` when set (preset_ppa sets
-    modulus / L^2 from exact constants on a constrained X), otherwise at
-    1e-2, and halves on divergence.
-    """
+    With a geometry (S = grad_h, monotone Phi, a conj_jacobian) it is the
+    certified Newton solve of _newton_target; phi_jacobian is J_Phi as an
+    array, or None for forward differences.  Without one (custom (S, Phi)
+    pairs) it runs projected forward iterations, which stop on step
+    length, from `step` (default 1e-2), halved on divergence.  Either
+    makes at most max_iter iterations."""
 
     tol: float = 1e-10
     max_iter: int = 10_000
     step: Optional[float] = None
-    grad_h_conj: Optional[Callable[[Vector], Vector]] = None
+    geometry: Optional[MirrorGeometry] = None
+    phi_jacobian: Optional[Vector] = None
 
 
 TargetStrategy = Union[ClosedForm, ClosedFormGap, MirrorOfS, ResolventSolve]
@@ -155,13 +153,10 @@ def resolve_target(spec: TargetSpec, x: Vector):
     S(T(x)) - S(x).
 
     Closed-form strategies apply their stored formula; MirrorOfS maps S(x)
-    through its mirror.  Solver strategies with a mirror map solve
-    w = S(x) - Phi(grad_h_conj(w)) by depth-2 Anderson acceleration and
-    return grad_h_conj(w) once the dual residual certifies the target
-    error below tol (see _mirror_fixed_point), falling back to the
-    projected iteration when that residual fails to shrink or Phi leaves
-    its domain.  The projected iteration runs
-    y <- P(y - tau * (S(y) + Phi(y) - S(x))),
+    through its mirror.  A ResolventSolve with a geometry returns the
+    certified Newton solve (_newton_target) or raises
+    TargetResolutionError: nothing falls back.  Without a geometry the
+    projected iteration runs y <- P(y - tau * (S(y) + Phi(y) - S(x))),
     with P the projection onto spec.feasible_set, from y0 = x until the
     step shrinks below tol; strong monotonicity of S + Phi makes this a
     contraction for small enough tau, and divergence (including domain
@@ -182,11 +177,8 @@ def resolve_target(spec: TargetSpec, x: Vector):
         if spec.Phi is None:
             raise ConfigurationError("solver strategy needs an explicit Phi")
         anchor = spec.S(x)
-        tx = None
-        if strategy.grad_h_conj is not None:
-            tx = _mirror_fixed_point(spec, strategy, x, anchor)
-        if tx is None:
-            tx = _projected_iteration(spec, strategy, x, anchor)
+        solve = _projected_iteration if strategy.geometry is None else _newton_target
+        tx = solve(spec, strategy, x, anchor)
     return tx, anchor
 
 
@@ -230,66 +222,50 @@ def _projected_iteration(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
         "target subproblem diverged despite 6 step halvings", last_residual=last)
 
 
-def _mirror_fixed_point(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
-                        anchor: Vector) -> Optional[Vector]:
-    """Solve w = S(x) - Phi(grad_h_conj(w)) for the dual point w by
-    depth-2 Anderson acceleration, from w_0 = S(x) - Phi(x).
+def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
+                   anchor: Vector) -> Vector:
+    """Solve f(w) = S(x) - Phi(grad_h_conj(w)) - w = 0 by damped Newton
+    from w_0 = S(x) - Phi(x), and return y = grad_h_conj(w).
 
-    Each iterate w has y = grad_h_conj(w) and the residual
-    f = S(x) - Phi(y) - w.  The mirror map absorbs the normal cone
-    (w - grad_h(y) lies in N_X(y)), so -f lies in (S + Phi + N_X)(y) - S(x);
-    S + Phi is sigma-strongly monotone, so ||y - T(x)|| <= ||f|| / sigma
-    for every w, extrapolated or not, and stopping at ||f|| <= sigma * tol
-    bounds the target error by tol.  The next iterate is w + f (the plain
-    fixed-point step) minus the combination of the last two steps' changes
-    in w + f whose changes in f best cancel f, a 2x2 least-squares problem
-    solved from its Gram entries (Walker and Ni, SIAM J. Numer. Anal.
-    49(4), 2011).  Each iteration costs one Phi call.  Returns None when
-    ||f|| fails to shrink (the iteration does not contract here), on a
-    domain violation, or after max_iter.
-    """
+    w - grad_h(y) lies in N_X(y), so -f lies in (S + Phi + N_X)(y) - S(x),
+    and sigma-strong monotonicity gives ||y - T(x)|| <= ||f|| / sigma: the
+    stop ||f|| <= sigma * tol certifies the target.  The Newton matrix
+    I + J_Phi H, H = conj_jacobian(y), is nonsingular for H positive
+    semidefinite and J_Phi monotone; J_Phi H is phi_jacobian @ H, or forward
+    differences of Phi along H's columns (one Phi call on their stack).  The
+    step halves from 1 until ||f|| shrinks by 1 - 1e-4 * t; 30 halvings, or
+    max_iter steps, are a stall."""
+    geometry, jacobian = strategy.geometry, strategy.phi_jacobian
     bound = spec.sigma * strategy.tol
-    last = np.inf
-    history = []                    # (change in w + f, change in f), newest last
-    w_prev = f_prev = None
-    try:
-        w = anchor - spec.Phi(x)
-        for _ in range(strategy.max_iter):
-            y = strategy.grad_h_conj(w)
-            f = anchor - spec.Phi(y) - w
-            size = _norm(f)
-            if size <= bound:
-                return y
-            if not size < last:
-                return None
-            if w_prev is not None:
-                df = f - f_prev
-                history = history[-1:] + [(w - w_prev + df, df)]
-            w_prev, f_prev, last = w, f, size
-            w = w + f - _anderson_correction(history, f)
-    except DomainError:
-        return None
-    return None
 
+    def at(w):
+        y = geometry.grad_h_conj(w)
+        phi = spec.Phi(y)
+        f = anchor - phi - w
+        return w, y, phi, f, _norm(f)
 
-def _anderson_correction(history, f: Vector):
-    """sum_i gamma_i * g_i over history = [(g_i, d_i)], with gamma the
-    least-squares minimizer of ||f - sum_i gamma_i * d_i||.  When the two
-    d_i are nearly parallel only the newest is kept; with no usable d_i
-    the correction is 0.0, which leaves the plain step."""
-    if not history:
-        return 0.0
-    g2, d2 = history[-1]
-    a22, b2 = float(np.dot(d2, d2)), float(np.dot(d2, f))
-    if len(history) == 2:
-        g1, d1 = history[0]
-        a11, a12, b1 = float(np.dot(d1, d1)), float(np.dot(d1, d2)), float(np.dot(d1, f))
-        det = a11 * a22 - a12 * a12
-        if det > 1e-12 * a11 * a22:
-            return ((a22 * b1 - a12 * b2) / det) * g1 + ((a11 * b2 - a12 * b1) / det) * g2
-    if a22 > 0.0:
-        return (b2 / a22) * g2
-    return 0.0
+    w, y, phi, f, size = at(anchor - spec.Phi(x))
+    for _ in range(strategy.max_iter):
+        if size <= bound:
+            return y
+        h = geometry.conj_jacobian(y)
+        if jacobian is None:
+            shift = 1.5e-8 * (1.0 + float(np.max(np.abs(y))))
+            jh = ((spec.Phi(y + shift * h.T) - phi) / shift).T
+        else:
+            jh = jacobian @ h
+        jh.flat[::len(y) + 1] += 1.0
+        d = np.linalg.solve(jh, f)
+        for k in range(31):
+            trial = at(w + 0.5 ** k * d)
+            if trial[-1] <= (1.0 - 1e-4 * 0.5 ** k) * size:
+                break
+        else:
+            break
+        w, y, phi, f, size = trial
+    raise TargetResolutionError(
+        f"target subproblem stalled: residual {size:.3e} > {bound:g}",
+        last_residual=size)
 
 
 def _require_strongly_monotone(op, feasible_set, label, seed=0):
@@ -322,27 +298,23 @@ def _step_size(value, name: str) -> float:
 # ---------------------------------------------------------------------------
 
 def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
-               inner_tol: float = 1e-10, inner_max_iter: int = 10_000) -> TargetSpec:
+               inner_tol: float = 1e-10) -> TargetSpec:
     """Proximal-point design: alpha = 1, beta = 0, S = grad_h, Phi = eta*F.
 
     The target solves the proximal subproblem.  For linear F = M x + q
-    under the Euclidean potential on the whole space it is the closed form
-    T(x) = (I + eta*M)^-1 (x - eta*q): a spectral solve of the shifted
-    Tridiagonal, or a product with the dense inverse, formed once; inner_tol
-    and inner_max_iter go unused there.  On a constrained X the projected
-    solver steps at modulus / L^2 from the exact constants of I + eta*M.
-    Otherwise the solver runs the certified, Anderson-accelerated
-    mirror-map fixed point of grad_h (about 6 F calls per target on
-    rps_game under entropy at eta = 1), with the projected solver as its
-    fallback.  inner_tol must be finite and positive, inner_max_iter an
-    integer >= 1.
+    under a whole-space quadratic potential h = 0.5 * sum w_i x_i^2 it is
+    the closed form T(x) = (W + eta*M)^-1 (W x - eta*q), formed once: a
+    spectral solve of the shifted Tridiagonal under the Euclidean one, a
+    product with a dense inverse otherwise; inner_tol goes unused there.
+    Otherwise a geometry with a conj_jacobian takes the certified Newton
+    solve (see _newton_target), with J_Phi = eta*M made dense here for
+    linear F and forward differences of Phi otherwise: about 3 F calls
+    per target on rps_game under entropy at eta = 1.  A geometry without
+    one takes the projected iteration.  inner_tol must be finite and
+    positive.
     """
     eta = _step_size(eta, "eta")
     inner_tol = _step_size(inner_tol, "inner_tol")
-    if (isinstance(inner_max_iter, bool)
-            or not isinstance(inner_max_iter, (int, np.integer)) or inner_max_iter < 1):
-        raise ConfigurationError(
-            f"inner_max_iter must be an integer >= 1, got {inner_max_iter!r}")
 
     def combined(x):
         return geometry.grad_h(x) + eta * problem.F(x)
@@ -350,23 +322,22 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     _require_strongly_monotone(combined, problem.feasible_set,
                                "grad_h + eta*F")
 
-    target = ResolventSolve(tol=inner_tol, max_iter=inner_max_iter,
-                            grad_h_conj=geometry.grad_h_conj)
-    if problem.linear_terms is not None and geometry.name == "euclidean":
-        m, q = problem.linear_terms
-        banded = isinstance(m, Tridiagonal)
-        a = m.shifted(eta) if banded else np.eye(m.shape[0]) + eta * m
-        if problem.feasible_set.kind == WHOLE_SPACE:
-            solve = a.solve if banded else partial(np.matvec, np.linalg.inv(a))
-            target = ClosedForm(lambda x: solve(np.asarray(x, dtype=float) - eta * q))
+    weights = geometry.quadratic_weights
+    m, q = problem.linear_terms or (None, None)
+    banded = isinstance(m, Tridiagonal)
+    if m is not None and weights is not None:
+        # Euclidean weights are 1, and 1.0 * x is x bit for bit
+        if banded and geometry.name == "euclidean":
+            solve = m.shifted(eta).solve
         else:
-            if banded:
-                modulus, lipschitz = a.diag, a.norm()
-            else:
-                modulus = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
-                lipschitz = float(np.linalg.norm(a, 2))
-            if modulus > 0.0:
-                target = replace(target, step=modulus / lipschitz ** 2, grad_h_conj=None)
+            dense = m.to_dense() if banded else m
+            solve = partial(np.matvec, np.linalg.inv(np.diag(weights) + eta * dense))
+        target = ClosedForm(lambda x: solve(weights * np.asarray(x, dtype=float) - eta * q))
+    elif geometry.conj_jacobian is not None:
+        target = ResolventSolve(tol=inner_tol, geometry=geometry, phi_jacobian=(
+            None if m is None else eta * (m.to_dense() if banded else m)))
+    else:
+        target = ResolventSolve(tol=inner_tol)
 
     return TargetSpec(
         alpha=1.0,

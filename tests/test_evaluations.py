@@ -151,8 +151,8 @@ def test_extragradient_ensemble_makes_two_f_calls_per_step(monkeypatch):
 
 
 @pytest.mark.parametrize("problem_name,geometry", [
-    ("rps_game", "entropy"),                 # certified mirror-map route
-    ("constrained_quadratic", "euclidean"),  # projected route with exact constants
+    ("rps_game", "entropy"),                 # certified Newton route
+    ("constrained_quadratic", "euclidean"),  # Newton route through the box projection
     ("skew_bilinear", "euclidean"),          # closed form: a linear solve, no F call
 ])
 def test_proximal_point_rate_makes_no_f_call(problem_name, geometry, monkeypatch):
@@ -179,7 +179,7 @@ def test_anchor_is_the_s_of_x_the_rate_would_evaluate():
     rps = library_problem("rps_game")
     cases = [(make(g, p), x) for make in PRESETS.values()] + [
         (preset_ppa(euclidean_geometry(quad.feasible_set), quad, 1.0),
-         np.array([0.3, 0.7])),                                   # projected route
+         np.array([0.3, 0.7])),                                   # Newton route on a box
         (preset_ppa(entropy_geometry(3), rps, 1.0), np.array([0.5, 0.3, 0.2]))]
     for spec, point in cases:
         tx, sx = dynamics.resolve_target(spec, point)

@@ -426,9 +426,9 @@ REJECTED = [
     ("solve", "eg_plus", "skew_bilinear", "euclidean",
      "preset.eta = 0.1\npreset.eta2 = 0.05\n", "unknown preset 'eg_plus'"),
     ("solve", "ppa", "skew_bilinear", "euclidean",
-     "preset.inner_max_iter = abc\n", "inner_max_iter"),
+     "preset.inner_max_iter = abc\n", "does not accept parameter(s) ['inner_max_iter']"),
     ("solve", "ppa", "skew_bilinear", "euclidean",
-     "preset.inner_max_iter = 0\n", "inner_max_iter"),
+     "preset.inner_max_iter = 0\n", "does not accept parameter(s) ['inner_max_iter']"),
     ("solve", "ppa", "skew_bilinear", "euclidean", "preset.inner_tol = nan\n",
      "inner_tol"),
     ("solve", "ppa", "skew_bilinear", "euclidean", "preset.inner_tol = -1\n",
@@ -870,16 +870,31 @@ def test_outputs_name_every_file_written(tmp_path, command, name):
 
 def test_failed_solve_leaves_no_stale_outputs(tmp_path, capsys):
     # a converged solve, then one whose implicit target stalls (ppa on
-    # rps_game under entropy at eta = 50) into the same directory
+    # rps_game under entropy asked for a target error that rounding
+    # cannot reach) into the same directory
     out = tmp_path / "out"
     good = (CONFIG_DIR / "eg_skew_solve.cfg").read_text()
     assert run_cli("solve", good, tmp_path, "good.cfg", env_dir=out) == 0
     (out / "notes.txt").write_text("not an output\n")
     bad = ("problem.name = rps_game\ngeometry.name = entropy\npreset.name = ppa\n"
-           "preset.eta = 50\nx0 = 0.6, 0.3, 0.1\n")
+           "preset.eta = 50\npreset.inner_tol = 1e-300\nx0 = 0.6, 0.3, 0.1\n")
     assert run_cli("solve", bad, tmp_path, "bad.cfg", env_dir=out) == 1
     assert "target subproblem stalled" in capsys.readouterr().err
     assert sorted(os.listdir(out)) == ["notes.txt"]
+
+
+@pytest.mark.parametrize("preset,eta", [
+    ("ppa", 20), ("ppa", 50), ("ppa", 100), ("dmd_calibrated", 100)])
+def test_large_step_proximal_targets_on_rps_entropy_converge(preset, eta, tmp_path):
+    # targets far from x, where a plain mirror fixed-point iteration does
+    # not contract; dmd_calibrated case 1 resolves the same targets in a flow
+    out = tmp_path / "out"
+    text = (f"problem.name = rps_game\ngeometry.name = entropy\npreset.name = {preset}\n"
+            f"preset.eta = {eta}\nx0 = 0.6, 0.3, 0.1\noutput.dir = {out}\n")
+    if preset == "dmd_calibrated":
+        text += "preset.case = 1\nmode = flow\nbudget.t_end = 50\n"
+    assert run_cli("solve", text, tmp_path) == 0
+    assert json.loads((out / "summary.json").read_text())["termination"] == "converged"
 
 
 def test_diverged_solve_replaces_the_earlier_outputs(tmp_path, capsys):

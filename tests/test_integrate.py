@@ -150,6 +150,21 @@ def test_every_runner_ends_diverged_with_its_finite_prefix(runner):
     assert np.all(np.isfinite(record.final_state.z))
 
 
+def test_a_diverging_run_reads_a_finite_natural_residual_at_every_sample():
+    # vanilla_md at eta = 1 doubles |x|^2 per step: the last finite samples
+    # lie past the overflow of |r|^2 (1.3e154), the last one where x - F(x)
+    # overflows too; the residual is still the finite ||F(x)||
+    p = library_problem("skew_bilinear")
+    g = euclidean_geometry(p.feasible_set)
+    record = run_discrete(g, preset_vanilla_md(g, p, 1.0), problem=p, x0=X0,
+                          n_steps=5000)
+    assert record.termination == "diverged" and record.states[-1, 0] > 1e307
+    assert np.all(np.isfinite(record.natural_residuals))
+    fx = p.F(record.states)
+    assert np.allclose(record.natural_residuals,
+                       [np.hypot(*row) for row in fx], rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("preset,equilibrium", [
     # the uncalibrated baseline settles at x = 1, not at the solution x = 2
     ("dmd_vanilla", 1.0),

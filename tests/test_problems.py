@@ -140,6 +140,27 @@ def test_natural_residual_examples():
     assert natural_residual(skew, np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
+def test_natural_residual_stays_finite_past_the_overflow_of_its_square():
+    # |r|^2 overflows past about 1.3e154; at (9e307, -9e307) on the whole
+    # space x - F(x) overflows too.  Each row reads its own call's value,
+    # and rows that do not overflow keep the bits of the plain sum.
+    skew = library_problem("skew_bilinear")
+    quad = library_problem("constrained_quadratic")
+    for problem, points, norms in (
+            (skew, [[1.0, 2.0], [1e200, -1e200], [9e307, -9e307]],
+             [5.0 ** 0.5, 2.0 ** 0.5 * 1e200, 2.0 ** 0.5 * 9e307]),
+            (quad, [[0.5, 0.5], [1e200, 0.5]], [None, 1e200])):
+        points = np.array(points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = natural_residual(problem, points)
+            alone = [natural_residual(problem, x) for x in points]
+        assert stacked.tolist() == alone
+        for value, expected in zip(stacked, norms):
+            assert np.isfinite(value)
+            if expected is not None:
+                assert value == pytest.approx(expected, rel=1e-15)
+
+
 # --- library problems -----------------------------------------------------
 
 def test_library_examples():

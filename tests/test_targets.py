@@ -1,4 +1,5 @@
-import dataclasses
+import functools
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_impls as ri
 from test_acceptance import _stepwise_deviation
-from targetmd import (ClosedForm, ResolventSolve, TargetSpec,
-                      affine_box_split, aitchison_add, bnn_dual_shift_target,
+from targetmd import (ClosedForm, ResolventSolve, TargetSpec, VIProblem,
+                      affine_box_split, aitchison_add, bnn_dual_shift_target, box,
                       dual_rate, entropy_geometry, estimate_lipschitz,
                       euclidean_geometry, excess_payoff,
                       library_problem, natural_residual, preset_bnn,
@@ -17,7 +18,9 @@ from targetmd import (ClosedForm, ResolventSolve, TargetSpec,
                       whole_space)
 from targetmd.errors import (ConfigurationError, DomainError,
                              TargetResolutionError)
-from targetmd.harness import DISCRETE_COMPARE_TOL, FIELD_COMPARE_TOL
+from targetmd import targets
+from targetmd.config import ExperimentConfig
+from targetmd.harness import DISCRETE_COMPARE_TOL, FIELD_COMPARE_TOL, build_spec
 
 SEED = 4242
 
@@ -131,9 +134,14 @@ def test_ppa_rejects_bad_step():
     {"inner_max_iter": True},
 ])
 def test_ppa_rejects_bad_inner_solver_limits(kwargs):
+    # a Newton solve ends at its certificate or at a stall: inner_tol is
+    # the one limit, and the preset table rejects inner_max_iter
     problem = library_problem("skew_bilinear")
-    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
-        preset_ppa(euclidean_geometry(problem.feasible_set), problem, 0.5, **kwargs)
+    cfg = ExperimentConfig(preset="ppa", preset_params={"eta": 0.5, **kwargs})
+    message = ("does not accept parameter(s) ['inner_max_iter']"
+               if "inner_max_iter" in kwargs else "inner_tol")
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        build_spec(cfg, euclidean_geometry(problem.feasible_set), problem, None)
 
 
 @pytest.mark.parametrize("case", [0, 3, 2.7, "abc", True])
@@ -256,12 +264,23 @@ def test_subproblem_optimality_of_solver_output():
     rng = np.random.default_rng(SEED + 3)
     cases = []
     quad = library_problem("constrained_quadratic")
-    # the projected route with exact constants, from a corner of the box
-    cases.append((preset_ppa(euclidean_geometry(quad.feasible_set), quad, 0.5),
-                  quad, np.array([1.0, 0.0])))
     rps = library_problem("rps_game")
+    # the Newton route through the box projection, from a corner of the
+    # box, and through the simplex projection, from a vertex (at eta = 0.5
+    # the target lies on an edge of the simplex)
+    for eta in (0.5, 5.0):
+        cases.append((preset_ppa(euclidean_geometry(quad.feasible_set), quad, eta),
+                      quad, np.array([1.0, 0.0])))
+        cases.append((preset_ppa(euclidean_geometry(rps.feasible_set), rps, eta),
+                      rps, np.array([1.0, 0.0, 0.0])))
+    # a box target with one coordinate at its bound: (0, 0.4)
+    m, q = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, -0.2])
+    edge = VIProblem(feasible_set=box([0.0, 0.0], [1.0, 1.0]),
+                     F=lambda x: np.matvec(m, x) + q, linear_terms=(m, q))
+    cases.append((preset_ppa(euclidean_geometry(edge.feasible_set), edge, 0.5),
+                  edge, np.array([0.5, 0.3])))
     entropy_ppa = preset_ppa(entropy_geometry(3), rps, 0.2, inner_tol=1e-12)
-    # the certified mirror-map route
+    # the Newton route through softmax
     cases.append((entropy_ppa, rps, np.array([0.5, 0.25, 0.25])))
     # near-balanced inner step (about 2/(sigma+L) for the interior
     # subproblem) keeps the returned point within a few tol of exact
@@ -522,60 +541,78 @@ def test_vanilla_md_spec_shape():
     assert np.allclose(resolve_target(spec, x)[0], x)
 
 
-# --- mirror-map route of implicit targets ------------------------------------
+# --- Newton route of implicit targets -----------------------------------------
 
-def _rps_oracle(problem, eta, x, digits=50):
-    """PPA target on rps_game under entropy: the fixed point of
-    y <- softmax(log x - eta * M y), iterated in mpmath at `digits` digits."""
+@functools.lru_cache(maxsize=None)
+def _rps_oracle(eta, x, digits=50):
+    """PPA target on rps_game under entropy at the point x (a tuple): the
+    root of r(y) = y - softmax(log x - eta * M y), in mpmath at `digits`
+    digits, by Newton's method with its step halved until ||r|| shrinks,
+    continued from y = x through doubling eta (the plain fixed-point
+    iteration does not contract at eta = 10).  Cached: the tests at two
+    tolerances share their oracle points."""
     import mpmath
 
-    m, _ = problem.linear_terms
+    m, _ = library_problem("rps_game").linear_terms
     n = len(x)
     with mpmath.workdps(digits):
-        eta = mpmath.mpf(eta)
-        mm = [[mpmath.mpf(float(v)) for v in row] for row in m]
-        log_x = [mpmath.log(mpmath.mpf(float(v))) for v in x]
-        y = [mpmath.mpf(float(v)) for v in x]
-        for _ in range(5000):
-            z = [log_x[i] - eta * mpmath.fsum(mm[i][j] * y[j] for j in range(n))
-                 for i in range(n)]
-            peak = max(z)
-            e = [mpmath.exp(v - peak) for v in z]
-            total = mpmath.fsum(e)
-            y_next = [v / total for v in e]
-            if max(abs(a - b) for a, b in zip(y_next, y)) < mpmath.mpf(10) ** (5 - digits):
-                return np.array([float(v) for v in y_next])
-            y = y_next
-    raise AssertionError("oracle iteration did not converge")
+        mm = mpmath.matrix([[float(v) for v in row] for row in m])
+        log_x = mpmath.matrix([mpmath.log(mpmath.mpf(float(v))) for v in x])
+
+        def softmax(y, step):
+            z = log_x - step * (mm * y)
+            e = [mpmath.exp(v - max(z)) for v in z]
+            return mpmath.matrix(e) / mpmath.fsum(e)
+
+        y = mpmath.matrix([mpmath.mpf(float(v)) for v in x])
+        stages = [mpmath.mpf(eta)]
+        while stages[0] > 0.5:
+            stages.insert(0, stages[0] / 2)
+        for step in stages:
+            s = softmax(y, step)
+            for _ in range(100):
+                size = mpmath.norm(y - s)
+                if size < mpmath.mpf(10) ** (5 - digits):
+                    break
+                jacobian = mpmath.eye(n) + step * ((mpmath.diag(s) - s * s.T) * mm)
+                d = mpmath.lu_solve(jacobian, y - s)
+                t = mpmath.mpf(1)
+                while t > 1e-30 and mpmath.norm(y - t * d - softmax(y - t * d, step)) >= size:
+                    t /= 2
+                y = y - t * d
+                s = softmax(y, step)
+            else:
+                raise AssertionError("oracle Newton iteration did not converge")
+        return np.array([float(v) for v in y])
 
 
-@pytest.mark.parametrize("eta", [0.2, 1.0])
+@pytest.mark.parametrize("eta", [0.2, 1.0, 10.0, 50.0, 100.0])
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 def test_mirror_route_target_within_tol_of_oracle(eta, tol):
     rps = library_problem("rps_game")
     spec = preset_ppa(entropy_geometry(3), rps, eta, inner_tol=tol)
-    assert spec.target.grad_h_conj is not None
+    assert spec.target.geometry is not None
     rng = np.random.default_rng(SEED + 20)
     for x in rps.feasible_set.sample_interior(rng, 10, margin=0.02):
         y = resolve_target(spec, x)[0]
-        assert np.linalg.norm(y - _rps_oracle(rps, eta, x)) <= tol
+        assert np.linalg.norm(y - _rps_oracle(eta, tuple(x))) <= tol
 
 
 def test_dmd_calibrated_case_one_mirror_route_within_tol_of_oracle():
     # case 1 resolves the PPA target, so the same oracle applies
     rps = library_problem("rps_game")
     spec = preset_dmd_calibrated(entropy_geometry(3), rps, 1.0, case=1)
-    assert spec.target.grad_h_conj is not None
+    assert spec.target.geometry is not None
     rng = np.random.default_rng(SEED + 24)
     for x in rps.feasible_set.sample_interior(rng, 10, margin=0.02):
         y = resolve_target(spec, x)[0]
-        assert np.linalg.norm(y - _rps_oracle(rps, 1.0, x)) <= 1e-10
+        assert np.linalg.norm(y - _rps_oracle(1.0, tuple(x))) <= 1e-10
 
 
 def test_mirror_route_f_calls_per_target():
-    # eta = 1 from points 0.2 from uniform; the projected route spends
+    # eta = 1 from points 0.2 from uniform; the projected iteration spends
     # about 300 F calls on each of these targets, the plain fixed-point
-    # iteration 37, the Anderson iteration 8
+    # iteration 37, Newton 5 or 6
     rps = library_problem("rps_game")
     plain_f = rps.F
     calls = [0]
@@ -593,30 +630,42 @@ def test_mirror_route_f_calls_per_target():
         d -= d.mean()
         calls[0] = 0
         resolve_target(spec, uniform + 0.2 * d / np.linalg.norm(d))
-        assert calls[0] <= 12
+        assert calls[0] <= 8
 
 
-def test_mirror_route_falls_back_to_projected_solve():
-    # at eta = 3 the mirror map of rps_game does not contract near uniform
+def test_newton_route_resolves_at_eta_3_without_a_fallback(monkeypatch):
+    # at eta = 3 the plain mirror fixed-point iteration of rps_game does
+    # not contract near uniform; Newton certifies the target by itself
+    def unreachable(*args):
+        raise AssertionError("the projected iteration ran")
+
+    monkeypatch.setattr(targets, "_projected_iteration", unreachable)
     rps = library_problem("rps_game")
     spec = preset_ppa(entropy_geometry(3), rps, 3.0)
-    conj = spec.target.grad_h_conj
-    tried = [0]
-
-    def spy(z):
-        tried[0] += 1
-        return conj(z)
-
-    mirror = dataclasses.replace(
-        spec, target=dataclasses.replace(spec.target, grad_h_conj=spy))
-    projected = dataclasses.replace(
-        spec, target=dataclasses.replace(spec.target, grad_h_conj=None))
     rng = np.random.default_rng(SEED + 22)
     for x in rps.feasible_set.sample_interior(rng, 3, margin=0.05):
-        tried[0] = 0
-        y = resolve_target(mirror, x)[0]
-        assert 0 < tried[0] < 20
-        assert np.array_equal(y, resolve_target(projected, x)[0])
+        y = resolve_target(spec, x)[0]
+        assert np.linalg.norm(y - _rps_oracle(3.0, tuple(x))) <= spec.target.tol
+
+
+def test_newton_route_takes_differences_of_a_nonlinear_phi():
+    # F = M x + 0.5 x^3 (monotone: skew plus the gradient of a convex
+    # quartic) has no linear_terms, so J_Phi comes from forward differences;
+    # the certificate reads the exact residual, so the target still solves
+    # its subproblem: grad_h(y) + eta*F(y) - grad_h(x) lies in the normal
+    # cone of the simplex at the interior point y, the multiples of ones
+    m = library_problem("rps_game").linear_terms[0]
+    cubic = VIProblem(feasible_set=simplex(3),
+                      F=lambda x: np.matvec(m, x) + 0.5 * np.asarray(x, dtype=float) ** 3)
+    g = entropy_geometry(3)
+    rng = np.random.default_rng(SEED + 25)
+    for eta in (1.0, 20.0):
+        spec = preset_ppa(g, cubic, eta, inner_tol=1e-12)
+        assert spec.target.geometry is g and spec.target.phi_jacobian is None
+        for x in cubic.feasible_set.sample_interior(rng, 10, margin=0.02):
+            y, sx = resolve_target(spec, x)
+            residual = spec.S(y) + spec.Phi(y) - sx
+            assert np.ptp(residual) <= 1e-9
 
 
 def test_mirror_route_weighted_quadratic_matches_linear_solve():
@@ -624,7 +673,7 @@ def test_mirror_route_weighted_quadratic_matches_linear_solve():
     problem = library_problem("skew_bilinear")
     g = weighted_quadratic_geometry([1.0, 2.0])
     spec = preset_ppa(g, problem, 0.5, inner_tol=1e-12)
-    assert spec.target.grad_h_conj is not None
+    assert isinstance(spec.target, ClosedForm)
     m, q = problem.linear_terms
     w = np.diag([1.0, 2.0])
     rng = np.random.default_rng(SEED + 23)
@@ -635,8 +684,9 @@ def test_mirror_route_weighted_quadratic_matches_linear_solve():
 
 
 def test_ppa_route_selection():
-    # linear F under the Euclidean potential: a closed-form linear solve on
-    # the whole space, the projected route with exact constants on a box
+    # linear F under a whole-space quadratic potential: a closed-form linear
+    # solve; on a box, the simplex or under entropy: Newton through the
+    # geometry's conj_jacobian, with J_Phi = eta*M made dense once
     for name in ("skew_bilinear", "linear_monotone", "scalar_shift",
                  "constrained_quadratic"):
         problem = library_problem(name)
@@ -644,16 +694,21 @@ def test_ppa_route_selection():
         for spec in (preset_ppa(g, problem, 0.5),
                      preset_dmd_calibrated(g, problem, 0.5, case=1)):
             if name == "constrained_quadratic":
-                assert spec.target.grad_h_conj is None
-                assert spec.target.step > 0.0
+                assert spec.target.geometry is g
+                assert np.array_equal(spec.target.phi_jacobian,
+                                      0.5 * problem.linear_terms[0])
             else:
                 assert isinstance(spec.target, ClosedForm)
+    weighted = library_problem("skew_bilinear")
+    assert isinstance(preset_ppa(weighted_quadratic_geometry([1.0, 2.0]), weighted,
+                                 0.5).target, ClosedForm)
     rps = library_problem("rps_game")
-    g3 = entropy_geometry(3)
-    for spec in (preset_ppa(g3, rps, 1.0),
-                 preset_dmd_calibrated(g3, rps, 1.0, case=1)):
-        assert spec.target.grad_h_conj is g3.grad_h_conj
-        assert spec.target.step is None
+    for g in (entropy_geometry(3), euclidean_geometry(rps.feasible_set)):
+        for spec in (preset_ppa(g, rps, 1.0),
+                     preset_dmd_calibrated(g, rps, 1.0, case=1)):
+            assert spec.target.geometry is g
+            assert np.array_equal(spec.target.phi_jacobian, rps.linear_terms[0])
+            assert spec.target.step is None
 
 
 # --- properties: presets against the coded references ----------------------
