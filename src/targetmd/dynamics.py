@@ -463,7 +463,9 @@ def lyapunov_series(record: RunRecord,
         raise ConfigurationError("the run has no reference point, so no Lyapunov values")
     values = record.lyapunov
     band = violation_band(record)
-    diffs = np.diff(values)
+    with np.errstate(invalid="ignore"):  # inf - inf past an overflow: NaN
+        diffs = np.diff(values)
+        decrease = float(values[0] - values[-1])
     violations = [int(i) for i in np.nonzero(diffs > band)[0]]
     running = np.zeros_like(values)
     if spec is not None and record.states.shape[0] > 1:
@@ -474,7 +476,7 @@ def lyapunov_series(record: RunRecord,
     return LyapunovReport(values=values, violations=violations, band=band,
                           dissipation_running=running,
                           dissipation_integral=float(running[-1]),
-                          total_decrease=float(values[0] - values[-1]))
+                          total_decrease=decrease)
 
 
 def relaxed_condition_value(spec: TargetSpec, x, x_bar, tx=None) -> float:

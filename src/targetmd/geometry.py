@@ -10,6 +10,7 @@ rules and descent diagnostics consume it directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -211,7 +212,9 @@ def bregman(geometry: MirrorGeometry, x: Vector, y: Vector):
     Nonnegative by convexity, zero iff x = y for strictly convex h.  The
     second argument must lie where grad_h is defined (the interior, for
     the entropy geometry).  y may be a stack of points: the result is then
-    one value per row, each with the bits of that row's own call.
+    one value per row, each with the bits of that row's own call.  Under a
+    quadratic potential, rows where h(y) overflows and that form is NaN at
+    a finite y are 0.5 * sum w (x - y)^2, scaled by the largest |x - y|.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -225,5 +228,13 @@ def bregman(geometry: MirrorGeometry, x: Vector, y: Vector):
             f"geometry {geometry.name!r} returned shapes {np.shape(hy)} and "
             f"{np.shape(gy)} from eval_h and grad_h for points of shape {y.shape}; "
             "they must map each row of a stack")
-    value = hx - hy - np.vecdot(gy, x - y)
+    value = np.asarray(hx - hy - np.vecdot(gy, x - y), dtype=float)
+    w = geometry.quadratic_weights
+    if w is not None:
+        flat, rows = value.reshape(-1), y.reshape(-1, y.shape[-1])
+        for i in np.flatnonzero(np.isnan(flat) & np.isfinite(rows).all(axis=-1)):
+            d = x - rows[i]
+            peak = float(np.max(np.abs(d)))
+            flat[i] = peak if peak in (0.0, math.inf) else (
+                0.5 * float(np.vecdot(w * (d / peak), d / peak)) * peak * peak)
     return float(value) if y.ndim == 1 else value

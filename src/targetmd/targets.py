@@ -69,20 +69,23 @@ class MirrorOfS:
 
 @dataclass(frozen=True)
 class ResolventSolve:
-    """Evaluate the target by solving its strongly monotone subproblem.
+    """Evaluate the target by solving its strongly monotone subproblem: the
+    certified Newton solve of _newton_target, in at most max_iter steps.
 
-    With a geometry (S = grad_h, monotone Phi, a conj_jacobian) it is the
-    certified Newton solve of _newton_target; phi_jacobian is J_Phi as an
-    array, or None for forward differences.  Without one (custom (S, Phi)
-    pairs) it runs projected forward iterations, which stop on step
-    length, from `step` (default 1e-2), halved on divergence.  Either
-    makes at most max_iter iterations."""
+    geometry, when set, must have a conj_jacobian and S must be its grad_h
+    (Phi monotone); phi_jacobian is then J_Phi as an array, or None for
+    forward differences.  Without one (custom (S, Phi) pairs, a geometry
+    without conj_jacobian) the solve runs through the Euclidean projection
+    onto the feasible set, with forward differences of S + Phi."""
 
     tol: float = 1e-10
     max_iter: int = 10_000
-    step: Optional[float] = None
     geometry: Optional[MirrorGeometry] = None
     phi_jacobian: Optional[Vector] = None
+
+    def __post_init__(self):
+        if self.phi_jacobian is not None and self.geometry is None:
+            raise ConfigurationError("phi_jacobian needs a geometry")
 
 
 TargetStrategy = Union[ClosedForm, ClosedFormGap, MirrorOfS, ResolventSolve]
@@ -153,15 +156,9 @@ def resolve_target(spec: TargetSpec, x: Vector):
     S(T(x)) - S(x).
 
     Closed-form strategies apply their stored formula; MirrorOfS maps S(x)
-    through its mirror.  A ResolventSolve with a geometry returns the
-    certified Newton solve (_newton_target) or raises
-    TargetResolutionError: nothing falls back.  Without a geometry the
-    projected iteration runs y <- P(y - tau * (S(y) + Phi(y) - S(x))),
-    with P the projection onto spec.feasible_set, from y0 = x until the
-    step shrinks below tol; strong monotonicity of S + Phi makes this a
-    contraction for small enough tau, and divergence (including domain
-    violations of S or Phi) triggers geometric backoff of tau, at most 6
-    halvings.
+    through its mirror.  A ResolventSolve returns the certified Newton
+    solve (_newton_target), within tol of T(x), or raises
+    TargetResolutionError: nothing falls back.
     """
     x = np.asarray(x, dtype=float)
     strategy = spec.target
@@ -177,8 +174,7 @@ def resolve_target(spec: TargetSpec, x: Vector):
         if spec.Phi is None:
             raise ConfigurationError("solver strategy needs an explicit Phi")
         anchor = spec.S(x)
-        solve = _projected_iteration if strategy.geometry is None else _newton_target
-        tx = solve(spec, strategy, x, anchor)
+        tx = _newton_target(spec, strategy, x, anchor)
     return tx, anchor
 
 
@@ -188,84 +184,76 @@ def _norm(v: Vector) -> float:
     return math.sqrt(float(np.dot(v, v)))
 
 
-def _projected_iteration(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
-                         anchor: Vector) -> Vector:
-    tau = 1e-2 if strategy.step is None else strategy.step
-    scale = 1.0 + _norm(x)
-    last = np.inf
-    for _ in range(7):
-        y = x.copy()
-        diverged = False
-        for _ in range(strategy.max_iter):
-            try:
-                g = spec.S(y) + spec.Phi(y) - anchor
-            except DomainError:
-                diverged = True
-                break
-            y_next = spec.feasible_set.project(y - tau * g)
-            diff = _norm(y_next - y)
-            if not np.isfinite(diff) or diff > 1e6 * scale:
-                diverged = True
-                break
-            y = y_next
-            if diff <= strategy.tol:
-                return y
-            last = diff
-        if diverged:
-            tau *= 0.5
-            continue
-        raise TargetResolutionError(
-            f"target subproblem stalled: step {last:.3e} > tol {strategy.tol:g} "
-            f"after {strategy.max_iter} iterations (inner step {tau:g}); the "
-            "design pair may not be strongly monotone", last_residual=last)
-    raise TargetResolutionError(
-        "target subproblem diverged despite 6 step halvings", last_residual=last)
-
-
 def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
                    anchor: Vector) -> Vector:
-    """Solve f(w) = S(x) - Phi(grad_h_conj(w)) - w = 0 by damped Newton
-    from w_0 = S(x) - Phi(x), and return y = grad_h_conj(w).
+    """Solve f(w) = S(x) - Psi(grad_h_conj(w)) - w = 0 by damped Newton and
+    return y = grad_h_conj(w).  With a geometry (S its grad_h), Psi = Phi
+    and w_0 = S(x) - Phi(x); without one, grad_h_conj is the Euclidean
+    projection onto spec.feasible_set, Psi(y) = Phi(y) + (S(y) - y) and
+    w_0 = x.  w - grad_h(y) lies in N_X(y), so -f lies in
+    (S + Phi + N_X)(y) - S(x) and ||y - T(x)|| <= ||f|| / sigma: the stop
+    ||f|| <= sigma * tol certifies the target.
 
-    w - grad_h(y) lies in N_X(y), so -f lies in (S + Phi + N_X)(y) - S(x),
-    and sigma-strong monotonicity gives ||y - T(x)|| <= ||f|| / sigma: the
-    stop ||f|| <= sigma * tol certifies the target.  The Newton matrix
-    I + J_Phi H, H = conj_jacobian(y), is nonsingular for H positive
-    semidefinite and J_Phi monotone; J_Phi H is phi_jacobian @ H, or forward
-    differences of Phi along H's columns (one Phi call on their stack).  The
-    step halves from 1 until ||f|| shrinks by 1 - 1e-4 * t; 30 halvings, or
-    max_iter steps, are a stall."""
-    geometry, jacobian = strategy.geometry, strategy.phi_jacobian
+    The Newton matrix I + J_Psi H, H = conj_jacobian(y), is nonsingular for
+    J_Phi monotone and H positive semidefinite, or S + Phi strongly
+    monotone and H an orthogonal projector ((I + (J_S + J_Phi - I)H)v = 0
+    gives H(J_S + J_Phi)Hv = 0, so v = 0); a singular one raises.  J_Psi is
+    phi_jacobian, or forward differences of Psi along the unit vectors in
+    one stacked call: each raises one coordinate, so an entropy S stays
+    defined, and J_Psi H keeps H's null space exactly, which differences
+    along H's columns break by the curvature of S.  The step halves from 1
+    until ||f|| shrinks by 1 - 1e-4 * t, rejecting trials where S or Phi
+    raises DomainError; 30 halvings, or max_iter steps short of the stop,
+    are a stall."""
+    geometry, jacobian, psi = strategy.geometry, strategy.phi_jacobian, spec.Phi
+    if geometry is None:
+        geometry = euclidean_geometry(spec.feasible_set)
+        w = x
+
+        def psi(y):
+            return spec.Phi(y) + (spec.S(y) - y)
+    else:
+        w = anchor - spec.Phi(x)
     bound = spec.sigma * strategy.tol
 
     def at(w):
         y = geometry.grad_h_conj(w)
-        phi = spec.Phi(y)
-        f = anchor - phi - w
-        return w, y, phi, f, _norm(f)
+        value = psi(y)
+        f = anchor - value - w
+        return w, y, value, f, _norm(f)
 
-    w, y, phi, f, size = at(anchor - spec.Phi(x))
+    w, y, value, f, size = at(w)
     for _ in range(strategy.max_iter):
         if size <= bound:
-            return y
-        h = geometry.conj_jacobian(y)
-        if jacobian is None:
+            break
+        j = jacobian
+        if j is None:
             shift = 1.5e-8 * (1.0 + float(np.max(np.abs(y))))
-            jh = ((spec.Phi(y + shift * h.T) - phi) / shift).T
-        else:
-            jh = jacobian @ h
+            j = ((psi(y + shift * np.eye(len(y))) - value) / shift).T
+        jh = j @ geometry.conj_jacobian(y)
         jh.flat[::len(y) + 1] += 1.0
-        d = np.linalg.solve(jh, f)
+        try:
+            d = np.linalg.solve(jh, f)
+        except np.linalg.LinAlgError:
+            raise TargetResolutionError(
+                f"target subproblem singular: the Newton matrix has no inverse at "
+                f"residual {size:.3e}; the design pair may not be strongly monotone",
+                last_residual=size) from None
         for k in range(31):
-            trial = at(w + 0.5 ** k * d)
+            try:
+                trial = at(w + 0.5 ** k * d)
+            except DomainError:
+                continue
             if trial[-1] <= (1.0 - 1e-4 * 0.5 ** k) * size:
                 break
         else:
             break
-        w, y, phi, f, size = trial
-    raise TargetResolutionError(
-        f"target subproblem stalled: residual {size:.3e} > {bound:g}",
-        last_residual=size)
+        w, y, value, f, size = trial
+    if size > bound:
+        raise TargetResolutionError(
+            f"target subproblem stalled: residual {size:.3e} > {bound:g}",
+            last_residual=size)
+    return y
 
 
 def _require_strongly_monotone(op, feasible_set, label, seed=0):
@@ -310,8 +298,9 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     solve (see _newton_target), with J_Phi = eta*M made dense here for
     linear F and forward differences of Phi otherwise: about 3 F calls
     per target on rps_game under entropy at eta = 1.  A geometry without
-    one takes the projected iteration.  inner_tol must be finite and
-    positive.
+    one takes the same certified solve through the Euclidean projection
+    onto the feasible set, with S = its grad_h.  inner_tol must be finite
+    and positive.
     """
     eta = _step_size(eta, "eta")
     inner_tol = _step_size(inner_tol, "inner_tol")

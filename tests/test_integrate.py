@@ -212,6 +212,25 @@ def test_discrete_divergence_writes_its_outputs_and_one_error_line(tmp_path, cap
     assert rows[-1].startswith(f"{summary['final_step']},")
 
 
+def test_a_diverging_run_reads_its_lyapunov_value_at_every_sample(tmp_path, capsys):
+    # past |x| near 1.3e154, h(x*) - h(y) - <grad h(y), x* - y> is inf - inf;
+    # the quadratic potential's 0.5 * |x* - y|^2, scaled, reads 2^1023 at
+    # step 1024, where x = (2^512, 0), and inf from then on
+    out = tmp_path / "o"
+    code, caught = _runtime_warnings(
+        lambda: run_cli("solve", VANILLA_MD_DIVERGES.format(out=out), tmp_path))
+    assert code == 1 and caught == []
+    one_error_line(capsys)
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()
+    column = rows[0].split(",").index("lyapunov")
+    cells = {int(row.split(",")[0]): row.split(",")[column] for row in rows[1:]}
+    assert len(cells) == 2048 and all(cells.values())
+    assert float(cells[1024]) == 8.98846567431158e+307 == 2.0 ** 1023
+    assert all(float(cells[k]) == np.inf for k in range(1025, 2048))
+    # every step increases it: the 1023 finite increases, then 2^1023 and inf
+    assert _summary(out)["lyapunov_violations"] == 1025
+
+
 def test_overflowing_start_gap_diverges_at_step_1(tmp_path, capsys):
     # ||T(x0) - x0|| overflows at x0 = (1e308, 1e308); the start point's
     # gap and its diagnostics are evaluated inside the loop's errstate

@@ -396,8 +396,12 @@ def test_lipschitz_of_a_matrix_whose_null_space_holds_the_ones_vector():
     assert preset_eg(g, problem, 0.4).sigma == pytest.approx(1.0 - 2 * 0.4, rel=1e-14)
 
 
-def test_lipschitz_sampled_fallback_overestimates():
+def test_lipschitz_needs_a_hint_where_sampling_gives_no_upper_bound():
+    # tanh(1000x) has L = 1000, but sampled difference quotients read about
+    # 8: preset_eg would accept eta = 0.05, where modulus - eta*L = -49
     problem = VIProblem(feasible_set=whole_space(1),
-                        F=lambda x: 3.0 * np.asarray(x, dtype=float))
-    est = estimate_lipschitz(problem, n_samples=64, rng_seed=0)
-    assert 3.0 <= est <= 6.0 + 1e-9  # 2x safety factor on the sampled bound
+                        F=lambda x: np.tanh(1000.0 * np.asarray(x, dtype=float)))
+    with pytest.raises(ConfigurationError, match="lipschitz_hint"):
+        estimate_lipschitz(problem)
+    with pytest.raises(ConfigurationError, match="lipschitz_hint"):
+        preset_eg(euclidean_geometry(problem.feasible_set), problem, 0.05)

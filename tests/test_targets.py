@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import re
 
@@ -18,7 +19,6 @@ from targetmd import (ClosedForm, ResolventSolve, TargetSpec, VIProblem,
                       whole_space)
 from targetmd.errors import (ConfigurationError, DomainError,
                              TargetResolutionError)
-from targetmd import targets
 from targetmd.config import ExperimentConfig
 from targetmd.harness import DISCRETE_COMPARE_TOL, FIELD_COMPARE_TOL, build_spec
 
@@ -35,7 +35,7 @@ def test_resolve_identity_subproblem():
     s = whole_space(2)
     spec = TargetSpec(alpha=1.0, beta=0.0, S=identity, sigma=1.0,
                       Phi=lambda x: np.zeros_like(x),
-                      target=ResolventSolve(step=1.0),
+                      target=ResolventSolve(),
                       feasible_set=s)
     assert np.allclose(resolve_target(spec, np.array([2.0, 2.0]))[0], [2.0, 2.0])
 
@@ -46,7 +46,7 @@ def test_resolve_scalar_proximal_equation():
     s = problem.feasible_set
     spec = TargetSpec(alpha=1.0, beta=0.0, S=identity, sigma=1.0,
                       Phi=lambda x: 0.5 * problem.F(x),
-                      target=ResolventSolve(tol=1e-12, step=1.5 / 1.5 ** 2),
+                      target=ResolventSolve(tol=1e-12),
                       feasible_set=s)
     y = resolve_target(spec, np.array([0.0]))[0]
     assert y[0] == pytest.approx(2.0 / 3.0, abs=1e-10)
@@ -62,10 +62,10 @@ def test_resolve_eg_closed_form():
 
 def test_resolve_reports_nonconvergence():
     s = whole_space(1)
-    # anti-monotone pair: the iteration cannot contract
+    # S + Phi vanishes identically: the subproblem y - y = x has no root
     spec = TargetSpec(alpha=1.0, beta=0.0, S=identity, sigma=1.0,
-                      Phi=lambda x: -2.0 * np.asarray(x, dtype=float),
-                      target=ResolventSolve(tol=1e-12, max_iter=50, step=0.5),
+                      Phi=lambda x: -np.asarray(x, dtype=float),
+                      target=ResolventSolve(tol=1e-12, max_iter=50),
                       feasible_set=s)
     with pytest.raises(TargetResolutionError) as err:
         resolve_target(spec, np.array([1.0]))
@@ -187,11 +187,11 @@ def test_eg_inner_solver_agrees_with_closed_form():
     problem = library_problem("skew_bilinear")
     g = euclidean_geometry(problem.feasible_set)
     closed = preset_eg(g, problem, 0.1)
-    # same design pair, solved implicitly: S + Phi = grad_h, so with unit
-    # constants the inner iteration lands exactly in one step
+    # same design pair, solved implicitly: S + Phi = grad_h, so the
+    # Newton matrix is I up to rounding
     solver = TargetSpec(alpha=closed.alpha, beta=0.0, S=closed.S,
                         sigma=closed.sigma, Phi=closed.Phi,
-                        target=ResolventSolve(tol=1e-12, step=1.0),
+                        target=ResolventSolve(tol=1e-12),
                         feasible_set=closed.feasible_set)
     rng = np.random.default_rng(SEED)
     for x in problem.feasible_set.sample(rng, 50):
@@ -282,11 +282,10 @@ def test_subproblem_optimality_of_solver_output():
     entropy_ppa = preset_ppa(entropy_geometry(3), rps, 0.2, inner_tol=1e-12)
     # the Newton route through softmax
     cases.append((entropy_ppa, rps, np.array([0.5, 0.25, 0.25])))
-    # near-balanced inner step (about 2/(sigma+L) for the interior
-    # subproblem) keeps the returned point within a few tol of exact
+    # the same pair without a geometry: Newton through the simplex projection
     entropy_ppa = TargetSpec(
         alpha=1.0, beta=0.0, S=entropy_ppa.S, sigma=entropy_ppa.sigma,
-        Phi=entropy_ppa.Phi, target=ResolventSolve(tol=1e-12, step=0.4),
+        Phi=entropy_ppa.Phi, target=ResolventSolve(tol=1e-12),
         feasible_set=entropy_ppa.feasible_set)
     cases.append((entropy_ppa, rps, np.array([0.5, 0.25, 0.25])))
     for spec, problem, x in cases:
@@ -308,12 +307,10 @@ def test_resolver_matches_linear_solve_on_random_strongly_monotone_pairs():
         eta = float(rng.uniform(0.05, 0.5))
         s = whole_space(dim)
         a = np.eye(dim) + eta * m
-        sym = 0.5 * (a + a.T)
         spec = TargetSpec(
             alpha=1.0, beta=0.0, S=identity, sigma=1.0,
-            Phi=lambda x, m=m, q=q, eta=eta: eta * (m @ x + q),
-            target=ResolventSolve(tol=1e-13, step=float(np.linalg.eigvalsh(sym).min())
-                                  / float(np.linalg.norm(a, 2)) ** 2),
+            Phi=lambda x, m=m, q=q, eta=eta: eta * (np.matvec(m, x) + q),
+            target=ResolventSolve(tol=1e-13),
             feasible_set=s)
         x = rng.normal(size=dim)
         y = resolve_target(spec, x)[0]
@@ -610,7 +607,7 @@ def test_dmd_calibrated_case_one_mirror_route_within_tol_of_oracle():
 
 
 def test_mirror_route_f_calls_per_target():
-    # eta = 1 from points 0.2 from uniform; the projected iteration spends
+    # eta = 1 from points 0.2 from uniform; a projected forward iteration spent
     # about 300 F calls on each of these targets, the plain fixed-point
     # iteration 37, Newton 5 or 6
     rps = library_problem("rps_game")
@@ -633,13 +630,9 @@ def test_mirror_route_f_calls_per_target():
         assert calls[0] <= 8
 
 
-def test_newton_route_resolves_at_eta_3_without_a_fallback(monkeypatch):
+def test_newton_route_resolves_at_eta_3_without_a_fallback():
     # at eta = 3 the plain mirror fixed-point iteration of rps_game does
     # not contract near uniform; Newton certifies the target by itself
-    def unreachable(*args):
-        raise AssertionError("the projected iteration ran")
-
-    monkeypatch.setattr(targets, "_projected_iteration", unreachable)
     rps = library_problem("rps_game")
     spec = preset_ppa(entropy_geometry(3), rps, 3.0)
     rng = np.random.default_rng(SEED + 22)
@@ -666,6 +659,90 @@ def test_newton_route_takes_differences_of_a_nonlinear_phi():
             y, sx = resolve_target(spec, x)
             residual = spec.S(y) + spec.Phi(y) - sx
             assert np.ptp(residual) <= 1e-9
+
+
+@pytest.mark.parametrize("eta", [0.5, 2.0])
+def test_box_pair_without_a_geometry_matches_its_clipped_closed_form(eta):
+    # S = I, Phi(y) = eta*(y - c) on [0, 1]^2: Newton through the box
+    # projection lands on T(x) = clip((x + eta*c) / (1 + eta), 0, 1)
+    c = np.array([0.3, 1.7])
+    spec = TargetSpec(alpha=1.0, beta=0.0, S=identity, sigma=1.0,
+                      Phi=lambda y: eta * (np.asarray(y, dtype=float) - c),
+                      target=ResolventSolve(tol=1e-12),
+                      feasible_set=box([0.0, 0.0], [1.0, 1.0]))
+    rng = np.random.default_rng(SEED + 26)
+    for x in rng.uniform(-1.0, 2.0, size=(20, 2)):
+        exact = np.clip((x + eta * c) / (1.0 + eta), 0.0, 1.0)
+        assert np.linalg.norm(resolve_target(spec, x)[0] - exact) <= spec.target.tol
+
+
+@pytest.mark.parametrize("eta", [0.2, 1.0, 5.0, 20.0])
+@pytest.mark.parametrize("x", [(0.5, 0.25, 0.25), (0.9, 0.05, 0.05)])
+def test_entropy_pair_without_a_geometry_is_certified(eta, x):
+    # the hand-built pair (entropy grad_h, eta*F) on the simplex solves
+    # through the Euclidean projection, and its stop certifies the target:
+    # within tol of the geometry route
+    rps = library_problem("rps_game")
+    g = entropy_geometry(3)
+    routed = preset_ppa(g, rps, eta)
+    pair = TargetSpec(alpha=1.0, beta=0.0, S=g.grad_h, sigma=routed.sigma,
+                      Phi=routed.Phi, target=ResolventSolve(tol=routed.target.tol),
+                      feasible_set=rps.feasible_set)
+    x = np.array(x)
+    gap = resolve_target(pair, x)[0] - resolve_target(routed, x)[0]
+    assert np.linalg.norm(gap) <= pair.target.tol
+
+
+def test_entropy_pair_without_a_geometry_resolves_near_the_boundary():
+    # costs (0, 10) at eta = 1 put the target's second coordinate at 4.5e-5:
+    # forward differences of the entropy S along the projector's columns
+    # (curvature 1/y^2) would break the Newton matrix's null space and
+    # stall the solve; along the unit vectors it stays certified
+    problem = library_problem("vertex_cost_simplex", costs=(0.0, 10.0))
+    g = entropy_geometry(2)
+    routed = preset_ppa(g, problem, 1.0)
+    pair = TargetSpec(alpha=1.0, beta=0.0, S=g.grad_h, sigma=routed.sigma,
+                      Phi=routed.Phi, target=ResolventSolve(tol=routed.target.tol),
+                      feasible_set=problem.feasible_set)
+    x = np.array([0.5, 0.5])
+    y = resolve_target(pair, x)[0]
+    assert y[1] == pytest.approx(4.54e-5, rel=1e-3)
+    assert np.linalg.norm(y - resolve_target(routed, x)[0]) <= pair.target.tol
+
+
+@pytest.mark.parametrize("with_geometry", [True, False])
+def test_a_singular_newton_matrix_ends_as_a_target_resolution_error(with_geometry):
+    # S + Phi vanishes on the whole space: the Newton matrix I + J_Phi is 0
+    # with the given J_Phi = -I, and rounding-level from forward differences
+    ws = whole_space(2)
+    g = euclidean_geometry(ws)
+    target = (ResolventSolve(geometry=g, phi_jacobian=-np.eye(2)) if with_geometry
+              else ResolventSolve())
+    spec = TargetSpec(alpha=1.0, beta=0.0, S=g.grad_h, sigma=1.0,
+                      Phi=lambda y: -np.asarray(y, dtype=float), target=target,
+                      feasible_set=ws)
+    with pytest.raises(TargetResolutionError) as err:
+        resolve_target(spec, np.array([1.0, 2.0]))
+    assert err.value.last_residual == pytest.approx(np.sqrt(5.0))
+
+
+def test_a_solve_certified_by_its_last_allowed_step_returns():
+    # one Newton step with the exact J_Phi solves a linear subproblem; with
+    # max_iter = 1 that step's residual is read before the solve gives up
+    ws = whole_space(2)
+    g = euclidean_geometry(ws)
+    m = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    spec = TargetSpec(alpha=1.0, beta=0.0, S=g.grad_h, sigma=1.0,
+                      Phi=lambda y: 0.5 * np.matvec(m, y), feasible_set=ws,
+                      target=ResolventSolve(max_iter=1, geometry=g, phi_jacobian=0.5 * m))
+    x = np.array([1.0, 2.0])
+    y = resolve_target(spec, x)[0]
+    assert np.linalg.norm(y - np.linalg.solve(np.eye(2) + 0.5 * m, x)) <= spec.target.tol
+
+
+def test_a_phi_jacobian_needs_a_geometry():
+    with pytest.raises(ConfigurationError, match="phi_jacobian needs a geometry"):
+        ResolventSolve(phi_jacobian=np.eye(2))
 
 
 def test_mirror_route_weighted_quadratic_matches_linear_solve():
@@ -708,7 +785,14 @@ def test_ppa_route_selection():
                      preset_dmd_calibrated(g, rps, 1.0, case=1)):
             assert spec.target.geometry is g
             assert np.array_equal(spec.target.phi_jacobian, rps.linear_terms[0])
-            assert spec.target.step is None
+    # a geometry without conj_jacobian: the same certified solve, through the
+    # Euclidean projection onto the simplex with S = its grad_h
+    bare = dataclasses.replace(entropy_geometry(3), conj_jacobian=None)
+    spec = preset_ppa(bare, rps, 1.0)
+    assert spec.target == ResolventSolve(tol=1e-10)
+    x = (0.6, 0.3, 0.1)
+    assert np.linalg.norm(resolve_target(spec, np.array(x))[0]
+                          - _rps_oracle(1.0, x)) <= spec.target.tol
 
 
 # --- properties: presets against the coded references ----------------------
