@@ -160,7 +160,11 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     the final state's x may be its z.  The run makes one attempt, whatever
     the scheme: a non-finite dual point ends it as DIVERGED, with the
     samples up to the last finite point recorded and that point as its
-    final state.  numpy's overflow and invalid-value warnings are silenced
+    final state.  That is the loop's one finiteness test, exact and in one
+    numpy call: the dot product of the flattened dual point with zeros is
+    0 at a finite point (also at entries near the float limit, whose sum
+    overflows) and NaN at one with an inf or a NaN entry, since 0 * inf is
+    NaN.  numpy's overflow and invalid-value warnings are silenced
     from the start point's target and gap through the loop and the
     recorder's diagnostics, since that check reports them.  A t_end / dt
     that is not finite is a ConfigurationError.
@@ -179,6 +183,7 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     rec = recorder()
     k0 = state.step_index
     k, t, z, x = k0, state.time, state.z, state.x
+    zeros = np.zeros(np.size(z))
     termination = BUDGET
     with np.errstate(over="ignore", invalid="ignore"):
         tx, sx = target(x)
@@ -190,7 +195,7 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
                 termination = CONVERGED
                 break
             z1 = advance(rate, pullback, target, z, k1, h)
-            if not math.isfinite(np.add.reduce(z1, axis=None)):
+            if np.vdot(z1, zeros) != 0.0:
                 termination = DIVERGED
                 break
             k, t, z, x = k + 1, t + dt, z1, pullback(z1)
@@ -463,16 +468,17 @@ def lyapunov_series(record: RunRecord,
         raise ConfigurationError("the run has no reference point, so no Lyapunov values")
     values = record.lyapunov
     band = violation_band(record)
-    with np.errstate(invalid="ignore"):  # inf - inf past an overflow: NaN
+    # inf - inf past an overflow is NaN; a finite gap past 1.3e154 squares to inf
+    with np.errstate(over="ignore", invalid="ignore"):
         diffs = np.diff(values)
         decrease = float(values[0] - values[-1])
+        rates = (None if spec is None
+                 else spec.alpha * spec.sigma * record.target_residuals ** 2)
     violations = [int(i) for i in np.nonzero(diffs > band)[0]]
     running = np.zeros_like(values)
-    if spec is not None and record.states.shape[0] > 1:
-        rates = spec.alpha * spec.sigma * record.target_residuals ** 2
-        if np.all(np.isfinite(rates)):
-            widths = np.diff(record.times)
-            running[1:] = np.cumsum(0.5 * (rates[1:] + rates[:-1]) * widths)
+    if rates is not None and len(rates) > 1 and np.all(np.isfinite(rates)):
+        widths = np.diff(record.times)
+        running[1:] = np.cumsum(0.5 * (rates[1:] + rates[:-1]) * widths)
     return LyapunovReport(values=values, violations=violations, band=band,
                           dissipation_running=running,
                           dissipation_integral=float(running[-1]),

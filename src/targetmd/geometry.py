@@ -45,9 +45,11 @@ class MirrorGeometry:
     one value per row for a stack, grad_h an array of the input's shape.
     The grad_h_conj of the geometries built here maps each row of a stack
     the same way, each row with the bits of its own call (the ensemble
-    maps rely on this).  grad_h and grad_h_conj may return their input itself where
-    they are the identity (the Euclidean geometry does), so callers must
-    not write into what they return, nor into what they pass in.
+    maps rely on this).  grad_h and grad_h_conj may return their input
+    itself where they are the identity (the whole-space Euclidean geometry
+    does), so callers must not write into what they return, nor into what
+    they pass in.  grad_h_conj need not reject a NaN dual point: the
+    stepping loop tests each dual point for finiteness itself.
 
     conj_jacobian, when available, maps a primal point x to the Jacobian
     of grad_h_conj evaluated at the dual image of x; it is used to convert
@@ -76,10 +78,12 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
     """Half squared norm restricted to a set.
 
     grad_h is the identity on the set and the mirror map is the Euclidean
-    projection, so dual vectors land back in the set.  Both identities
-    return their float input itself, not a copy: on the whole space
-    grad_h(x) is x and grad_h_conj(z) is z.  conj_jacobian(x) is I, on a
-    box diag(free coordinates of x), on the simplex I_S - 1_S 1_S^T / |S|.
+    projection, so dual vectors land back in the set.  On the whole space
+    the projection is the identity, and grad_h_conj is grad_h itself: both
+    return their float input, not a copy, and neither scans it for NaN (a
+    NaN dual point pulls back to a NaN point, which the stepping loop's
+    finiteness test ends as diverged).  conj_jacobian(x) is I, on a box
+    diag(free coordinates of x), on the simplex I_S - 1_S 1_S^T / |S|.
     """
 
     def eval_h(x):
@@ -109,7 +113,7 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
     return MirrorGeometry(
         eval_h=eval_h,
         grad_h=grad_h,
-        grad_h_conj=feasible_set.project,
+        grad_h_conj=grad_h if feasible_set.kind == WHOLE_SPACE else feasible_set.project,
         strong_convexity_modulus=1.0,
         domain=feasible_set,
         name="euclidean",

@@ -191,15 +191,18 @@ def natural_residual(problem: VIProblem, x: Vector):
 
 
 def _overflowed_norm(problem: VIProblem, f: Vector, r: Vector) -> float:
-    """||r|| where r.r overflows (|r| past about 1.3e154): peak * ||r / peak||,
-    peak the largest |entry|.  On the whole space r = x - (x - f) is f, which
-    stays finite where x - f overflows."""
-    if problem.feasible_set.kind == WHOLE_SPACE:
-        r = f
-    peak = float(np.max(np.abs(r)))
+    """||r|| where r.r overflows.  On the whole space r = x - (x - f) is f,
+    which stays finite where x - f overflows."""
+    return _scaled_norm(f if problem.feasible_set.kind == WHOLE_SPACE else r)
+
+
+def _scaled_norm(v: Vector) -> float:
+    """||v|| of a 1-D array whose v.v overflows (|v| past about 1.3e154):
+    peak * ||v / peak||, peak the largest |entry|, or inf if that is."""
+    peak = float(np.max(np.abs(v)))
     if peak == math.inf:
         return peak
-    return peak * math.sqrt(float(np.vecdot(r / peak, r / peak)))
+    return peak * math.sqrt(float(np.vecdot(v / peak, v / peak)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +242,10 @@ class Tridiagonal:
         # off*(x[i+1] - x[i-1]) first, then + diag*x[i]: on the library
         # matrices this is the dense product's bits, or within 2 ulp of them.
         # Indexing the transposes walks the last axis, so a stack of points
-        # is one product per row with each row's bits.
+        # is one product per row with each row's bits; one point needs none.
         x = np.asarray(x, dtype=float)
         y = np.empty_like(x)
-        xt, yt = x.T, y.T
+        xt, yt = (x, y) if x.ndim == 1 else (x.T, y.T)
         if self.dim > 2:
             np.subtract(xt[2:], xt[:-2], out=yt[1:-1])
         yt[0] = xt[1]
@@ -309,11 +312,12 @@ def _sine_transform(v: Vector, weights: Vector) -> Vector:
 
 def _linear(m, q: Vector) -> Callable[[Vector], Vector]:
     """x -> M x + q, row by row on a stack: matvec gives each row the bits
-    of M @ row, which a stack's X @ M.T does not."""
+    of M @ row, which a stack's X @ M.T does not.  Both products convert
+    x to floats themselves."""
     product = m.__matmul__ if isinstance(m, Tridiagonal) else partial(np.matvec, m)
 
     def F(x):
-        return product(np.asarray(x, dtype=float)) + q
+        return product(x) + q
     return F
 
 
@@ -458,7 +462,9 @@ class MonotonicityReport:
 def sampled_monotonicity(op, pairs):
     """Minimum of <op(x) - op(y), x - y> / ||x - y||^2 over sampled pairs,
     with its pair and the minimum of the inner product itself.  Pairs with
-    ||x - y||^2 < 1e-16 are skipped; with none left it is (inf, None, inf)."""
+    ||x - y||^2 < 1e-16 are skipped; with none left it is (inf, None, inf).
+    A non-finite inner product (op NaN or overflowing at the pair) refutes:
+    it counts as -inf."""
     min_ratio = min_inner = np.inf
     witness = None
     for x, y in pairs:
@@ -467,6 +473,8 @@ def sampled_monotonicity(op, pairs):
         if nn < 1e-16:
             continue
         inner = float(np.dot(op(x) - op(y), d))
+        if not math.isfinite(inner):
+            inner = -math.inf
         min_inner = min(min_inner, inner)
         if inner / nn < min_ratio:
             min_ratio, witness = inner / nn, (x, y)

@@ -31,7 +31,7 @@ from .errors import ConfigurationError, DomainError, TargetResolutionError
 from .geometry import (INTERIOR_FLOOR, MirrorGeometry, entropy_geometry,
                        euclidean_geometry)
 from .problems import (SIMPLEX, WHOLE_SPACE, FeasibleSet, Tridiagonal, VIProblem,
-                       box, estimate_lipschitz, sampled_monotonicity)
+                       _scaled_norm, box, estimate_lipschitz, sampled_monotonicity)
 
 Vector = np.ndarray
 
@@ -155,21 +155,22 @@ def resolve_target(spec: TargetSpec, x: Vector):
     resolution evaluated (None for ClosedForm), or ClosedFormGap's gap
     S(T(x)) - S(x).
 
-    Closed-form strategies apply their stored formula; MirrorOfS maps S(x)
-    through its mirror.  A ResolventSolve returns the certified Newton
-    solve (_newton_target), within tol of T(x), or raises
+    MirrorOfS maps S(x) through its mirror (it is tested first, being the
+    per-point path of every extragradient step); closed-form strategies
+    apply their stored formula.  A ResolventSolve returns the certified
+    Newton solve (_newton_target), within tol of T(x), or raises
     TargetResolutionError: nothing falls back.
     """
     x = np.asarray(x, dtype=float)
     strategy = spec.target
     anchor = None
-    if isinstance(strategy, ClosedForm):
+    if isinstance(strategy, MirrorOfS):
+        anchor = spec.S(x)
+        tx = np.asarray(strategy.mirror(anchor), dtype=float)
+    elif isinstance(strategy, ClosedForm):
         tx = np.asarray(strategy.fn(x), dtype=float)
     elif isinstance(strategy, ClosedFormGap):
         tx, anchor = strategy.fn(x)
-    elif isinstance(strategy, MirrorOfS):
-        anchor = spec.S(x)
-        tx = np.asarray(strategy.mirror(anchor), dtype=float)
     else:
         if spec.Phi is None:
             raise ConfigurationError("solver strategy needs an explicit Phi")
@@ -179,9 +180,11 @@ def resolve_target(spec: TargetSpec, x: Vector):
 
 
 def _norm(v: Vector) -> float:
-    """The Euclidean norm of a real 1-D array: what np.linalg.norm computes
-    for one, without its dispatch."""
-    return math.sqrt(float(np.dot(v, v)))
+    """The Euclidean norm of a real 1-D array: sqrt(v.v), without
+    np.linalg.norm's dispatch, rescaled only where v.v overflows, so the
+    bits are sqrt(v.v)'s wherever that is finite."""
+    size = math.sqrt(float(np.dot(v, v)))
+    return _scaled_norm(v) if size == math.inf else size
 
 
 def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
@@ -204,7 +207,7 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
     along H's columns break by the curvature of S.  The step halves from 1
     until ||f|| shrinks by 1 - 1e-4 * t, rejecting trials where S or Phi
     raises DomainError; 30 halvings, or max_iter steps short of the stop,
-    are a stall."""
+    are a stall, and so is a NaN residual (S or Phi NaN along the way)."""
     geometry, jacobian, psi = strategy.geometry, strategy.phi_jacobian, spec.Phi
     if geometry is None:
         geometry = euclidean_geometry(spec.feasible_set)
@@ -249,7 +252,7 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
         else:
             break
         w, y, value, f, size = trial
-    if size > bound:
+    if not size <= bound:
         raise TargetResolutionError(
             f"target subproblem stalled: residual {size:.3e} > {bound:g}",
             last_residual=size)

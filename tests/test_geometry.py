@@ -29,8 +29,17 @@ def all_geometries():
 # --- constructor examples -------------------------------------------------
 
 def test_euclidean_whole_space_identity():
-    g = euclidean_geometry(whole_space(2))
-    assert np.allclose(g.grad_h_conj(np.array([3.0, -1.0])), [3.0, -1.0])
+    # the mirror map returns its input and scans nothing: a NaN dual point
+    # passes through, to be caught by the stepping loop; the set's
+    # projection still rejects it
+    s = whole_space(2)
+    g = euclidean_geometry(s)
+    z = np.array([3.0, -1.0])
+    assert g.grad_h_conj(z) is z
+    nan = np.array([np.nan, 1.0])
+    assert g.grad_h_conj(nan) is nan
+    with pytest.raises(DomainError, match="NaN"):
+        s.project(nan)
 
 
 def test_euclidean_simplex_symmetry():

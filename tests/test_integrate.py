@@ -2,8 +2,10 @@
 non-finite policy, and the boundary checks every runner passes through."""
 
 import json
+import math
 import os
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from targetmd import (entropy_geometry, euclidean_geometry, flow,
                       preset_dmd_calibrated, verify_ensemble_reduction,
                       whole_space)
 from targetmd.cli import main
+from targetmd.dynamics import SolverState, _Recorder, integrate
 from targetmd.errors import ConfigurationError
 from targetmd.harness import OUTPUT_DIR_ENV, run_command
 
@@ -231,19 +234,101 @@ def test_a_diverging_run_reads_its_lyapunov_value_at_every_sample(tmp_path, caps
     assert _summary(out)["lyapunov_violations"] == 1025
 
 
-def test_overflowing_start_gap_diverges_at_step_1(tmp_path, capsys):
-    # ||T(x0) - x0|| overflows at x0 = (1e308, 1e308); the start point's
-    # gap and its diagnostics are evaluated inside the loop's errstate
-    # block, so only the divergence line reaches stderr
+def test_a_finite_start_near_the_float_limit_runs_its_budget(tmp_path, capsys):
+    # from x0 = (1e308, 1e308) the first dual point, about (8.9e307, 1.09e308),
+    # is finite though its sum overflows, and ||T(x0) - x0|| = 0.1 * |x0|
+    # (1.4e307) is finite though its square is not: no step diverges
     out = tmp_path / "o"
     text = ("problem.name = skew_bilinear\ngeometry.name = euclidean\n"
             f"preset.name = eg\nx0 = 1e308, 1e308\noutput.dir = {out}\n")
     code, caught = _runtime_warnings(lambda: run_cli("solve", text, tmp_path))
+    assert code == 2 and caught == []
+    assert capsys.readouterr().err == ""
+    summary = _summary(out)
+    assert summary["termination"] == "budget_exhausted"
+    assert np.isfinite(summary["final_target_residual"])
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()
+    column = rows[0].split(",").index("residual_target")
+    assert float(rows[1].split(",")[column]) == pytest.approx(
+        0.1 * math.hypot(1e308, 1e308), rel=1e-15)
+
+
+def test_only_a_first_step_that_overflows_diverges_at_step_1(tmp_path, capsys):
+    # vanilla_md from (1.7e308, 1.7e308): at eta = 1e-300 the dual point
+    # stays finite (its sum is not); at eta = 1, z1[1] = 1.7e308 + 1.7e308
+    # is inf
+    p = library_problem("skew_bilinear")
+    g = euclidean_geometry(p.feasible_set)
+    x0 = [1.7e308, 1.7e308]
+    record, caught = _runtime_warnings(lambda: run_discrete(
+        g, preset_vanilla_md(g, p, 1e-300), x0=x0, n_steps=5))
+    assert caught == [] and record.termination == "budget_exhausted"
+    assert record.final_state.step_index == 5
+    assert np.all(np.isfinite(record.final_state.z))
+    out = tmp_path / "o"
+    text = VANILLA_MD_DIVERGES.format(out=out).replace("x0 = 1, 0", "x0 = 1.7e308, 1.7e308")
+    code, caught = _runtime_warnings(lambda: run_cli("solve", text, tmp_path))
     assert code == 1 and caught == []
-    assert "non-finite at step 1;" in one_error_line(capsys)
+    assert one_error_line(capsys) == (
+        "error: the dual point turned non-finite at step 1; the run diverges\n")
     summary = _summary(out)
     assert (summary["termination"], summary["final_step"], summary["samples"]) == (
         "diverged", 0, 1)
+
+
+EG_EULER_OVERFLOWS = """problem.name = skew_bilinear
+geometry.name = euclidean
+preset.name = eg
+preset.eta = 0.1
+mode = flow
+flow.integrator = euler
+flow.dt = 10
+budget.t_end = 100000
+x0 = 1, 0
+output.dir = {out}
+"""
+
+
+def test_an_eg_flow_whose_s_overflows_ends_diverged(tmp_path, capsys):
+    # Euler at dt = 10 grows the EG flow by about 1.35 per step; the whole-
+    # space mirror map passes the non-finite S values on unchecked, and the
+    # loop's finiteness test ends the run at the first non-finite dual point,
+    # not at the last finite one, whose entries sum past the float range
+    out = tmp_path / "o"
+    code, caught = _runtime_warnings(
+        lambda: run_cli("solve", EG_EULER_OVERFLOWS.format(out=out), tmp_path))
+    assert code == 1 and caught == []
+    err = one_error_line(capsys)
+    summary = _summary(out)
+    assert summary["termination"] == "diverged" and summary["final_step"] > 2000
+    assert err == ("error: the dual point turned non-finite at step "
+                   f"{summary['final_step'] + 1}; the run diverges\n")
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()
+    assert len(rows) == summary["samples"] + 1
+    assert rows[-1].startswith(f"{summary['final_step']},")
+    points = np.array([[float(c) for c in row.split(",")[2:4]] for row in rows[1:]])
+    assert np.all(np.isfinite(points))
+    with np.errstate(over="ignore"):
+        assert np.sum(points[-1]) == np.inf
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 2)])
+@pytest.mark.parametrize("entry,termination", [
+    (1e308, "budget_exhausted"), (np.inf, "diverged"), (-np.inf, "diverged"),
+    (np.nan, "diverged")])
+def test_the_finiteness_test_is_exact_on_a_point_and_a_stack(shape, entry, termination):
+    # one step from dual 0 to a point of entries 1e308 but its last: the
+    # sum of the entries overflows, but only an inf or a NaN is non-finite
+    step = np.full(shape, 1e308)
+    step.flat[-1] = entry
+    z0 = np.zeros(shape)
+    first_row = lambda z: z.reshape(-1, 2)[0]
+    record, caught = _runtime_warnings(lambda: integrate(
+        lambda z, x, tx, sx: step, first_row, SolverState(0, 0.0, z0, first_row(z0)),
+        "discrete", 1.0, target=lambda x: (None, None),
+        recorder=partial(_Recorder, None, None, None, None)))
+    assert caught == [] and record.termination == termination
+    assert record.final_state.step_index == (termination != "diverged")
 
 
 def test_bnn_flow_at_a_huge_step_keeps_finite_target_residuals(tmp_path, capsys):

@@ -365,6 +365,15 @@ def test_check_monotonicity_refutes_anti_monotone():
     assert report.min_ratio < -1e-9
 
 
+def test_check_monotonicity_refutes_an_all_nan_operator():
+    problem = VIProblem(feasible_set=whole_space(2),
+                        F=lambda x: np.full(np.shape(x), np.nan))
+    report = check_monotonicity(problem, 200, 0)
+    assert report.classification == "not monotone (witness ratio -inf)"
+    assert report.witness is not None
+    assert report.min_ratio == report.min_inner == -np.inf
+
+
 def test_check_monotonicity_needs_samples():
     with pytest.raises(ConfigurationError):
         check_monotonicity(library_problem("scalar_shift"), 1, 0)

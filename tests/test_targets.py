@@ -21,6 +21,7 @@ from targetmd.errors import (ConfigurationError, DomainError,
                              TargetResolutionError)
 from targetmd.config import ExperimentConfig
 from targetmd.harness import DISCRETE_COMPARE_TOL, FIELD_COMPARE_TOL, build_spec
+from targetmd.targets import _norm
 
 SEED = 4242
 
@@ -724,6 +725,57 @@ def test_a_singular_newton_matrix_ends_as_a_target_resolution_error(with_geometr
     with pytest.raises(TargetResolutionError) as err:
         resolve_target(spec, np.array([1.0, 2.0]))
     assert err.value.last_residual == pytest.approx(np.sqrt(5.0))
+
+
+def test_a_nan_phi_on_a_whole_space_pair_is_not_certified():
+    # the residual is NaN from the start: no Newton step shrinks it, and a
+    # NaN residual is no certificate, so x itself is not returned
+    ws = whole_space(2)
+    spec = TargetSpec(alpha=1.0, beta=0.0, S=identity, sigma=1.0,
+                      Phi=lambda y: np.full(np.shape(y), np.nan),
+                      target=ResolventSolve(), feasible_set=ws)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            TargetResolutionError, match="residual nan"):
+        resolve_target(spec, np.array([1.0, 2.0]))
+
+
+def test_an_entropy_solve_that_meets_a_nan_phi_is_not_certified():
+    # Phi is NaN wherever a coordinate exceeds 0.5, which the subproblem at
+    # x = (0.6, 0.3, 0.1) starts from; (0.4, 0.35, 0.25) stays clear of it
+    g = entropy_geometry(3)
+    rps = library_problem("rps_game")
+
+    def phi(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y > 0.5, np.nan, rps.F(y))
+
+    spec = TargetSpec(alpha=1.0, beta=0.0, S=g.grad_h, sigma=1.0, Phi=phi,
+                      target=ResolventSolve(geometry=g), feasible_set=g.domain)
+    y = resolve_target(spec, np.array([0.4, 0.35, 0.25]))[0]
+    assert np.all(np.isfinite(y)) and y.max() < 0.5
+    with np.errstate(invalid="ignore"), pytest.raises(
+            TargetResolutionError, match="residual nan"):
+        resolve_target(spec, np.array([0.6, 0.3, 0.1]))
+
+
+def test_the_gap_norm_is_rescaled_only_where_its_square_overflows():
+    v = np.array([0.1, 0.7, -0.3])
+    assert _norm(v) == np.sqrt(np.dot(v, v))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the stepping loop
+        assert _norm(np.array([1e307, -1e307])) == pytest.approx(
+            np.sqrt(2.0) * 1e307, rel=1e-15)
+        assert _norm(np.array([np.inf, 1.0])) == np.inf
+        assert np.isnan(_norm(np.array([np.nan, 1e307])))
+
+
+def test_eg_refuses_an_all_nan_operator():
+    # every sampled inner product is NaN, and a NaN inner product refutes
+    problem = VIProblem(feasible_set=whole_space(2), lipschitz_hint=1.0,
+                        F=lambda x: np.full(np.shape(x), np.nan))
+    g = euclidean_geometry(problem.feasible_set)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ConfigurationError, match="not strongly monotone"):
+        preset_eg(g, problem, 0.1)
 
 
 def test_a_solve_certified_by_its_last_allowed_step_returns():
