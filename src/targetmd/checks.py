@@ -19,7 +19,7 @@ REFUTE_TOL = 1e-9
 
 
 def _dual_map_check(spec, samples):
-    worst = sampled_monotonicity(spec.S, zip(samples[:-1], samples[1:]))[0]
+    worst = sampled_monotonicity(spec.S, samples[:-1], samples[1:])[0]
     return {
         "min_ratio": worst,
         "claimed_modulus": spec.sigma,

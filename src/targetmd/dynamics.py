@@ -1,7 +1,7 @@
 """The stepping loop, its runners, and run diagnostics.
 
 Every runner steps one dual update through `integrate`: a rate
-z' = rate(z, x, T(x), S(x)), a pull-back x = pullback(z) (the mirror map),
+z' = rate(x, T(x), S(x), z), a pull-back x = pullback(z) (the mirror map),
 and a scheme.  Each point resolves its target once, and the S(x) that the
 resolution evaluated travels with T(x) to the rate.  "discrete" is Euler
 with dt = 1, and "rk4" recomputes x at every stage.  The higher-order
@@ -81,28 +81,28 @@ def state_from_dual(geometry: MirrorGeometry, z0) -> SolverState:
 
 
 def dual_rate(spec: TargetSpec, x: Vector, tx: Vector,
-              sx: Optional[Vector]) -> Vector:
+              sx: Optional[Vector], z: Optional[Vector] = None) -> Vector:
     """alpha * (S(T(x)) - S(x)) - beta * Phi(x), with (tx, sx) what
     resolve_target(spec, x) returned: sx is the S(x) used in place of S(x)
     (None: evaluate S(x) here), or under ClosedFormGap the gap (not None).
+    The dual point z goes unread; taking it makes partial(dual_rate, spec)
+    a rate of integrate.
     With alpha = 0 the rate is 0.0 - beta * Phi(x), which keeps the sign of
-    zeros; alpha = 1 multiplies nothing (1.0 * v is v, bit for bit).  The
-    result may be sx itself (alpha = 1, beta = 0 under ClosedFormGap):
-    callers must not write into it."""
+    zeros; alpha = 1 and beta = 1 multiply nothing (1.0 * v is v, bit for
+    bit).  The result may be sx itself (alpha = 1, beta = 0 under
+    ClosedFormGap): callers must not write into it."""
     alpha, beta = spec.alpha, spec.beta
     if alpha == 0.0:
-        return 0.0 - beta * spec.Phi(x)
-    if isinstance(spec.target, ClosedFormGap):
+        rate = 0.0
+    elif isinstance(spec.target, ClosedFormGap):
         rate = sx
     else:
         rate = spec.S(tx) - (spec.S(x) if sx is None else sx)
-    if alpha != 1.0:
+    if alpha not in (0.0, 1.0):
         rate = alpha * rate
-    return rate if beta == 0.0 else rate - beta * spec.Phi(x)
-
-
-def _tmd_rate(spec):
-    return lambda z, x, tx, sx: dual_rate(spec, x, tx, sx)
+    if beta == 0.0:
+        return rate
+    return rate - (spec.Phi(x) if beta == 1.0 else beta * spec.Phi(x))
 
 
 # A scheme maps (rate, pullback, target, z, k1, h) to the next dual point;
@@ -119,7 +119,7 @@ def _euler(rate, pullback, target, z, k1, h):
 def _rk4(rate, pullback, target, z, k1, h):
     def rate_at(zs):
         xs = pullback(zs)
-        return rate(zs, xs, *target(xs))
+        return rate(xs, *target(xs), zs)
 
     k2 = rate_at(z + 0.5 * h * k1)
     k3 = rate_at(z + 0.5 * h * k2)
@@ -141,15 +141,16 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
               stop_residual: float = DEFAULT_STOP_RESIDUAL, stride: int = 1):
     """The one stepping loop of the package.
 
-    Step z' = gain * rate(z, x, T(x), S(x)), x = pullback(z), from `state`
+    Step z' = gain * rate(x, T(x), S(x), z), x = pullback(z), from `state`
     for round(t_end / dt) steps of `scheme` (discrete: dt = gain = 1), and
     return recorder().finish(...) over the samples pushed at the start,
     every stride-th step and the end; push(k, t, x, tx, g) takes a
     sample's step index, time, point, target and g = ||T(x) - x||.
-    target(x) returns (T(x), S(x)) once per point, or (None, None) and g =
-    NaN; rate takes both.  g is computed where something reads it: once per
-    loop point when stop_on_gap is set (the stop rule reads it), otherwise
-    g = None and the recorder computes the gaps it keeps; never at RK4
+    target(x) returns (T(x), S(x)) once per point, or (None, None) where no
+    target map applies (the recorder then keeps g = NaN); rate takes both.
+    g is computed where something reads it: once per loop point when
+    stop_on_gap is set (the stop rule reads it, so it needs a target map),
+    otherwise g = None and the recorder computes the gaps it keeps; never at RK4
     stage points.  The rate k1 at the current point is computed once per step,
     and the run stops once residual(z, x, g, k1) < stop_residual.  Every
     residual is a norm, so a stop_residual that is not > 0 (0, negative or
@@ -187,10 +188,10 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
     termination = BUDGET
     with np.errstate(over="ignore", invalid="ignore"):
         tx, sx = target(x)
-        g = _target_gap(tx, x) if stop_on_gap else None
+        g = _norm(tx - x) if stop_on_gap else None
         rec.push(k, t, x, tx, g)
         for _ in range(max(0, int(round(n_steps)))):
-            k1 = rate(z, x, tx, sx)
+            k1 = rate(x, tx, sx, z)
             if residual is not None and residual(z, x, g, k1) < stop_residual:
                 termination = CONVERGED
                 break
@@ -200,7 +201,7 @@ def integrate(rate, pullback, state: SolverState, scheme: str, t_end: float, *,
                 break
             k, t, z, x = k + 1, t + dt, z1, pullback(z1)
             tx, sx = target(x)
-            g = _target_gap(tx, x) if stop_on_gap else None
+            g = _norm(tx - x) if stop_on_gap else None
             if k % stride == 0:
                 rec.push(k, t, x, tx, g)
         if k != k0 and k % stride:
@@ -320,7 +321,7 @@ def _run(geometry, spec, problem, rate, residual, scheme, t_end, *, dt=None,
     record = integrate(rate, pullback, state, scheme, t_end,
                        dt=1.0 if scheme == "discrete" else dt, gain=gain,
                        target=((lambda x: (None, None)) if spec is None
-                               else lambda x: resolve_target(spec, x)),
+                               else partial(resolve_target, spec)),
                        residual=residual, stop_on_gap=stop_on_gap,
                        stop_residual=stop_residual, stride=stride,
                        recorder=partial(_Recorder, geometry, spec, problem, reference))
@@ -339,9 +340,10 @@ def run_discrete(geometry: MirrorGeometry, spec: TargetSpec,
                  state: Optional[SolverState] = None) -> RunRecord:
     """Up to n_steps discrete steps, stopping early once the stationarity
     residual falls below stop_residual."""
-    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
-                "discrete", n_steps, x0=x0, state=state, reference=reference,
-                stop_residual=stop_residual, stride=stride, stop_on_gap=spec.alpha > 0.0)
+    return _run(geometry, spec, problem, partial(dual_rate, spec),
+                _stationarity(spec, problem), "discrete", n_steps, x0=x0, state=state,
+                reference=reference, stop_residual=stop_residual, stride=stride,
+                stop_on_gap=spec.alpha > 0.0)
 
 
 def flow(geometry: MirrorGeometry, spec: TargetSpec,
@@ -352,9 +354,10 @@ def flow(geometry: MirrorGeometry, spec: TargetSpec,
     """Integrate z' = alpha*(S o T - S)(x) - beta*Phi(x), x = grad_h_conj(z),
     with steps of dt; a non-finite dual point ends the run as diverged
     (see integrate)."""
-    return _run(geometry, spec, problem, _tmd_rate(spec), _stationarity(spec, problem),
-                integrator, t_end, dt=dt, x0=x0, state=state, reference=reference,
-                stop_residual=stop_residual, stride=stride, stop_on_gap=spec.alpha > 0.0)
+    return _run(geometry, spec, problem, partial(dual_rate, spec),
+                _stationarity(spec, problem), integrator, t_end, dt=dt, x0=x0,
+                state=state, reference=reference, stop_residual=stop_residual,
+                stride=stride, stop_on_gap=spec.alpha > 0.0)
 
 
 def _mismatch_norm(z, x, g, k1):
@@ -371,7 +374,7 @@ def run_dmd(geometry: MirrorGeometry, spec: TargetSpec, gamma: float = 1.0,
     tuples where alpha*S + beta*Phi collapses to grad_h.  It stops on the
     dual mismatch ||S(T(x)) - z||, which vanishes exactly at equilibrium;
     under case 1 that forces T(x) = x, a true solution."""
-    return _run(geometry, spec, problem, lambda z, x, tx, sx: spec.S(tx) - z,
+    return _run(geometry, spec, problem, lambda x, tx, sx, z: spec.S(tx) - z,
                 _mismatch_norm, integrator, t_end, dt=dt,
                 gain=_step_size(gamma, "gamma"), x0=x0, reference=reference,
                 stop_residual=stop_residual, stride=stride)
@@ -385,7 +388,7 @@ def run_vanilla_dmd(geometry: MirrorGeometry, problem: VIProblem,
     """Uncalibrated discounted baseline z' = gamma*(-F(x) - z); stops on
     ||-F(x) - z||.  Its equilibria z = -F(grad_h_conj(z)) generally do NOT
     solve the inequality."""
-    return _run(geometry, None, problem, lambda z, x, tx, sx: -problem.F(x) - z,
+    return _run(geometry, None, problem, lambda x, tx, sx, z: -problem.F(x) - z,
                 _mismatch_norm, integrator, t_end, dt=dt,
                 gain=_step_size(gamma, "gamma"), x0=x0, reference=reference,
                 stop_residual=stop_residual, stride=stride)
@@ -415,7 +418,7 @@ def run_higher_order(geometry: MirrorGeometry, spec: TargetSpec,
     gain = np.concatenate((np.ones(dim), np.full(dim, _step_size(gamma2, "gamma2"))))
     first_order = _stationarity(spec, problem)
 
-    def rate(y, x, tx, sx):
+    def rate(x, tx, sx, y):
         gap = x - y[dim:]
         return np.concatenate((dual_rate(spec, x, tx, sx) - gamma1 * gap, gap))
 

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import MirrorGeometry, softmax
 from .targets import TargetSpec, resolve_target
-from .dynamics import (RunRecord, SolverState, _Recorder, _tmd_rate, flow,
+from .dynamics import (RunRecord, SolverState, _Recorder, dual_rate, flow,
                        integrate, run_discrete, state_from_dual)
 
 Vector = np.ndarray
@@ -195,10 +195,10 @@ def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
     # the rate at the averaged state broadcasts into every row of the stack
     duals = np.array([m.z0 for m in members])
     together = integrate(
-        _tmd_rate(spec), mean_of_members,
+        partial(dual_rate, spec), mean_of_members,
         SolverState(0, 0.0, duals, mean_of_members(duals)),
         record.mode, record.final_state.step_index * record.dt, dt=record.dt,
-        target=lambda x: resolve_target(spec, x),
+        target=partial(resolve_target, spec),
         recorder=partial(_Recorder, None, None, None, None))
     reached = record.steps <= together.final_state.step_index
     deviations = np.full(len(record.steps), np.inf)

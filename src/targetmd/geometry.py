@@ -30,10 +30,16 @@ def softmax(z: Vector) -> Vector:
     """Normalized exponential with max-subtraction for overflow safety,
     row by row: a stack of dual points maps to the stack of their images,
     each row with the bits of its own call.  The reductions are the ufuncs'
-    own (what ndarray.max and ndarray.sum call), without the method layer."""
+    own (what ndarray.max and ndarray.sum call), without the method layer,
+    and the exponentials and the division work in place, in the one new
+    array z - max."""
     z = np.asarray(z, dtype=float)
-    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    # one point reduces to scalars; the same bits as its one-row keepdims form
+    axis, keep = (None, False) if z.ndim == 1 else (-1, True)
+    e = z - np.maximum.reduce(z, axis=axis, keepdims=keep)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=keep)
+    return e
 
 
 @dataclass(eq=False)
@@ -131,6 +137,8 @@ def entropy_geometry(dim: int) -> MirrorGeometry:
     interior, so the rejection only bites on user-supplied points.  The
     modulus is 1 in the Euclidean norm because the Hessian diag(1/x)
     dominates the identity whenever all coordinates are at most 1.
+    conj_jacobian(x) is diag(x) - x x^T, formed as I * x - x x^T with I
+    made once: the same bits wherever x >= 0, as at every softmax image.
     """
     dim = int(dim)
     if dim < 2:
@@ -149,15 +157,17 @@ def entropy_geometry(dim: int) -> MirrorGeometry:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (dim,):
             raise DomainError(f"expected points of dimension {dim}, got shape {x.shape}")
-        if np.min(x) < INTERIOR_FLOOR:
+        least = np.minimum.reduce(x, axis=None)
+        if least < INTERIOR_FLOOR:
             raise DomainError(
                 f"entropy gradient needs every coordinate >= {INTERIOR_FLOOR:g}; "
-                f"got min {np.min(x):.3e}")
+                f"got min {least:.3e}")
         return np.log(x) + 1.0
 
+    eye = np.eye(dim)
+
     def jacobian(x):
-        x = np.asarray(x, dtype=float)
-        return np.diag(x) - np.outer(x, x)
+        return eye * x - np.multiply.outer(x, x)
 
     return MirrorGeometry(
         eval_h=eval_h,

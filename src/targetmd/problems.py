@@ -27,6 +27,11 @@ BOX = "box"
 
 
 SIMPLEX_MASS_TOL = 1e-9
+# sampled_monotonicity evaluates its operator on blocks of at most this many
+# entries a side, and the presets draw their pairs in such blocks.  Arrays of
+# 128 KiB keep the peak memory of a dim-2000 preset build within 1 MB of one
+# pair at a time; blocks four times larger would add about 4 MB.
+MONOTONICITY_BLOCK = 1 << 14
 
 
 def project_simplex(v: Vector) -> Vector:
@@ -174,14 +179,18 @@ class VIProblem:
 def natural_residual(problem: VIProblem, x: Vector):
     """|| x - P(x - F(x)) ||; zero exactly at solutions.  A float for one
     point, an array of one residual per row for a stack of points.  Only
-    rows whose plain sum of squares overflows are recomputed, scaled."""
+    rows whose plain sum of squares overflows are recomputed, scaled.  On
+    the whole space P is the identity and is not called: r = x - (x - F(x))
+    has the projection's bits, and a NaN point (or F NaN at it) reads a NaN
+    residual instead of the projection's DomainError."""
     x = np.asarray(x, dtype=float)
     f = problem.F(x)
     if x.ndim > 1 and np.shape(f) != x.shape:
         raise ConfigurationError(
             f"F of problem {problem.name!r} returned shape {np.shape(f)} "
             f"for points of shape {x.shape}; F must map each row of a stack")
-    r = x - problem.feasible_set.project(x - f)
+    feasible_set = problem.feasible_set
+    r = x - (x - f if feasible_set.kind == WHOLE_SPACE else feasible_set.project(x - f))
     norms = np.sqrt(np.vecdot(r, r))
     if x.ndim == 1:
         return _overflowed_norm(problem, f, r) if norms == math.inf else float(norms)
@@ -313,8 +322,11 @@ def _sine_transform(v: Vector, weights: Vector) -> Vector:
 def _linear(m, q: Vector) -> Callable[[Vector], Vector]:
     """x -> M x + q, row by row on a stack: matvec gives each row the bits
     of M @ row, which a stack's X @ M.T does not.  Both products convert
-    x to floats themselves."""
+    x to floats themselves.  With q all zero F is the product itself, whose
+    entries equal M x + q's; only a -0.0 entry of M x stays -0.0."""
     product = m.__matmul__ if isinstance(m, Tridiagonal) else partial(np.matvec, m)
+    if not np.any(q):
+        return product
 
     def F(x):
         return product(x) + q
@@ -459,26 +471,43 @@ class MonotonicityReport:
     rng_seed: int = 0
 
 
-def sampled_monotonicity(op, pairs):
-    """Minimum of <op(x) - op(y), x - y> / ||x - y||^2 over sampled pairs,
-    with its pair and the minimum of the inner product itself.  Pairs with
+def sampled_monotonicity(op, xs, ys):
+    """Minimum of <op(x) - op(y), x - y> / ||x - y||^2 over the sampled
+    pairs (xs[i], ys[i]), rows of two stacks, with its pair and the minimum
+    of the inner product itself.  op is evaluated on row blocks of at most
+    MONOTONICITY_BLOCK entries and must map each row of a stack; each pair
+    has the bits of its own single-point evaluation.  Pairs with
     ||x - y||^2 < 1e-16 are skipped; with none left it is (inf, None, inf).
     A non-finite inner product (op NaN or overflowing at the pair) refutes:
     it counts as -inf."""
-    min_ratio = min_inner = np.inf
-    witness = None
-    for x, y in pairs:
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    nn, inner = np.empty(len(xs)), np.empty(len(xs))
+    rows = max(1, MONOTONICITY_BLOCK // xs.shape[-1])
+    for start in range(0, len(xs), rows):
+        block = slice(start, start + rows)
+        x, y = xs[block], ys[block]
+        fx, fy = op(x), op(y)
+        if np.shape(fx) != x.shape or np.shape(fy) != y.shape:
+            raise ConfigurationError(
+                f"the operator returned shapes {np.shape(fx)} and {np.shape(fy)} "
+                f"for points of shape {x.shape}; it must map each row of a stack")
         d = x - y
-        nn = float(np.dot(d, d))
-        if nn < 1e-16:
-            continue
-        inner = float(np.dot(op(x) - op(y), d))
-        if not math.isfinite(inner):
-            inner = -math.inf
-        min_inner = min(min_inner, inner)
-        if inner / nn < min_ratio:
-            min_ratio, witness = inner / nn, (x, y)
-    return min_ratio, witness, min_inner
+        nn[block] = np.vecdot(d, d)
+        inner[block] = np.vecdot(fx - fy, d)
+    kept = ~(nn < 1e-16)
+    if not kept.any():
+        return math.inf, None, math.inf
+    inner[~np.isfinite(inner)] = -math.inf
+    # silent, as a division of floats is, where inner / nn overflows or is
+    # -inf / inf; a NaN ratio, like a skipped pair's, never wins a scan with <
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.divide(inner, nn, out=np.full(len(xs), math.inf), where=kept)
+    ratios[np.isnan(ratios)] = math.inf
+    i = int(np.argmin(ratios))
+    min_ratio = float(ratios[i])
+    witness = (xs[i], ys[i]) if min_ratio < math.inf else None
+    return min_ratio, witness, min(inner[kept].tolist())
 
 
 def check_monotonicity(problem: VIProblem, n_samples: int = 200,
@@ -493,7 +522,7 @@ def check_monotonicity(problem: VIProblem, n_samples: int = 200,
     rng = np.random.default_rng(rng_seed)
     xs = problem.feasible_set.sample(rng, n_samples)
     ys = problem.feasible_set.sample(rng, n_samples)
-    min_ratio, witness, min_inner = sampled_monotonicity(problem.F, zip(xs, ys))
+    min_ratio, witness, min_inner = sampled_monotonicity(problem.F, xs, ys)
     tol = 1e-9
     if min_ratio < -tol:
         label = f"not monotone (witness ratio {min_ratio:.3e})"

@@ -30,8 +30,9 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, TargetResolutionError
 from .geometry import (INTERIOR_FLOOR, MirrorGeometry, entropy_geometry,
                        euclidean_geometry)
-from .problems import (SIMPLEX, WHOLE_SPACE, FeasibleSet, Tridiagonal, VIProblem,
-                       _scaled_norm, box, estimate_lipschitz, sampled_monotonicity)
+from .problems import (MONOTONICITY_BLOCK, SIMPLEX, WHOLE_SPACE, FeasibleSet,
+                       Tridiagonal, VIProblem, _scaled_norm, box, estimate_lipschitz,
+                       sampled_monotonicity)
 
 Vector = np.ndarray
 
@@ -183,7 +184,7 @@ def _norm(v: Vector) -> float:
     """The Euclidean norm of a real 1-D array: sqrt(v.v), without
     np.linalg.norm's dispatch, rescaled only where v.v overflows, so the
     bits are sqrt(v.v)'s wherever that is finite."""
-    size = math.sqrt(float(np.dot(v, v)))
+    size = math.sqrt(np.dot(v, v))
     return _scaled_norm(v) if size == math.inf else size
 
 
@@ -218,14 +219,17 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
     else:
         w = anchor - spec.Phi(x)
     bound = spec.sigma * strategy.tol
+    conj, conj_jacobian = geometry.grad_h_conj, geometry.conj_jacobian
 
     def at(w):
-        y = geometry.grad_h_conj(w)
+        y = conj(w)
         value = psi(y)
-        f = anchor - value - w
+        f = anchor - value
+        f -= w
         return w, y, value, f, _norm(f)
 
     w, y, value, f, size = at(w)
+    diagonal = slice(None, None, len(y) + 1)
     for _ in range(strategy.max_iter):
         if size <= bound:
             break
@@ -233,8 +237,10 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
         if j is None:
             shift = 1.5e-8 * (1.0 + float(np.max(np.abs(y))))
             j = ((psi(y + shift * np.eye(len(y))) - value) / shift).T
-        jh = j @ geometry.conj_jacobian(y)
-        jh.flat[::len(y) + 1] += 1.0
+        # I + J_Psi H: the identity goes in through a view of the diagonal of
+        # the product (a new C-ordered array, so its raveling is a view)
+        jh = j @ conj_jacobian(y)
+        jh.ravel()[diagonal] += 1.0
         try:
             d = np.linalg.solve(jh, f)
         except np.linalg.LinAlgError:
@@ -244,7 +250,8 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
                 last_residual=size) from None
         for k in range(31):
             try:
-                trial = at(w + 0.5 ** k * d)
+                # the full step first: w + d is w + 1.0 * d, bit for bit
+                trial = at(w + d if k == 0 else w + 0.5 ** k * d)
             except DomainError:
                 continue
             if trial[-1] <= (1.0 - 1e-4 * 0.5 ** k) * size:
@@ -260,10 +267,17 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
 
 
 def _require_strongly_monotone(op, feasible_set, label, seed=0):
-    """Refute, on 64 sampled interior pairs, that op is strongly monotone."""
+    """Refute, on 64 sampled interior pairs, that op is strongly monotone.
+    The pairs are rows 2i and 2i + 1 of draws of up to 128 points, with at
+    most MONOTONICITY_BLOCK entries a side (all 64 pairs in one draw up to
+    dimension 256, one pair a draw past 8,192): the numbers that 64 draws
+    of 2 points give."""
     rng = np.random.default_rng(seed)
-    pairs = (feasible_set.sample_interior(rng, 2) for _ in range(64))
-    ratio = sampled_monotonicity(op, pairs)[0]
+    per_draw = max(1, min(64, MONOTONICITY_BLOCK // feasible_set.dim))
+    ratio = math.inf
+    for start in range(0, 64, per_draw):
+        points = feasible_set.sample_interior(rng, 2 * min(per_draw, 64 - start))
+        ratio = min(ratio, sampled_monotonicity(op, points[0::2], points[1::2])[0])
     if ratio <= 1e-12:
         raise ConfigurationError(
             f"{label} is not strongly monotone on sampled pairs "
@@ -324,19 +338,25 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
         else:
             dense = m.to_dense() if banded else m
             solve = partial(np.matvec, np.linalg.inv(np.diag(weights) + eta * dense))
-        target = ClosedForm(lambda x: solve(weights * np.asarray(x, dtype=float) - eta * q))
+        shift = eta * q
+        if np.all(weights == 1.0):
+            target = ClosedForm(lambda x: solve(np.asarray(x, dtype=float) - shift))
+        else:
+            target = ClosedForm(lambda x: solve(weights * np.asarray(x, dtype=float) - shift))
     elif geometry.conj_jacobian is not None:
         target = ResolventSolve(tol=inner_tol, geometry=geometry, phi_jacobian=(
             None if m is None else eta * (m.to_dense() if banded else m)))
     else:
         target = ResolventSolve(tol=inner_tol)
 
+    # Phi looks problem.F up when called, so rebinding F reaches it; at
+    # eta = 1 it skips the product 1.0 * F(x), which is F(x) bit for bit
     return TargetSpec(
         alpha=1.0,
         beta=0.0,
         S=geometry.grad_h,
         sigma=geometry.strong_convexity_modulus,
-        Phi=lambda x: eta * problem.F(x),
+        Phi=(lambda x: problem.F(x)) if eta == 1.0 else (lambda x: eta * problem.F(x)),
         target=target,
         feasible_set=problem.feasible_set,
         name="ppa",

@@ -427,8 +427,17 @@ def _count_gaps(monkeypatch):
 
 def test_ensemble_check_evaluates_no_target_residual(monkeypatch, tmp_path):
     # the reported run reads ||T(x) - x|| at each of its 2,001 points (2,000
-    # steps at stride 1); the reduction check reads only its states
-    calls = _count_gaps(monkeypatch)
+    # steps at stride 1), in the loop, for its stop rule; the reduction check
+    # reads only its states.  Every gap, in the loop or in the recorder, is
+    # one call of dynamics._norm, and nothing else of an ensemble calls it.
+    calls = [0]
+    norm = dynamics._norm
+
+    def counted(v):
+        calls[0] += 1
+        return norm(v)
+
+    monkeypatch.setattr(dynamics, "_norm", counted)
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
     config = Path(__file__).resolve().parent.parent / "configs" / "ensemble_entropy.cfg"
     assert main(["ensemble", str(config)]) == 0

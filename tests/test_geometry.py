@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,32 @@ def test_entropy_rejects_boundary_and_small_dim():
 
 def test_entropy_floor_is_documented_value():
     assert INTERIOR_FLOOR == 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 3)])
+def test_entropy_gradient_rejects_a_coordinate_just_below_the_floor(shape):
+    g = entropy_geometry(3)
+    x = np.full(shape, 1.0 / 3.0)
+    below = np.nextafter(INTERIOR_FLOOR, 0.0)
+    x.flat[-1] = below
+    message = (f"entropy gradient needs every coordinate >= {INTERIOR_FLOOR:g}; "
+               f"got min {below:.3e}")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        g.grad_h(x)
+    x.flat[-1] = INTERIOR_FLOOR
+    assert np.all(np.isfinite(g.grad_h(x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(float, st.integers(2, 9), elements=st.floats(-800.0, 800.0)))
+def test_entropy_conj_jacobian_is_diag_minus_outer_bit_for_bit(z):
+    # at every softmax image, also ones whose smallest coordinates underflow
+    # to 0, I * x - x x^T has the bits of diag(x) - x x^T, signs of zeros too
+    x = softmax(z)
+    ours = entropy_geometry(len(z)).conj_jacobian(x)
+    literal = np.diag(x) - np.outer(x, x)
+    assert np.array_equal(ours, literal)
+    assert np.array_equal(np.signbit(ours), np.signbit(literal))
 
 
 def test_weighted_quadratic_examples():

@@ -127,7 +127,7 @@ ensemble.member2.geometry = entropy
 
 def test_echo_round_trip_is_a_fixed_point():
     texts = [path.read_text() for path in sorted(CONFIG_DIR.glob("*.cfg"))]
-    assert len(texts) == 12
+    assert len(texts) == 13
     for text in texts + [EVERY_KEY]:
         cfg = parse_config(text)
         echoed = echo_config(cfg)

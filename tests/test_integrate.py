@@ -324,7 +324,7 @@ def test_the_finiteness_test_is_exact_on_a_point_and_a_stack(shape, entry, termi
     z0 = np.zeros(shape)
     first_row = lambda z: z.reshape(-1, 2)[0]
     record, caught = _runtime_warnings(lambda: integrate(
-        lambda z, x, tx, sx: step, first_row, SolverState(0, 0.0, z0, first_row(z0)),
+        lambda x, tx, sx, z: step, first_row, SolverState(0, 0.0, z0, first_row(z0)),
         "discrete", 1.0, target=lambda x: (None, None),
         recorder=partial(_Recorder, None, None, None, None)))
     assert caught == [] and record.termination == termination

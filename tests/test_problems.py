@@ -1,3 +1,6 @@
+import contextlib
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from targetmd import (ClosedForm, VIProblem, box, check_monotonicity,
-                      estimate_lipschitz, euclidean_geometry, library_problem,
-                      natural_residual, preset_eg, preset_ppa, project_simplex,
-                      resolve_target, whole_space)
+                      entropy_geometry, estimate_lipschitz, euclidean_geometry,
+                      library_problem, natural_residual, preset_eg, preset_ppa,
+                      project_simplex, resolve_target, simplex, whole_space)
 from targetmd.errors import ConfigurationError, DomainError
-from targetmd.problems import SIMPLEX_MASS_TOL, Tridiagonal
+from targetmd.problems import (MONOTONICITY_BLOCK, SIMPLEX_MASS_TOL, FeasibleSet,
+                               Tridiagonal, _scaled_norm, sampled_monotonicity)
 
 SEED = 77
 
@@ -159,6 +163,50 @@ def test_natural_residual_stays_finite_past_the_overflow_of_its_square():
             assert np.isfinite(value)
             if expected is not None:
                 assert value == pytest.approx(expected, rel=1e-15)
+
+
+def _residual_through_the_projection(problem, x):
+    """The natural residual of x as r = x - P(x - F(x)) through the whole
+    space's project, its norm taken as natural_residual takes it."""
+    f = problem.F(x)
+    r = x - problem.feasible_set.project(x - f)
+    norms = [math.sqrt(np.vecdot(ri, ri)) for ri in np.atleast_2d(r)]
+    norms = [_scaled_norm(fi) if norm == math.inf else norm
+             for norm, fi in zip(norms, np.atleast_2d(f))]
+    return norms[0] if x.ndim == 1 else np.array(norms)
+
+
+LIMIT = 1.7976931348623157e308
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["skew_bilinear", "linear_monotone"]), st.integers(2, 5),
+       st.integers(1, 4),
+       st.lists(st.one_of(st.floats(-LIMIT, LIMIT), st.sampled_from(
+           [LIMIT, -LIMIT, 1e308, -1e308, 1.3e154, 0.0, -0.0])), min_size=20, max_size=20))
+def test_whole_space_natural_residual_has_the_bits_of_the_projection(name, dim, rows, coords):
+    # r = x - (x - F(x)) skips the whole space's identity projection (and its
+    # NaN scan) with the same bits, at random points and near the float limit
+    problem = library_problem(name, dim=dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (np.array(coords[:dim]), np.array(coords[:rows * dim]).reshape(rows, dim)):
+            ours = natural_residual(problem, x)
+            through = _residual_through_the_projection(problem, x)
+            assert np.array_equal(ours, through)
+
+
+def test_whole_space_natural_residual_reads_nan_at_a_nan_point(monkeypatch):
+    # no projection runs on the whole space, so a NaN point reads a NaN
+    # residual where the projection raised DomainError; the stepping loop
+    # ends a run at a non-finite dual point before any residual reads it
+    def projection(self, v):
+        raise AssertionError("the whole space projected")
+
+    monkeypatch.setattr(FeasibleSet, "project", projection)
+    skew = library_problem("skew_bilinear")
+    assert math.isnan(natural_residual(skew, np.array([np.nan, 0.0])))
+    values = natural_residual(skew, np.array([[np.nan, 0.0], [1.0, 0.0]]))
+    assert math.isnan(values[0]) and values[1] == 1.0
 
 
 # --- library problems -----------------------------------------------------
@@ -329,6 +377,21 @@ def _plain_dot(a, b):
     return sum(float(ai) * float(bi) for ai, bi in zip(a, b))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["skew_bilinear", "rps_game"]), st.integers(1, 4),
+       st.lists(st.one_of(st.floats(-1e6, 1e6), st.just(0.0), st.just(-0.0)),
+                min_size=12, max_size=12))
+def test_linear_operator_with_zero_q_equals_the_product_plus_q(name, rows, coords):
+    # with q all zero F is the product itself: equal (==) to M x + q row by
+    # row, on a point and on a stack; only the sign of a zero may differ
+    problem = library_problem(name, **({} if name == "rps_game" else {"dim": 3}))
+    m, q = problem.linear_terms
+    assert not np.any(q)
+    for x in (np.array(coords[:3]), np.array(coords[:rows * 3]).reshape(rows, 3)):
+        literal = np.array([m @ row + q for row in np.atleast_2d(x)]).reshape(x.shape)
+        assert np.array_equal(problem.F(x), literal)
+
+
 def test_skew_operators_annihilate_differences():
     # structural property of skew-symmetric linear maps
     skew = library_problem("skew_bilinear")
@@ -343,6 +406,95 @@ def test_skew_operators_annihilate_differences():
 
 
 # --- monotonicity checks --------------------------------------------------
+
+def _pair_scan(op, pairs):
+    """The sampled monotonicity minimum as a scan over single pairs, one op
+    call per point: the oracle of the stacked evaluation."""
+    min_ratio = min_inner = math.inf
+    witness = None
+    for x, y in pairs:
+        d = x - y
+        nn = float(np.dot(d, d))
+        if nn < 1e-16:
+            continue
+        inner = float(np.dot(op(x) - op(y), d))
+        if not math.isfinite(inner):
+            inner = -math.inf
+        min_inner = min(min_inner, inner)
+        if inner / nn < min_ratio:
+            min_ratio, witness = inner / nn, (x, y)
+    return min_ratio, witness, min_inner
+
+
+def _scan_case(name):
+    if name == "entropy":
+        return simplex(3), entropy_geometry(3).grad_h
+    if name == "nan_rows":  # NaN wherever |x_0| > 1
+        return whole_space(2), lambda x: np.where(np.abs(x[..., :1]) > 1.0, np.nan, x)
+    if name == "overflow":  # <1e307 * (x - y), x - y> overflows
+        return whole_space(2), lambda x: 1e307 * np.asarray(x, dtype=float)
+    problem = library_problem(name)
+    return problem.feasible_set, problem.F
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["skew_bilinear", "linear_monotone", "rps_game",
+                        "constrained_quadratic", "vertex_cost_simplex", "entropy",
+                        "nan_rows", "overflow"]),
+       st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_stacked_monotonicity_is_the_pair_scan(name, n, seed):
+    # the same minimum ratio, witness and minimum inner product (sign of a
+    # zero too), with every third pair a repeated point that is skipped,
+    # and no warning where the scan gives none
+    feasible_set, op = _scan_case(name)
+    rng = np.random.default_rng(seed)
+    xs = feasible_set.sample_interior(rng, n)
+    ys = feasible_set.sample_interior(rng, n)
+    ys[::3] = xs[::3]
+    # np.dot and np.vecdot both warn where the inner product overflows
+    with np.errstate(over="ignore") if name == "overflow" else contextlib.nullcontext():
+        ratio, witness, inner = sampled_monotonicity(op, xs, ys)
+        scan_ratio, scan_witness, scan_inner = _pair_scan(op, zip(xs, ys))
+    assert ratio == scan_ratio
+    assert (witness is None) == (scan_witness is None)
+    if witness is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(witness, scan_witness))
+    assert inner == scan_inner and math.copysign(1.0, inner) == math.copysign(1.0, scan_inner)
+
+
+@pytest.mark.parametrize("feasible_set", [whole_space(3), simplex(3),
+                                          box([0.0, -1.0], [1.0, 2.0])])
+def test_one_interior_draw_of_128_points_is_64_draws_of_2(feasible_set):
+    one = feasible_set.sample_interior(np.random.default_rng(5), 128)
+    rng = np.random.default_rng(5)
+    many = np.concatenate([feasible_set.sample_interior(rng, 2) for _ in range(64)])
+    assert np.array_equal(one, many)
+
+
+def test_stacked_monotonicity_needs_an_operator_that_maps_rows():
+    message = ("the operator returned shapes (2,) and (2,) for points of shape "
+               "(4, 2); it must map each row of a stack")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        sampled_monotonicity(lambda x: np.ones(2), np.ones((4, 2)), np.zeros((4, 2)))
+
+
+def test_stacked_monotonicity_evaluates_blocks_of_at_most_the_block_entries():
+    # 64 pairs at dim 3,000: blocks of as many whole rows as fit, a side
+    seen = []
+
+    def op(x):
+        seen.append(x.shape)
+        return 2.0 * x
+
+    dim = 3000
+    rows = MONOTONICITY_BLOCK // dim
+    ratio, _, _ = sampled_monotonicity(op, np.ones((64, dim)), np.zeros((64, dim)))
+    assert ratio == 2.0
+    assert 1 < rows < 64
+    tail = [(64 % rows, dim)] * 2 if 64 % rows else []
+    assert seen == [(rows, dim)] * (2 * (64 // rows)) + tail
+
+
 
 def test_check_monotonicity_skew_is_monotone_not_strong():
     report = check_monotonicity(library_problem("skew_bilinear"), 200, 0)
@@ -398,7 +550,7 @@ def test_lipschitz_of_a_matrix_whose_null_space_holds_the_ones_vector():
     # M = [[1, -1], [-1, 1]] annihilates (1, 1) and has norm 2; EG's margin
     # is then 1 - 2*eta
     m = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    problem = VIProblem(feasible_set=whole_space(2), F=lambda x: m @ x,
+    problem = VIProblem(feasible_set=whole_space(2), F=lambda x: np.matvec(m, x),
                         linear_terms=(m, np.zeros(2)))
     assert estimate_lipschitz(problem) == pytest.approx(2.0, rel=1e-14)
     g = euclidean_geometry(problem.feasible_set)

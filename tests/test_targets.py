@@ -21,6 +21,7 @@ from targetmd.errors import (ConfigurationError, DomainError,
                              TargetResolutionError)
 from targetmd.config import ExperimentConfig
 from targetmd.harness import DISCRETE_COMPARE_TOL, FIELD_COMPARE_TOL, build_spec
+from targetmd.problems import Tridiagonal
 from targetmd.targets import _norm
 
 SEED = 4242
@@ -845,6 +846,55 @@ def test_ppa_route_selection():
     x = (0.6, 0.3, 0.1)
     assert np.linalg.norm(resolve_target(spec, np.array(x))[0]
                           - _rps_oracle(1.0, x)) <= spec.target.tol
+
+
+# --- preset_ppa's shortcuts, bit for bit -----------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["rps_game", "linear_monotone", "skew_bilinear"]),
+       st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9), st.integers(1, 3))
+def test_ppa_phi_at_unit_step_has_the_bits_of_the_general_expression(name, coords, rows):
+    # at eta = 1 Phi is F(x) itself, which 1.0 * F(x) equals bit for bit,
+    # on a point and on a stack, signs of zeros too
+    problem = library_problem(name)
+    geometry = (entropy_geometry(3) if name == "rps_game"
+                else euclidean_geometry(problem.feasible_set))
+    spec = preset_ppa(geometry, problem, 1.0)
+    dim = problem.feasible_set.dim
+    for point in (np.array(coords[:dim]), np.array(coords[:rows * dim]).reshape(rows, dim)):
+        ours, general = spec.Phi(point), 1.0 * problem.F(point)
+        assert np.array_equal(ours, general)
+        assert np.array_equal(np.signbit(ours), np.signbit(general))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["linear_monotone", "skew_bilinear", "scalar_shift", "weighted"]),
+       st.floats(0.01, 100.0), st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
+def test_ppa_closed_form_has_the_bits_of_its_general_expression(case, eta, coords):
+    # (W + eta*M)^-1 (W x - eta*q) with eta*q formed once, and W x skipped
+    # where every weight is 1
+    problem = library_problem("linear_monotone" if case == "weighted" else case)
+    geometry = (weighted_quadratic_geometry([0.5, 3.0]) if case == "weighted"
+                else euclidean_geometry(problem.feasible_set))
+    m, q = problem.linear_terms
+    w = geometry.quadratic_weights
+    x = np.array(coords[:problem.feasible_set.dim])
+    if isinstance(m, Tridiagonal) and geometry.name == "euclidean":
+        general = m.shifted(eta).solve(w * x - eta * q)
+    else:
+        dense = m.to_dense() if isinstance(m, Tridiagonal) else m
+        general = np.matvec(np.linalg.inv(np.diag(w) + eta * dense), w * x - eta * q)
+    tx = resolve_target(preset_ppa(geometry, problem, eta), x)[0]
+    assert np.array_equal(tx, general)
+    assert np.array_equal(np.signbit(tx), np.signbit(general))
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+def test_ppa_phi_reaches_a_problem_F_rebound_after_the_build(eta):
+    problem = library_problem("rps_game")
+    spec = preset_ppa(entropy_geometry(3), problem, eta)
+    problem.F = lambda x: np.full(np.shape(x), 2.0)
+    assert np.array_equal(spec.Phi(np.full(3, 1.0 / 3.0)), np.full(3, eta * 2.0))
 
 
 # --- properties: presets against the coded references ----------------------
