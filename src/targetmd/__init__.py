@@ -13,8 +13,7 @@ from .geometry import (MirrorGeometry, bregman, entropy_geometry,
                        euclidean_geometry, softmax,
                        weighted_quadratic_geometry)
 from .targets import (ClosedForm, ClosedFormGap, MirrorOfS, ResolventSolve,
-                      SplitPair, TargetSpec, affine_box_split, aitchison_add,
-                      bnn_dual_shift_target, excess_payoff, preset_bnn,
+                      SplitPair, TargetSpec, affine_box_split, preset_bnn,
                       preset_dmd_calibrated, preset_dr, preset_eg, preset_fb,
                       preset_fbf, preset_ppa, preset_vanilla_md,
                       resolve_target)

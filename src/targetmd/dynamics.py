@@ -513,14 +513,15 @@ def relaxed_condition_value(spec: TargetSpec, x, x_bar, tx=None) -> float:
 def primal_vector_field(geometry: MirrorGeometry, spec: TargetSpec, x) -> Vector:
     """dx/dt at x: the dual rate pushed through the mirror map's Jacobian.
 
-    Needs a conj_jacobian, which every built-in geometry has; for a
-    projection onto a box or the simplex it is an element of the generalized
-    Jacobian (see MirrorGeometry).  For the entropy geometry the Jacobian
-    annihilates constant dual shifts, which is what makes simplex flows
-    insensitive to normalization constants in the dual update.
+    Needs a conj_jacobian_times, which every built-in geometry has (its
+    symmetric H makes rate @ H the field); for a projection onto a box or
+    the simplex H is an element of the generalized Jacobian (see
+    MirrorGeometry).  For the entropy geometry the Jacobian annihilates
+    constant dual shifts, which is what makes simplex flows insensitive to
+    normalization constants in the dual update.
     """
-    if geometry.conj_jacobian is None:
+    if geometry.conj_jacobian_times is None:
         raise ConfigurationError(
             f"geometry {geometry.name!r} has no closed-form mirror-map Jacobian")
     x = np.asarray(x, dtype=float)
-    return geometry.conj_jacobian(x) @ dual_rate(spec, x, *resolve_target(spec, x))
+    return geometry.conj_jacobian_times(x, dual_rate(spec, x, *resolve_target(spec, x)))

@@ -152,7 +152,7 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
             eval_h=eval_h, grad_h=grad_h, grad_h_conj=grad_h_conj,
             strong_convexity_modulus=float(1.0 / a.max()),
             domain=members[0].geometry.domain, name=name,
-            conj_jacobian=lambda x: np.diag(a))
+            conj_jacobian_times=lambda x, v: v * a)
 
     def unsupported(_x):
         raise ConfigurationError(

@@ -57,12 +57,14 @@ class MirrorGeometry:
     they pass in.  grad_h_conj need not reject a NaN dual point: the
     stepping loop tests each dual point for finiteness itself.
 
-    conj_jacobian, when available, maps a primal point x to the Jacobian
-    of grad_h_conj evaluated at the dual image of x; it is used to convert
-    dual-space rates into primal vector fields, and in the Newton matrix of
-    implicit targets.  Where grad_h_conj projects onto a box or the simplex
-    it is an element of the projection's generalized Jacobian, read from
-    x.  quadratic_weights marks
+    conj_jacobian_times, when available, maps a primal point x and an
+    array a of shape (d,) or (k, d), in any memory order, to a @ H without
+    forming H, the Jacobian of grad_h_conj at the dual image of x.  Every
+    H built here is symmetric, so a rate's product is also H @ rate (the
+    primal vector field), and J_Phi's gives the Newton matrix of implicit
+    targets.  Where grad_h_conj projects onto a box or the simplex, H is an
+    element of the projection's generalized Jacobian, read from x.  The
+    product may return a itself.  quadratic_weights marks
     members of the pure quadratic family (h = 0.5 * sum w_i x_i^2 on the
     whole space), for which ensemble synthesis has a closed form.  dim is
     the domain's dimension.
@@ -74,7 +76,7 @@ class MirrorGeometry:
     strong_convexity_modulus: float
     domain: FeasibleSet
     name: str = "custom"
-    conj_jacobian: Optional[Callable[[Vector], Vector]] = None
+    conj_jacobian_times: Optional[Callable[[Vector, Vector], Vector]] = None
     quadratic_weights: Optional[Vector] = None
 
     dim = property(lambda self: self.domain.dim)
@@ -88,8 +90,9 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
     the projection is the identity, and grad_h_conj is grad_h itself: both
     return their float input, not a copy, and neither scans it for NaN (a
     NaN dual point pulls back to a NaN point, which the stepping loop's
-    finiteness test ends as diverged).  conj_jacobian(x) is I, on a box
-    diag(free coordinates of x), on the simplex I_S - 1_S 1_S^T / |S|.
+    finiteness test ends as diverged).  H in conj_jacobian_times is I, on a
+    box the 0/1 diagonal of x's free coordinates, on the simplex
+    I_S - 1_S 1_S^T / |S| on the support S of x.
     """
 
     def eval_h(x):
@@ -99,22 +102,20 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
     def grad_h(x):
         return np.asarray(x, dtype=float)
 
-    jacobian = weights = None
-    dim = feasible_set.dim
+    times = weights = None
     if feasible_set.kind == WHOLE_SPACE:
         # Projection is the identity; the conjugate is globally smooth.
-        def jacobian(x):
-            return np.eye(dim)
+        def times(x, a):
+            return a
 
-        weights = np.ones(dim)
+        weights = np.ones(feasible_set.dim)
     elif feasible_set.kind == BOX:
-        def jacobian(x):
-            free = (x > feasible_set.lower) & (x < feasible_set.upper)
-            return np.diag(free * 1.0)
+        def times(x, a):
+            return a * ((x > feasible_set.lower) & (x < feasible_set.upper))
     elif feasible_set.kind == SIMPLEX:
-        def jacobian(x):
+        def times(x, a):
             support = (x > 0.0) * 1.0
-            return np.diag(support) - np.outer(support, support / support.sum())
+            return (a - (a @ support)[..., None] / support.sum()) * support
 
     return MirrorGeometry(
         eval_h=eval_h,
@@ -123,7 +124,7 @@ def euclidean_geometry(feasible_set: FeasibleSet) -> MirrorGeometry:
         strong_convexity_modulus=1.0,
         domain=feasible_set,
         name="euclidean",
-        conj_jacobian=jacobian,
+        conj_jacobian_times=times,
         quadratic_weights=weights,
     )
 
@@ -137,8 +138,7 @@ def entropy_geometry(dim: int) -> MirrorGeometry:
     interior, so the rejection only bites on user-supplied points.  The
     modulus is 1 in the Euclidean norm because the Hessian diag(1/x)
     dominates the identity whenever all coordinates are at most 1.
-    conj_jacobian(x) is diag(x) - x x^T, formed as I * x - x x^T with I
-    made once: the same bits wherever x >= 0, as at every softmax image.
+    H = diag(x) - x x^T, so a @ H is (a - a @ x) * x row by row.
     """
     dim = int(dim)
     if dim < 2:
@@ -164,10 +164,8 @@ def entropy_geometry(dim: int) -> MirrorGeometry:
                 f"got min {least:.3e}")
         return np.log(x) + 1.0
 
-    eye = np.eye(dim)
-
-    def jacobian(x):
-        return eye * x - np.multiply.outer(x, x)
+    def times(x, a):
+        return (a - (a @ x)[..., None]) * x
 
     return MirrorGeometry(
         eval_h=eval_h,
@@ -176,7 +174,7 @@ def entropy_geometry(dim: int) -> MirrorGeometry:
         strong_convexity_modulus=1.0,
         domain=domain,
         name="entropy",
-        conj_jacobian=jacobian,
+        conj_jacobian_times=times,
     )
 
 
@@ -184,7 +182,7 @@ def weighted_quadratic_geometry(weights) -> MirrorGeometry:
     """h = 0.5 * sum w_i x_i^2 on the whole space, w_i > 0.
 
     Mostly useful for building geometrically diverse ensembles; the mirror
-    map is entrywise division by the weights.
+    map is entrywise division by the weights, and H = diag(1/w).
     """
     try:
         w = np.atleast_1d(np.asarray(weights, dtype=float))
@@ -205,8 +203,8 @@ def weighted_quadratic_geometry(weights) -> MirrorGeometry:
     def grad_h_conj(z):
         return np.asarray(z, dtype=float) * inv_w
 
-    def jacobian(x):
-        return np.diag(inv_w)
+    def times(x, a):
+        return a * inv_w
 
     return MirrorGeometry(
         eval_h=eval_h,
@@ -215,7 +213,7 @@ def weighted_quadratic_geometry(weights) -> MirrorGeometry:
         strong_convexity_modulus=float(w.min()),
         domain=domain,
         name="weighted_quadratic",
-        conj_jacobian=jacobian,
+        conj_jacobian_times=times,
         quadratic_weights=w.copy(),
     )
 

@@ -68,19 +68,22 @@ class MirrorOfS:
     mirror: Callable[[Vector], Vector]
 
 
+MAX_NEWTON_STEPS = 10_000  # per implicit target, short of its certified stop
+
+
 @dataclass(frozen=True)
 class ResolventSolve:
-    """Evaluate the target by solving its strongly monotone subproblem: the
-    certified Newton solve of _newton_target, in at most max_iter steps.
+    """Evaluate the target by solving its strongly monotone subproblem:
+    _newton_target's certified Newton solve, in at most MAX_NEWTON_STEPS steps.
 
-    geometry, when set, must have a conj_jacobian and S must be its grad_h
-    (Phi monotone); phi_jacobian is then J_Phi as an array, or None for
-    forward differences.  Without one (custom (S, Phi) pairs, a geometry
-    without conj_jacobian) the solve runs through the Euclidean projection
-    onto the feasible set, with forward differences of S + Phi."""
+    geometry, when set, must have a conj_jacobian_times and S must be its
+    grad_h (Phi monotone); phi_jacobian is then J_Phi as an array, or None
+    for forward differences.  Without one (custom (S, Phi) pairs, a
+    geometry without conj_jacobian_times) the solve runs through the
+    Euclidean projection onto the feasible set, with forward differences
+    of S + Phi."""
 
     tol: float = 1e-10
-    max_iter: int = 10_000
     geometry: Optional[MirrorGeometry] = None
     phi_jacobian: Optional[Vector] = None
 
@@ -190,25 +193,26 @@ def _norm(v: Vector) -> float:
 
 def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
                    anchor: Vector) -> Vector:
-    """Solve f(w) = S(x) - Psi(grad_h_conj(w)) - w = 0 by damped Newton and
-    return y = grad_h_conj(w).  With a geometry (S its grad_h), Psi = Phi
-    and w_0 = S(x) - Phi(x); without one, grad_h_conj is the Euclidean
+    """Solve f(w) = S(x) - Psi(grad_h_conj(w)) - w = 0 by damped Newton from
+    y = x and return y = grad_h_conj(w).  With a geometry (S its grad_h),
+    Psi = Phi and w_0 = S(x); without one, grad_h_conj is the Euclidean
     projection onto spec.feasible_set, Psi(y) = Phi(y) + (S(y) - y) and
     w_0 = x.  w - grad_h(y) lies in N_X(y), so -f lies in
     (S + Phi + N_X)(y) - S(x) and ||y - T(x)|| <= ||f|| / sigma: the stop
-    ||f|| <= sigma * tol certifies the target.
+    ||f|| <= sigma * tol certifies the target, from any start.
 
-    The Newton matrix I + J_Psi H, H = conj_jacobian(y), is nonsingular for
-    J_Phi monotone and H positive semidefinite, or S + Phi strongly
-    monotone and H an orthogonal projector ((I + (J_S + J_Phi - I)H)v = 0
-    gives H(J_S + J_Phi)Hv = 0, so v = 0); a singular one raises.  J_Psi is
-    phi_jacobian, or forward differences of Psi along the unit vectors in
-    one stacked call: each raises one coordinate, so an entropy S stays
+    The Newton matrix I + J_Psi H, H the Jacobian of grad_h_conj at w, is
+    nonsingular for J_Phi monotone and H positive semidefinite, or S + Phi
+    strongly monotone and H an orthogonal projector
+    ((I + (J_S + J_Phi - I)H)v = 0 gives H(J_S + J_Phi)Hv = 0, so v = 0); a
+    singular one raises.  J_Psi H is conj_jacobian_times of J_Psi, which
+    is phi_jacobian, or forward differences of Psi along the unit vectors
+    in one stacked call: each raises one coordinate, so an entropy S stays
     defined, and J_Psi H keeps H's null space exactly, which differences
     along H's columns break by the curvature of S.  The step halves from 1
     until ||f|| shrinks by 1 - 1e-4 * t, rejecting trials where S or Phi
-    raises DomainError; 30 halvings, or max_iter steps short of the stop,
-    are a stall, and so is a NaN residual (S or Phi NaN along the way)."""
+    raises DomainError; 30 halvings, or MAX_NEWTON_STEPS steps short of
+    the stop, are a stall, and so is a NaN residual (S or Phi NaN)."""
     geometry, jacobian, psi = strategy.geometry, strategy.phi_jacobian, spec.Phi
     if geometry is None:
         geometry = euclidean_geometry(spec.feasible_set)
@@ -217,9 +221,9 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
         def psi(y):
             return spec.Phi(y) + (spec.S(y) - y)
     else:
-        w = anchor - spec.Phi(x)
+        w = anchor
     bound = spec.sigma * strategy.tol
-    conj, conj_jacobian = geometry.grad_h_conj, geometry.conj_jacobian
+    conj, times = geometry.grad_h_conj, geometry.conj_jacobian_times
 
     def at(w):
         y = conj(w)
@@ -229,20 +233,16 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
         return w, y, value, f, _norm(f)
 
     w, y, value, f, size = at(w)
-    diagonal = slice(None, None, len(y) + 1)
-    for _ in range(strategy.max_iter):
+    eye = np.eye(len(y))
+    for _ in range(MAX_NEWTON_STEPS):
         if size <= bound:
             break
         j = jacobian
         if j is None:
             shift = 1.5e-8 * (1.0 + float(np.max(np.abs(y))))
-            j = ((psi(y + shift * np.eye(len(y))) - value) / shift).T
-        # I + J_Psi H: the identity goes in through a view of the diagonal of
-        # the product (a new C-ordered array, so its raveling is a view)
-        jh = j @ conj_jacobian(y)
-        jh.ravel()[diagonal] += 1.0
+            j = ((psi(y + shift * eye) - value) / shift).T
         try:
-            d = np.linalg.solve(jh, f)
+            d = np.linalg.solve(times(y, j) + eye, f)
         except np.linalg.LinAlgError:
             raise TargetResolutionError(
                 f"target subproblem singular: the Newton matrix has no inverse at "
@@ -311,13 +311,13 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     the closed form T(x) = (W + eta*M)^-1 (W x - eta*q), formed once: a
     spectral solve of the shifted Tridiagonal under the Euclidean one, a
     product with a dense inverse otherwise; inner_tol goes unused there.
-    Otherwise a geometry with a conj_jacobian takes the certified Newton
-    solve (see _newton_target), with J_Phi = eta*M made dense here for
-    linear F and forward differences of Phi otherwise: about 3 F calls
-    per target on rps_game under entropy at eta = 1.  A geometry without
-    one takes the same certified solve through the Euclidean projection
-    onto the feasible set, with S = its grad_h.  inner_tol must be finite
-    and positive.
+    Otherwise a geometry with a conj_jacobian_times takes the certified
+    Newton solve (see _newton_target), with J_Phi = eta*M made dense here
+    for linear F and forward differences of Phi otherwise: 3.06 F calls per
+    rps_game target under entropy at eta = 1 (traced benchmark, seed 1).
+    A geometry without one takes the same certified solve through the
+    Euclidean projection onto the feasible set, with S = its grad_h.
+    inner_tol must be finite and positive.
     """
     eta = _step_size(eta, "eta")
     inner_tol = _step_size(inner_tol, "inner_tol")
@@ -343,7 +343,7 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
             target = ClosedForm(lambda x: solve(np.asarray(x, dtype=float) - shift))
         else:
             target = ClosedForm(lambda x: solve(weights * np.asarray(x, dtype=float) - shift))
-    elif geometry.conj_jacobian is not None:
+    elif geometry.conj_jacobian_times is not None:
         target = ResolventSolve(tol=inner_tol, geometry=geometry, phi_jacobian=(
             None if m is None else eta * (m.to_dense() if banded else m)))
     else:
@@ -492,54 +492,6 @@ def affine_box_split(shift: float = 2.0, lower: float = 0.0,
     return pair, problem
 
 
-# ---------------------------------------------------------------------------
-# Simplex game machinery
-# ---------------------------------------------------------------------------
-
-def excess_payoff(problem: VIProblem, x: Vector):
-    """Excess payoff of -F at an interior simplex point.
-
-    Returns (excess, normalized): the entrywise positive part of
-    -(F(x) - <x, F(x)> * ones), and the same divided entrywise by x.
-    Shift-invariant in F because the population average is subtracted.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.min(x) < INTERIOR_FLOOR:
-        raise DomainError(
-            "excess payoff needs an interior simplex point (entrywise division by x)")
-    f = np.asarray(problem.F(x), dtype=float)
-    centered = f - float(np.dot(x, f))
-    excess = np.maximum(-centered, 0.0)
-    return excess, excess / x
-
-
-def aitchison_add(a: Vector, b: Vector) -> Vector:
-    """Entrywise product renormalized to the simplex; the vector addition
-    of the simplex's log-ratio geometry."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DomainError("operands must share a shape")
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
-        raise DomainError("operands must be strictly positive")
-    p = a * b
-    return p / p.sum()
-
-
-def bnn_dual_shift_target(problem: VIProblem, eta: float) -> Callable[[Vector], Vector]:
-    """The excess-payoff target computed the long way around: through the
-    entropy dual space (shift by eta * normalized excess payoff, map back
-    by softmax).  Agrees with the multiplicative closed form to float
-    precision; kept as an independent route for cross-checking."""
-    geometry = entropy_geometry(problem.feasible_set.dim)
-
-    def target(x):
-        _, nep = excess_payoff(problem, x)
-        return geometry.grad_h_conj(geometry.grad_h(x) + eta * nep)
-
-    return target
-
-
 def preset_bnn(problem: VIProblem, eta: float = 1.0) -> TargetSpec:
     """Excess-payoff design on the simplex: alpha = 1/eta, beta = 0,
     S = entropy grad_h, and the multiplicative closed-form target
@@ -558,8 +510,9 @@ def preset_bnn(problem: VIProblem, eta: float = 1.0) -> TargetSpec:
     geometry = entropy_geometry(problem.feasible_set.dim)
 
     def target(x):
-        # excess_payoff inlined: x >= INTERIOR_FLOOR is checked here.  The
-        # reductions are the ufuncs' own, without ndarray's method layer.
+        # the normalized excess payoff divides by x, so x >= INTERIOR_FLOOR
+        # is checked first.  The reductions are the ufuncs' own, without
+        # ndarray's method layer.
         x = np.asarray(x, dtype=float)
         if np.minimum.reduce(x) < INTERIOR_FLOOR:
             raise DomainError(

@@ -7,6 +7,11 @@ module): these share no code with the preset/target machinery they check.
 
 import numpy as np
 
+from targetmd.errors import DomainError
+
+# the entropy geometry's interior floor (targetmd.geometry.INTERIOR_FLOOR)
+INTERIOR_FLOOR = 1e-12
+
 
 def ppa_step_linear(m, q, eta, x):
     """Proximal-point step for F(x) = M x + q on the whole space under the
@@ -88,6 +93,50 @@ def bnn_log_gap(F, eta, x):
     peak = shifted.max()
     log_z = peak + np.log(np.exp(shifted - peak).sum())
     return shift - log_z
+
+
+def excess_payoff(problem, x):
+    """Excess payoff of -F at an interior simplex point.
+
+    Returns (excess, normalized): the entrywise positive part of
+    -(F(x) - <x, F(x)> * ones), and the same divided entrywise by x.
+    Shift-invariant in F because the population average is subtracted.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.min(x) < INTERIOR_FLOOR:
+        raise DomainError(
+            "excess payoff needs an interior simplex point (entrywise division by x)")
+    f = np.asarray(problem.F(x), dtype=float)
+    excess = np.maximum(-(f - float(np.dot(x, f))), 0.0)
+    return excess, excess / x
+
+
+def aitchison_add(a, b):
+    """Entrywise product renormalized to the simplex; the vector addition
+    of the simplex's log-ratio geometry."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise DomainError("operands must share a shape")
+    if np.any(a <= 0.0) or np.any(b <= 0.0):
+        raise DomainError("operands must be strictly positive")
+    p = a * b
+    return p / p.sum()
+
+
+def bnn_dual_shift_target(problem, eta):
+    """The excess-payoff target computed the long way around: through the
+    entropy dual space (shift log x + 1 by eta * normalized excess payoff,
+    map back by softmax).  Agrees with the multiplicative closed form to
+    float precision."""
+
+    def target(x):
+        _, nep = excess_payoff(problem, x)
+        z = np.log(np.asarray(x, dtype=float)) + 1.0 + eta * nep
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+    return target
 
 
 def fbf_field(F, project, eta, x):

@@ -12,7 +12,7 @@ from targetmd import (affine_box_split, bregman, entropy_geometry,
                       library_problem, lyapunov_series, natural_residual,
                       preset_bnn, preset_dmd_calibrated, preset_dr, preset_eg,
                       preset_fb, preset_fbf, preset_ppa, preset_vanilla_md,
-                      bnn_dual_shift_target, primal_vector_field,
+                      primal_vector_field,
                       project_simplex, relaxed_condition_value,
                       resolve_target, run_discrete, run_dmd, run_higher_order,
                       run_ensemble, run_vanilla_dmd, verify_ensemble_reduction,
@@ -198,7 +198,7 @@ def test_criterion_4_simplex_game_dynamics():
     rps = library_problem("rps_game")
     g3 = entropy_geometry(3)
     spec = preset_bnn(rps, eta=1.0)
-    dual_route = bnn_dual_shift_target(rps, 1.0)
+    dual_route = ri.bnn_dual_shift_target(rps, 1.0)
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     worst_gap = max(
         float(np.linalg.norm(resolve_target(spec, x)[0]

@@ -672,15 +672,16 @@ def test_explosive_flow_ends_diverged_at_the_last_finite_point():
     assert rec.steps[-1] == 1023 and rec.steps[-2] == 1020   # stride 10, then the end
 
 
-def test_target_failure_propagates_through_steps():
-    from targetmd import ResolventSolve, TargetSpec
+def test_target_failure_propagates_through_steps(monkeypatch):
+    from targetmd import ResolventSolve, TargetSpec, targets
     from targetmd.errors import TargetResolutionError
+    monkeypatch.setattr(targets, "MAX_NEWTON_STEPS", 1)
     p = library_problem("linear_monotone")
     g = euclidean_geometry(p.feasible_set)
     good = preset_ppa(g, p, 0.5)
     crippled = TargetSpec(alpha=1.0, beta=0.0, S=good.S, sigma=good.sigma,
                           Phi=good.Phi,
-                          target=ResolventSolve(tol=1e-16, max_iter=1),
+                          target=ResolventSolve(tol=1e-16),
                           feasible_set=good.feasible_set)
     with pytest.raises(TargetResolutionError):
         run_discrete(g, crippled, x0=[1.0, 1.0], n_steps=1)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from targetmd import (DomainError, bregman, entropy_geometry,
-                      euclidean_geometry, simplex, weighted_quadratic_geometry,
-                      whole_space)
+from targetmd import (DomainError, MirrorGeometry, box, bregman,
+                      entropy_geometry, euclidean_geometry, make_members,
+                      simplex, synthesized_geometry,
+                      weighted_quadratic_geometry, whole_space)
 from targetmd.errors import ConfigurationError
 from targetmd.geometry import INTERIOR_FLOOR, softmax
 
@@ -92,16 +93,52 @@ def test_entropy_gradient_rejects_a_coordinate_just_below_the_floor(shape):
     assert np.all(np.isfinite(g.grad_h(x)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(arrays(float, st.integers(2, 9), elements=st.floats(-800.0, 800.0)))
-def test_entropy_conj_jacobian_is_diag_minus_outer_bit_for_bit(z):
-    # at every softmax image, also ones whose smallest coordinates underflow
-    # to 0, I * x - x x^T has the bits of diag(x) - x x^T, signs of zeros too
-    x = softmax(z)
-    ours = entropy_geometry(len(z)).conj_jacobian(x)
-    literal = np.diag(x) - np.outer(x, x)
-    assert np.array_equal(ours, literal)
-    assert np.array_equal(np.signbit(ours), np.signbit(literal))
+def _jacobian_cases():
+    """(geometry, point x, the Jacobian H of its mirror map at x written
+    out densely): box coordinates on a bound, simplex points with zero
+    coordinates, an entropy point whose first coordinate underflows."""
+    box_x = np.array([0.0, 0.3, 1.0, 0.7])
+    simplex_x = np.array([0.0, 0.6, 0.0, 0.4])
+    support = np.array([0.0, 1.0, 0.0, 1.0])
+    entropy_x = softmax(np.array([-800.0, 0.3, 1.2, -0.5]))
+    assert entropy_x[0] == 0.0
+    w1, w2 = np.array([0.5, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 2.0, 8.0])
+    members = make_members([weighted_quadratic_geometry(w1), weighted_quadratic_geometry(w2)],
+                           [np.zeros(4), np.ones(4)])
+    return [
+        pytest.param(euclidean_geometry(whole_space(4)), box_x, np.eye(4), id="whole_space"),
+        pytest.param(euclidean_geometry(box(np.zeros(4), np.ones(4))), box_x,
+                     np.diag([0.0, 1.0, 0.0, 1.0]), id="box"),
+        pytest.param(euclidean_geometry(simplex(4)), simplex_x,
+                     np.diag(support) - np.outer(support, support) / 2.0, id="simplex"),
+        pytest.param(entropy_geometry(4), entropy_x,
+                     np.diag(entropy_x) - np.outer(entropy_x, entropy_x), id="entropy"),
+        pytest.param(weighted_quadratic_geometry(w1), box_x, np.diag(1.0 / w1), id="weighted"),
+        pytest.param(synthesized_geometry(members), box_x,
+                     np.diag(0.5 * (1.0 / w1 + 1.0 / w2)), id="synthesized"),
+    ]
+
+
+@pytest.mark.parametrize("geometry, x, h", _jacobian_cases())
+def test_conj_jacobian_times_is_the_product_with_the_dense_jacobian(geometry, x, h):
+    # a of shape (d,), a C-ordered (k, d) stack and a transposed (F-ordered)
+    # one, as the Newton matrix's forward differences are; a is not written
+    assert np.array_equal(h, h.T)   # so a 1-D product is also H @ a
+    rng = np.random.default_rng(31)
+    for a in (rng.normal(size=4), rng.normal(size=(3, 4)), rng.normal(size=(4, 4)).T):
+        before = a.copy()
+        ours = geometry.conj_jacobian_times(x, a)
+        assert ours.shape == a.shape
+        np.testing.assert_allclose(ours, a @ h, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(a, before)
+
+
+def test_a_dense_jacobian_fails_where_the_geometry_is_built():
+    g = euclidean_geometry(whole_space(2))
+    with pytest.raises(TypeError, match="conj_jacobian"):
+        MirrorGeometry(eval_h=g.eval_h, grad_h=g.grad_h, grad_h_conj=g.grad_h_conj,
+                       strong_convexity_modulus=1.0, domain=g.domain,
+                       conj_jacobian=lambda x: np.eye(2))
 
 
 def test_weighted_quadratic_examples():

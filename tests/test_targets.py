@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import reference_impls as ri
 from test_acceptance import _stepwise_deviation
 from targetmd import (ClosedForm, ResolventSolve, TargetSpec, VIProblem,
-                      affine_box_split, aitchison_add, bnn_dual_shift_target, box,
+                      affine_box_split, box,
                       dual_rate, entropy_geometry, estimate_lipschitz,
-                      euclidean_geometry, excess_payoff,
+                      euclidean_geometry,
                       library_problem, natural_residual, preset_bnn,
                       preset_dmd_calibrated, preset_dr, preset_eg, preset_fb,
                       preset_fbf, preset_ppa, preset_vanilla_md,
@@ -19,6 +19,7 @@ from targetmd import (ClosedForm, ResolventSolve, TargetSpec, VIProblem,
                       whole_space)
 from targetmd.errors import (ConfigurationError, DomainError,
                              TargetResolutionError)
+from targetmd import targets
 from targetmd.config import ExperimentConfig
 from targetmd.harness import DISCRETE_COMPARE_TOL, FIELD_COMPARE_TOL, build_spec
 from targetmd.problems import Tridiagonal
@@ -62,12 +63,13 @@ def test_resolve_eg_closed_form():
     assert np.allclose(y, [1.0, 0.1])
 
 
-def test_resolve_reports_nonconvergence():
+def test_resolve_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(targets, "MAX_NEWTON_STEPS", 50)
     s = whole_space(1)
     # S + Phi vanishes identically: the subproblem y - y = x has no root
     spec = TargetSpec(alpha=1.0, beta=0.0, S=identity, sigma=1.0,
                       Phi=lambda x: -np.asarray(x, dtype=float),
-                      target=ResolventSolve(tol=1e-12, max_iter=50),
+                      target=ResolventSolve(tol=1e-12),
                       feasible_set=s)
     with pytest.raises(TargetResolutionError) as err:
         resolve_target(spec, np.array([1.0]))
@@ -324,9 +326,9 @@ def test_resolver_matches_linear_solve_on_random_strongly_monotone_pairs():
 def test_excess_payoff_examples():
     rps = library_problem("rps_game")
     uniform = np.full(3, 1.0 / 3.0)
-    excess, nep = excess_payoff(rps, uniform)
+    excess, nep = ri.excess_payoff(rps, uniform)
     assert np.allclose(excess, 0.0) and np.allclose(nep, 0.0)
-    excess, nep = excess_payoff(rps, np.array([0.5, 0.25, 0.25]))
+    excess, nep = ri.excess_payoff(rps, np.array([0.5, 0.25, 0.25]))
     assert np.allclose(excess, [0.0, 0.25, 0.0])
     assert np.allclose(nep, [0.0, 1.0, 0.0])
 
@@ -338,8 +340,8 @@ def test_excess_payoff_shift_invariance():
                         F=lambda x: rps.F(x) + 7.5)
     rng = np.random.default_rng(SEED + 4)
     for x in rps.feasible_set.sample_interior(rng, 100):
-        e1, n1 = excess_payoff(rps, x)
-        e2, n2 = excess_payoff(shifted, x)
+        e1, n1 = ri.excess_payoff(rps, x)
+        e2, n2 = ri.excess_payoff(shifted, x)
         assert np.allclose(e1, e2, atol=1e-12)
         assert np.allclose(n1, n2, atol=1e-11)
 
@@ -347,18 +349,18 @@ def test_excess_payoff_shift_invariance():
 def test_excess_payoff_rejects_boundary():
     rps = library_problem("rps_game")
     with pytest.raises(DomainError):
-        excess_payoff(rps, np.array([1.0, 0.0, 0.0]))
+        ri.excess_payoff(rps, np.array([1.0, 0.0, 0.0]))
 
 
 def test_aitchison_examples():
     uniform = np.full(2, 0.5)
-    assert np.allclose(aitchison_add(uniform, uniform), uniform)
-    assert np.allclose(aitchison_add(np.array([0.25, 0.75]), np.array([3.0, 1.0])),
+    assert np.allclose(ri.aitchison_add(uniform, uniform), uniform)
+    assert np.allclose(ri.aitchison_add(np.array([0.25, 0.75]), np.array([3.0, 1.0])),
                        [0.5, 0.5])
     a = np.array([0.2, 0.3])
-    assert np.allclose(aitchison_add(a, np.ones(2)), a / a.sum())
+    assert np.allclose(ri.aitchison_add(a, np.ones(2)), a / a.sum())
     with pytest.raises(DomainError):
-        aitchison_add(np.array([0.5, 0.0]), np.array([1.0, 1.0]))
+        ri.aitchison_add(np.array([0.5, 0.0]), np.array([1.0, 1.0]))
 
 
 # --- excess-payoff preset ---------------------------------------------------
@@ -380,7 +382,7 @@ def test_bnn_target_value_and_cross_check():
     tx = resolve_target(spec, x)[0]
     assert np.allclose(tx, oracle, atol=1e-14)
     assert np.allclose(tx, [0.349755, 0.475367, 0.174877], atol=1e-5)
-    dual_route = bnn_dual_shift_target(rps, 1.0)
+    dual_route = ri.bnn_dual_shift_target(rps, 1.0)
     assert np.linalg.norm(dual_route(x) - tx) <= 1e-10
 
 
@@ -398,7 +400,7 @@ def test_bnn_correction_is_excess_payoff_up_to_uniform_shift():
         literal = spec.alpha * (spec.S(tx) - spec.S(x))
         stable = spec.alpha * gap
         assert np.linalg.norm(literal - stable) <= 1e-10
-        _, nep = excess_payoff(rps, x)
+        _, nep = ri.excess_payoff(rps, x)
         diff = literal - nep
         assert diff.max() - diff.min() <= 1e-10
 
@@ -436,7 +438,7 @@ def test_bnn_gap_keeps_the_bits_of_the_written_out_formula(name, eta, seed):
 def test_bnn_two_routes_agree_on_samples(name, eta, seed):
     problem = library_problem(name)
     spec = preset_bnn(problem, eta)
-    dual_route = bnn_dual_shift_target(problem, eta)
+    dual_route = ri.bnn_dual_shift_target(problem, eta)
     rng = np.random.default_rng(seed)
     for x in problem.feasible_set.sample_interior(rng, 50, margin=1e-9):
         tx = resolve_target(spec, x)[0]
@@ -632,6 +634,50 @@ def test_mirror_route_f_calls_per_target():
         assert calls[0] <= 8
 
 
+@pytest.mark.parametrize("dim", [200, 1000])
+def test_box_targets_take_one_newton_step_at_any_dimension(dim):
+    # ppa on the box constrained_quadratic at eta = 1: F is diagonal, so the
+    # target is clip((x - eta*q) / (1 + eta*m_ii), 0, 1).  From y = x one
+    # Newton step lands on it, with 2 Phi calls, at any dimension
+    problem = library_problem("constrained_quadratic", dim=dim)
+    plain_f = problem.F
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return plain_f(x)
+
+    spec = preset_ppa(euclidean_geometry(problem.feasible_set), problem, 1.0)
+    problem.F = counted
+    m, q = problem.linear_terms
+    rng = np.random.default_rng(1)
+    for x in problem.feasible_set.sample_interior(rng, 2):
+        calls[0] = 0
+        y = resolve_target(spec, x)[0]
+        assert calls[0] <= 3
+        closed = np.clip((x - q) / (1.0 + np.diag(m)), 0.0, 1.0)
+        assert np.linalg.norm(y - closed) <= spec.target.tol
+
+
+def test_a_saturated_entropy_start_resolves_in_few_f_calls():
+    # eta = 1e4 from a point near a vertex, where softmax saturates if the
+    # solve strays: from y = x it takes a few more F calls than at eta = 1
+    rps = library_problem("rps_game")
+    plain_f = rps.F
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return plain_f(x)
+
+    spec = preset_ppa(entropy_geometry(3), rps, 1e4)
+    rps.F = counted
+    x = (0.018, 0.955, 0.027)
+    y = resolve_target(spec, np.array(x))[0]
+    assert calls[0] <= 20
+    assert np.linalg.norm(y - _rps_oracle(1e4, x)) <= spec.target.tol
+
+
 def test_newton_route_resolves_at_eta_3_without_a_fallback():
     # at eta = 3 the plain mirror fixed-point iteration of rps_game does
     # not contract near uniform; Newton certifies the target by itself
@@ -779,15 +825,16 @@ def test_eg_refuses_an_all_nan_operator():
         preset_eg(g, problem, 0.1)
 
 
-def test_a_solve_certified_by_its_last_allowed_step_returns():
+def test_a_solve_certified_by_its_last_allowed_step_returns(monkeypatch):
     # one Newton step with the exact J_Phi solves a linear subproblem; with
-    # max_iter = 1 that step's residual is read before the solve gives up
+    # one step allowed, that step's residual is read before the solve gives up
+    monkeypatch.setattr(targets, "MAX_NEWTON_STEPS", 1)
     ws = whole_space(2)
     g = euclidean_geometry(ws)
     m = np.array([[1.0, 1.0], [-1.0, 1.0]])
     spec = TargetSpec(alpha=1.0, beta=0.0, S=g.grad_h, sigma=1.0,
                       Phi=lambda y: 0.5 * np.matvec(m, y), feasible_set=ws,
-                      target=ResolventSolve(max_iter=1, geometry=g, phi_jacobian=0.5 * m))
+                      target=ResolventSolve(geometry=g, phi_jacobian=0.5 * m))
     x = np.array([1.0, 2.0])
     y = resolve_target(spec, x)[0]
     assert np.linalg.norm(y - np.linalg.solve(np.eye(2) + 0.5 * m, x)) <= spec.target.tol
@@ -816,7 +863,7 @@ def test_mirror_route_weighted_quadratic_matches_linear_solve():
 def test_ppa_route_selection():
     # linear F under a whole-space quadratic potential: a closed-form linear
     # solve; on a box, the simplex or under entropy: Newton through the
-    # geometry's conj_jacobian, with J_Phi = eta*M made dense once
+    # geometry's conj_jacobian_times, with J_Phi = eta*M made dense once
     for name in ("skew_bilinear", "linear_monotone", "scalar_shift",
                  "constrained_quadratic"):
         problem = library_problem(name)
@@ -838,9 +885,9 @@ def test_ppa_route_selection():
                      preset_dmd_calibrated(g, rps, 1.0, case=1)):
             assert spec.target.geometry is g
             assert np.array_equal(spec.target.phi_jacobian, rps.linear_terms[0])
-    # a geometry without conj_jacobian: the same certified solve, through the
-    # Euclidean projection onto the simplex with S = its grad_h
-    bare = dataclasses.replace(entropy_geometry(3), conj_jacobian=None)
+    # a geometry without conj_jacobian_times: the same certified solve,
+    # through the Euclidean projection onto the simplex with S = its grad_h
+    bare = dataclasses.replace(entropy_geometry(3), conj_jacobian_times=None)
     spec = preset_ppa(bare, rps, 1.0)
     assert spec.target == ResolventSolve(tol=1e-10)
     x = (0.6, 0.3, 0.1)
