@@ -17,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .problems import BOX, SIMPLEX, WHOLE_SPACE, FeasibleSet, simplex, whole_space
+from .problems import (BOX, SIMPLEX, WHOLE_SPACE, FeasibleSet, _dimension, simplex,
+                       whole_space)
 
 Vector = np.ndarray
 
@@ -140,9 +141,7 @@ def entropy_geometry(dim: int) -> MirrorGeometry:
     dominates the identity whenever all coordinates are at most 1.
     H = diag(x) - x x^T, so a @ H is (a - a @ x) * x row by row.
     """
-    dim = int(dim)
-    if dim < 2:
-        raise ConfigurationError("entropy geometry needs dim >= 2")
+    dim = _dimension(dim, 2, "entropy geometry")
     domain = simplex(dim)
 
     def eval_h(x):

@@ -149,8 +149,11 @@ def simplex(dim: int) -> FeasibleSet:
 def box(lower, upper) -> FeasibleSet:
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    if lower.shape != upper.shape or np.any(lower >= upper):
-        raise ConfigurationError("box bounds must satisfy lower < upper entrywise")
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = upper - lower if lower.shape == upper.shape else np.nan
+    # NaN or infinite bounds fail, and so does a width past what sample can draw from
+    if not np.all((0.0 < width) & (width < math.inf)):
+        raise ConfigurationError("box bounds must be finite with lower < upper entrywise")
     return FeasibleSet(dim=lower.size, kind=BOX, lower=lower, upper=upper)
 
 
@@ -164,16 +167,66 @@ class VIProblem:
     linear_terms holds (M, q) when F(x) = M x + q, which lets constants be
     computed exactly instead of estimated.  M is an ndarray or a
     Tridiagonal; both take M @ x and M.T, and callers that need an array
-    call to_dense() on the latter.
+    call to_dense() on the latter.  F may be omitted when linear_terms is
+    given: it is then M x + q, row by row (_linear).
+
+    The contract is checked once, here, and trusted downstream: at two
+    interior points of the feasible set, drawn with default_rng(0), F must
+    not raise, must return the 2-point stack's shape, with each row equal
+    to F of that point alone within 1e-12 of the largest |entry| (NaN
+    equals NaN), and, given linear_terms, equal M x + q within 1e-9 of
+    the largest |entry|.  A breach is a ConfigurationError.
     """
 
     feasible_set: FeasibleSet
-    F: Callable[[Vector], Vector]
+    F: Optional[Callable[[Vector], Vector]] = None
     name: str = "custom"
     lipschitz_hint: Optional[float] = None
     strong_modulus: Optional[float] = None
     known_solution: Optional[Vector] = None
     linear_terms: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.F is None:
+            if self.linear_terms is None:
+                raise ConfigurationError(f"problem {self.name!r} needs F or linear_terms")
+            self.F = _linear(*self.linear_terms)
+        _check_operator(self)
+
+
+def _check_operator(problem: VIProblem):
+    """Raise ConfigurationError at the first rule of VIProblem's contract that F breaks."""
+    def broken(rule):
+        return ConfigurationError(f"problem {problem.name!r} breaks the operator "
+                                  f"contract at two sampled points: {rule}")
+
+    points = problem.feasible_set.sample_interior(np.random.default_rng(0), 2)
+    terms = problem.linear_terms
+    try:
+        stacked = problem.F(points)
+        rows = np.array([problem.F(x) for x in points])
+        affine = None if terms is None else _linear(*terms)(points)
+    except Exception as exc:  # F is the caller's code: any raise breaks the contract
+        raise broken(f"F must not raise, and raised {type(exc).__name__}: {exc}") from exc
+    if np.shape(stacked) != points.shape or rows.shape != points.shape:
+        raise broken(f"F returned shape {np.shape(stacked)} for points of shape "
+                     f"{points.shape} and {rows.shape[1:]} for one point; F must map "
+                     "each row of a stack")
+    if not _agree(stacked, rows, 1e-12):
+        raise broken("F of a stack must have, in each row, F of that row alone")
+    if affine is not None and not _agree(stacked, affine, 1e-9):
+        raise broken("F must equal M x + q of its linear_terms")
+
+
+def _agree(f, reference, rel: float) -> bool:
+    """f == reference within rel times its largest finite |entry|, NaN matching NaN."""
+    f, reference = np.asarray(f, dtype=float), np.asarray(reference, dtype=float)
+    if np.array_equal(f, reference):  # the common case, at a fraction of the cost
+        return True
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = rel * np.max(np.abs(reference), initial=0.0, where=np.isfinite(reference))
+        return bool(np.all((np.abs(f - reference) <= bound) | (f == reference)
+                           | (np.isnan(f) & np.isnan(reference))))
 
 
 def natural_residual(problem: VIProblem, x: Vector):
@@ -185,10 +238,6 @@ def natural_residual(problem: VIProblem, x: Vector):
     residual instead of the projection's DomainError."""
     x = np.asarray(x, dtype=float)
     f = problem.F(x)
-    if x.ndim > 1 and np.shape(f) != x.shape:
-        raise ConfigurationError(
-            f"F of problem {problem.name!r} returned shape {np.shape(f)} "
-            f"for points of shape {x.shape}; F must map each row of a stack")
     feasible_set = problem.feasible_set
     r = x - (x - f if feasible_set.kind == WHOLE_SPACE else feasible_set.project(x - f))
     norms = np.sqrt(np.vecdot(r, r))
@@ -217,11 +266,6 @@ def _scaled_norm(v: Vector) -> float:
 # ---------------------------------------------------------------------------
 # Library problems
 # ---------------------------------------------------------------------------
-
-_RPS_MATRIX = np.array([[0.0, 1.0, -1.0],
-                        [-1.0, 0.0, 1.0],
-                        [1.0, -1.0, 0.0]])
-
 
 def _dimension(dim, least: int, name: str) -> int:
     """dim as an int, or ConfigurationError unless it is an integer >= least."""
@@ -335,60 +379,32 @@ def _linear(m, q: Vector) -> Callable[[Vector], Vector]:
 
 def _make_skew_bilinear(dim: int = 2) -> VIProblem:
     dim = _dimension(dim, 2, "skew_bilinear")
-    m = Tridiagonal(dim, 0.0, 1.0)
-    q = np.zeros(dim)
-    return VIProblem(
-        feasible_set=whole_space(dim),
-        F=_linear(m, q),
-        name="skew_bilinear",
-        lipschitz_hint=m.norm(),
-        known_solution=np.zeros(dim),
-        linear_terms=(m, q),
-    )
+    return VIProblem(whole_space(dim), name="skew_bilinear", known_solution=np.zeros(dim),
+                     linear_terms=(Tridiagonal(dim, 0.0, 1.0), np.zeros(dim)))
 
 
 def _make_linear_monotone(dim: int = 2) -> VIProblem:
     dim = _dimension(dim, 2, "linear_monotone")
     m = Tridiagonal(dim, 1.0, 1.0)
     q = 0.5 * np.array([(-1.0) ** i for i in range(dim)])
-    return VIProblem(
-        feasible_set=whole_space(dim),
-        F=_linear(m, q),
-        name="linear_monotone",
-        lipschitz_hint=m.norm(),
-        strong_modulus=m.diag,
-        known_solution=m.solve(-q),
-        linear_terms=(m, q),
-    )
+    return VIProblem(whole_space(dim), name="linear_monotone", strong_modulus=m.diag,
+                     known_solution=m.solve(-q), linear_terms=(m, q))
 
 
 def _make_rps_game() -> VIProblem:
-    m = _RPS_MATRIX.copy()
-    return VIProblem(
-        feasible_set=simplex(3),
-        F=_linear(m, np.zeros(3)),
-        name="rps_game",
-        lipschitz_hint=float(np.linalg.norm(m, 2)),
-        known_solution=np.full(3, 1.0 / 3.0),
-        linear_terms=(m, np.zeros(3)),
-    )
+    m = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    return VIProblem(simplex(3), name="rps_game", known_solution=np.full(3, 1.0 / 3.0),
+                     linear_terms=(m, np.zeros(3)))
 
 
 def _make_constrained_quadratic(dim: int = 2) -> VIProblem:
     dim = _dimension(dim, 1, "constrained_quadratic")
     q_diag = np.arange(2.0, dim + 2.0)
-    center = np.linspace(0.25, 0.75, dim)
+    center = np.linspace(0.25, 0.75, dim)  # the solution, inside the box
     m = np.diag(q_diag)
-    q = -m @ center
-    return VIProblem(
-        feasible_set=box(np.zeros(dim), np.ones(dim)),
-        F=_linear(m, q),
-        name="constrained_quadratic",
-        lipschitz_hint=float(q_diag.max()),
-        strong_modulus=float(q_diag.min()),
-        known_solution=center,  # interior of the box by construction
-        linear_terms=(m, q),
-    )
+    return VIProblem(box(np.zeros(dim), np.ones(dim)), name="constrained_quadratic",
+                     lipschitz_hint=float(q_diag.max()), strong_modulus=float(q_diag.min()),
+                     known_solution=center, linear_terms=(m, -m @ center))
 
 
 def _constant(c: Vector, x: Vector) -> Vector:
@@ -402,30 +418,17 @@ def _make_vertex_cost_simplex(costs=(1.0, 2.0)) -> VIProblem:
     c = np.asarray(costs, dtype=float)
     if c.size < 2 or len(set(c.tolist())) != c.size:
         raise ConfigurationError("vertex_cost_simplex needs >= 2 distinct costs")
-    dim = c.size
-    solution = np.zeros(dim)
+    solution = np.zeros(c.size)
     solution[int(np.argmin(c))] = 1.0
-    return VIProblem(
-        feasible_set=simplex(dim),
-        F=partial(_constant, c),
-        name="vertex_cost_simplex",
-        lipschitz_hint=0.0,
-        known_solution=solution,
-        linear_terms=(np.zeros((dim, dim)), c),
-    )
+    return VIProblem(simplex(c.size), F=partial(_constant, c), name="vertex_cost_simplex",
+                     known_solution=solution, linear_terms=(np.zeros((c.size, c.size)), c))
 
 
 def _make_scalar_shift(a: float = 2.0) -> VIProblem:
     a = float(a)
-    return VIProblem(
-        feasible_set=whole_space(1),
-        F=lambda x: np.asarray(x, dtype=float) - a,
-        name="scalar_shift",
-        lipschitz_hint=1.0,
-        strong_modulus=1.0,
-        known_solution=np.array([a]),
-        linear_terms=(np.eye(1), np.array([-a])),
-    )
+    return VIProblem(whole_space(1), F=lambda x: np.asarray(x, dtype=float) - a,
+                     name="scalar_shift", strong_modulus=1.0, known_solution=np.array([a]),
+                     linear_terms=(np.eye(1), np.array([-a])))
 
 
 LIBRARY = {
@@ -476,7 +479,10 @@ def sampled_monotonicity(op, xs, ys):
     pairs (xs[i], ys[i]), rows of two stacks, with its pair and the minimum
     of the inner product itself.  op is evaluated on row blocks of at most
     MONOTONICITY_BLOCK entries and must map each row of a stack; each pair
-    has the bits of its own single-point evaluation.  Pairs with
+    has the bits of its own single-point evaluation.  Its shape check stays
+    though VIProblem checks F where it is built: op is also a preset's
+    S = grad_h - eta*F or grad_h + eta*F, and a hand-built spec.S or a
+    custom grad_h is seen by no problem's check.  Pairs with
     ||x - y||^2 < 1e-16 are skipped; with none left it is (inf, None, inf).
     A non-finite inner product (op NaN or overflowing at the pair) refutes:
     it counts as -inf."""

@@ -81,7 +81,10 @@ class ResolventSolve:
     for forward differences.  Without one (custom (S, Phi) pairs, a
     geometry without conj_jacobian_times) the solve runs through the
     Euclidean projection onto the feasible set, with forward differences
-    of S + Phi."""
+    of S + Phi.  There a hand-built entropy pair may miss tol = 1e-10 where
+    a target coordinate y_min is below about 1e-6: log y, and the residual,
+    have a rounding floor near eps / y_min.  Pass the geometry, as
+    preset_ppa does, to solve through its softmax."""
 
     tol: float = 1e-10
     geometry: Optional[MirrorGeometry] = None
@@ -466,8 +469,6 @@ def affine_box_split(shift: float = 2.0, lower: float = 0.0,
     """
     shift = float(shift)
     lo, up = float(lower), float(upper)
-    if lo >= up:
-        raise ConfigurationError("need lower < upper")
 
     def resolvent_a(eta, v):
         return np.clip(np.asarray(v, dtype=float), lo, up)
@@ -480,15 +481,9 @@ def affine_box_split(shift: float = 2.0, lower: float = 0.0,
 
     pair = SplitPair(resolvent_A=resolvent_a, resolvent_B=resolvent_b,
                      B_forward=b_forward, strong_modulus=1.0, lipschitz_B=1.0)
-    problem = VIProblem(
-        feasible_set=box(np.array([lo]), np.array([up])),
-        F=lambda x: np.asarray(x, dtype=float) - shift,
-        name="box_affine_split",
-        lipschitz_hint=1.0,
-        strong_modulus=1.0,
-        known_solution=np.array([min(max(shift, lo), up)]),
-        linear_terms=(np.eye(1), np.array([-shift])),
-    )
+    problem = VIProblem(box(lo, up), F=b_forward, name="box_affine_split", strong_modulus=1.0,
+                        known_solution=np.array([min(max(shift, lo), up)]),
+                        linear_terms=(np.eye(1), np.array([-shift])))
     return pair, problem
 
 

@@ -30,6 +30,15 @@ def all_geometries():
 
 # --- constructor examples -------------------------------------------------
 
+@pytest.mark.parametrize("dim", [2.7, "3", 1, True, None])
+def test_entropy_geometry_needs_an_integer_dimension_of_at_least_2(dim):
+    # int(dim) alone built dim 2 from 2.7 and dim 3 from "3"
+    message = f"entropy geometry needs an integer dim >= 2, got {dim!r}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        entropy_geometry(dim)
+    assert entropy_geometry(np.int64(3)).dim == 3
+
+
 def test_euclidean_whole_space_identity():
     # the mirror map returns its input and scans nothing: a NaN dual point
     # passes through, to be caught by the stepping loop; the set's

@@ -339,6 +339,22 @@ def test_solve_rk4_flow(name, exit_code, tmp_path):
     assert summary["mode"] == "rk4"
 
 
+@pytest.mark.parametrize("command,bounds", [
+    ("check", "problem.lower = nan"), ("check", "problem.upper = inf"),
+    ("solve", "problem.upper = inf"), ("compare", "problem.lower = -inf"),
+])
+def test_non_finite_box_bounds_are_one_configuration_error(tmp_path, capsys, command, bounds):
+    # unchecked, check ended in numpy's OverflowError traceback from the
+    # box's sampling, and a half-infinite dr solve ran
+    out = tmp_path / "out"
+    text = (CONFIG_DIR / "compare_dr.cfg").read_text().replace(
+        "output.dir = runs/compare_dr", f"{bounds}\noutput.dir = {out}")
+    assert run_cli(command, text, tmp_path) == 1
+    assert capsys.readouterr().err == (
+        "error: box bounds must be finite with lower < upper entrywise\n")
+    assert not out.exists()
+
+
 def test_solve_dr_with_explicit_reference(tmp_path):
     out = tmp_path / "out"
     text = f"""

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from targetmd import (ClosedForm, VIProblem, box, check_monotonicity,
+from targetmd import (ClosedForm, VIProblem, affine_box_split, box, check_monotonicity,
                       entropy_geometry, estimate_lipschitz, euclidean_geometry,
                       library_problem, natural_residual, preset_eg, preset_ppa,
                       project_simplex, resolve_target, simplex, whole_space)
 from targetmd.errors import ConfigurationError, DomainError
-from targetmd.problems import (MONOTONICITY_BLOCK, SIMPLEX_MASS_TOL, FeasibleSet,
-                               Tridiagonal, _scaled_norm, sampled_monotonicity)
+from targetmd.problems import (LIBRARY, MONOTONICITY_BLOCK, SIMPLEX_MASS_TOL, FeasibleSet,
+                               Tridiagonal, _linear, _scaled_norm, sampled_monotonicity)
 
 SEED = 77
 
@@ -403,6 +404,117 @@ def test_skew_operators_annihilate_differences():
     for x, y in zip(rng.normal(size=(100, 5)), rng.normal(size=(100, 5))):
         inner = _plain_dot(big.F(x) - big.F(y), x - y)
         assert abs(inner) <= 1e-12  # summation-order residue only
+
+
+# --- the operator contract, checked where a problem is built --------------
+
+CONTRACT = "^problem 'custom' breaks the operator contract at two sampled points: "
+
+
+def _contract_cases():
+    for name, (_, allowed, _) in LIBRARY.items():
+        yield pytest.param(lambda name=name: library_problem(name), id=name)
+        if "dim" in allowed:
+            yield pytest.param(lambda name=name: library_problem(name, dim=200),
+                               id=f"{name}-200")
+    yield pytest.param(lambda: affine_box_split()[1], id="box_affine_split")
+
+
+@pytest.mark.parametrize("build", list(_contract_cases()))
+def test_every_library_problem_keeps_the_operator_contract(build):
+    problem = build()
+    # rebuilt from its parts, the problem passes the same check again
+    assert dataclasses.replace(problem).F is problem.F
+
+
+def test_the_contract_is_checked_with_three_operator_calls_at_build():
+    # one 2-point stack and each of its rows; none after the build
+    seen = []
+
+    def F(x):
+        seen.append(np.shape(x))
+        return 2.0 * np.asarray(x, dtype=float)
+
+    problem = VIProblem(feasible_set=whole_space(3), F=F)
+    assert seen == [(2, 3), (3,), (3,)]
+    natural_residual(problem, np.ones(3))
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("dim,rule", [
+    (2, re.escape("F of a stack must have, in each row, F of that row alone")),
+    (3, "F must not raise, and raised ValueError: matmul: .*"),
+])
+def test_a_matrix_product_over_the_stack_is_rejected_where_the_problem_is_built(dim, rule):
+    # m @ X mixes the rows of a stack, or does not conform to it; unchecked,
+    # the problem built, and preset_eg ended in numpy's matmul ValueError
+    m = np.eye(dim) + np.eye(dim, k=1) - np.eye(dim, k=-1)
+    with pytest.raises(ConfigurationError, match=CONTRACT + rule + "$"):
+        problem = VIProblem(feasible_set=whole_space(dim), F=lambda x: m @ x,
+                            linear_terms=(m, np.zeros(dim)))
+        preset_eg(euclidean_geometry(problem.feasible_set), problem, 0.1)
+
+
+def test_linear_terms_that_are_not_those_of_F_are_rejected_where_the_problem_is_built():
+    # F = 2 M x beside linear_terms (M, 0): unchecked, ppa's closed form
+    # returned the target of M without a word
+    m = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(ConfigurationError, match=CONTRACT + re.escape(
+            "F must equal M x + q of its linear_terms") + "$"):
+        problem = VIProblem(feasible_set=whole_space(2), F=lambda x: 2.0 * np.matvec(m, x),
+                            linear_terms=(m, np.zeros(2)))
+        resolve_target(preset_ppa(euclidean_geometry(problem.feasible_set), problem, 1.0),
+                       np.array([1.0, 0.0]))
+
+
+def test_an_operator_is_compared_within_its_tolerance_and_nan_equals_nan():
+    # rows off by 1e-13 of the largest entry pass; a NaN entry is equal to NaN
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        return x * (1.0 + 1e-13 * (x.ndim > 1)) + np.where(x > 0.5, np.nan, 0.0)
+
+    VIProblem(feasible_set=simplex(2), F=F)
+    with pytest.raises(ConfigurationError, match="F of that row alone"):
+        VIProblem(feasible_set=simplex(2),
+                  F=lambda x: np.asarray(x, dtype=float) * (1.0 + 1e-11 * (np.ndim(x) > 1)))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("skew_bilinear", {}), ("skew_bilinear", {"dim": 200}),
+    ("linear_monotone", {}), ("linear_monotone", {"dim": 200}),
+    ("rps_game", {}), ("constrained_quadratic", {}), ("constrained_quadratic", {"dim": 200}),
+])
+def test_an_omitted_operator_is_the_linear_map_bit_for_bit(name, params):
+    problem = library_problem(name, **params)
+    m, q = problem.linear_terms
+    rebuilt = VIProblem(feasible_set=problem.feasible_set, linear_terms=(m, q))
+    stack = 1e3 * np.random.default_rng(SEED).standard_normal((9, problem.feasible_set.dim))
+    for x in (stack, stack[0]):
+        literal = _linear(m, q)(x)
+        assert np.array_equal(problem.F(x).view(np.int64), literal.view(np.int64))
+        assert np.array_equal(rebuilt.F(x).view(np.int64), literal.view(np.int64))
+
+
+def test_a_problem_needs_an_operator_or_linear_terms():
+    with pytest.raises(ConfigurationError,
+                       match="^problem 'bare' needs F or linear_terms$"):
+        VIProblem(feasible_set=whole_space(2), name="bare")
+
+
+@pytest.mark.parametrize("lower,upper", [
+    ([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0], [np.inf]), ([-np.inf], [0.0]),
+    ([0.0, -np.inf], [1.0, np.inf]), ([-1e308], [1e308]), ([1.0], [1.0]),
+])
+def test_box_rejects_bounds_that_are_not_finite_and_ordered(lower, upper):
+    with pytest.raises(ConfigurationError, match="finite with lower < upper"):
+        box(lower, upper)
+
+
+@pytest.mark.parametrize("lower,upper", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0),
+                                         (1.0, 0.0)])
+def test_the_split_problem_rejects_bounds_that_are_not_finite_and_ordered(lower, upper):
+    with pytest.raises(ConfigurationError, match="finite with lower < upper"):
+        affine_box_split(2.0, lower, upper)
 
 
 # --- monotonicity checks --------------------------------------------------
