@@ -75,9 +75,11 @@ def initial_state(geometry: MirrorGeometry, x0=None) -> SolverState:
 
 def state_from_dual(geometry: MirrorGeometry, z0) -> SolverState:
     """State at an explicitly chosen dual point (needed when grad_h has no
-    closed form, e.g. synthesized ensemble geometries)."""
+    closed form, e.g. synthesized ensemble geometries), pulled back with
+    the stepping loop's overflow and invalid-value warnings silenced."""
     z0 = np.asarray(z0, dtype=float).copy()
-    return SolverState(0, 0.0, z0, geometry.grad_h_conj(z0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SolverState(0, 0.0, z0, geometry.grad_h_conj(z0))
 
 
 def dual_rate(spec: TargetSpec, x: Vector, tx: Vector,

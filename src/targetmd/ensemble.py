@@ -194,9 +194,10 @@ def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
     mean_of_members = _mean_of_members(members)
     # the rate at the averaged state broadcasts into every row of the stack
     duals = np.array([m.z0 for m in members])
+    with np.errstate(over="ignore", invalid="ignore"):  # silenced, as in the loop
+        start = SolverState(0, 0.0, duals, mean_of_members(duals))
     together = integrate(
-        partial(dual_rate, spec), mean_of_members,
-        SolverState(0, 0.0, duals, mean_of_members(duals)),
+        partial(dual_rate, spec), mean_of_members, start,
         record.mode, record.final_state.step_index * record.dt, dt=record.dt,
         target=partial(resolve_target, spec),
         recorder=partial(_Recorder, None, None, None, None))

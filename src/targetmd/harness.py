@@ -25,8 +25,8 @@ import numpy as np
 from . import reference
 from .checks import run_condition_checks
 from .config import ExperimentConfig, echo_config, load_config
-from .dynamics import (CONVERGED, DIVERGED, RunRecord, dual_rate, flow,
-                       lyapunov_series, primal_vector_field, run_discrete,
+from .dynamics import (CONVERGED, DIVERGED, RunRecord, _finite_point, dual_rate,
+                       flow, lyapunov_series, primal_vector_field, run_discrete,
                        run_dmd, run_higher_order, run_vanilla_dmd)
 from .ensemble import EnsembleMember, run_ensemble, verify_ensemble_reduction
 from .errors import ConfigurationError
@@ -36,7 +36,7 @@ from .problems import LIBRARY, WHOLE_SPACE, VIProblem, library_problem, whole_sp
 from .targets import (SplitPair, affine_box_split, preset_bnn,
                       preset_dmd_calibrated, preset_dr, preset_eg, preset_fb,
                       preset_fbf, preset_ppa, preset_vanilla_md,
-                      resolve_target)
+                      reference_point, resolve_target)
 
 OUTPUT_DIR_ENV = "TARGETMD_OUT_DIR"
 
@@ -342,14 +342,9 @@ def _solve(cfg: ExperimentConfig):
     if row.flow_only and cfg.mode != "flow":
         raise ConfigurationError(f"{cfg.preset} runs in flow mode")
 
-    reference_point = cfg.lyapunov_reference
-    if reference_point is None and (spec is None or spec.shadow is None):
-        # For shadow-style designs the known solution is NOT a reference
-        # for the governing sequence, so it must be given explicitly.
-        reference_point = problem.known_solution
-
-    run = dict(x0=cfg.x0, reference=reference_point, stop_residual=cfg.stop_residual,
-               stride=cfg.effective_stride(), **_budget(cfg))
+    run = dict(x0=cfg.x0, reference=reference_point(spec, problem, cfg.lyapunov_reference),
+               stop_residual=cfg.stop_residual, stride=cfg.effective_stride(),
+               **_budget(cfg))
     if cfg.mode == "discrete":
         record = run_discrete(geometry, spec, problem=problem, **run)
     else:
@@ -370,9 +365,8 @@ def _solve(cfg: ExperimentConfig):
     if spec is not None and spec.shadow is not None:
         # the trajectory is the governing sequence; solutions live at its
         # shadow image, so report both final points explicitly
-        final_x = record.final_state.x
-        summary["final_point"] = [float(v) for v in final_x]
-        summary["final_shadow_point"] = [float(v) for v in spec.shadow(final_x)]
+        summary["final_point"] = [float(v) for v in record.final_state.x]
+        summary["final_shadow_point"] = [float(v) for v in spec.shadow(record.final_state.x)]
     exit_code = EXIT_CODES.get(record.termination, EXIT_BUDGET)
     return exit_code, summary, {"trajectory.csv": (write_trajectory_csv, record)}
 
@@ -435,12 +429,9 @@ def _build_members(cfg: ExperimentConfig, problem: VIProblem):
     for i, mc in enumerate(cfg.ensemble_members, start=1):
         try:
             geometry = _geometry(mc.geometry, mc.weights, whole_space(dim))
+            z0 = _finite_point("z0", mc.z0 if mc.z0 else np.zeros(dim), dim)
         except ConfigurationError as exc:
             raise ConfigurationError(f"member {i}: {exc}") from None
-        z0 = np.asarray(mc.z0 if mc.z0 else np.zeros(dim), dtype=float)
-        if z0.size != dim:
-            raise ConfigurationError(
-                f"member {i}: z0 has size {z0.size}, expected {dim}")
         members.append(EnsembleMember(geometry, z0))
     return members
 

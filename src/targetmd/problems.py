@@ -32,6 +32,7 @@ SIMPLEX_MASS_TOL = 1e-9
 # 128 KiB keep the peak memory of a dim-2000 preset build within 1 MB of one
 # pair at a time; blocks four times larger would add about 4 MB.
 MONOTONICITY_BLOCK = 1 << 14
+WHOLE_SPACE_SCALE = 1.5  # standard deviation of the whole space's samples
 
 
 def project_simplex(v: Vector) -> Vector:
@@ -118,12 +119,12 @@ class FeasibleSet:
             return np.zeros(self.dim)
         if self.kind == SIMPLEX:
             return np.full(self.dim, 1.0 / self.dim)
-        return 0.5 * (self.lower + self.upper)
+        return self.lower + 0.5 * (self.upper - self.lower)  # finite at any finite width
 
-    def sample(self, rng: np.random.Generator, n: int, scale: float = 1.5) -> Vector:
+    def sample(self, rng: np.random.Generator, n: int) -> Vector:
         """Draw n feasible points; rows of the returned array."""
         if self.kind == WHOLE_SPACE:
-            return scale * rng.standard_normal((n, self.dim))
+            return WHOLE_SPACE_SCALE * rng.standard_normal((n, self.dim))
         if self.kind == SIMPLEX:
             return rng.dirichlet(np.ones(self.dim), size=n)
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))

@@ -69,6 +69,7 @@ class MirrorOfS:
 
 
 MAX_NEWTON_STEPS = 10_000  # per implicit target, short of its certified stop
+MONOTONICITY_SEED = 0  # of the pairs _require_strongly_monotone samples
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,15 @@ class TargetSpec:
         if self.Phi is None:
             return np.asarray(x, dtype=float) - np.asarray(tx, dtype=float)
         return self.Phi(tx)
+
+
+def reference_point(spec: Optional[TargetSpec], problem: VIProblem, given=None):
+    """x_bar of solve's Lyapunov values and of check's stability and descent
+    sections: `given`, else the known solution, unless the design has a
+    shadow (its iterates are governing points, the solutions their shadows)."""
+    if given is None and (spec is None or spec.shadow is None):
+        return problem.known_solution
+    return given
 
 
 @dataclass(eq=False)
@@ -269,13 +279,13 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
     return y
 
 
-def _require_strongly_monotone(op, feasible_set, label, seed=0):
+def _require_strongly_monotone(op, feasible_set, label):
     """Refute, on 64 sampled interior pairs, that op is strongly monotone.
     The pairs are rows 2i and 2i + 1 of draws of up to 128 points, with at
     most MONOTONICITY_BLOCK entries a side (all 64 pairs in one draw up to
     dimension 256, one pair a draw past 8,192): the numbers that 64 draws
     of 2 points give."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MONOTONICITY_SEED)
     per_draw = max(1, min(64, MONOTONICITY_BLOCK // feasible_set.dim))
     ratio = math.inf
     for start in range(0, 64, per_draw):

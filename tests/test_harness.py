@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from targetmd import (config, echo_config, library_problem, load_config,
-                      parse_config, preset_eg, run_condition_checks,
-                      euclidean_geometry, whole_space, TargetSpec, ClosedForm)
+                      parse_config, preset_dr, preset_eg, run_condition_checks,
+                      euclidean_geometry, whole_space, TargetSpec, ClosedForm,
+                      affine_box_split)
 from targetmd import harness
+from targetmd.targets import reference_point
 from targetmd.cli import main
 from targetmd.errors import ConfigurationError
 from targetmd.harness import OUTPUT_DIR_ENV, run_command
@@ -353,6 +355,20 @@ def test_non_finite_box_bounds_are_one_configuration_error(tmp_path, capsys, com
     assert capsys.readouterr().err == (
         "error: box bounds must be finite with lower < upper entrywise\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_split_box_near_the_float_limit_builds_without_a_warning(tmp_path, capsys):
+    # the box's center overflowed in its build-time samples; the dr run
+    # itself (2 J_B(x) - x) still leaves the float range at its second step
+    out = tmp_path / "out"
+    text = (CONFIG_DIR / "compare_dr.cfg").read_text().replace(
+        "output.dir = runs/compare_dr",
+        f"problem.lower = 1e308\nproblem.upper = 1.7e308\noutput.dir = {out}")
+    assert run_cli("solve", text, tmp_path) == 1
+    assert capsys.readouterr().err == (
+        "error: the dual point turned non-finite at step 2; the run diverges\n")
+    assert json.loads((out / "summary.json").read_text())["termination"] == "diverged"
 
 
 def test_solve_dr_with_explicit_reference(tmp_path):
@@ -772,6 +788,68 @@ def test_check_reads_lyapunov_reference(tmp_path, reference, expected):
     assert report["surrogate_stability"]["reference"] == expected
 
 
+TUPLE_CONFIGS = sorted(path.stem for path in CONFIG_DIR.glob("*.cfg")
+                       if harness.PRESETS[load_config(path).preset].build is not None)
+
+
+@pytest.mark.parametrize("name", TUPLE_CONFIGS)
+def test_check_passes_on_every_shipped_design_tuple(tmp_path, name):
+    assert "compare_dr" in TUPLE_CONFIGS and "dmd_vanilla_scalar" not in TUPLE_CONFIGS
+    out = tmp_path / "out"
+    assert run_cli("check", (CONFIG_DIR / f"{name}.cfg").read_text(), tmp_path,
+                   env_dir=out) == 0
+    assert json.loads((out / "check_report.json").read_text())["refuted"] is False
+
+
+def test_check_takes_no_default_reference_for_a_shadow_design(tmp_path, capsys):
+    # the known solution of the dr problem is no reference for its
+    # governing points: both reference sections are skipped, as solve
+    # skips its Lyapunov block, and the fixed point is checked at its shadow
+    out = tmp_path / "out"
+    assert run_cli("check", (CONFIG_DIR / "compare_dr.cfg").read_text(), tmp_path,
+                   env_dir=out) == 0
+    assert capsys.readouterr().out == f"no refutation  -> {out}\n"
+    report = json.loads((out / "check_report.json").read_text())
+    for section in ("surrogate_stability", "descent_margin"):
+        assert report[section] == {"skipped": True, "refuted": False,
+                                   "reason": "no reference point available"}
+    assert report["fixed_point_consistency"] == {
+        "skipped": False, "converged": True, "fixed_point": [0.0],
+        "natural_residual": 0.0, "at_shadow_point": True, "refuted": False}
+
+
+def test_check_of_a_shadow_design_with_a_reference_samples_the_target_image(tmp_path):
+    out = tmp_path / "out"
+    text = (CONFIG_DIR / "compare_dr.cfg").read_text() + "lyapunov.reference = 0\n"
+    assert run_cli("check", text, tmp_path, env_dir=out) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    stability, margin = report["surrogate_stability"], report["descent_margin"]
+    assert stability["sampled_on_target_image"] is True
+    assert stability["reference"] == [0.0] and not stability["skipped"]
+    assert stability["min_inner"] > 0.0 and stability["refuted"] is False
+    assert not margin["skipped"] and margin["evaluated"] == 200
+    assert margin["min_value"] > 0.0 and margin["refuted"] is False
+
+
+def test_the_default_reference_is_decided_by_the_design_tuple():
+    problem = library_problem("skew_bilinear")
+    g = euclidean_geometry(problem.feasible_set)
+    eg = preset_eg(g, problem, 0.1)
+    pair, split = affine_box_split()
+    dr = preset_dr(pair, whole_space(1), 1.0)
+    given = np.ones(2)
+    assert reference_point(eg, problem, given) is given
+    assert reference_point(eg, problem) is problem.known_solution
+    assert reference_point(None, problem) is problem.known_solution
+    assert reference_point(dr, split) is None
+    assert reference_point(dr, split, given) is given
+    # the library default x_bar = None follows the same rule
+    report = run_condition_checks(euclidean_geometry(whole_space(1)), dr, split,
+                                  n_samples=20)
+    assert report["surrogate_stability"]["skipped"] and report["descent_margin"]["skipped"]
+    assert report["refuted"] is False
+
+
 def test_check_api_anti_monotone_surrogate_refuted():
     # surrogate Phi(x) = -x on the line is unstable w.r.t. the origin
     s = whole_space(1)
@@ -841,6 +919,36 @@ def test_ensemble_subcommand(tmp_path, name, tol, geometry, budget):
     assert summary["reduction_max_deviation"] <= summary["reduction_tolerance"]
     assert (out / "reduction_deviations.csv").exists()
     assert (out / "ensemble_trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("z0,message", [
+    ("nan, 0, 0", "member 2: z0 must be finite, got [nan, 0.0, 0.0]"),
+    ("1, 0", "member 2: z0 has 2 entries; the problem has dimension 3"),
+])
+def test_a_member_z0_is_checked_like_x0(tmp_path, capsys, z0, message):
+    # a NaN z0 ended in the simplex projection's error, naming neither
+    # the member nor the key
+    out = tmp_path / "out"
+    text = (CONFIG_DIR / "ensemble_entropy.cfg").read_text().replace(
+        "ensemble.member2.z0 = 1, 0, 0", f"ensemble.member2.z0 = {z0}")
+    assert run_cli("ensemble", text, tmp_path, env_dir=out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_ensemble_started_near_the_float_limit_stays_silent(tmp_path, capsys):
+    # softmax of the members' duals overflows harmlessly at the start, in
+    # the synthesized run's first state and the check's first average
+    out = tmp_path / "out"
+    text = (CONFIG_DIR / "ensemble_entropy.cfg").read_text().replace(
+        "ensemble.member2.z0 = 1, 0, 0", "ensemble.member2.z0 = 1e308, -1e308, 0").replace(
+        "budget.steps = 2000", "budget.steps = 20")
+    assert run_cli("ensemble", text, tmp_path, env_dir=out) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "budget_exhausted"
+    assert summary["reduction_max_deviation"] <= summary["reduction_tolerance"]
 
 
 def test_ensemble_verify_off_exits_zero(tmp_path):

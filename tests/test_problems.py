@@ -510,6 +510,21 @@ def test_box_rejects_bounds_that_are_not_finite_and_ordered(lower, upper):
         box(lower, upper)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                min_size=1, max_size=4))
+@example([(1e308, 1.7e308)])
+@example([(-1.7e308, -1e308), (0.0, 1.0)])
+def test_every_box_that_box_accepts_has_a_finite_center_inside_it(bounds):
+    lower, upper = np.array(bounds).T
+    try:
+        feasible_set = box(lower, upper)
+    except ConfigurationError:
+        return
+    center = feasible_set.center()  # an overflow warning fails here
+    assert np.all(np.isfinite(center)) and feasible_set.contains(center, tol=0.0)
+
+
 @pytest.mark.parametrize("lower,upper", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0),
                                          (1.0, 0.0)])
 def test_the_split_problem_rejects_bounds_that_are_not_finite_and_ordered(lower, upper):
