@@ -25,28 +25,23 @@ def _dual_map_check(spec, samples):
     return {
         "min_ratio": worst,
         "claimed_modulus": spec.sigma,
-        "strong_margin_observed": bool(worst > REFUTE_TOL),
+        "strong_margin_observed": bool(REFUTE_TOL < worst < np.inf),
         "refuted": bool(worst < -REFUTE_TOL),
     }
 
 
 def _surrogate_stability_check(spec, samples, targets, x_bar):
     on_image = spec.Phi is None  # no pointwise Phi: evaluate it on the target image
-    worst, witness = np.inf, None
-    for s, tx in zip(samples, targets):
-        if on_image and tx is None:
-            continue  # no target; counted by the resolution check
-        inner = float(np.dot(spec.phi_at_target(s, tx), tx - x_bar) if on_image
-                      else np.dot(spec.Phi(s), s - x_bar))
-        if inner < worst:
-            worst, witness = inner, s
+    inner = (np.vecdot(spec.phi_at_target(samples, targets), targets - x_bar) if on_image
+             else np.vecdot(spec.Phi(samples), samples - x_bar))
+    worst = float(np.fmin.reduce(inner, initial=np.inf))  # NaN: an unresolved target
     refuted = worst < -REFUTE_TOL
     return {
         "skipped": False,
         "reference": [float(v) for v in np.atleast_1d(x_bar)],
         "min_inner": worst,
         "sampled_on_target_image": on_image,
-        "witness": [float(v) for v in witness] if refuted else None,
+        "witness": samples[np.argmax(inner == worst)].tolist() if refuted else None,
         "refuted": bool(refuted),
     }
 
@@ -57,7 +52,8 @@ def _fixed_point_check(geometry, spec, problem):
                 "refuted": False}
     try:
         record = run_discrete(geometry, spec, problem=problem,
-                              n_steps=FIXED_POINT_BUDGET, stop_residual=1e-9)
+                              n_steps=FIXED_POINT_BUDGET, stop_residual=1e-9,
+                              stride=FIXED_POINT_BUDGET)  # keep the start and the end
     except TargetMDError as exc:
         return {"skipped": False, "converged": False, "refuted": False,
                 "note": f"solver run failed: {exc}"}
@@ -76,39 +72,37 @@ def _fixed_point_check(geometry, spec, problem):
 
 
 def _resolve_samples(spec, samples):
-    """T(s) for each sample, resolved once; None where it raised."""
-    targets = []
-    for s in samples:
+    """T(s) for each sample, resolved once, as the rows of one array: a row
+    of NaN where the resolution raised or returned a non-finite point."""
+    targets = np.full(samples.shape, np.nan)
+    for i, s in enumerate(samples):
         try:
-            targets.append(resolve_target(spec, s)[0])
+            targets[i] = resolve_target(spec, s)[0]
         except TargetMDError:
-            targets.append(None)
+            pass
+    targets[~np.isfinite(targets).all(axis=1)] = np.nan
     return targets
 
 
 def _target_resolution_check(spec, targets):
-    failures = sum(tx is None for tx in targets)
+    failures = int(np.isnan(targets[:, 0]).sum())
     return {"closed_form": not isinstance(spec.target, ResolventSolve),
             "failures": failures, "refuted": bool(failures > 0)}
 
 
 def _descent_margin_check(spec, samples, targets, x_bar):
-    worst, nonpositive, evaluated = np.inf, 0, 0
-    for s, tx in zip(samples, targets):
-        if tx is None or float(np.linalg.norm(tx - s)) <= NEAR_SOLUTION_GAP:
-            continue  # at (near-)solutions the margin legitimately vanishes
-        value = relaxed_condition_value(spec, s, x_bar, tx)
-        evaluated += 1
-        worst = min(worst, value)
-        if value <= 0.0:
-            nonpositive += 1
+    gap = targets - samples  # at (near-)solutions the margin legitimately vanishes
+    kept = np.sqrt(np.vecdot(gap, gap)) > NEAR_SOLUTION_GAP  # False on NaN rows
+    values = (relaxed_condition_value(spec, samples[kept], x_bar, targets[kept])
+              if kept.any() else np.empty(0))
+    nonpositive = int((values <= 0.0).sum())
     return {
         "skipped": False,
-        "evaluated": evaluated,
+        "evaluated": values.size,
         "norm": "euclidean",  # the margin is evaluated in the 2-norm
-        "min_value": None if evaluated == 0 else worst,
+        "min_value": float(np.fmin.reduce(values, initial=np.inf)) if values.size else None,
         "nonpositive_at_nonsolutions": nonpositive,
-        "refuted": bool(nonpositive > 0),
+        "refuted": nonpositive > 0,
     }
 
 
@@ -121,8 +115,11 @@ def run_condition_checks(geometry: MirrorGeometry, spec: TargetSpec,
     of the surrogate Phi against a reference point, consistency of located
     fixed points with the original problem, solvability of the target at
     sampled states, and the relaxed descent margin.  Each sample's target
-    is resolved once and serves every check; a sample whose resolution
-    raises counts as a resolution failure and is left out of the others.
+    is resolved once, into a row of one (n, d) stack; a row of NaN, where
+    the resolution raised or returned a non-finite point, counts as a
+    resolution failure, and its NaN leaves it out of the other checks.
+    S, Phi and the margins are evaluated on the stacks, as in the stepping
+    loop with numpy's overflow and invalid-value warnings silenced.
     x_bar defaults as for solve (targets.reference_point): to the known
     solution, unless the design has a shadow (dr).  Without a reference
     point the stability and descent sections are skipped.
@@ -136,7 +133,6 @@ def run_condition_checks(geometry: MirrorGeometry, spec: TargetSpec,
     x_bar = reference_point(spec, problem, x_bar)
     if x_bar is not None:
         x_bar = _finite_point("reference", x_bar, geometry.dim)
-    targets = _resolve_samples(spec, samples)
 
     def against_reference(check):
         if x_bar is None:
@@ -144,15 +140,17 @@ def run_condition_checks(geometry: MirrorGeometry, spec: TargetSpec,
                     "refuted": False}
         return check(spec, samples, targets, x_bar)
 
-    report = {
-        "seed": seed,
-        "n_samples": n_samples,
-        "dual_map_strong_monotonicity": _dual_map_check(spec, samples),
-        "surrogate_stability": against_reference(_surrogate_stability_check),
-        "fixed_point_consistency": _fixed_point_check(geometry, spec, problem),
-        "target_resolution": _target_resolution_check(spec, targets),
-        "descent_margin": against_reference(_descent_margin_check),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = _resolve_samples(spec, samples)
+        report = {
+            "seed": seed,
+            "n_samples": n_samples,
+            "dual_map_strong_monotonicity": _dual_map_check(spec, samples),
+            "surrogate_stability": against_reference(_surrogate_stability_check),
+            "fixed_point_consistency": _fixed_point_check(geometry, spec, problem),
+            "target_resolution": _target_resolution_check(spec, targets),
+            "descent_margin": against_reference(_descent_margin_check),
+        }
     report["refuted"] = bool(any(section.get("refuted") for section in report.values()
                                  if isinstance(section, dict)))
     return report

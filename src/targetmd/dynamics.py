@@ -490,7 +490,7 @@ def lyapunov_series(record: RunRecord,
                           total_decrease=decrease)
 
 
-def relaxed_condition_value(spec: TargetSpec, x, x_bar, tx=None) -> float:
+def relaxed_condition_value(spec: TargetSpec, x, x_bar, tx=None):
     """Descent margin at x against the reference x_bar:
 
         alpha * (sigma * ||T(x)-x||^2 + <Phi(T(x)), T(x) - x_bar>)
@@ -498,18 +498,19 @@ def relaxed_condition_value(spec: TargetSpec, x, x_bar, tx=None) -> float:
 
     Positive values certify the relaxed descent condition at x even when
     no point is perfectly stable for Phi.  Norms are Euclidean.  tx, when
-    given, is T(x), already resolved.
+    given, is T(x), already resolved: then x may be a stack, with a target
+    per row, and a margin per row has the bits of that point's own call.
     """
     x = np.asarray(x, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
     if tx is None:
         tx = resolve_target(spec, x)[0]
     gap = tx - x
-    value = spec.alpha * (spec.sigma * float(np.dot(gap, gap))
-                          + float(np.dot(spec.phi_at_target(x, tx), tx - x_bar)))
+    value = spec.alpha * (spec.sigma * np.vecdot(gap, gap)
+                          + np.vecdot(spec.phi_at_target(x, tx), tx - x_bar))
     if spec.beta != 0.0:
-        value += spec.beta * float(np.dot(spec.Phi(x), x - x_bar))
-    return value
+        value += spec.beta * np.vecdot(spec.Phi(x), x - x_bar)
+    return float(value) if x.ndim == 1 else value
 
 
 def primal_vector_field(geometry: MirrorGeometry, spec: TargetSpec, x) -> Vector:

@@ -25,8 +25,8 @@ import numpy as np
 from . import reference
 from .checks import run_condition_checks
 from .config import ExperimentConfig, echo_config, load_config
-from .dynamics import (CONVERGED, DIVERGED, RunRecord, _finite_point, dual_rate,
-                       flow, lyapunov_series, primal_vector_field, run_discrete,
+from .dynamics import (CONVERGED, DIVERGED, RunRecord, _finite_point, flow,
+                       lyapunov_series, primal_vector_field, run_discrete,
                        run_dmd, run_higher_order, run_vanilla_dmd)
 from .ensemble import EnsembleMember, run_ensemble, verify_ensemble_reduction
 from .errors import ConfigurationError
@@ -35,8 +35,7 @@ from .geometry import (MirrorGeometry, entropy_geometry, euclidean_geometry,
 from .problems import LIBRARY, WHOLE_SPACE, VIProblem, library_problem, whole_space
 from .targets import (SplitPair, affine_box_split, preset_bnn,
                       preset_dmd_calibrated, preset_dr, preset_eg, preset_fb,
-                      preset_fbf, preset_ppa, preset_vanilla_md,
-                      reference_point, resolve_target)
+                      preset_fbf, preset_ppa, preset_vanilla_md, reference_point)
 
 OUTPUT_DIR_ENV = "TARGETMD_OUT_DIR"
 
@@ -75,9 +74,9 @@ class Preset:
     or flow(geometry, problem, spec, p, integrator=..., **run) when the row
     brings its own.  Such a row is flow_only: it runs in flow mode only,
     and neither drives an ensemble nor serves as a base.  ambient: the
-    Euclidean state lives on the whole space.  compare checks against
-    coded_step(geometry, problem, pair, spec, p, x), the next iterate, or
-    coded_field(...), the vector field minus the coded one.
+    Euclidean state lives on the whole space.  compare checks the iterates
+    against coded_step(geometry, problem, pair, p, x), the coded next one,
+    or primal_vector_field against coded_field(...), the coded field.
     Callables look up what they call by name when they run, so rebinding a
     module attribute reaches them.
     """
@@ -117,7 +116,7 @@ def _on_base(geometry, problem, pair, p):
     return build_spec(sub, geometry, problem, pair)
 
 
-def _eg_step(geometry, problem, pair, spec, p, x):
+def _eg_step(geometry, problem, pair, p, x):
     coded = (reference.eg_step_entropy if geometry.name == "entropy"
              else reference.eg_step_euclidean)
     eta2 = p["eta"] if p["eta2"] is None else p["eta2"]
@@ -129,7 +128,7 @@ PRESETS = {
         "proximal point: implicit target through grad_h + eta*F",
         {"eta": 0.1, "inner_tol": 1e-10},
         build=lambda g, pb, pair, p: preset_ppa(g, pb, **p),
-        coded_step=lambda g, pb, pair, spec, p, x: reference.ppa_step(pb, p["eta"], x)),
+        coded_step=lambda g, pb, pair, p, x: reference.ppa_step(pb, p["eta"], x)),
     "eg": Preset(
         "extragradient / mirror-prox (eta2 defaults to eta)",
         {"eta": 0.1, "eta2": None},
@@ -139,23 +138,20 @@ PRESETS = {
         "Douglas-Rachford splitting (needs box_affine_split)", {"eta": 1.0},
         build=lambda g, pb, pair, p: preset_dr(_split(pair, "dr"), g.domain, **p),
         ambient=True,
-        coded_step=lambda g, pb, pair, spec, p, x: reference.dr_step(pair, p["eta"], x)),
+        coded_step=lambda g, pb, pair, p, x: reference.dr_step(pair, p["eta"], x)),
     "fb": Preset(
         "forward-backward splitting (needs box_affine_split)", {"eta": 0.5},
         build=lambda g, pb, pair, p: preset_fb(_split(pair, "fb"), g.domain, **p),
         ambient=True,
-        coded_step=lambda g, pb, pair, spec, p, x: reference.fb_step(pair, p["eta"], x)),
+        coded_step=lambda g, pb, pair, p, x: reference.fb_step(pair, p["eta"], x)),
     "bnn": Preset(
         "excess-payoff game dynamics on the simplex (entropy geometry)",
         {"eta": 1.0}, build=_bnn,
-        coded_field=lambda g, pb, pair, spec, p, x: (
-            primal_vector_field(g, spec, x) - reference.bnn_field(pb, x))),
+        coded_field=lambda g, pb, pair, p, x: reference.bnn_field(pb, x)),
     "fbf": Preset(
         "forward-backward-forward dynamics", {"eta": 0.1},
         build=lambda g, pb, pair, p: preset_fbf(pb, **p), ambient=True,
-        coded_field=lambda g, pb, pair, spec, p, x: (
-            dual_rate(spec, x, *resolve_target(spec, x))
-            - reference.fbf_field(pb, p["eta"], x))),
+        coded_field=lambda g, pb, pair, p, x: reference.fbf_field(pb, p["eta"], x)),
     "vanilla_md": Preset(
         "plain mirror descent baseline (no correction)", {"eta": 0.1},
         build=lambda g, pb, pair, p: preset_vanilla_md(g, pb, **p)),
@@ -388,7 +384,8 @@ def _compare(cfg: ExperimentConfig):
         # margin keeps exponential payoff reweighting inside float range
         samples = problem.feasible_set.sample_interior(
             np.random.default_rng(cfg.seed), cfg.compare_samples, margin=0.02)
-        deviations = [np.linalg.norm(row.coded_field(geometry, problem, pair, spec, p, x))
+        deviations = [np.linalg.norm(primal_vector_field(geometry, spec, x)
+                                     - row.coded_field(geometry, problem, pair, p, x))
                       for x in samples]
     else:
         kind, tol = "per_step", DISCRETE_COMPARE_TOL
@@ -401,7 +398,7 @@ def _compare(cfg: ExperimentConfig):
             return EXIT_ERROR, _base_summary(record), {}
         x_ref, deviations = record.states[0], []
         for x in record.states[1:]:
-            x_ref = row.coded_step(geometry, problem, pair, spec, p, x_ref)
+            x_ref = row.coded_step(geometry, problem, pair, p, x_ref)
             deviations.append(np.linalg.norm(x - x_ref))
     deviations = np.asarray(deviations, dtype=float)
     max_dev = float(deviations.max()) if deviations.size else 0.0

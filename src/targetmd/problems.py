@@ -148,8 +148,10 @@ def simplex(dim: int) -> FeasibleSet:
 
 
 def box(lower, upper) -> FeasibleSet:
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    try:
+        lower, upper = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (lower, upper))
+    except (TypeError, ValueError):
+        lower = upper = np.full(1, math.nan)  # not numbers: fails below, as NaN bounds do
     with np.errstate(over="ignore", invalid="ignore"):
         width = upper - lower if lower.shape == upper.shape else np.nan
     # NaN or infinite bounds fail, and so does a width past what sample can draw from
@@ -279,6 +281,20 @@ def _dimension(dim, least: int, name: str) -> int:
         raise ConfigurationError(
             f"{name} needs an integer dim >= {least}, got {dim!r}")
     return n
+
+
+def _parameter(value, name: str, param: str, scalar: bool = True):
+    """value as a float (scalar) or a float array, or ConfigurationError
+    unless it is one finite number (scalar) or finite numbers."""
+    try:
+        values = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        values = np.full(1, math.nan)
+    if (isinstance(value, bool) or not np.all(np.isfinite(values))
+            or (scalar and values.size != 1)):
+        raise ConfigurationError(f"{name} needs {'a finite number' if scalar else 'finite'} "
+                                 f"{param}, got {value!r}")
+    return values.item() if scalar else values
 
 
 class Tridiagonal:
@@ -416,7 +432,7 @@ def _constant(c: Vector, x: Vector) -> Vector:
 
 
 def _make_vertex_cost_simplex(costs=(1.0, 2.0)) -> VIProblem:
-    c = np.asarray(costs, dtype=float)
+    c = _parameter(costs, "vertex_cost_simplex", "costs", scalar=False)
     if c.size < 2 or len(set(c.tolist())) != c.size:
         raise ConfigurationError("vertex_cost_simplex needs >= 2 distinct costs")
     solution = np.zeros(c.size)
@@ -426,7 +442,7 @@ def _make_vertex_cost_simplex(costs=(1.0, 2.0)) -> VIProblem:
 
 
 def _make_scalar_shift(a: float = 2.0) -> VIProblem:
-    a = float(a)
+    a = _parameter(a, "scalar_shift", "a")
     return VIProblem(whole_space(1), F=lambda x: np.asarray(x, dtype=float) - a,
                      name="scalar_shift", strong_modulus=1.0, known_solution=np.array([a]),
                      linear_terms=(np.eye(1), np.array([-a])))

@@ -31,8 +31,8 @@ from .errors import ConfigurationError, DomainError, TargetResolutionError
 from .geometry import (INTERIOR_FLOOR, MirrorGeometry, entropy_geometry,
                        euclidean_geometry)
 from .problems import (MONOTONICITY_BLOCK, SIMPLEX, WHOLE_SPACE, FeasibleSet,
-                       Tridiagonal, VIProblem, _scaled_norm, box, estimate_lipschitz,
-                       sampled_monotonicity)
+                       Tridiagonal, VIProblem, _parameter, _scaled_norm, box,
+                       estimate_lipschitz, sampled_monotonicity)
 
 Vector = np.ndarray
 
@@ -107,7 +107,9 @@ class TargetSpec:
     available).  Phi = None marks the splitting designs (S = identity, T
     the resolvent of Phi): Phi cannot be evaluated pointwise there, so beta
     must be 0, but Phi(T(x)) = x - T(x) holds exactly and is substituted
-    wherever needed.
+    wherever needed.  Phi, like S, takes one point or a stack of points
+    (rows of an array) and acts row by row: check evaluates both on its
+    stacked samples, so a hand-built Phi must map stacks.
     shadow, when set, maps a governing iterate to the point at which
     solution residuals are meaningful (Douglas-Rachford).  It takes one
     point or a stack of points (rows of an array), returning an array of
@@ -133,8 +135,9 @@ class TargetSpec:
             raise ConfigurationError("beta > 0 requires an explicit Phi")
 
     def phi_at_target(self, x: Vector, tx: Vector) -> Vector:
-        """Phi evaluated at the target point; uses the resolvent identity
-        Phi(T(x)) = x - T(x) for splitting designs (Phi = None)."""
+        """Phi evaluated at the target point, or row by row at a stack of
+        them; uses the resolvent identity Phi(T(x)) = x - T(x) for
+        splitting designs (Phi = None)."""
         if self.Phi is None:
             return np.asarray(x, dtype=float) - np.asarray(tx, dtype=float)
         return self.Phi(tx)
@@ -477,8 +480,10 @@ def affine_box_split(shift: float = 2.0, lower: float = 0.0,
     resolvents are closed form: J_{eta A} clamps, J_{eta B} solves the
     linear equation y + eta*(y - shift) = v.
     """
-    shift = float(shift)
-    lo, up = float(lower), float(upper)
+    shift = _parameter(shift, "box_affine_split", "shift")
+    feasible = box(lower, upper)  # one error for bounds that are not finite numbers
+    lo, up = (_parameter(v, "box_affine_split", name)
+              for v, name in ((lower, "lower"), (upper, "upper")))
 
     def resolvent_a(eta, v):
         return np.clip(np.asarray(v, dtype=float), lo, up)
@@ -491,7 +496,7 @@ def affine_box_split(shift: float = 2.0, lower: float = 0.0,
 
     pair = SplitPair(resolvent_A=resolvent_a, resolvent_B=resolvent_b,
                      B_forward=b_forward, strong_modulus=1.0, lipschitz_B=1.0)
-    problem = VIProblem(box(lo, up), F=b_forward, name="box_affine_split", strong_modulus=1.0,
+    problem = VIProblem(feasible, F=b_forward, name="box_affine_split", strong_modulus=1.0,
                         known_solution=np.array([min(max(shift, lo), up)]),
                         linear_terms=(np.eye(1), np.array([-shift])))
     return pair, problem

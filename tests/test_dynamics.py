@@ -716,6 +716,33 @@ def test_relaxed_condition_beta_only_monotone():
         assert relaxed_condition_value(spec, x, np.zeros(2)) >= -1e-12
 
 
+def _relaxed_cases():
+    skew, g = _skew()
+    rps = library_problem("rps_game")
+    pair, split = affine_box_split(0.5, 0.0, 1.0)
+    return {
+        "eg": (preset_eg(g, skew, 0.1), skew),
+        "vanilla_md": (preset_vanilla_md(g, skew, 0.1), skew),  # beta only
+        "dmd_calibrated": (preset_dmd_calibrated(g, skew, 0.1, case=2), skew),  # both
+        "dr": (preset_dr(pair, whole_space(1), 1.0), split),  # Phi on the target image
+        "ppa_entropy": (preset_ppa(entropy_geometry(3), rps, 1.0), rps),  # Newton targets
+    }
+
+
+@pytest.mark.parametrize("name", ["eg", "vanilla_md", "dmd_calibrated", "dr", "ppa_entropy"])
+def test_relaxed_condition_on_a_stack_is_its_single_point_calls(name):
+    spec, problem = _relaxed_cases()[name]
+    points = problem.feasible_set.sample_interior(np.random.default_rng(SEED), 40,
+                                                  margin=0.02)
+    x_bar = problem.known_solution + 0.25
+    targets = np.array([resolve_target(spec, x)[0] for x in points])
+    stacked = relaxed_condition_value(spec, points, x_bar, targets)
+    singles = [relaxed_condition_value(spec, x, x_bar) for x in points]
+    assert all(type(value) is float for value in singles)
+    assert stacked.shape == (40,)
+    assert stacked.tobytes() == np.array(singles).tobytes()  # bit for bit, -0.0 too
+
+
 # --- simplex conservation along discrete runs ----------------------------------------
 
 def test_simplex_flows_conserve_mass_and_positivity():

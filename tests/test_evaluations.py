@@ -12,10 +12,10 @@ import pytest
 import targetmd.checks as checks
 import targetmd.dynamics as dynamics
 from targetmd import (entropy_geometry, euclidean_geometry, flow,
-                      library_problem, make_members, preset_bnn, preset_dmd_calibrated,
-                      preset_eg, preset_fbf, preset_ppa, run_condition_checks,
-                      run_discrete, run_dmd, run_ensemble, run_vanilla_dmd,
-                      whole_space)
+                      library_problem, make_members, natural_residual, preset_bnn,
+                      preset_dmd_calibrated, preset_eg, preset_fbf, preset_ppa,
+                      run_condition_checks, run_discrete, run_dmd, run_ensemble,
+                      run_vanilla_dmd, whole_space)
 
 N = 40
 X0 = [1.0, 0.0]
@@ -211,3 +211,25 @@ def test_condition_checks_resolve_each_sample_once(preset, monkeypatch):
     # one per sample, and one for the fixed-point run, which starts at the
     # known solution and stops there
     assert len(calls) == 201
+
+
+def test_the_fixed_point_run_keeps_only_its_start_and_end(monkeypatch):
+    # the check reads only the final natural residual, so the run that
+    # locates the fixed point records no sample in between
+    p = library_problem("linear_monotone", dim=20)
+    g = euclidean_geometry(p.feasible_set)
+    records = []
+    run = checks.run_discrete
+
+    def recorded(*args, **kwargs):
+        records.append(run(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(checks, "run_discrete", recorded)
+    report = run_condition_checks(g, preset_eg(g, p, 0.1), p, n_samples=20)
+    [record] = records
+    assert record.termination == "converged" and record.final_state.step_index > 2
+    assert record.steps.tolist() == [0, record.final_state.step_index]
+    section = report["fixed_point_consistency"]
+    assert section["converged"] and section["refuted"] is False
+    assert section["natural_residual"] == natural_residual(p, record.final_state.x)

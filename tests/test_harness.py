@@ -16,7 +16,7 @@ from targetmd import (config, echo_config, library_problem, load_config,
 from targetmd import harness
 from targetmd.targets import reference_point
 from targetmd.cli import main
-from targetmd.errors import ConfigurationError
+from targetmd.errors import ConfigurationError, TargetResolutionError
 from targetmd.harness import OUTPUT_DIR_ENV, run_command
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -354,6 +354,44 @@ def test_non_finite_box_bounds_are_one_configuration_error(tmp_path, capsys, com
     assert run_cli(command, text, tmp_path) == 1
     assert capsys.readouterr().err == (
         "error: box bounds must be finite with lower < upper entrywise\n")
+    assert not out.exists()
+
+
+PARAMETER_CASES = [
+    ("eg", "scalar_shift", "problem.a = abc", "scalar_shift needs a finite number a, got 'abc'"),
+    ("eg", "scalar_shift", "problem.a = nan", "scalar_shift needs a finite number a, got nan"),
+    ("ppa", "scalar_shift", "problem.a = inf", "scalar_shift needs a finite number a, got inf"),
+    ("eg", "scalar_shift", "problem.a = true", "scalar_shift needs a finite number a, got True"),
+    ("eg", "vertex_cost_simplex", "problem.costs = abc",
+     "vertex_cost_simplex needs finite costs, got 'abc'"),
+    ("eg", "vertex_cost_simplex", "problem.costs = 1, nan",
+     "vertex_cost_simplex needs finite costs, got (1.0, nan)"),
+    ("eg", "vertex_cost_simplex", "problem.costs = 1, inf",
+     "vertex_cost_simplex needs finite costs, got (1.0, inf)"),
+    ("dr", "box_affine_split", "problem.shift = abc",
+     "box_affine_split needs a finite number shift, got 'abc'"),
+    ("dr", "box_affine_split", "problem.shift = nan",
+     "box_affine_split needs a finite number shift, got nan"),
+    ("dr", "box_affine_split", "problem.shift = inf",
+     "box_affine_split needs a finite number shift, got inf"),
+    ("dr", "box_affine_split", "problem.lower = abc",
+     "box bounds must be finite with lower < upper entrywise"),
+    ("dr", "box_affine_split", "problem.lower = -1, 0\nproblem.upper = 1, 2",
+     "box_affine_split needs a finite number lower, got (-1.0, 0.0)"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("preset,problem,line,message", PARAMETER_CASES,
+                         ids=[case[2].split("\n")[0] for case in PARAMETER_CASES])
+def test_library_problem_parameters_must_be_finite_numbers(tmp_path, capsys, preset,
+                                                           problem, line, message):
+    # unchecked, a word ended in float()'s traceback, and a NaN or an
+    # infinity failed later with another error or leaked a RuntimeWarning
+    out = tmp_path / "out"
+    text = f"problem.name = {problem}\npreset.name = {preset}\n{line}\noutput.dir = {out}\n"
+    assert run_cli("solve", text, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -829,6 +867,50 @@ def test_check_of_a_shadow_design_with_a_reference_samples_the_target_image(tmp_
     assert stability["min_inner"] > 0.0 and stability["refuted"] is False
     assert not margin["skipped"] and margin["evaluated"] == 200
     assert margin["min_value"] > 0.0 and margin["refuted"] is False
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_counts_a_target_that_overflows_as_unresolved(tmp_path, capsys):
+    # near the float limit every dr target overflows to inf: each is a
+    # resolution failure, checked without numpy's warnings, and the dual-map
+    # check, whose pairs all overflow, observes no margin
+    out = tmp_path / "out"
+    text = (CONFIG_DIR / "compare_dr.cfg").read_text() + (
+        "problem.lower = 1e308\nproblem.upper = 1.7e308\n")
+    assert run_cli("check", text, tmp_path, env_dir=out) == 1
+    assert capsys.readouterr().out == f"refuted  -> {out}\n"
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["target_resolution"] == {"closed_form": True, "failures": 200,
+                                           "refuted": True}
+    dual_map = report["dual_map_strong_monotonicity"]
+    assert dual_map["min_ratio"] is None and dual_map["refuted"] is False
+    assert dual_map["strong_margin_observed"] is False
+
+
+def test_check_leaves_every_unresolved_target_out_of_the_other_sections():
+    # T(x) = x / 2 for x > 0; below 0 the target is inf, below -1 it raises
+    problem = library_problem("scalar_shift", a=0.0)
+    g = euclidean_geometry(problem.feasible_set)
+
+    def target(x):
+        if x[0] < -1.0:
+            raise TargetResolutionError("no target here")
+        return np.full(1, np.inf) if x[0] < 0.0 else 0.5 * x
+
+    spec = TargetSpec(alpha=1.0, beta=0.0, S=g.grad_h, sigma=1.0, Phi=None,
+                      target=ClosedForm(target), feasible_set=problem.feasible_set)
+    report = run_condition_checks(g, spec, problem, n_samples=200, seed=0,
+                                  x_bar=np.zeros(1))
+    samples = problem.feasible_set.sample_interior(np.random.default_rng(0), 200)[:, 0]
+    resolved = samples[samples > 0.0]
+    assert report["target_resolution"]["failures"] == 200 - resolved.size > 0
+    # Phi(T(x)) = x - T(x) = x / 2 against T(x) - 0 = x / 2, and a margin of
+    # (x / 2)^2 + (x / 2)^2, at the resolved samples only
+    stability, margin = report["surrogate_stability"], report["descent_margin"]
+    assert stability["min_inner"] == float(np.min(0.25 * resolved ** 2))
+    assert margin["evaluated"] == resolved.size
+    assert margin["min_value"] == float(np.min(0.5 * resolved ** 2))
+    assert not (stability["refuted"] or margin["refuted"])
 
 
 def test_the_default_reference_is_decided_by_the_design_tuple():

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -344,6 +345,20 @@ def test_library_rejects_a_dimension_that_is_no_integer(name, dim):
         library_problem(name, dim=dim)
 
 
+@pytest.mark.parametrize("name,param,value", [
+    ("scalar_shift", "a", np.nan), ("scalar_shift", "a", -np.inf),
+    ("scalar_shift", "a", "abc"), ("scalar_shift", "a", [1.0, 2.0]),
+    ("scalar_shift", "a", True), ("vertex_cost_simplex", "costs", [1.0, np.inf]),
+    ("vertex_cost_simplex", "costs", "abc"), ("box_affine_split", "shift", np.nan),
+    ("box_affine_split", "lower", [-1.0, 0.0]),
+])
+def test_library_parameters_must_be_finite_numbers(name, param, value):
+    build = (partial(affine_box_split, upper=[1.0, 2.0]) if name == "box_affine_split"
+             else partial(library_problem, name))
+    with pytest.raises(ConfigurationError, match=f"^{name} needs .*{param}, got "):
+        build(**{param: value})
+
+
 def test_library_rejects_unknown():
     with pytest.raises(ConfigurationError):
         library_problem("nope")
@@ -504,6 +519,7 @@ def test_a_problem_needs_an_operator_or_linear_terms():
 @pytest.mark.parametrize("lower,upper", [
     ([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0], [np.inf]), ([-np.inf], [0.0]),
     ([0.0, -np.inf], [1.0, np.inf]), ([-1e308], [1e308]), ([1.0], [1.0]),
+    ("abc", [1.0]), ([0.0], [[1.0], [2.0, 3.0]]),
 ])
 def test_box_rejects_bounds_that_are_not_finite_and_ordered(lower, upper):
     with pytest.raises(ConfigurationError, match="finite with lower < upper"):
