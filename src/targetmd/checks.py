@@ -12,7 +12,7 @@ import numpy as np
 from .dynamics import _finite_point, relaxed_condition_value, run_discrete
 from .errors import ConfigurationError, TargetMDError
 from .geometry import MirrorGeometry
-from .problems import VIProblem, sampled_monotonicity
+from .problems import VIProblem, map_rows, sampled_monotonicity
 from .targets import ResolventSolve, TargetSpec, reference_point, resolve_target
 
 REFUTE_TOL = 1e-9
@@ -21,7 +21,7 @@ NEAR_SOLUTION_GAP = 1e-8  # a sample this close to its target is a (near-)soluti
 
 
 def _dual_map_check(spec, samples):
-    worst = sampled_monotonicity(spec.S, samples[:-1], samples[1:])[0]
+    worst = sampled_monotonicity(spec.S, samples[:-1], samples[1:], "the design's S")[0]
     return {
         "min_ratio": worst,
         "claimed_modulus": spec.sigma,
@@ -33,7 +33,8 @@ def _dual_map_check(spec, samples):
 def _surrogate_stability_check(spec, samples, targets, x_bar):
     on_image = spec.Phi is None  # no pointwise Phi: evaluate it on the target image
     inner = (np.vecdot(spec.phi_at_target(samples, targets), targets - x_bar) if on_image
-             else np.vecdot(spec.Phi(samples), samples - x_bar))
+             else np.vecdot(map_rows(spec.Phi, "the design's Phi", samples)[0],
+                            samples - x_bar))
     worst = float(np.fmin.reduce(inner, initial=np.inf))  # NaN: an unresolved target
     refuted = worst < -REFUTE_TOL
     return {

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, TargetMDError
 
 Vector = np.ndarray
 
@@ -178,7 +178,9 @@ class VIProblem:
     not raise, must return the 2-point stack's shape, with each row equal
     to F of that point alone within 1e-12 of the largest |entry| (NaN
     equals NaN), and, given linear_terms, equal M x + q within 1e-9 of
-    the largest |entry|.  A breach is a ConfigurationError.
+    the largest |entry|.  Given linear_terms, every entry of M and q (of a
+    Tridiagonal, diag and off) must be a finite number, checked first.  A
+    breach is a ConfigurationError.
     """
 
     feasible_set: FeasibleSet
@@ -203,8 +205,11 @@ def _check_operator(problem: VIProblem):
         return ConfigurationError(f"problem {problem.name!r} breaks the operator "
                                   f"contract at two sampled points: {rule}")
 
-    points = problem.feasible_set.sample_interior(np.random.default_rng(0), 2)
     terms = problem.linear_terms
+    if terms is not None and not _finite_terms(*terms):
+        raise ConfigurationError(f"problem {problem.name!r} breaks the operator contract: "
+                                 "linear_terms must hold finite numbers M and q")
+    points = problem.feasible_set.sample_interior(np.random.default_rng(0), 2)
     try:
         stacked = problem.F(points)
         rows = np.array([problem.F(x) for x in points])
@@ -219,6 +224,15 @@ def _check_operator(problem: VIProblem):
         raise broken("F of a stack must have, in each row, F of that row alone")
     if affine is not None and not _agree(stacked, affine, 1e-9):
         raise broken("F must equal M x + q of its linear_terms")
+
+
+def _finite_terms(m, q) -> bool:
+    """Whether M (a Tridiagonal's diag and off) and q hold finite numbers only."""
+    try:
+        entries = (m.diag, m.off) if isinstance(m, Tridiagonal) else np.asarray(m, dtype=float)
+        return bool(np.isfinite(entries).all() and np.isfinite(np.asarray(q, dtype=float)).all())
+    except (TypeError, ValueError):
+        return False
 
 
 def _agree(f, reference, rel: float) -> bool:
@@ -491,18 +505,40 @@ class MonotonicityReport:
     rng_seed: int = 0
 
 
-def sampled_monotonicity(op, xs, ys):
+def map_rows(op, name: str, *stacks):
+    """op of each stack of points (rows of arrays of one shape), or one
+    ConfigurationError naming op where it raises ValueError, TypeError or
+    IndexError on a stack (as numpy does on a callable written for one
+    point) or returns another shape: op must map each row of a stack.
+    The package's own errors pass through."""
+    try:
+        values = tuple(op(points) for points in stacks)
+    except TargetMDError:
+        raise
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ConfigurationError(
+            f"{name} raised {type(exc).__name__} for points of shape {stacks[0].shape} "
+            f"({exc}); it must map each row of a stack") from exc
+    if any(np.shape(v) != stacks[0].shape for v in values):
+        shapes = " and ".join(str(np.shape(v)) for v in values)
+        raise ConfigurationError(
+            f"{name} returned shapes {shapes} for points of shape {stacks[0].shape}; "
+            "it must map each row of a stack")
+    return values
+
+
+def sampled_monotonicity(op, xs, ys, name: str = "the operator"):
     """Minimum of <op(x) - op(y), x - y> / ||x - y||^2 over the sampled
     pairs (xs[i], ys[i]), rows of two stacks, with its pair and the minimum
     of the inner product itself.  op is evaluated on row blocks of at most
-    MONOTONICITY_BLOCK entries and must map each row of a stack; each pair
-    has the bits of its own single-point evaluation.  Its shape check stays
-    though VIProblem checks F where it is built: op is also a preset's
-    S = grad_h - eta*F or grad_h + eta*F, and a hand-built spec.S or a
-    custom grad_h is seen by no problem's check.  Pairs with
-    ||x - y||^2 < 1e-16 are skipped; with none left it is (inf, None, inf).
-    A non-finite inner product (op NaN or overflowing at the pair) refutes:
-    it counts as -inf."""
+    MONOTONICITY_BLOCK entries and must map each row of a stack (map_rows,
+    naming op by name); each pair has the bits of its own single-point
+    evaluation.  Its check stays though VIProblem checks F where it is
+    built: op is also a preset's S = grad_h - eta*F or grad_h + eta*F, and
+    a hand-built spec.S or a custom grad_h is seen by no problem's check.
+    Pairs with ||x - y||^2 < 1e-16 are skipped; with none left it is
+    (inf, None, inf).  A non-finite inner product (op NaN or overflowing at
+    the pair) refutes, silently: it counts as -inf."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     nn, inner = np.empty(len(xs)), np.empty(len(xs))
@@ -510,14 +546,11 @@ def sampled_monotonicity(op, xs, ys):
     for start in range(0, len(xs), rows):
         block = slice(start, start + rows)
         x, y = xs[block], ys[block]
-        fx, fy = op(x), op(y)
-        if np.shape(fx) != x.shape or np.shape(fy) != y.shape:
-            raise ConfigurationError(
-                f"the operator returned shapes {np.shape(fx)} and {np.shape(fy)} "
-                f"for points of shape {x.shape}; it must map each row of a stack")
-        d = x - y
-        nn[block] = np.vecdot(d, d)
-        inner[block] = np.vecdot(fx - fy, d)
+        fx, fy = map_rows(op, name, x, y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = x - y
+            nn[block] = np.vecdot(d, d)
+            inner[block] = np.vecdot(fx - fy, d)
     kept = ~(nn < 1e-16)
     if not kept.any():
         return math.inf, None, math.inf

@@ -69,7 +69,7 @@ class MirrorOfS:
 
 
 MAX_NEWTON_STEPS = 10_000  # per implicit target, short of its certified stop
-MONOTONICITY_SEED = 0  # of the pairs _require_strongly_monotone samples
+MONOTONICITY_SEED = 0  # of the pairs _refute_on_samples draws
 
 
 @dataclass(frozen=True)
@@ -282,18 +282,49 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
     return y
 
 
-def _require_strongly_monotone(op, feasible_set, label):
+def _require_strongly_monotone(geometry, problem, step, label):
+    """Refuse a design whose map grad_h + step*F is not strongly monotone.
+
+    A linear design (geometry.quadratic_weights w, problem.linear_terms
+    (M, q), the whole space) maps x to (diag(w) + step*M) x + step*q, whose
+    modulus is exactly the least eigenvalue of the symmetric part
+    diag(w) + step*(M + M^T)/2 (Facchinei and Pang, 2003): min(w) +
+    step*diag for a Tridiagonal, one eigvalsh otherwise, with no F call
+    and no draw.  A modulus <= 1e-12, or NaN (step*M overflowing), raises
+    ConfigurationError.  Every other design is refuted on samples."""
+    weights, feasible_set = geometry.quadratic_weights, problem.feasible_set
+    if (weights is None or problem.linear_terms is None
+            or feasible_set.kind != WHOLE_SPACE):
+        return _refute_on_samples(lambda x: geometry.grad_h(x) + step * problem.F(x),
+                                  feasible_set, label)
+    m = problem.linear_terms[0]
+    if isinstance(m, Tridiagonal):
+        modulus = float(np.min(weights)) + step * m.diag
+    else:
+        m = np.asarray(m, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = np.diag(weights) + (0.5 * step) * (m + m.T)
+        # M is finite (VIProblem checks it); step*M may still overflow
+        modulus = float(np.linalg.eigvalsh(sym)[0]) if np.isfinite(sym).all() else math.nan
+    if not modulus > 1e-12:
+        raise ConfigurationError(
+            f"{label} is not strongly monotone (least eigenvalue of its symmetric "
+            f"part {modulus:.3e}); reduce the step")
+    return modulus
+
+
+def _refute_on_samples(op, feasible_set, label):
     """Refute, on 64 sampled interior pairs, that op is strongly monotone.
     The pairs are rows 2i and 2i + 1 of draws of up to 128 points, with at
     most MONOTONICITY_BLOCK entries a side (all 64 pairs in one draw up to
     dimension 256, one pair a draw past 8,192): the numbers that 64 draws
-    of 2 points give."""
+    of 2 points give.  A minimum ratio <= 1e-12 raises ConfigurationError."""
     rng = np.random.default_rng(MONOTONICITY_SEED)
     per_draw = max(1, min(64, MONOTONICITY_BLOCK // feasible_set.dim))
     ratio = math.inf
     for start in range(0, 64, per_draw):
         points = feasible_set.sample_interior(rng, 2 * min(per_draw, 64 - start))
-        ratio = min(ratio, sampled_monotonicity(op, points[0::2], points[1::2])[0])
+        ratio = min(ratio, sampled_monotonicity(op, points[0::2], points[1::2], label)[0])
     if ratio <= 1e-12:
         raise ConfigurationError(
             f"{label} is not strongly monotone on sampled pairs "
@@ -333,16 +364,13 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     rps_game target under entropy at eta = 1 (traced benchmark, seed 1).
     A geometry without one takes the same certified solve through the
     Euclidean projection onto the feasible set, with S = its grad_h.
-    inner_tol must be finite and positive.
+    inner_tol must be finite and positive.  grad_h + eta*F must be
+    strongly monotone (_require_strongly_monotone: exact for a linear
+    design, a sampled refutation check otherwise).
     """
     eta = _step_size(eta, "eta")
     inner_tol = _step_size(inner_tol, "inner_tol")
-
-    def combined(x):
-        return geometry.grad_h(x) + eta * problem.F(x)
-
-    _require_strongly_monotone(combined, problem.feasible_set,
-                               "grad_h + eta*F")
+    _require_strongly_monotone(geometry, problem, eta, "grad_h + eta*F")
 
     weights = geometry.quadratic_weights
     m, q = problem.linear_terms or (None, None)
@@ -387,7 +415,8 @@ def preset_eg(geometry: MirrorGeometry, problem: VIProblem, eta1: float,
 
     eta2 = eta1 gives the classical method; distinct step sizes give the
     two-step-size variant.  sigma is the conservative analytic bound
-    modulus(h) - eta1 * L, backed by a sampled refutation check.
+    modulus(h) - eta1 * L, backed by _require_strongly_monotone: exact for
+    a linear design, a sampled refutation check otherwise.
     """
     eta1 = _step_size(eta1, "eta")
     eta2 = eta1 if eta2 is None else _step_size(eta2, "eta2")
@@ -399,10 +428,10 @@ def preset_eg(geometry: MirrorGeometry, problem: VIProblem, eta1: float,
             f"step {eta1:g} too large: modulus {geometry.strong_convexity_modulus:g} "
             f"- step * L ({lip:g}) is not positive")
 
+    _require_strongly_monotone(geometry, problem, -eta1, "grad_h - step*F")
+
     def S(x):
         return geometry.grad_h(x) - eta1 * problem.F(x)
-
-    _require_strongly_monotone(S, problem.feasible_set, "grad_h - step*F")
 
     return TargetSpec(
         alpha=eta2 / eta1,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -966,6 +967,26 @@ def test_check_api_skew_surrogate_not_refuted():
     report = run_condition_checks(g, spec, problem, n_samples=100, seed=0,
                                   x_bar=np.zeros(2))
     assert report["surrogate_stability"]["refuted"] is False
+
+
+@pytest.mark.parametrize("field", ["S", "Phi"])
+@pytest.mark.parametrize("single", ["matmul", "indexing"])
+def test_check_names_a_hand_built_callable_that_maps_only_single_points(field, single):
+    # m @ x raises on a stack, and (x[1], -x[0]) returns the wrong shape;
+    # unchecked, check ended in numpy's matmul ValueError
+    problem = library_problem("skew_bilinear")
+    g = euclidean_geometry(problem.feasible_set)
+    spec = preset_eg(g, problem, 0.1)
+    m = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    one_point = {"matmul": lambda x: m @ x,
+                 "indexing": lambda x: np.array([x[1], -x[0]])}[single]
+    callable_ = ((lambda x: g.grad_h(x) - 0.1 * one_point(x)) if field == "S"
+                 else (lambda x: 0.1 * one_point(x)))
+    spec = dataclasses.replace(spec, **{field: callable_})
+    with pytest.raises(ConfigurationError, match=(
+            f"^the design's {field} (raised ValueError|returned shapes) .*"
+            "; it must map each row of a stack$")):
+        run_condition_checks(g, spec, problem)
 
 
 # --- ensemble -----------------------------------------------------------------------

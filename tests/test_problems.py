@@ -322,8 +322,8 @@ def test_banded_problems_run_at_a_dimension_no_dense_matrix_fits(name):
     assert np.max(np.abs(problem.F(problem.known_solution))) <= 1e-14
     x = np.random.default_rng(SEED).standard_normal(dim)
     assert problem.F(x).shape == (dim,)
-    # each preset's sampled strong-monotonicity check holds one pair at a
-    # time: 64 pairs drawn at once would peak above 100 MB
+    # neither build holds an n x n array: the strong-monotonicity check of
+    # a linear design reads the banded operator's diag, and draws no pair
     tracemalloc.start()
     try:
         preset_eg(g, problem, 0.1)
@@ -514,6 +514,50 @@ def test_a_problem_needs_an_operator_or_linear_terms():
     with pytest.raises(ConfigurationError,
                        match="^problem 'bare' needs F or linear_terms$"):
         VIProblem(feasible_set=whole_space(2), name="bare")
+
+
+def _with_entry(value, where):
+    """Finite (M, q) with value in place of M[1, 0] or of q[1]."""
+    m, q = np.array([[1.0, 1.0], [-1.0, 1.0]]), np.array([0.5, -0.5])
+    if where == "M":
+        m[1, 0] = value
+    else:
+        q[1] = value
+    return m, q
+
+
+@pytest.mark.parametrize("with_f", [False, True])
+@pytest.mark.parametrize("terms", [
+    pytest.param(lambda: _with_entry(np.nan, "M"), id="nan_in_M"),
+    pytest.param(lambda: _with_entry(np.inf, "M"), id="inf_in_M"),
+    pytest.param(lambda: _with_entry(-np.inf, "q"), id="inf_in_q"),
+    pytest.param(lambda: _with_entry(np.nan, "q"), id="nan_in_q"),
+    pytest.param(lambda: (Tridiagonal(2, np.nan, 1.0), np.zeros(2)), id="nan_diag"),
+    pytest.param(lambda: (Tridiagonal(2, 1.0, np.inf), np.zeros(2)), id="inf_off"),
+])
+def test_linear_terms_that_are_not_finite_are_rejected_where_the_problem_is_built(terms,
+                                                                                   with_f):
+    # unchecked, the problem built: preset_eg then ended in numpy's
+    # LinAlgError (NaN) or in a RuntimeWarning (inf)
+    m, q = terms()
+    message = ("problem 'custom' breaks the operator contract: linear_terms must hold "
+               "finite numbers M and q")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        problem = VIProblem(feasible_set=whole_space(2), linear_terms=(m, q),
+                            F=_linear(m, q) if with_f else None)
+        preset_eg(euclidean_geometry(problem.feasible_set), problem, 0.1)
+
+
+def test_an_operator_that_returns_inf_is_refuted_without_a_warning():
+    # inf - inf is NaN, a refutation; the RuntimeWarning it raised in numpy
+    # escaped from preset_eg's build check and from check_monotonicity
+    problem = VIProblem(feasible_set=whole_space(2), lipschitz_hint=1.0,
+                        F=lambda x: np.full(np.shape(x), np.inf))
+    with pytest.raises(ConfigurationError, match="min ratio -inf"):
+        preset_eg(euclidean_geometry(problem.feasible_set), problem, 0.1)
+    report = check_monotonicity(problem, 200, 0)
+    assert report.classification == "not monotone (witness ratio -inf)"
+    assert report.min_ratio == report.min_inner == -np.inf
 
 
 @pytest.mark.parametrize("lower,upper", [

@@ -825,6 +825,127 @@ def test_eg_refuses_an_all_nan_operator():
         preset_eg(g, problem, 0.1)
 
 
+# --- the build check of strong monotonicity ----------------------------------
+
+def _dense_problem():
+    m = np.array([[1.0, 2.0, 0.0], [-2.0, 0.5, 1.0], [0.0, -1.0, 0.0]])
+    return VIProblem(whole_space(3), name="dense", linear_terms=(m, np.array([1.0, -1.0, 0.5])))
+
+
+LINEAR_BUILDS = {
+    "eg": lambda g, problem: preset_eg(g, problem, 0.1),
+    "eg_plus": lambda g, problem: preset_eg(g, problem, 0.1, 0.05),
+    "ppa": lambda g, problem: preset_ppa(g, problem, 0.5),
+    "fbf": lambda g, problem: preset_fbf(problem, 0.1),
+    "dmd_calibrated_1": lambda g, problem: preset_dmd_calibrated(g, problem, 0.5, case=1),
+    "dmd_calibrated_2": lambda g, problem: preset_dmd_calibrated(g, problem, 0.1, case=2),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(LINEAR_BUILDS))
+@pytest.mark.parametrize("name,dim,weighted", [
+    ("skew_bilinear", 2, False), ("skew_bilinear", 2000, False),
+    ("linear_monotone", 2, False), ("linear_monotone", 2000, False),
+    ("linear_monotone", 3, True), ("dense", 3, False), ("dense", 3, True),
+])
+def test_a_linear_build_draws_no_point_and_evaluates_no_operator(monkeypatch, preset, name,
+                                                                 dim, weighted):
+    # linear F under a whole-space quadratic potential: the least eigenvalue
+    # of the design map's symmetric part decides, without a sampled pair
+    problem = _dense_problem() if name == "dense" else library_problem(name, dim=dim)
+    calls, operator = [], problem.F
+    problem.F = lambda x: calls.append(np.shape(x)) or operator(x)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("the build drew a point")
+
+    monkeypatch.setattr(targets.FeasibleSet, "sample_interior", draw)
+    g = (weighted_quadratic_geometry(np.linspace(1.0, 2.0, dim)) if weighted
+         else euclidean_geometry(problem.feasible_set))
+    LINEAR_BUILDS[preset](g, problem)
+    assert calls == []
+
+
+def _counted_draws(monkeypatch):
+    draws, sample = [], targets.FeasibleSet.sample_interior
+
+    def counted(self, rng, n, *args, **kwargs):
+        draws.append(n)
+        return sample(self, rng, n, *args, **kwargs)
+
+    monkeypatch.setattr(targets.FeasibleSet, "sample_interior", counted)
+    return draws
+
+
+@pytest.mark.parametrize("case", ["ppa_rps_entropy", "eg_rps_entropy", "eg_box", "ppa_box",
+                                  "fbf_simplex", "eg_hint_only"])
+def test_every_other_build_still_refutes_on_sampled_pairs(monkeypatch, case):
+    # the simplex and the box, the entropy geometry and an F known only by
+    # its lipschitz_hint: one draw of 128 points, the 64 pairs
+    rps, quadratic = library_problem("rps_game"), library_problem("constrained_quadratic")
+    hint_only = VIProblem(whole_space(2), F=lambda x: 2.0 * np.asarray(x, dtype=float),
+                          lipschitz_hint=2.0)
+    build = {
+        "ppa_rps_entropy": lambda: preset_ppa(entropy_geometry(3), rps, 1.0),
+        "eg_rps_entropy": lambda: preset_eg(entropy_geometry(3), rps, 0.1),
+        "eg_box": lambda: preset_eg(euclidean_geometry(quadratic.feasible_set), quadratic, 0.1),
+        "ppa_box": lambda: preset_ppa(euclidean_geometry(quadratic.feasible_set), quadratic,
+                                      0.5),
+        "fbf_simplex": lambda: preset_fbf(rps, 0.1),
+        "eg_hint_only": lambda: preset_eg(euclidean_geometry(hint_only.feasible_set),
+                                          hint_only, 0.1),
+    }[case]
+    draws = _counted_draws(monkeypatch)
+    build()
+    assert draws == [128]
+
+
+@pytest.mark.parametrize("m,eta,least", [
+    (Tridiagonal(3, -1.0, 1.0), 2.0, "-1.000e+00"),  # min(w) + eta*diag
+    (np.array([[-1.0, 4.0], [-4.0, 1.0]]), 1.0, "0.000e+00"),
+    (np.array([[1e300, 0.0], [0.0, 1.0]]), 1e10, "nan"),  # eta*M overflows
+])
+def test_a_linear_build_that_is_not_strongly_monotone_names_its_least_eigenvalue(m, eta,
+                                                                                 least):
+    problem = VIProblem(whole_space(m.shape[0]), linear_terms=(m, np.zeros(m.shape[0])))
+    message = (f"grad_h + eta*F is not strongly monotone (least eigenvalue of its "
+               f"symmetric part {least}); reduce the step")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        preset_ppa(euclidean_geometry(problem.feasible_set), problem, eta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+           st.lists(st.integers(-8, 8), min_size=d * d, max_size=d * d),
+           st.lists(st.integers(1, 8), min_size=d, max_size=d))),
+       st.integers(1, 16), st.sampled_from([1.0, -1.0]))
+def test_a_linear_build_refuses_exactly_where_the_dense_symmetric_part_is_not_positive(
+        entries, eta8, sign):
+    # diag(w) + sign*eta*M, which is ppa's design map on M and extragradient's
+    # on -M; quarters and eighths keep every sum exact, so the test's
+    # symmetric part has the bits of the build's
+    m_entries, w_entries = entries
+    dim = len(w_entries)
+    m = sign * np.array(m_entries, dtype=float).reshape(dim, dim) / 4.0
+    w, eta = np.array(w_entries, dtype=float) / 4.0, eta8 / 8.0
+    problem = VIProblem(whole_space(dim), linear_terms=(m, np.zeros(dim)))
+    g = weighted_quadratic_geometry(w)
+    a = np.diag(w) + eta * m
+    refuses = np.linalg.eigvalsh((a + a.T) / 2.0)[0] <= 1e-12
+    try:
+        preset_ppa(g, problem, eta)
+        refused = False
+    except ConfigurationError:
+        refused = True
+    assert refused == refuses
+    # never weaker than the 64 sampled pairs
+    try:
+        targets._refute_on_samples(lambda x: g.grad_h(x) + eta * problem.F(x),
+                                   problem.feasible_set, "grad_h + eta*F")
+    except ConfigurationError:
+        assert refused
+
+
 def test_a_solve_certified_by_its_last_allowed_step_returns(monkeypatch):
     # one Newton step with the exact J_Phi solves a linear subproblem; with
     # one step allowed, that step's residual is read before the solve gives up
