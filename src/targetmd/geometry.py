@@ -68,7 +68,7 @@ class MirrorGeometry:
     product may return a itself.  quadratic_weights marks
     members of the pure quadratic family (h = 0.5 * sum w_i x_i^2 on the
     whole space), for which ensemble synthesis has a closed form.  dim is
-    the domain's dimension.
+    the domain's dimension.  The presets trust strong_convexity_modulus as declared.
     """
 
     eval_h: Callable[[Vector], float]

@@ -32,7 +32,7 @@ from .ensemble import EnsembleMember, run_ensemble, verify_ensemble_reduction
 from .errors import ConfigurationError
 from .geometry import (MirrorGeometry, entropy_geometry, euclidean_geometry,
                        weighted_quadratic_geometry)
-from .problems import LIBRARY, WHOLE_SPACE, VIProblem, library_problem, whole_space
+from .problems import LIBRARY, SIMPLEX, WHOLE_SPACE, VIProblem, library_problem, whole_space
 from .targets import (SplitPair, affine_box_split, preset_bnn,
                       preset_dmd_calibrated, preset_dr, preset_eg, preset_fb,
                       preset_fbf, preset_ppa, preset_vanilla_md, reference_point)
@@ -224,6 +224,8 @@ def _geometry(name: str, weights, domain) -> MirrorGeometry:
 
 def build_geometry(cfg: ExperimentConfig, problem: VIProblem) -> MirrorGeometry:
     domain = problem.feasible_set
+    if cfg.geometry == "entropy" and domain.kind != SIMPLEX:
+        raise ConfigurationError("entropy geometry lives on the simplex")
     if _resolve(cfg)[0].ambient:
         domain = whole_space(domain.dim)  # the constraint lives inside the target
     return _geometry(cfg.geometry, cfg.geometry_weights, domain)

@@ -27,10 +27,8 @@ BOX = "box"
 
 
 SIMPLEX_MASS_TOL = 1e-9
-# sampled_monotonicity evaluates its operator on blocks of at most this many
-# entries a side, and the presets draw their pairs in such blocks.  Arrays of
-# 128 KiB keep the peak memory of a dim-2000 preset build within 1 MB of one
-# pair at a time; blocks four times larger would add about 4 MB.
+# sampled_monotonicity evaluates its operator on row blocks of at most this many
+# entries a side (one row if a row is longer): arrays of 128 KiB, not whole stacks.
 MONOTONICITY_BLOCK = 1 << 14
 WHOLE_SPACE_SCALE = 1.5  # standard deviation of the whole space's samples
 
@@ -179,15 +177,15 @@ class VIProblem:
     to F of that point alone within 1e-12 of the largest |entry| (NaN
     equals NaN), and, given linear_terms, equal M x + q within 1e-9 of
     the largest |entry|.  Given linear_terms, every entry of M and q (of a
-    Tridiagonal, diag and off) must be a finite number, checked first.  A
-    breach is a ConfigurationError.
+    Tridiagonal, diag and off) must be a finite number, checked first, and
+    so must a given lipschitz_hint, at least 0.  A breach is a
+    ConfigurationError.
     """
 
     feasible_set: FeasibleSet
     F: Optional[Callable[[Vector], Vector]] = None
     name: str = "custom"
     lipschitz_hint: Optional[float] = None
-    strong_modulus: Optional[float] = None
     known_solution: Optional[Vector] = None
     linear_terms: Optional[tuple] = None
 
@@ -205,10 +203,13 @@ def _check_operator(problem: VIProblem):
         return ConfigurationError(f"problem {problem.name!r} breaks the operator "
                                   f"contract at two sampled points: {rule}")
 
-    terms = problem.linear_terms
+    terms, hint = problem.linear_terms, problem.lipschitz_hint
     if terms is not None and not _finite_terms(*terms):
         raise ConfigurationError(f"problem {problem.name!r} breaks the operator contract: "
                                  "linear_terms must hold finite numbers M and q")
+    if hint is not None and not 0.0 <= _real(hint) < math.inf:
+        raise ConfigurationError(f"problem {problem.name!r} breaks the operator contract: "
+                                 f"lipschitz_hint must be a finite number >= 0, got {hint!r}")
     points = problem.feasible_set.sample_interior(np.random.default_rng(0), 2)
     try:
         stacked = problem.F(points)
@@ -224,6 +225,15 @@ def _check_operator(problem: VIProblem):
         raise broken("F of a stack must have, in each row, F of that row alone")
     if affine is not None and not _agree(stacked, affine, 1e-9):
         raise broken("F must equal M x + q of its linear_terms")
+
+
+def _real(value) -> float:
+    """value as a float, or NaN unless it is one number (a bool is not)."""
+    try:
+        number = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return math.nan
+    return math.nan if isinstance(value, bool) or number.size != 1 else number.item()
 
 
 def _finite_terms(m, q) -> bool:
@@ -418,7 +428,7 @@ def _make_linear_monotone(dim: int = 2) -> VIProblem:
     dim = _dimension(dim, 2, "linear_monotone")
     m = Tridiagonal(dim, 1.0, 1.0)
     q = 0.5 * np.array([(-1.0) ** i for i in range(dim)])
-    return VIProblem(whole_space(dim), name="linear_monotone", strong_modulus=m.diag,
+    return VIProblem(whole_space(dim), name="linear_monotone",
                      known_solution=m.solve(-q), linear_terms=(m, q))
 
 
@@ -434,8 +444,8 @@ def _make_constrained_quadratic(dim: int = 2) -> VIProblem:
     center = np.linspace(0.25, 0.75, dim)  # the solution, inside the box
     m = np.diag(q_diag)
     return VIProblem(box(np.zeros(dim), np.ones(dim)), name="constrained_quadratic",
-                     lipschitz_hint=float(q_diag.max()), strong_modulus=float(q_diag.min()),
-                     known_solution=center, linear_terms=(m, -m @ center))
+                     lipschitz_hint=float(q_diag.max()), known_solution=center,
+                     linear_terms=(m, -m @ center))
 
 
 def _constant(c: Vector, x: Vector) -> Vector:
@@ -458,7 +468,7 @@ def _make_vertex_cost_simplex(costs=(1.0, 2.0)) -> VIProblem:
 def _make_scalar_shift(a: float = 2.0) -> VIProblem:
     a = _parameter(a, "scalar_shift", "a")
     return VIProblem(whole_space(1), F=lambda x: np.asarray(x, dtype=float) - a,
-                     name="scalar_shift", strong_modulus=1.0, known_solution=np.array([a]),
+                     name="scalar_shift", known_solution=np.array([a]),
                      linear_terms=(np.eye(1), np.array([-a])))
 
 
@@ -534,8 +544,8 @@ def sampled_monotonicity(op, xs, ys, name: str = "the operator"):
     MONOTONICITY_BLOCK entries and must map each row of a stack (map_rows,
     naming op by name); each pair has the bits of its own single-point
     evaluation.  Its check stays though VIProblem checks F where it is
-    built: op is also a preset's S = grad_h - eta*F or grad_h + eta*F, and
-    a hand-built spec.S or a custom grad_h is seen by no problem's check.
+    built: op is also check's S, which may be hand-built, and a preset's
+    grad_h -/+ eta*F where F has no linear_terms.
     Pairs with ||x - y||^2 < 1e-16 are skipped; with none left it is
     (inf, None, inf).  A non-finite inner product (op NaN or overflowing at
     the pair) refutes, silently: it counts as -inf."""
@@ -600,7 +610,7 @@ def estimate_lipschitz(problem: VIProblem) -> float:
     tanh(1000x), whose constant is 1000), so any other problem raises
     ConfigurationError."""
     if problem.lipschitz_hint is not None:
-        return float(problem.lipschitz_hint)
+        return _real(problem.lipschitz_hint)
     if problem.linear_terms is None:
         raise ConfigurationError(
             f"problem {problem.name!r} needs a lipschitz_hint: its F is not linear, "

@@ -30,9 +30,9 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, TargetResolutionError
 from .geometry import (INTERIOR_FLOOR, MirrorGeometry, entropy_geometry,
                        euclidean_geometry)
-from .problems import (MONOTONICITY_BLOCK, SIMPLEX, WHOLE_SPACE, FeasibleSet,
-                       Tridiagonal, VIProblem, _parameter, _scaled_norm, box,
-                       estimate_lipschitz, sampled_monotonicity)
+from .problems import (SIMPLEX, WHOLE_SPACE, FeasibleSet, Tridiagonal, VIProblem,
+                       _parameter, _real, _scaled_norm, box, estimate_lipschitz,
+                       sampled_monotonicity)
 
 Vector = np.ndarray
 
@@ -285,18 +285,21 @@ def _newton_target(spec: TargetSpec, strategy: ResolventSolve, x: Vector,
 def _require_strongly_monotone(geometry, problem, step, label):
     """Refuse a design whose map grad_h + step*F is not strongly monotone.
 
-    A linear design (geometry.quadratic_weights w, problem.linear_terms
-    (M, q), the whole space) maps x to (diag(w) + step*M) x + step*q, whose
-    modulus is exactly the least eigenvalue of the symmetric part
-    diag(w) + step*(M + M^T)/2 (Facchinei and Pang, 2003): min(w) +
-    step*diag for a Tridiagonal, one eigvalsh otherwise, with no F call
-    and no draw.  A modulus <= 1e-12, or NaN (step*M overflowing), raises
-    ConfigurationError.  Every other design is refuted on samples."""
-    weights, feasible_set = geometry.quadratic_weights, problem.feasible_set
-    if (weights is None or problem.linear_terms is None
-            or feasible_set.kind != WHOLE_SPACE):
+    Given linear_terms (M, q), its modulus is at least the least eigenvalue
+    of D + step*(M + M^T)/2 on the feasible set's tangent space, R^d or the
+    simplex's sum-zero vectors (none at dim 1: inf), with D the geometry's
+    diag(quadratic_weights), else its declared strong_convexity_modulus * I
+    (Facchinei and Pang, 2003): exact for a quadratic potential or a
+    Euclidean projection, sufficient under entropy.  min(D) + step*diag for
+    a Tridiagonal, one eigvalsh otherwise: no F call, no draw.  A modulus
+    <= 1e-12, or NaN (step*M overflowing), raises ConfigurationError.  An
+    F without linear_terms is refuted on samples."""
+    feasible_set, weights = problem.feasible_set, geometry.quadratic_weights
+    if problem.linear_terms is None:
         return _refute_on_samples(lambda x: geometry.grad_h(x) + step * problem.F(x),
                                   feasible_set, label)
+    if weights is None:
+        weights = np.full(feasible_set.dim, geometry.strong_convexity_modulus, dtype=float)
     m = problem.linear_terms[0]
     if isinstance(m, Tridiagonal):
         modulus = float(np.min(weights)) + step * m.diag
@@ -304,8 +307,14 @@ def _require_strongly_monotone(geometry, problem, step, label):
         m = np.asarray(m, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             sym = np.diag(weights) + (0.5 * step) * (m + m.T)
+            if feasible_set.kind == SIMPLEX:  # Helmert's basis: column k - 1 holds
+                k = np.arange(1.0, feasible_set.dim)  # k ones, then -k, over its norm
+                basis = np.triu(np.ones((k.size + 1, k.size))) - np.diag(k, -1)[:, :-1]
+                basis /= np.sqrt(k * (k + 1.0))
+                sym = basis.T @ sym @ basis
         # M is finite (VIProblem checks it); step*M may still overflow
-        modulus = float(np.linalg.eigvalsh(sym)[0]) if np.isfinite(sym).all() else math.nan
+        modulus = (float(np.linalg.eigvalsh(sym).min(initial=math.inf))
+                   if np.isfinite(sym).all() else math.nan)
     if not modulus > 1e-12:
         raise ConfigurationError(
             f"{label} is not strongly monotone (least eigenvalue of its symmetric "
@@ -314,17 +323,11 @@ def _require_strongly_monotone(geometry, problem, step, label):
 
 
 def _refute_on_samples(op, feasible_set, label):
-    """Refute, on 64 sampled interior pairs, that op is strongly monotone.
-    The pairs are rows 2i and 2i + 1 of draws of up to 128 points, with at
-    most MONOTONICITY_BLOCK entries a side (all 64 pairs in one draw up to
-    dimension 256, one pair a draw past 8,192): the numbers that 64 draws
+    """Refute, on 64 sampled interior pairs, that op is strongly monotone:
+    rows 2i and 2i + 1 of one draw of 128 points, the numbers that 64 draws
     of 2 points give.  A minimum ratio <= 1e-12 raises ConfigurationError."""
-    rng = np.random.default_rng(MONOTONICITY_SEED)
-    per_draw = max(1, min(64, MONOTONICITY_BLOCK // feasible_set.dim))
-    ratio = math.inf
-    for start in range(0, 64, per_draw):
-        points = feasible_set.sample_interior(rng, 2 * min(per_draw, 64 - start))
-        ratio = min(ratio, sampled_monotonicity(op, points[0::2], points[1::2], label)[0])
+    points = feasible_set.sample_interior(np.random.default_rng(MONOTONICITY_SEED), 128)
+    ratio = sampled_monotonicity(op, points[0::2], points[1::2], label)[0]
     if ratio <= 1e-12:
         raise ConfigurationError(
             f"{label} is not strongly monotone on sampled pairs "
@@ -365,8 +368,8 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     A geometry without one takes the same certified solve through the
     Euclidean projection onto the feasible set, with S = its grad_h.
     inner_tol must be finite and positive.  grad_h + eta*F must be
-    strongly monotone (_require_strongly_monotone: exact for a linear
-    design, a sampled refutation check otherwise).
+    strongly monotone (_require_strongly_monotone: an eigenvalue bound
+    given linear_terms, a sampled refutation otherwise).
     """
     eta = _step_size(eta, "eta")
     inner_tol = _step_size(inner_tol, "inner_tol")
@@ -414,16 +417,16 @@ def preset_eg(geometry: MirrorGeometry, problem: VIProblem, eta1: float,
     T(x) = grad_h_conj(grad_h(x) - eta1 * F(x)) = grad_h_conj(S(x)).
 
     eta2 = eta1 gives the classical method; distinct step sizes give the
-    two-step-size variant.  sigma is the conservative analytic bound
-    modulus(h) - eta1 * L, backed by _require_strongly_monotone: exact for
-    a linear design, a sampled refutation check otherwise.
+    two-step-size variant.  sigma = modulus(h) - eta1 * L must be positive
+    (NaN refuses); given linear_terms, _require_strongly_monotone's bound is
+    then at least sigma (|eig(sym M)| <= ||M|| <= L); without, it samples.
     """
     eta1 = _step_size(eta1, "eta")
     eta2 = eta1 if eta2 is None else _step_size(eta2, "eta2")
 
     lip = estimate_lipschitz(problem)
     sigma = geometry.strong_convexity_modulus - eta1 * lip
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ConfigurationError(
             f"step {eta1:g} too large: modulus {geometry.strong_convexity_modulus:g} "
             f"- step * L ({lip:g}) is not positive")
@@ -481,17 +484,19 @@ def preset_fb(pair: SplitPair, feasible_set: FeasibleSet, eta: float) -> TargetS
     """Forward-backward design: the splitting tuple with target
     T(x) = J_{eta A}(x - eta B(x)).
 
-    Requires eta < 4 * modulus(A + B) / lipschitz(B)^2, with the constants
-    of the split pair.
+    Requires the split pair's constants, finite with modulus(A + B) > 0 and
+    lipschitz(B) >= 0, and eta * lipschitz(B)^2 < 4 * modulus(A + B).
     """
     eta = _step_size(eta, "eta")
-    if pair.strong_modulus is None or pair.lipschitz_B is None:
+    sigma, lip = _real(pair.strong_modulus), _real(pair.lipschitz_B)
+    if not (0.0 < sigma < math.inf and 0.0 <= lip < math.inf):
         raise ConfigurationError(
-            "FB needs the strong modulus of A+B and the Lipschitz constant of B")
-    bound = 4.0 * pair.strong_modulus / pair.lipschitz_B ** 2
-    if eta >= bound:
-        raise ConfigurationError(
-            f"eta = {eta:g} violates the step bound eta < 4*sigma/L^2 = {bound:g}")
+            "FB needs the strong modulus of A+B, a finite number > 0, and the Lipschitz "
+            f"constant of B, a finite number >= 0; got {pair.strong_modulus!r} and "
+            f"{pair.lipschitz_B!r}")
+    if eta * lip * lip >= 4.0 * sigma:
+        raise ConfigurationError(f"eta = {eta:g} violates the step bound eta < 4*sigma/L^2 "
+                                 f"= {4.0 * sigma / (lip * lip):g}")
 
     def t_fb(x):
         x = np.asarray(x, dtype=float)
@@ -525,7 +530,7 @@ def affine_box_split(shift: float = 2.0, lower: float = 0.0,
 
     pair = SplitPair(resolvent_A=resolvent_a, resolvent_B=resolvent_b,
                      B_forward=b_forward, strong_modulus=1.0, lipschitz_B=1.0)
-    problem = VIProblem(feasible, F=b_forward, name="box_affine_split", strong_modulus=1.0,
+    problem = VIProblem(feasible, F=b_forward, name="box_affine_split",
                         known_solution=np.array([min(max(shift, lo), up)]),
                         linear_terms=(np.eye(1), np.array([-shift])))
     return pair, problem

@@ -396,6 +396,21 @@ def test_library_problem_parameters_must_be_finite_numbers(tmp_path, capsys, pre
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset", ["ppa", "eg", "vanilla_md"])
+@pytest.mark.parametrize("problem", ["skew_bilinear", "constrained_quadratic"])
+def test_the_entropy_geometry_needs_a_problem_on_the_simplex(tmp_path, capsys, preset,
+                                                             problem):
+    # its grad_h is defined on the simplex alone: a ppa or eg build on
+    # another set refused only where its sampled pairs met a negative
+    # coordinate, and vanilla_md ran on the simplex
+    out = tmp_path / "out"
+    text = (f"problem.name = {problem}\ngeometry.name = entropy\npreset.name = {preset}\n"
+            f"output.dir = {out}\n")
+    assert run_cli("solve", text, tmp_path) == 1
+    assert capsys.readouterr().err == "error: entropy geometry lives on the simplex\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_split_box_near_the_float_limit_builds_without_a_warning(tmp_path, capsys):
     # the box's center overflowed in its build-time samples; the dr run

@@ -650,7 +650,8 @@ def test_stacked_monotonicity_is_the_pair_scan(name, n, seed):
 
 
 @pytest.mark.parametrize("feasible_set", [whole_space(3), simplex(3),
-                                          box([0.0, -1.0], [1.0, 2.0])])
+                                          box([0.0, -1.0], [1.0, 2.0]), whole_space(300),
+                                          simplex(300), box(np.zeros(300), np.ones(300))])
 def test_one_interior_draw_of_128_points_is_64_draws_of_2(feasible_set):
     one = feasible_set.sample_interior(np.random.default_rng(5), 128)
     rng = np.random.default_rng(5)
@@ -742,6 +743,26 @@ def test_lipschitz_of_a_matrix_whose_null_space_holds_the_ones_vector():
     assert estimate_lipschitz(problem) == pytest.approx(2.0, rel=1e-14)
     g = euclidean_geometry(problem.feasible_set)
     assert preset_eg(g, problem, 0.4).sigma == pytest.approx(1.0 - 2 * 0.4, rel=1e-14)
+
+
+@pytest.mark.parametrize("hint", [math.nan, -5.0, math.inf, "abc", True, [1.0, 2.0]])
+def test_a_lipschitz_hint_must_be_a_finite_number_at_least_0(hint):
+    # unchecked, NaN built preset_eg with sigma = nan, -5 with sigma = 3.5
+    # (above the geometry's modulus 1), and 'abc' ended in estimate_lipschitz's
+    # ValueError
+    message = ("problem 'custom' breaks the operator contract: lipschitz_hint must be a "
+               f"finite number >= 0, got {hint!r}")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        problem = VIProblem(whole_space(2), F=lambda x: 0.5 * np.asarray(x, dtype=float),
+                            lipschitz_hint=hint)
+        preset_eg(euclidean_geometry(problem.feasible_set), problem, 0.5)
+
+
+@pytest.mark.parametrize("hint", [0, 2, 0.5, np.float64(3.0), np.array([1.5])])
+def test_a_finite_lipschitz_hint_at_least_0_is_the_lipschitz_constant(hint):
+    problem = VIProblem(whole_space(2), F=lambda x: 0.0 * np.asarray(x, dtype=float),
+                        lipschitz_hint=hint)
+    assert estimate_lipschitz(problem) == float(np.ravel(hint)[0])
 
 
 def test_lipschitz_needs_a_hint_where_sampling_gives_no_upper_bound():

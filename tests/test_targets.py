@@ -1,14 +1,15 @@
 import dataclasses
 import functools
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_impls as ri
 from test_acceptance import _stepwise_deviation
-from targetmd import (ClosedForm, ResolventSolve, TargetSpec, VIProblem,
+from targetmd import (ClosedForm, ResolventSolve, SplitPair, TargetSpec, VIProblem,
                       affine_box_split, box,
                       dual_rate, entropy_geometry, estimate_lipschitz,
                       euclidean_geometry,
@@ -22,7 +23,7 @@ from targetmd.errors import (ConfigurationError, DomainError,
 from targetmd import targets
 from targetmd.config import ExperimentConfig
 from targetmd.harness import DISCRETE_COMPARE_TOL, FIELD_COMPARE_TOL, build_spec
-from targetmd.problems import Tridiagonal
+from targetmd.problems import LIBRARY, Tridiagonal
 from targetmd.targets import _norm
 
 SEED = 4242
@@ -250,6 +251,49 @@ def test_fb_step_bound():
     pair, _ = affine_box_split()
     with pytest.raises(ConfigurationError):
         preset_fb(pair, whole_space(1), 4.0)  # bound is 4*sigma/L^2 = 4
+
+
+def test_fb_admits_every_step_for_a_constant_b():
+    # lipschitz_B = 0: eta * L^2 = 0 < 4*sigma for every eta, where the
+    # bound 4*sigma/L^2 divided by zero
+    clip = lambda eta, v: np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
+    pair = SplitPair(resolvent_A=clip, resolvent_B=lambda eta, v: v + 2.0 * eta,
+                     B_forward=lambda x: np.full(np.shape(x), -2.0), strong_modulus=1.0,
+                     lipschitz_B=0.0)
+    spec = preset_fb(pair, whole_space(1), 100.0)
+    assert resolve_target(spec, np.array([-5.0]))[0][0] == 1.0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("strong_modulus", math.nan), ("lipschitz_B", math.nan), ("strong_modulus", "abc"),
+    ("lipschitz_B", math.inf), ("strong_modulus", 0.0), ("lipschitz_B", -1.0),
+    ("strong_modulus", None),
+])
+def test_fb_needs_finite_constants(field, value):
+    # NaN built, 'abc' ended in a TypeError
+    pair = dataclasses.replace(affine_box_split()[0], **{field: value})
+    constants = (value, 1.0) if field == "strong_modulus" else (1.0, value)
+    message = ("FB needs the strong modulus of A+B, a finite number > 0, and the Lipschitz "
+               "constant of B, a finite number >= 0; got {!r} and {!r}".format(*constants))
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        preset_fb(pair, whole_space(1), 0.5)
+
+
+def test_fb_step_bound_holds_where_the_square_of_lipschitz_b_overflows():
+    # L_B**2 raised OverflowError; eta * L * L is inf, and the bound reads 0
+    pair = dataclasses.replace(affine_box_split()[0], lipschitz_B=1e200)
+    message = "eta = 0.5 violates the step bound eta < 4*sigma/L^2 = 0"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        preset_fb(pair, whole_space(1), 0.5)
+
+
+def test_eg_refuses_a_geometry_whose_declared_modulus_is_nan():
+    # sigma = nan - eta*L is NaN, which sigma <= 0 let through
+    problem = library_problem("skew_bilinear")
+    g = dataclasses.replace(euclidean_geometry(problem.feasible_set),
+                            strong_convexity_modulus=math.nan)
+    with pytest.raises(ConfigurationError, match="is not positive$"):
+        preset_eg(g, problem, 0.1)
 
 
 def test_resolvents_firmly_nonexpansive_sampled():
@@ -842,17 +886,42 @@ LINEAR_BUILDS = {
 }
 
 
+def _linear_case(name, dim, geometry):
+    """(geometry, problem) of a build case: a library problem, the box
+    split's, or a dense whole-space one, under a geometry the harness
+    builds for it (the Euclidean one on the problem's set, the weighted
+    quadratic on the whole space, the entropy on the simplex)."""
+    if name == "dense":
+        problem = _dense_problem()
+    elif name == "box_affine_split":
+        problem = affine_box_split()[1]
+    else:
+        problem = library_problem(name, **({"dim": dim} if "dim" in LIBRARY[name][1] else {}))
+    if geometry == "weighted":
+        return weighted_quadratic_geometry(np.linspace(1.0, 2.0, dim)), problem
+    if geometry == "entropy":
+        return entropy_geometry(dim), problem
+    return euclidean_geometry(problem.feasible_set), problem
+
+
 @pytest.mark.parametrize("preset", sorted(LINEAR_BUILDS))
-@pytest.mark.parametrize("name,dim,weighted", [
-    ("skew_bilinear", 2, False), ("skew_bilinear", 2000, False),
-    ("linear_monotone", 2, False), ("linear_monotone", 2000, False),
-    ("linear_monotone", 3, True), ("dense", 3, False), ("dense", 3, True),
+@pytest.mark.parametrize("name,dim,geometry", [
+    ("skew_bilinear", 2, "euclidean"), ("skew_bilinear", 2000, "euclidean"),
+    ("skew_bilinear", 3, "weighted"),
+    ("linear_monotone", 2, "euclidean"), ("linear_monotone", 2000, "euclidean"),
+    ("linear_monotone", 3, "weighted"), ("dense", 3, "euclidean"), ("dense", 3, "weighted"),
+    ("rps_game", 3, "euclidean"), ("rps_game", 3, "entropy"),
+    ("constrained_quadratic", 2, "euclidean"),
+    ("vertex_cost_simplex", 2, "euclidean"), ("vertex_cost_simplex", 2, "entropy"),
+    ("scalar_shift", 1, "euclidean"), ("scalar_shift", 1, "weighted"),
+    ("box_affine_split", 1, "euclidean"),
 ])
 def test_a_linear_build_draws_no_point_and_evaluates_no_operator(monkeypatch, preset, name,
-                                                                 dim, weighted):
-    # linear F under a whole-space quadratic potential: the least eigenvalue
-    # of the design map's symmetric part decides, without a sampled pair
-    problem = _dense_problem() if name == "dense" else library_problem(name, dim=dim)
+                                                                 dim, geometry):
+    # linear F, on every set and under every geometry: the least eigenvalue
+    # of the design map's symmetric part on the set's tangent space
+    # decides, without a sampled pair
+    g, problem = _linear_case(name, dim, geometry)
     calls, operator = [], problem.F
     problem.F = lambda x: calls.append(np.shape(x)) or operator(x)
 
@@ -860,8 +929,6 @@ def test_a_linear_build_draws_no_point_and_evaluates_no_operator(monkeypatch, pr
         raise AssertionError("the build drew a point")
 
     monkeypatch.setattr(targets.FeasibleSet, "sample_interior", draw)
-    g = (weighted_quadratic_geometry(np.linspace(1.0, 2.0, dim)) if weighted
-         else euclidean_geometry(problem.feasible_set))
     LINEAR_BUILDS[preset](g, problem)
     assert calls == []
 
@@ -877,23 +944,18 @@ def _counted_draws(monkeypatch):
     return draws
 
 
-@pytest.mark.parametrize("case", ["ppa_rps_entropy", "eg_rps_entropy", "eg_box", "ppa_box",
-                                  "fbf_simplex", "eg_hint_only"])
+@pytest.mark.parametrize("case", ["eg_hint_only", "ppa_no_terms"])
 def test_every_other_build_still_refutes_on_sampled_pairs(monkeypatch, case):
-    # the simplex and the box, the entropy geometry and an F known only by
-    # its lipschitz_hint: one draw of 128 points, the 64 pairs
-    rps, quadratic = library_problem("rps_game"), library_problem("constrained_quadratic")
+    # an F without linear_terms, known by its lipschitz_hint (eg) or not at
+    # all (ppa on rps_game's operator under entropy): one draw of 128
+    # points, the 64 pairs
     hint_only = VIProblem(whole_space(2), F=lambda x: 2.0 * np.asarray(x, dtype=float),
                           lipschitz_hint=2.0)
+    no_terms = VIProblem(simplex(3), F=library_problem("rps_game").F)
     build = {
-        "ppa_rps_entropy": lambda: preset_ppa(entropy_geometry(3), rps, 1.0),
-        "eg_rps_entropy": lambda: preset_eg(entropy_geometry(3), rps, 0.1),
-        "eg_box": lambda: preset_eg(euclidean_geometry(quadratic.feasible_set), quadratic, 0.1),
-        "ppa_box": lambda: preset_ppa(euclidean_geometry(quadratic.feasible_set), quadratic,
-                                      0.5),
-        "fbf_simplex": lambda: preset_fbf(rps, 0.1),
         "eg_hint_only": lambda: preset_eg(euclidean_geometry(hint_only.feasible_set),
                                           hint_only, 0.1),
+        "ppa_no_terms": lambda: preset_ppa(entropy_geometry(3), no_terms, 1.0),
     }[case]
     draws = _counted_draws(monkeypatch)
     build()
@@ -914,30 +976,84 @@ def test_a_linear_build_that_is_not_strongly_monotone_names_its_least_eigenvalue
         preset_ppa(euclidean_geometry(problem.feasible_set), problem, eta)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+@pytest.mark.parametrize("feasible_set,m,q,eta,least", [
+    # modulus exactly 0: the sampled pairs accepted it, and the run ended
+    # in a singular target subproblem
+    (box([0.0, 0.0], [1.0, 1.0]), np.diag([-2.0, 1.0]), np.array([0.5, -0.5]), 0.5,
+     "0.000e+00"),
+    # eta*(M + M^T)/2 overflows on the sum-zero vectors: NaN, without a
+    # warning, where the sampled pairs warned
+    (simplex(3), np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 1.0]]), np.zeros(3),
+     1e308, "nan"),
+])
+def test_a_constrained_linear_build_that_is_not_strongly_monotone_names_its_bound(
+        feasible_set, m, q, eta, least):
+    problem = VIProblem(feasible_set, linear_terms=(m, q))
+    message = (f"grad_h + eta*F is not strongly monotone (least eigenvalue of its "
+               f"symmetric part {least}); reduce the step")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        preset_ppa(euclidean_geometry(feasible_set), problem, eta)
+
+
+def test_ppa_on_rps_under_entropy_builds_at_any_step():
+    # grad_h + eta*F is 1-strongly monotone for every eta (M is skew); at
+    # eta = 1e16 the sampled pairs read a min ratio of -2.896e-01, rounding
+    spec = preset_ppa(entropy_geometry(3), library_problem("rps_game"), 1e16)
+    assert spec.sigma == 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, problem: preset_ppa(g, problem, 0.5),
+    lambda g, problem: preset_eg(g, problem, 0.1),
+])
+def test_a_one_point_simplex_builds(build):
+    # no tangent direction, so no modulus to bound: inf, as for the sampled
+    # pairs, which all repeat the one point
+    problem = VIProblem(simplex(1), linear_terms=(np.array([[-5.0]]), np.ones(1)))
+    build(euclidean_geometry(problem.feasible_set), problem)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["whole_space", "box", "simplex", "entropy"]),
+       st.integers(1, 4).flatmap(lambda d: st.tuples(
            st.lists(st.integers(-8, 8), min_size=d * d, max_size=d * d),
            st.lists(st.integers(1, 8), min_size=d, max_size=d))),
        st.integers(1, 16), st.sampled_from([1.0, -1.0]))
 def test_a_linear_build_refuses_exactly_where_the_dense_symmetric_part_is_not_positive(
-        entries, eta8, sign):
-    # diag(w) + sign*eta*M, which is ppa's design map on M and extragradient's
-    # on -M; quarters and eighths keep every sum exact, so the test's
-    # symmetric part has the bits of the build's
+        where, entries, eta8, sign):
+    # D + sign*eta*M on the set's tangent space, which is ppa's design map
+    # on M and extragradient's on -M.  D is diag(w) under the weighted
+    # quadratic potential, else the geometry's modulus 1 times I.  Quarters
+    # and eighths keep every sum exact, so on R^d the test's symmetric part
+    # has the bits of the build's; on the simplex's sum-zero vectors the
+    # test takes another orthonormal basis, which rounds apart by far less
+    # than the band of 1e-9 around the threshold that the test leaves out
     m_entries, w_entries = entries
     dim = len(w_entries)
+    assume(where != "entropy" or dim > 1)
     m = sign * np.array(m_entries, dtype=float).reshape(dim, dim) / 4.0
-    w, eta = np.array(w_entries, dtype=float) / 4.0, eta8 / 8.0
-    problem = VIProblem(whole_space(dim), linear_terms=(m, np.zeros(dim)))
-    g = weighted_quadratic_geometry(w)
+    eta = eta8 / 8.0
+    if where == "whole_space":
+        w = np.array(w_entries, dtype=float) / 4.0
+        feasible_set, g = whole_space(dim), weighted_quadratic_geometry(w)
+    else:
+        w = np.ones(dim)
+        feasible_set = box(np.zeros(dim), np.ones(dim)) if where == "box" else simplex(dim)
+        g = entropy_geometry(dim) if where == "entropy" else euclidean_geometry(feasible_set)
+    problem = VIProblem(feasible_set, linear_terms=(m, np.zeros(dim)))
     a = np.diag(w) + eta * m
-    refuses = np.linalg.eigvalsh((a + a.T) / 2.0)[0] <= 1e-12
+    sym = (a + a.T) / 2.0
+    if feasible_set.kind == "simplex":
+        basis = np.linalg.svd(np.ones((1, dim)))[2][1:].T  # V^T's rows past the first
+        sym = basis.T @ sym @ basis
+    least = min(np.linalg.eigvalsh(sym), default=np.inf)  # none on simplex(1)
     try:
         preset_ppa(g, problem, eta)
         refused = False
     except ConfigurationError:
         refused = True
-    assert refused == refuses
+    if feasible_set.kind != "simplex" or abs(least - 1e-12) > 1e-9:
+        assert refused == (least <= 1e-12)
     # never weaker than the 64 sampled pairs
     try:
         targets._refute_on_samples(lambda x: g.grad_h(x) + eta * problem.F(x),
