@@ -73,19 +73,19 @@ class Preset:
     p.  Discrete mode runs run_discrete; flow mode runs the dynamics' flow,
     or flow(geometry, problem, spec, p, integrator=..., **run) when the row
     brings its own.  Such a row is flow_only: it runs in flow mode only,
-    and neither drives an ensemble nor serves as a base.  ambient: the
-    Euclidean state lives on the whole space.  compare checks the iterates
-    against coded_step(geometry, problem, pair, p, x), the coded next one,
-    or primal_vector_field against coded_field(...), the coded field.
-    Callables look up what they call by name when they run, so rebinding a
-    module attribute reaches them.
-    """
+    and neither drives an ensemble nor serves as a base.  geometry: the one
+    the design fixes, or None; a fixed Euclidean design runs on the whole
+    space.  compare checks the iterates against coded_step(geometry,
+    problem, pair, p, x), the coded next one, or primal_vector_field
+    against coded_field(...), the coded field.  Callables look up what
+    they call by name when they run, so rebinding a module attribute
+    reaches them."""
 
     blurb: str
     params: dict
     build: Optional[Callable] = None
     flow: Optional[Callable] = None
-    ambient: bool = False
+    geometry: Optional[str] = None
     coded_step: Optional[Callable] = None
     coded_field: Optional[Callable] = None
     flow_only = property(lambda self: self.flow is not None)
@@ -95,12 +95,6 @@ def _split(pair: Optional[SplitPair], name: str) -> SplitPair:
     if pair is None:
         raise ConfigurationError(f"preset {name!r} needs the box_affine_split problem")
     return pair
-
-
-def _bnn(geometry, problem, pair, p):
-    if geometry.name != "entropy":
-        raise ConfigurationError("the bnn preset requires the entropy geometry")
-    return preset_bnn(problem, **p)
 
 
 def _on_base(geometry, problem, pair, p):
@@ -137,20 +131,20 @@ PRESETS = {
     "dr": Preset(
         "Douglas-Rachford splitting (needs box_affine_split)", {"eta": 1.0},
         build=lambda g, pb, pair, p: preset_dr(_split(pair, "dr"), g.domain, **p),
-        ambient=True,
+        geometry="euclidean",
         coded_step=lambda g, pb, pair, p, x: reference.dr_step(pair, p["eta"], x)),
     "fb": Preset(
         "forward-backward splitting (needs box_affine_split)", {"eta": 0.5},
         build=lambda g, pb, pair, p: preset_fb(_split(pair, "fb"), g.domain, **p),
-        ambient=True,
+        geometry="euclidean",
         coded_step=lambda g, pb, pair, p, x: reference.fb_step(pair, p["eta"], x)),
     "bnn": Preset(
-        "excess-payoff game dynamics on the simplex (entropy geometry)",
-        {"eta": 1.0}, build=_bnn,
+        "excess-payoff game dynamics on the simplex", {"eta": 1.0},
+        build=lambda g, pb, pair, p: preset_bnn(pb, **p), geometry="entropy",
         coded_field=lambda g, pb, pair, p, x: reference.bnn_field(pb, x)),
     "fbf": Preset(
         "forward-backward-forward dynamics", {"eta": 0.1},
-        build=lambda g, pb, pair, p: preset_fbf(pb, **p), ambient=True,
+        build=lambda g, pb, pair, p: preset_fbf(pb, **p), geometry="euclidean",
         coded_field=lambda g, pb, pair, p, x: reference.fbf_field(pb, p["eta"], x)),
     "vanilla_md": Preset(
         "plain mirror descent baseline (no correction)", {"eta": 0.1},
@@ -211,10 +205,11 @@ def _geometry(name: str, weights, domain) -> MirrorGeometry:
                                  else f"{name} geometry takes no weights")
     if name == "euclidean":
         return euclidean_geometry(domain)
+    home = SIMPLEX if name == "entropy" else WHOLE_SPACE
+    if domain.kind != home:
+        raise ConfigurationError(f"{name} geometry lives on the {home.replace('_', ' ')}")
     if name == "entropy":
         return entropy_geometry(domain.dim)
-    if domain.kind != WHOLE_SPACE:
-        raise ConfigurationError("weighted_quadratic geometry lives on the whole space")
     if np.size(weights) != domain.dim:
         raise ConfigurationError(
             f"weights have {np.size(weights)} entries; the problem has "
@@ -223,11 +218,16 @@ def _geometry(name: str, weights, domain) -> MirrorGeometry:
 
 
 def build_geometry(cfg: ExperimentConfig, problem: VIProblem) -> MirrorGeometry:
-    domain = problem.feasible_set
-    if cfg.geometry == "entropy" and domain.kind != SIMPLEX:
-        raise ConfigurationError("entropy geometry lives on the simplex")
-    if _resolve(cfg)[0].ambient:
-        domain = whole_space(domain.dim)  # the constraint lives inside the target
+    """geometry.name on the problem's set.  A design whose row (for
+    higher_order, its base's) fixes a geometry refuses any other name, and
+    a fixed Euclidean design runs on the whole space."""
+    name = _resolve(cfg)[1].get("base", cfg.preset)
+    fixed, domain = getattr(PRESETS.get(name), "geometry", None), problem.feasible_set
+    if fixed not in (None, cfg.geometry):
+        raise ConfigurationError(f"preset {name!r} runs under the {fixed} geometry; "
+                                 f"got geometry.name = {cfg.geometry}")
+    if fixed == "euclidean":
+        domain = whole_space(domain.dim)
     return _geometry(cfg.geometry, cfg.geometry_weights, domain)
 
 
@@ -423,12 +423,12 @@ def _check(cfg: ExperimentConfig):
 
 
 def _build_members(cfg: ExperimentConfig, problem: VIProblem):
-    members = []
-    dim = problem.feasible_set.dim
+    members, own = [], problem.feasible_set  # entropy members live on the problem's set
     for i, mc in enumerate(cfg.ensemble_members, start=1):
         try:
-            geometry = _geometry(mc.geometry, mc.weights, whole_space(dim))
-            z0 = _finite_point("z0", mc.z0 if mc.z0 else np.zeros(dim), dim)
+            domain = own if mc.geometry == "entropy" else whole_space(own.dim)
+            geometry = _geometry(mc.geometry, mc.weights, domain)
+            z0 = _finite_point("z0", mc.z0 if mc.z0 else np.zeros(own.dim), own.dim)
         except ConfigurationError as exc:
             raise ConfigurationError(f"member {i}: {exc}") from None
         members.append(EnsembleMember(geometry, z0))
@@ -546,5 +546,6 @@ def catalog() -> dict:
     problems = {name: entry[2] for name, entry in sorted(LIBRARY.items())}
     problems["box_affine_split"] = ("scalar split pair: box normal cone + "
                                     "affine map; for DR/FB designs")
-    presets = {name: row.blurb for name, row in PRESETS.items()}
+    presets = {name: row.blurb + (f" ({row.geometry} geometry)" if row.geometry else "")
+               for name, row in PRESETS.items()}
     return {"problems": problems, "geometries": dict(GEOMETRIES), "presets": presets}

@@ -369,7 +369,8 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     Euclidean projection onto the feasible set, with S = its grad_h.
     inner_tol must be finite and positive.  grad_h + eta*F must be
     strongly monotone (_require_strongly_monotone: an eigenvalue bound
-    given linear_terms, a sampled refutation otherwise).
+    given linear_terms, a sampled refutation otherwise), and eta*q and the
+    largest row sum of |eta*M| finite.
     """
     eta = _step_size(eta, "eta")
     inner_tol = _step_size(inner_tol, "inner_tol")
@@ -378,6 +379,13 @@ def preset_ppa(geometry: MirrorGeometry, problem: VIProblem, eta: float,
     weights = geometry.quadratic_weights
     m, q = problem.linear_terms or (None, None)
     banded = isinstance(m, Tridiagonal)
+    if m is not None:  # every route below forms eta*M, the closed form eta*q too
+        with np.errstate(over="ignore"):
+            size = (eta * abs(m.diag) + 2.0 * (eta * abs(m.off)) if banded
+                    else np.abs(eta * m).sum(axis=1).max())
+            if not (math.isfinite(size) and np.isfinite(eta * q).all()):
+                raise ConfigurationError(f"eta*F's linear terms leave the float range "
+                                         f"at eta = {eta!r}; reduce the step")
     if m is not None and weights is not None:
         # Euclidean weights are 1, and 1.0 * x is x bit for bit
         if banded and geometry.name == "euclidean":

@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 import json
+import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,14 +14,17 @@ import numpy as np
 import pytest
 
 from targetmd import (config, echo_config, library_problem, load_config,
-                      parse_config, preset_dr, preset_eg, run_condition_checks,
+                      parse_config, preset_dr, preset_eg, preset_fb, preset_fbf,
+                      run_condition_checks, run_higher_order,
                       euclidean_geometry, whole_space, TargetSpec, ClosedForm,
                       affine_box_split)
 from targetmd import harness
 from targetmd.targets import reference_point
 from targetmd.cli import main
+from targetmd.dynamics import BUDGET, CONVERGED, DIVERGED
 from targetmd.errors import ConfigurationError, TargetResolutionError
 from targetmd.harness import OUTPUT_DIR_ENV, run_command
+from targetmd.problems import LIBRARY
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -411,6 +417,85 @@ def test_the_entropy_geometry_needs_a_problem_on_the_simplex(tmp_path, capsys, p
     assert not out.exists()
 
 
+FIXED_GEOMETRY = [
+    # (command, preset, preset.base, problem, geometry.name): every design
+    # whose row fixes a geometry, with each other name and each command
+    # that builds it (higher_order has no coded reference and drives no
+    # ensemble); fbf, and dr and fb under weights, ran in a geometry their
+    # designs do not use
+    (command, preset, base, problem, other)
+    for preset, base, problem, fixed in [
+        ("bnn", None, "rps_game", "entropy"),
+        ("dr", None, "box_affine_split", "euclidean"),
+        ("fb", None, "box_affine_split", "euclidean"),
+        ("fbf", None, "rps_game", "euclidean"),
+        ("higher_order", "fbf", "rps_game", "euclidean"),
+        ("higher_order", "dr", "box_affine_split", "euclidean")]
+    for other in harness.GEOMETRIES if other != fixed
+    for command in (["solve", "check"] if base else harness.COMMANDS)]
+
+
+@pytest.mark.parametrize("command,preset,base,problem,geometry", FIXED_GEOMETRY)
+def test_a_design_with_a_fixed_geometry_refuses_every_other_name(
+        tmp_path, capsys, command, preset, base, problem, geometry):
+    design = base or preset
+    fixed = harness.PRESETS[design].geometry
+    weights = "1, 1, 1" if problem == "rps_game" else "3"
+    out = tmp_path / "o"
+    text = (f"problem.name = {problem}\ngeometry.name = {geometry}\n"
+            f"preset.name = {preset}\nmode = flow\nbudget.t_end = 0.1\n"
+            + (f"geometry.weights = {weights}\n" if geometry == "weighted_quadratic" else "")
+            + (f"preset.base = {base}\n" if base else "")
+            + f"ensemble.member1.geometry = euclidean\noutput.dir = {out}\n")
+    assert run_cli(command, text, tmp_path) == 1
+    assert capsys.readouterr() == ("", f"error: preset {design!r} runs under the {fixed} "
+                                       f"geometry; got geometry.name = {geometry}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base,problem,design", [
+    ("dr", "box_affine_split", lambda pb, pair, ws: preset_dr(pair, ws, 1.0)),
+    ("fb", "box_affine_split", lambda pb, pair, ws: preset_fb(pair, ws, 0.5)),
+    ("fbf", "rps_game", lambda pb, pair, ws: preset_fbf(pb, 0.1))])
+def test_higher_order_over_a_euclidean_design_runs_on_the_whole_space(tmp_path, base,
+                                                                      problem, design):
+    # over dr or fb it refused every config (its base got the split's box),
+    # and over fbf it ran on the simplex's projection
+    out = tmp_path / "o"
+    text = (f"problem.name = {problem}\ngeometry.name = euclidean\n"
+            f"preset.name = higher_order\npreset.base = {base}\nmode = flow\n"
+            f"budget.t_end = 0.5\n")
+    assert run_cli("solve", text, tmp_path, env_dir=out) in (0, 2)
+    problem, pair = harness.build_problem(parse_config(text))
+    ws = whole_space(problem.feasible_set.dim)
+    spec = design(problem, pair, ws)
+    record = run_higher_order(euclidean_geometry(ws), spec, t_end=0.5, problem=problem,
+                              reference=reference_point(spec, problem))
+    harness.write_trajectory_csv(tmp_path / "library.csv", record)
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eta,code,line", [
+    # |eta*M|'s row sums overflow: the shifted Tridiagonal's spectral solve
+    # overflowed, and the run diverged at step 1
+    ("1e308", 1, "error: eta*F's linear terms leave the float range at eta = 1e+308; "
+              "reduce the step\n"),
+    ("1e300", 0, None)])
+def test_ppa_refuses_a_step_at_which_eta_times_m_overflows(tmp_path, capsys, eta, code,
+                                                           line):
+    out = tmp_path / "o"
+    text = (f"problem.name = linear_monotone\nproblem.dim = 3\ngeometry.name = euclidean\n"
+            f"preset.name = ppa\npreset.eta = {eta}\noutput.dir = {out}\n")
+    assert run_cli("solve", text, tmp_path) == code
+    stdout, stderr = capsys.readouterr()
+    if line is None:
+        assert stdout.startswith("converged") and stderr == ""
+        assert json.loads((out / "summary.json").read_text())["final_step"] == 1
+    else:
+        assert (stdout, stderr) == ("", line) and not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_split_box_near_the_float_limit_builds_without_a_warning(tmp_path, capsys):
     # the box's center overflowed in its build-time samples; the dr run
@@ -529,6 +614,12 @@ REJECTED = [
      "weights"),
     ("ensemble", "eg", "skew_bilinear", "euclidean",
      ENSEMBLE_MEMBERS.replace("weights = 1, 2", "weights = 1, 2, 3"), "member 1"),
+    # an entropy member lives on the problem's set: on R^3 it ran, and its
+    # average stayed on the simplex
+    ("ensemble", "eg", "skew_bilinear", "euclidean",
+     "problem.dim = 3\nensemble.member1.geometry = entropy\n"
+     "ensemble.member2.geometry = entropy\nensemble.member2.z0 = 1, 0, 0\n",
+     "error: member 1: entropy geometry lives on the simplex\n"),
 ]
 
 
@@ -544,6 +635,60 @@ def test_preset_table_rejects_with_one_line(tmp_path, capsys, command, preset,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+def _failed_verdict(report):
+    """A report that ran and failed its command's own test."""
+    return (report.get("refuted") or report.get("termination") == DIVERGED
+            or report.get("max_deviation", 0.0) > report.get("tolerance", math.inf)
+            or report.get("reduction_max_deviation", 0.0)
+            > report.get("reduction_tolerance", math.inf))
+
+
+def test_every_preset_problem_geometry_and_command_keeps_the_exit_contract(tmp_path,
+                                                                           capsys):
+    # Every preset x library problem and box_affine_split x geometry name x
+    # command, at defaults with a budget of 5 steps (flow: t_end = 0.05) and
+    # 4 check and compare samples; a weighted geometry takes weight 1 per
+    # dimension, and an ensemble one member of geometry.name.  Trimmed to
+    # one mode per preset, flow for a row with its own flow and discrete
+    # otherwise, to stay under about 2 s (840 runs).  A run exits 0 or 2
+    # with a named termination (solve, ensemble) or a passing verdict
+    # (check, compare); or 1 with one stderr line and no output, or with a
+    # failing verdict.  pytest turns a RuntimeWarning into a failure, and a
+    # traceback fails the test.
+    dims = {problem: harness.build_problem(parse_config(f"problem.name = {problem}\n"))[0]
+            .feasible_set.dim for problem in [*LIBRARY, "box_affine_split"]}
+    out = tmp_path / "o"
+    for (preset, row), problem, geometry, command in itertools.product(
+            harness.PRESETS.items(), dims, harness.GEOMETRIES, harness.COMMANDS):
+        text = (f"problem.name = {problem}\ngeometry.name = {geometry}\n"
+                f"preset.name = {preset}\nmode = {'flow' if row.flow_only else 'discrete'}\n"
+                f"budget.steps = 5\nbudget.t_end = 0.05\ncheck.samples = 4\n"
+                f"compare.samples = 4\noutput.dir = {out}\n"
+                f"ensemble.member1.geometry = {geometry}\n")
+        if geometry == "weighted_quadratic":
+            weights = ", ".join(["1"] * dims[problem])
+            text += f"geometry.weights = {weights}\nensemble.member1.weights = {weights}\n"
+        code = run_cli(command, text, tmp_path)
+        stdout, stderr = capsys.readouterr()
+        path = out / harness.COMMANDS[command].files[-1]
+        report = json.loads(path.read_text()) if path.exists() else None
+        case = f"{command} {text}"
+        if report is None:
+            assert (code, stdout) == (1, "") and stderr.startswith("error: "), case
+            assert stderr.count("\n") == 1, case
+            continue
+        assert report["exit_code"] == code and stdout.count("\n") + stderr.count("\n") == 1
+        if "max_deviation" in report:
+            # a design agrees with its coded reference wherever it runs, but
+            # for eg's lazy projection on the split's active box constraint
+            agrees = report["max_deviation"] <= report["tolerance"]
+            assert agrees != ((preset, problem) == ("eg", "box_affine_split")), case
+        assert code in (0, 2) or (code == 1 and _failed_verdict(report)), case
+        if command in ("solve", "ensemble"):
+            assert report["termination"] in (CONVERGED, BUDGET, DIVERGED), case
+        shutil.rmtree(out)
 
 
 @pytest.mark.parametrize("name,exit_code,violations", [

@@ -1002,6 +1002,30 @@ def test_ppa_on_rps_under_entropy_builds_at_any_step():
     assert spec.sigma == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("geometry,m,q", [
+    # the closed form's dense inverse
+    (euclidean_geometry(whole_space(2)), np.array([[1.0, 2.0], [-2.0, 1.0]]), np.zeros(2)),
+    # the closed form through to_dense
+    (weighted_quadratic_geometry([1.0, 2.0, 3.0]), Tridiagonal(3, 1.0, 2.0), np.zeros(3)),
+    # the Newton Jacobian; (M + M^T)/2 stays finite, so the certificate accepts
+    (euclidean_geometry(simplex(3)),
+     np.array([[1.0, 2.0, 0.0], [-2.0, 0.5, 1.0], [0.0, -1.0, 0.0]]), np.zeros(3)),
+    # the shifted Tridiagonal's spectral solve: every entry of eta*M is
+    # finite, but not its row sums, and the solve's spectrum overflows
+    (euclidean_geometry(whole_space(3)), Tridiagonal(3, 1.0, 1.0), np.zeros(3)),
+    # the closed form's shift eta*q
+    (euclidean_geometry(whole_space(1)), np.eye(1), np.array([2.0])),
+], ids=["dense", "to_dense", "newton", "spectral", "shift"])
+def test_ppa_refuses_a_step_at_which_eta_times_the_linear_terms_overflows(geometry, m, q):
+    # the build leaked numpy's overflow warning, or the run diverged at step 1
+    problem = VIProblem(geometry.domain, linear_terms=(m, q))
+    message = "eta*F's linear terms leave the float range at eta = 1e+308; reduce the step"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        preset_ppa(geometry, problem, 1e308)
+    assert preset_ppa(geometry, problem, 1e300).name == "ppa"
+
+
 @pytest.mark.parametrize("build", [
     lambda g, problem: preset_ppa(g, problem, 0.5),
     lambda g, problem: preset_eg(g, problem, 0.1),
