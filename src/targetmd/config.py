@@ -61,7 +61,6 @@ class ExperimentConfig:
     compare_samples: int = 1000
     check_samples: int = 200
     ensemble_members: tuple = ()
-    ensemble_verify: bool = True
 
     def effective_stride(self) -> int:
         if self.stride is not None:
@@ -169,7 +168,6 @@ _KEYS = {
     "lyapunov.reference": ("lyapunov_reference", _vector),
     "compare.samples": ("compare_samples", _integer(1)),
     "check.samples": ("check_samples", _integer(2)),
-    "ensemble.verify": ("ensemble_verify", _typed(bool, "true/false")),
 }
 
 # ensemble.memberN.<key> -> value parser; each key is a MemberConfig field.

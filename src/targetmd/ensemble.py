@@ -17,8 +17,9 @@ for any members that share a domain, and `run_ensemble` is that one run
 checks the reported run itself: it steps the members in parallel on their
 own duals for the run's steps at its dt and compares each recorded sample.
 
-Both see the member duals as the rows of one (N, d) stack: the check steps
-that stack, and the rate at the averaged state broadcasts into every row.
+Both see the member duals as the rows of one (N, d) stack, which `_stacked`
+checks and builds once per call: the check steps that stack, and the rate
+at the averaged state broadcasts into every row.
 `_member_maps` carries the stack to the stack of member points with one
 call per family: whole-space quadratics multiply by their stacked inverse
 weights, entropy members take one row-wise softmax, and other members are
@@ -50,8 +51,7 @@ class EnsembleMember:
 
 
 def make_members(geometries, z0s) -> List[EnsembleMember]:
-    return [EnsembleMember(g, np.asarray(z, dtype=float))
-            for g, z in zip(geometries, z0s)]
+    return [EnsembleMember(g, z) for g, z in zip(geometries, z0s)]
 
 
 # The synthesized map's name per family.
@@ -71,13 +71,12 @@ def _family(members: List[EnsembleMember]) -> Optional[str]:
     return None
 
 
-def _member_maps(members: List[EnsembleMember]):
+def _member_maps(members: List[EnsembleMember], family: Optional[str]):
     """The map from the (n, d) stack of member duals to the stack of member
     points, row k through member k's grad_h_conj and with its bits: one
     product with the stacked inverse weights for whole-space quadratics
     (a Euclidean member's weights are 1, and z * 1.0 is z), one row-wise
     softmax for entropy members, and a loop over the members otherwise."""
-    family = _family(members)
     if family == "quadratic":
         inv_weights = 1.0 / np.array([m.geometry.quadratic_weights for m in members])
         return lambda duals: duals * inv_weights
@@ -87,27 +86,37 @@ def _member_maps(members: List[EnsembleMember]):
                                    for m, z in zip(members, duals)])
 
 
-def _mean_of_members(members: List[EnsembleMember]):
-    """duals -> the members' averaged point at the (n, d) stack of their
-    duals.  The mean is np.mean(points, axis=0) bit for bit (the same sum,
-    divided by the same count), without np.mean's dispatch: the ensemble
-    maps take one such mean per step."""
-    maps, n = _member_maps(members), len(members)
-    return lambda duals: np.add.reduce(maps(duals), axis=0) / n
+def _stacked(members: List[EnsembleMember]):
+    """Check the members and stack them: (family, mean_of_members, offsets).
 
-
-def _shared_dim(members: List[EnsembleMember]) -> int:
-    """The members' common dimension; they must also share one domain."""
+    The members must be at least one, share one dimension and one domain,
+    and each z0 must be that many finite numbers (a list or tuple too).
+    offsets is the (n, d) stack of their z0, and mean_of_members maps an
+    (n, d) stack of member duals to the members' averaged point.  The mean
+    is np.mean(points, axis=0) bit for bit (the same sum, divided by the
+    same count), without np.mean's dispatch: the ensemble maps take one
+    such mean per step."""
     if not members:
         raise ConfigurationError("ensemble needs at least one member")
-    dim = members[0].geometry.dim
-    kind = members[0].geometry.domain.kind
-    for m in members:
-        if m.geometry.dim != dim or m.z0.size != dim:
+    dim, kind = members[0].geometry.dim, members[0].geometry.domain.kind
+    offsets = []
+    for k, m in enumerate(members, start=1):
+        try:
+            z0 = np.asarray(m.z0, dtype=float)
+            finite = np.isfinite(z0).all()
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ConfigurationError(f"member {k}: z0 must be finite numbers, got {m.z0!r}")
+        if m.geometry.dim != dim or z0.shape != (dim,):
             raise ConfigurationError("all members must share one dimension")
         if m.geometry.domain.kind != kind:
             raise ConfigurationError("all members must share one domain")
-    return dim
+        offsets.append(z0)
+    family = _family(members)
+    maps, n = _member_maps(members, family), len(members)
+    return (family, lambda duals: np.add.reduce(maps(duals), axis=0) / n,
+            np.array(offsets))
 
 
 def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
@@ -125,10 +134,7 @@ def synthesized_geometry(members: List[EnsembleMember]) -> MirrorGeometry:
     initial duals make the map differ from any single member's map even
     when the member potentials coincide.  The map takes one dual point z.
     """
-    _shared_dim(members)
-    mean_of_members = _mean_of_members(members)
-    offsets = np.array([m.z0 for m in members])
-    family = _family(members)
+    family, mean_of_members, offsets = _stacked(members)
     name = _SYNTHESIZED_NAMES[family]
 
     def grad_h_conj(z):
@@ -189,11 +195,8 @@ def verify_ensemble_reduction(members: List[EnsembleMember], spec: TargetSpec,
     and the tolerance: 1e-9 for the quadratic family, 1e-8 otherwise,
     relative to the states' scale (a diverging run's rounding grows with
     it), that is times max(1, largest |entry| of record.states)."""
-    _shared_dim(members)
-    family = _family(members)
-    mean_of_members = _mean_of_members(members)
     # the rate at the averaged state broadcasts into every row of the stack
-    duals = np.array([m.z0 for m in members])
+    family, mean_of_members, duals = _stacked(members)
     with np.errstate(over="ignore", invalid="ignore"):  # silenced, as in the loop
         start = SolverState(0, 0.0, duals, mean_of_members(duals))
     together = integrate(

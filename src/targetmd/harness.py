@@ -448,19 +448,15 @@ def _ensemble(cfg: ExperimentConfig):
     record = run_ensemble(members, spec, problem=problem,
                           stop_residual=cfg.stop_residual,
                           stride=cfg.effective_stride(), **_budget(cfg))
+    report = verify_ensemble_reduction(members, spec, record)
     summary = _base_summary(record)
-    summary["members"] = len(members)
-    files = {"ensemble_trajectory.csv": (write_trajectory_csv, record)}
-    exit_code = EXIT_ERROR if record.termination == DIVERGED else EXIT_OK
-    if cfg.ensemble_verify:
-        report = verify_ensemble_reduction(members, spec, record)
-        summary["reduction_max_deviation"] = report.max_deviation
-        summary["reduction_tolerance"] = report.tolerance
-        summary["synthesized_geometry"] = report.geometry_name
-        files["reduction_deviations.csv"] = (_write_deviations, report.deviations)
-        if report.max_deviation > report.tolerance:
-            exit_code = EXIT_ERROR
-    return exit_code, summary, files
+    summary.update(members=len(members), reduction_max_deviation=report.max_deviation,
+                   reduction_tolerance=report.tolerance,
+                   synthesized_geometry=report.geometry_name)
+    failed = record.termination == DIVERGED or report.max_deviation > report.tolerance
+    return EXIT_ERROR if failed else EXIT_OK, summary, {
+        "ensemble_trajectory.csv": (write_trajectory_csv, record),
+        "reduction_deviations.csv": (_write_deviations, report.deviations)}
 
 
 @dataclass(frozen=True)
@@ -490,12 +486,10 @@ COMMANDS = {
         "sampled spot-checks of the design obligations", ("check_report.json",), _check,
         lambda r: "refuted" if r["refuted"] else "no refutation"),
     "ensemble": Command(
-        "run a geometric ensemble, optionally verifying its single-run reduction",
+        "run a geometric ensemble and verify its single-run reduction",
         ("ensemble_trajectory.csv", "reduction_deviations.csv", "summary.json"),
         _ensemble,
-        lambda s: s["termination"] + (
-            f"  reduction_deviation={s['reduction_max_deviation']:.3e}"
-            if "reduction_max_deviation" in s else "")),
+        lambda s: f"{s['termination']}  reduction_deviation={s['reduction_max_deviation']:.3e}"),
 }
 
 

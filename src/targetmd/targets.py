@@ -195,7 +195,9 @@ def resolve_target(spec: TargetSpec, x: Vector):
         if spec.Phi is None:
             raise ConfigurationError("solver strategy needs an explicit Phi")
         anchor = spec.S(x)
-        tx = _newton_target(spec, strategy, x, anchor)
+        # one errstate for the whole solve: a residual that overflows is a stall
+        with np.errstate(over="ignore", invalid="ignore"):
+            tx = _newton_target(spec, strategy, x, anchor)
     return tx, anchor
 
 
@@ -562,21 +564,21 @@ def preset_bnn(problem: VIProblem, eta: float = 1.0) -> TargetSpec:
     geometry = entropy_geometry(problem.feasible_set.dim)
 
     def target(x):
-        # the normalized excess payoff divides by x, so x >= INTERIOR_FLOOR
-        # is checked first.  The reductions are the ufuncs' own, without
-        # ndarray's method layer.
+        # the normalized excess payoff divides by x, so every entry (of every
+        # row) must be >= INTERIOR_FLOOR.  The reductions are the ufuncs' own,
+        # without ndarray's method layer, over the last axis.
         x = np.asarray(x, dtype=float)
-        if np.minimum.reduce(x) < INTERIOR_FLOOR:
+        if np.minimum.reduce(x, axis=None) < INTERIOR_FLOOR:
             raise DomainError(
                 "excess payoff needs an interior simplex point (entrywise division by x)")
         f = np.asarray(problem.F(x), dtype=float)
-        shift = np.maximum(float(np.dot(x, f)) - f, 0.0) / x
+        shift = np.maximum(np.vecdot(x, f, keepdims=True) - f, 0.0) / x
         if eta != 1.0:
             shift = eta * shift
         shifted = np.log(x) + shift
-        peak = np.maximum.reduce(shifted)
+        peak = np.maximum.reduce(shifted, axis=-1, keepdims=True)
         e = np.exp(shifted - peak)
-        total = np.add.reduce(e)
+        total = np.add.reduce(e, axis=-1, keepdims=True)
         return e / total, shift - (peak + np.log(total))
 
     return TargetSpec(

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from targetmd import (box, entropy_geometry, euclidean_geometry,
+from targetmd import (EnsembleMember, box, entropy_geometry, euclidean_geometry,
                       library_problem, make_members, natural_residual,
                       preset_bnn, preset_eg, preset_fbf, preset_vanilla_md,
                       project_simplex, run_discrete, run_ensemble, simplex,
                       softmax, state_from_dual,
                       synthesized_geometry, verify_ensemble_reduction,
                       weighted_quadratic_geometry, whole_space)
-from targetmd.ensemble import _family, _mean_of_members, _member_maps
+from targetmd.ensemble import _member_maps, _stacked
 from targetmd.errors import ConfigurationError
 
 SEED = 31
@@ -193,6 +193,32 @@ def test_synthesized_modulus_is_the_harmonic_mean():
     assert sg.strong_convexity_modulus == pytest.approx(1.0 / np.mean([1.0, 0.25]))
 
 
+@pytest.mark.parametrize("z0", [[1.0, 0.0], (1.0, 0.0)])
+def test_a_member_z0_may_be_a_list_or_a_tuple(z0):
+    p, spec = _skew_spec()
+    g = euclidean_geometry(whole_space(2))
+    given, as_array = [EnsembleMember(g, z0)], [EnsembleMember(g, np.array([1.0, 0.0]))]
+    z = np.array([0.3, -0.2])
+    assert _same_bits(synthesized_geometry(given).grad_h_conj(z),
+                      synthesized_geometry(as_array).grad_h_conj(z))
+    record = run_ensemble(given, spec, n_steps=20, stop_residual=0.0)
+    assert _same_bits(record.states, run_ensemble(
+        as_array, spec, n_steps=20, stop_residual=0.0).states)
+    assert _same_bits(verify_ensemble_reduction(given, spec, record).deviations,
+                      verify_ensemble_reduction(as_array, spec, record).deviations)
+
+
+@pytest.mark.parametrize("z0", ["abc", [1.0, "x"], [1.0, np.inf], None])
+def test_a_member_z0_that_is_not_finite_numbers_is_one_configuration_error(z0):
+    p, spec = _skew_spec()
+    g = euclidean_geometry(whole_space(2))
+    members = [EnsembleMember(g, np.zeros(2)), EnsembleMember(g, z0)]
+    for call in (lambda: synthesized_geometry(members),
+                 lambda: run_ensemble(members, spec, n_steps=1)):
+        with pytest.raises(ConfigurationError, match=r"^member 2: z0 must be finite numbers"):
+            call()
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -227,11 +253,13 @@ def test_stacked_member_maps_are_the_member_loop_bit_for_bit(family, n, dim, see
     n = max(n, 2) if family == "mixed" else n
     members = make_members(_family_geometries(family, n, dim, rng),
                            _wide_duals(rng, n, dim))
-    assert _family(members) == (None if family == "mixed" else family)
+    stacked_family, mean_of_members, offsets = _stacked(members)
+    assert stacked_family == (None if family == "mixed" else family)
+    assert _same_bits(offsets, np.array([m.z0 for m in members]))
     duals = _wide_duals(rng, n, dim)
     points = np.array([m.geometry.grad_h_conj(z) for m, z in zip(members, duals)])
-    assert _same_bits(_member_maps(members)(duals), points)
-    assert _same_bits(_mean_of_members(members)(duals), np.mean(points, axis=0))
+    assert _same_bits(_member_maps(members, stacked_family)(duals), points)
+    assert _same_bits(mean_of_members(duals), np.mean(points, axis=0))
     # the synthesized map is the same mean at the shared dual plus each offset
     z = _wide_duals(rng, 1, dim)[0]
     shifted = [m.geometry.grad_h_conj(z + m.z0) for m in members]
@@ -251,7 +279,7 @@ def test_member_mean_keeps_np_mean_bits_on_one_column_and_signed_zeros(rows):
     # whose map keeps every bit of its dual
     members = make_members([euclidean_geometry(whole_space(len(rows[0])))] * len(rows),
                            [np.zeros(len(rows[0]))] * len(rows))
-    assert _same_bits(_mean_of_members(members)(np.array(rows)), np.mean(rows, axis=0))
+    assert _same_bits(_stacked(members)[1](np.array(rows)), np.mean(rows, axis=0))
 
 
 # --- reduction to a single run ---------------------------------------------------

@@ -126,7 +126,6 @@ output.stride = 3
 lyapunov.reference = 0.3, 0.3, 0.4
 compare.samples = 1
 check.samples = 2
-ensemble.verify = false
 ensemble.member1.geometry = weighted_quadratic
 ensemble.member1.weights = 1, 2, 3
 ensemble.member1.z0 = 0, 1, 0
@@ -185,7 +184,7 @@ WRONG_TYPE = {
     "mode": "3", "x0": "abc", "flow.integrator": "true", "flow.dt": "abc",
     "budget.steps": "2.5", "budget.t_end": "abc", "stop.residual": "fast",
     "output.stride": "1.5", "lyapunov.reference": "abc",
-    "compare.samples": "1, 2", "check.samples": "2.0", "ensemble.verify": "1",
+    "compare.samples": "1, 2", "check.samples": "2.0",
     "ensemble.member1.weights": "abc", "ensemble.member1.z0": "1, x",
 }
 ROWS = sorted(config._KEYS) + [f"ensemble.member1.{key}" for key in config._MEMBER_KEYS]
@@ -1214,19 +1213,6 @@ def test_an_ensemble_started_near_the_float_limit_stays_silent(tmp_path, capsys)
     assert summary["reduction_max_deviation"] <= summary["reduction_tolerance"]
 
 
-def test_ensemble_verify_off_exits_zero(tmp_path):
-    out = tmp_path / "out"
-    text = (CONFIG_DIR / "ensemble_quadratic.cfg").read_text().replace(
-        "runs/ensemble_quadratic", str(out)).replace(
-        "ensemble.verify = true", "ensemble.verify = false").replace(
-        "budget.steps = 10000", "budget.steps = 50")
-    code = run_cli("ensemble", text, tmp_path)
-    assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert "reduction_max_deviation" not in summary
-    assert sorted(os.listdir(out)) == sorted(summary["outputs"].values())
-
-
 def test_alpha_zero_ensemble_runs_its_budget(tmp_path):
     out = tmp_path / "out"
     text = ("problem.name = skew_bilinear\ngeometry.name = euclidean\n"
@@ -1304,15 +1290,15 @@ def test_diverged_solve_replaces_the_earlier_outputs(tmp_path, capsys):
 @pytest.mark.parametrize("command,name,old,new", [
     ("compare", "compare_eg.cfg", "preset.name = eg", "preset.name = vanilla_md"),
     ("check", "check_eg.cfg", "preset.eta = 0.1", "preset.eta = 20"),
-    ("ensemble", "ensemble_quadratic.cfg", "ensemble.verify = true",
-     "ensemble.verify = true\nmode = flow\nflow.dt = 1e-300\nbudget.t_end = 1e300"),
+    ("ensemble", "ensemble_quadratic.cfg", "budget.steps = 10000",
+     "budget.steps = 10000\nmode = flow\nflow.dt = 1e-300\nbudget.t_end = 1e300"),
     # configs that fail to load: under TARGETMD_OUT_DIR the directory does
     # not depend on the config, so the outputs go before the load
     ("solve", "eg_skew_solve.cfg", "x0 = 1, 0", "x0 = 1, 0\ncheck.samples = 1"),
     ("compare", "compare_eg.cfg", "budget.steps = 100", "budget.steps = -1"),
     ("check", "check_eg.cfg", "check.samples = 200", "check.samples = 1"),
-    ("ensemble", "ensemble_quadratic.cfg", "ensemble.verify = true",
-     "ensemble.verify = true\ncheck.samples = 1"),
+    ("ensemble", "ensemble_quadratic.cfg", "budget.steps = 10000",
+     "budget.steps = 10000\ncheck.samples = 1"),
     # the same without TARGETMD_OUT_DIR: the config's output.dir line names
     # the directory, and a key before that line fails to load
     ("solve", "eg_skew_solve.cfg", "output.dir = runs/eg_skew",

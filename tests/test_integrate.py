@@ -4,8 +4,11 @@ non-finite policy, and the boundary checks every runner passes through."""
 import json
 import math
 import os
+import re
 import warnings
+from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +19,13 @@ from targetmd import (entropy_geometry, euclidean_geometry, flow,
                       run_ensemble, run_higher_order, run_vanilla_dmd,
                       preset_dmd_calibrated, verify_ensemble_reduction,
                       whole_space)
+from targetmd import harness
 from targetmd.cli import main
 from targetmd.dynamics import SolverState, _Recorder, integrate
 from targetmd.errors import ConfigurationError
 from targetmd.harness import OUTPUT_DIR_ENV, run_command
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_cli(command, text, tmp_path):
@@ -349,10 +355,9 @@ def test_bnn_flow_at_a_huge_step_keeps_finite_target_residuals(tmp_path, capsys)
     assert np.isfinite(summary["final_target_residual"])
 
 
-@pytest.mark.parametrize("verify", ["false", "true"])
-def test_ensemble_flow_divergence_writes_its_outputs(tmp_path, capsys, verify):
+def test_ensemble_flow_divergence_writes_its_outputs(tmp_path, capsys):
     out = tmp_path / "o"
-    text = HUGE_STEP_ENSEMBLE.format(out=out) + f"ensemble.verify = {verify}\n"
+    text = HUGE_STEP_ENSEMBLE.format(out=out)
     code, caught = _runtime_warnings(lambda: run_cli("ensemble", text, tmp_path))
     assert code == 1 and caught == []
     err = one_error_line(capsys)
@@ -361,8 +366,57 @@ def test_ensemble_flow_divergence_writes_its_outputs(tmp_path, capsys, verify):
     assert f"non-finite at step {summary['final_step'] + 1};" in err
     assert (out / "ensemble_trajectory.csv").exists()
     # the check follows the finite prefix it was handed
-    assert ("reduction_max_deviation" in summary) == (verify == "true")
-    assert (out / "reduction_deviations.csv").exists() == (verify == "true")
+    assert "reduction_max_deviation" in summary
+    assert (out / "reduction_deviations.csv").exists()
+
+
+def _ensemble_text(case, mode, out):
+    if case == "huge_step":
+        return HUGE_STEP_ENSEMBLE.format(out=out)
+    text = (CONFIG_DIR / f"{case}.cfg").read_text()
+    text = re.sub(r"(?m)^output\.dir = .*$", f"output.dir = {out}", text)
+    return text + ("mode = flow\n" if mode == "flow" else "")
+
+
+@pytest.mark.parametrize("variant", ["as_shipped", "tolerance_exceeded", "sets_verify"])
+@pytest.mark.parametrize("case,mode", [
+    ("ensemble_quadratic", "discrete"), ("ensemble_quadratic", "flow"),
+    ("ensemble_entropy", "discrete"), ("ensemble_entropy", "flow"),
+    ("huge_step", "flow")])
+def test_every_ensemble_verifies_its_reduction(tmp_path, capsys, monkeypatch, case,
+                                               mode, variant):
+    # every run writes the deviations and the three reduction keys, and exits
+    # 1 exactly when it diverged or its deviation exceeds the tolerance; the
+    # key that switched the check off is refused like any unknown key
+    out = tmp_path / "o"
+    text = _ensemble_text(case, mode, out)
+    if variant == "sets_verify":
+        text += "ensemble.verify = true\n"
+        assert run_cli("ensemble", text, tmp_path) == 1
+        assert one_error_line(capsys).endswith(" ensemble.verify is not a known key\n")
+        assert not out.exists()
+        return
+    if variant == "tolerance_exceeded":
+        check = harness.verify_ensemble_reduction
+        monkeypatch.setattr(harness, "verify_ensemble_reduction", lambda *args: replace(
+            check(*args), tolerance=-1.0))
+    code, caught = _runtime_warnings(lambda: run_cli("ensemble", text, tmp_path))
+    assert caught == []
+    summary = _summary(out)
+    assert sorted(os.listdir(out)) == [
+        "ensemble_trajectory.csv", "reduction_deviations.csv", "summary.json"]
+    deviation, tolerance = (summary["reduction_max_deviation"],
+                            summary["reduction_tolerance"])
+    assert summary["synthesized_geometry"].startswith("synthesized")
+    diverged = summary["termination"] == "diverged"
+    assert diverged == (case == "huge_step")
+    exceeded = deviation is None or deviation > tolerance
+    assert exceeded == (variant == "tolerance_exceeded")
+    assert code == summary["exit_code"] == (1 if diverged or exceeded else 0)
+    if diverged:
+        one_error_line(capsys)
+    else:
+        assert f"  reduction_deviation={deviation:.3e}  -> {out}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["solve", "ensemble"])

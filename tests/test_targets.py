@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import re
 
@@ -9,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import reference_impls as ri
 from test_acceptance import _stepwise_deviation
-from targetmd import (ClosedForm, ResolventSolve, SplitPair, TargetSpec, VIProblem,
+from targetmd import (ClosedForm, ClosedFormGap, MirrorOfS, ResolventSolve, SplitPair,
+                      TargetSpec, VIProblem,
                       affine_box_split, box,
                       dual_rate, entropy_geometry, estimate_lipschitz,
                       euclidean_geometry,
@@ -20,7 +22,7 @@ from targetmd import (ClosedForm, ResolventSolve, SplitPair, TargetSpec, VIProbl
                       whole_space)
 from targetmd.errors import (ConfigurationError, DomainError,
                              TargetResolutionError)
-from targetmd import targets
+from targetmd import harness, targets
 from targetmd.config import ExperimentConfig
 from targetmd.harness import DISCRETE_COMPARE_TOL, FIELD_COMPARE_TOL, build_spec
 from targetmd.problems import LIBRARY, Tridiagonal
@@ -1321,3 +1323,68 @@ def test_fbf_is_extragradient_under_the_euclidean_potential(name, frac, coords):
     assert np.array_equal(fbf.Phi(x), eg.Phi(x))
     assert np.array_equal(tx, resolve_target(eg, x)[0])
     assert np.array_equal(dual_rate(fbf, x, tx, sx), dual_rate(eg, x, tx, sx))
+
+
+# --- explicit targets on stacks ---------------------------------------------
+
+def _explicit_specs():
+    """(label, spec, stack) for every design with an explicit target that a
+    preset builds on a library problem or box_affine_split, under each
+    geometry its row admits, at the preset's default parameters and at
+    eta = 3; the stack holds 50 interior points of the problem's set."""
+    for name in sorted(LIBRARY) + ["box_affine_split"]:
+        for preset, row in harness.PRESETS.items():
+            variants = [{}] + ([{"eta": 3.0}] if "eta" in row.params else [])
+            for geometry, params in itertools.product(
+                    ("euclidean", "entropy", "weighted_quadratic"), variants):
+                cfg = ExperimentConfig(problem=name, preset=preset, geometry=geometry,
+                                       preset_params=params)
+                try:
+                    problem, pair = harness.build_problem(cfg)
+                    dim = problem.feasible_set.dim
+                    if geometry == "weighted_quadratic":
+                        cfg.geometry_weights = tuple(np.linspace(1.0, 2.0, dim))
+                    spec = build_spec(cfg, harness.build_geometry(cfg, problem),
+                                      problem, pair)
+                except ConfigurationError:
+                    continue
+                if isinstance(spec, TargetSpec) and isinstance(
+                        spec.target, (ClosedForm, ClosedFormGap, MirrorOfS)):
+                    stack = problem.feasible_set.sample_interior(
+                        np.random.default_rng(SEED), 50)
+                    yield f"{preset}/{name}/{geometry}/{params}", spec, stack
+
+
+def test_explicit_targets_resolve_a_stack_row_by_row_bit_for_bit():
+    strategies = set()
+    for label, spec, stack in _explicit_specs():
+        strategies.add(type(spec.target))
+        stacked = resolve_target(spec, stack)
+        for i, x in enumerate(stack):
+            for got, want in zip(stacked, resolve_target(spec, x)):
+                if want is None:
+                    assert got is None, label
+                else:
+                    assert got[i].tobytes() == want.tobytes(), (label, i)
+                    assert want.shape == x.shape, label
+    assert strategies == {ClosedForm, ClosedFormGap, MirrorOfS}
+
+
+def test_bnn_target_refuses_a_stack_with_one_entry_below_the_floor():
+    spec = preset_bnn(library_problem("rps_game"), 1.0)
+    stack = np.full((5, 3), 1.0 / 3.0)
+    stack[3] = (0.5, 0.5, 0.0)
+    with pytest.raises(DomainError):
+        resolve_target(spec, stack)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_newton_residual_past_the_float_range_is_a_stall_not_a_warning():
+    # eta*M reaches 2e300 on this dense simplex design: the Newton residual
+    # overflows, and the solve stalls without a numpy warning
+    m = np.array([[1.0, 2.0, 0.0], [-2.0, 0.5, 1.0], [0.0, -1.0, 0.0]])
+    problem = VIProblem(simplex(3), name="dense", linear_terms=(m, np.zeros(3)))
+    spec = preset_ppa(euclidean_geometry(simplex(3)), problem, 1e300)
+    with pytest.raises(TargetResolutionError,
+                       match=r"^target subproblem stalled: residual 1\.067e\+300 > 1e-10$"):
+        resolve_target(spec, [1.0 / 3.0] * 3)
